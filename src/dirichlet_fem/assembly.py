@@ -11,8 +11,9 @@ and the mass matrix M the square-sum bracket
 for the piecewise-linear nodal basis {phi_i}.  Both are assembled from
 closed-form local matrices (P1 gradients are constant per triangle), so
 the only quadrature in the package is the degree-2 edge-midpoint rule
-used for load vectors.  Entries are accumulated in triangle-index order,
-which makes repeated assemblies of the same mesh bit-identical.
+used for load vectors.  Entries are accumulated in triangle-index order
+with np.bincount, which makes repeated assemblies of the same mesh
+bit-identical.
 """
 
 from __future__ import annotations
@@ -59,23 +60,6 @@ class SparseSymMatrix:
         self.vals = vals
         self._csr: csr_matrix | None = None
         self._abs_csr: csr_matrix | None = None
-
-    @classmethod
-    def from_pairs(cls, dimension, pairs) -> "SparseSymMatrix":
-        """Accumulate (i, j, value) contributions in the order given.
-
-        Contributions to the same unordered pair are summed in encounter
-        order; the summed entries are then stored sorted by (row, col).
-        """
-        acc: dict[tuple[int, int], float] = {}
-        for i, j, v in pairs:
-            key = (i, j) if i <= j else (j, i)
-            acc[key] = acc.get(key, 0.0) + v
-        keys = sorted(acc)
-        rows = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
-        cols = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
-        vals = np.fromiter((acc[k] for k in keys), dtype=np.float64, count=len(keys))
-        return cls(dimension, rows, cols, vals)
 
     @classmethod
     def from_dense(cls, a) -> "SparseSymMatrix":
@@ -162,117 +146,101 @@ class SparseSymMatrix:
         return self._full().toarray()
 
 
+# Local index pairs (a, b), a <= b, of the six stored entries of a
+# symmetric 3x3 local matrix, in row-major order.
+_UPPER = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
+_MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+
+def _geometry(p: np.ndarray):
+    """b, c and signed areas of triangles with vertices p, shape (..., 3, 2).
+
+    grad(lam_i) = (b_i, c_i) / (2 * area); inverted triangles are refused.
+    """
+    x, y = p[..., 0], p[..., 1]
+    b = y[..., [1, 2, 0]] - y[..., [2, 0, 1]]
+    c = x[..., [2, 0, 1]] - x[..., [1, 2, 0]]
+    area = 0.5 * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
+    if np.any(area <= 0):
+        raise ValueError("triangle is degenerate or clockwise")
+    return b, c, area
+
+
 def local_stiffness(coords: np.ndarray) -> np.ndarray:
     """Exact 3x3 gradient-bracket matrix of one triangle.
 
     For vertices P0, P1, P2 the barycentric gradients are constant, so
-    K[i, j] = area * grad(lam_i) . grad(lam_j) in closed form.
+    K[i, j] = area * grad(lam_i) . grad(lam_j) in closed form.  The
+    entries are bit-identical to those assemble_stiffness sums.
     """
-    p = np.asarray(coords, dtype=float)
-    b = np.array([p[1, 1] - p[2, 1], p[2, 1] - p[0, 1], p[0, 1] - p[1, 1]])
-    c = np.array([p[2, 0] - p[1, 0], p[0, 0] - p[2, 0], p[1, 0] - p[0, 0]])
-    area2 = b[0] * c[1] - b[1] * c[0]  # = 2 * signed area
-    if area2 <= 0:
-        raise ValueError("triangle is degenerate or clockwise")
-    return (np.outer(b, b) + np.outer(c, c)) / (2.0 * area2)
+    b, c, area = _geometry(np.asarray(coords, dtype=float))
+    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
 
 
 def local_mass(coords: np.ndarray) -> np.ndarray:
     """Exact 3x3 square-sum-bracket matrix of one triangle: (area/12) * (1 + I)."""
-    p = np.asarray(coords, dtype=float)
-    e1 = p[1] - p[0]
-    e2 = p[2] - p[0]
-    area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-    if area <= 0:
-        raise ValueError("triangle is degenerate or clockwise")
-    return (area / 12.0) * (np.ones((3, 3)) + np.eye(3))
+    return _geometry(np.asarray(coords, dtype=float))[2] * _MASS_PATTERN
 
 
-def _triangle_geometry(mesh: Mesh):
-    """Vectorized per-triangle quantities: vertex coords, b/c vectors, areas."""
-    p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
-    b = np.stack(
-        [p[:, 1, 1] - p[:, 2, 1], p[:, 2, 1] - p[:, 0, 1], p[:, 0, 1] - p[:, 1, 1]],
-        axis=1,
-    )
-    c = np.stack(
-        [p[:, 2, 0] - p[:, 1, 0], p[:, 0, 0] - p[:, 2, 0], p[:, 1, 0] - p[:, 0, 0]],
-        axis=1,
-    )
-    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    return p, b, c, area
+def _accumulate(mesh: Mesh, upper: np.ndarray) -> SparseSymMatrix:
+    """Sum (T, 6) upper local entries into global storage, triangle order.
 
-
-def _accumulate(mesh: Mesh, local: np.ndarray) -> SparseSymMatrix:
-    """Sum (T, 3, 3) local matrices into global storage, triangle order."""
-    acc: dict[tuple[int, int], float] = {}
-    tris = mesh.triangles
-    for t in range(len(tris)):
-        tri = tris[t]
-        loc = local[t]
-        for a in range(3):
-            ia = int(tri[a])
-            for bidx in range(a, 3):
-                jb = int(tri[bidx])
-                key = (ia, jb) if ia <= jb else (jb, ia)
-                acc[key] = acc.get(key, 0.0) + float(loc[a, bidx])
-    keys = sorted(acc)
-    rows = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
-    cols = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
-    vals = np.fromiter((acc[k] for k in keys), dtype=np.float64, count=len(keys))
-    return SparseSymMatrix(mesh.node_count, rows, cols, vals)
+    np.bincount adds its weights one at a time in input order, so each
+    global entry is the triangle-order sum of its contributions and a
+    reassembly is bit-identical.
+    """
+    n = mesh.node_count
+    gi, gj = mesh.triangles[:, _UPPER[0]], mesh.triangles[:, _UPPER[1]]
+    keys = (np.minimum(gi, gj) * n + np.maximum(gi, gj)).ravel()
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    unique = sorted_keys[first]
+    vals = np.bincount(inverse, weights=upper.ravel(), minlength=len(unique))
+    return SparseSymMatrix(n, unique // n, unique % n, vals)
 
 
 def assemble_stiffness(mesh: Mesh) -> SparseSymMatrix:
     """Gradient-bracket Gram matrix of the nodal basis."""
-    _, b, c, area = _triangle_geometry(mesh)
-    if np.any(area <= 0):
-        raise ValueError("mesh has a degenerate or clockwise triangle")
-    local = (
-        b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
-    ) / (4.0 * area)[:, None, None]
-    return _accumulate(mesh, local)
+    b, c, area = _geometry(mesh.nodes[mesh.triangles])
+    ia, ib = _UPPER
+    upper = (b[:, ia] * b[:, ib] + c[:, ia] * c[:, ib]) / (4.0 * area)[:, None]
+    return _accumulate(mesh, upper)
 
 
 def assemble_mass(mesh: Mesh) -> SparseSymMatrix:
     """Square-sum-bracket Gram matrix of the nodal basis."""
-    _, _, _, area = _triangle_geometry(mesh)
-    if np.any(area <= 0):
-        raise ValueError("mesh has a degenerate or clockwise triangle")
-    pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = area[:, None, None] * pattern[None, :, :]
-    return _accumulate(mesh, local)
+    _, _, area = _geometry(mesh.nodes[mesh.triangles])
+    return _accumulate(mesh, area[:, None] * _MASS_PATTERN[_UPPER])
 
 
-def assemble_load(
-    mesh: Mesh, f: Callable[[float, float], float]
-) -> np.ndarray:
+def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     """Load vector: component i approximates the integral of f * phi_i.
 
     Uses the 3-point edge-midpoint rule per triangle (exact whenever
     f * phi_i is quadratic, in particular for piecewise-linear f on the
-    same mesh).  Triangles are visited in index order.
+    same mesh).  f is called once on all midpoints, a scalar result is
+    broadcast, and contributions are summed in triangle order.
     """
-    p, _, _, area = _triangle_geometry(mesh)
+    p = mesh.nodes[mesh.triangles]
+    _, _, area = _geometry(p)
     mids = 0.5 * (p + np.roll(p, -1, axis=1))  # midpoint m[k] of edge (k, k+1)
-    out = np.zeros(mesh.node_count)
-    tris = mesh.triangles
-    for t in range(len(tris)):
-        w = area[t] / 3.0
-        fm = np.empty(3)
-        for k in range(3):
-            x, y = float(mids[t, k, 0]), float(mids[t, k, 1])
-            v = f(x, y)
-            if not np.isfinite(v):
-                raise ValueError(
-                    f"source function returned non-finite value {v!r} "
-                    f"at quadrature point ({x}, {y})"
-                )
-            fm[k] = v
-        # phi_a is 1/2 on the two edges touching vertex a, 0 opposite
-        for a in range(3):
-            out[tris[t, a]] += w * 0.5 * (fm[a] + fm[(a + 2) % 3])
-    return out
+    fm = np.broadcast_to(f(mids[..., 0], mids[..., 1]), area.shape + (3,))
+    finite = np.isfinite(fm)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        x, y = mids.reshape(-1, 2)[k]
+        raise ValueError(
+            f"source function returned non-finite value {float(fm.flat[k])!r} "
+            f"at quadrature point ({x}, {y})"
+        )
+    # phi_a is 1/2 on the two edges touching vertex a, 0 opposite
+    contrib = (area / 3.0)[:, None] * 0.5 * (fm + fm[:, [2, 0, 1]])
+    return np.bincount(
+        mesh.triangles.ravel(), weights=contrib.ravel(), minlength=mesh.node_count
+    )
 
 
 def _form_sqrt(m: SparseSymMatrix, x: np.ndarray) -> float:

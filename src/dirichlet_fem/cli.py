@@ -7,8 +7,9 @@ problem's mesh, and convergence reruns a problem on doubled grids
 against a known exact field.
 
 Exit codes: 0 success, 1 malformed problem data (file syntax, bad
-expressions, bad geometry), 2 runtime failure (solver breakdown,
-expression evaluation, failed verification), 3 file I/O errors.
+expressions, bad geometry, grids over the node cap), 2 runtime failure
+(solver breakdown, expression evaluation, failed verification), 3 file
+I/O errors.
 """
 
 from __future__ import annotations
@@ -46,10 +47,8 @@ def _solve_spec(
 ) -> SolveReport:
     settings = make_settings(spec)
     if spec.mode == "border":
-        g = as_function(spec.g_expr)
-        boundary_values = np.array(
-            [g(float(x), float(y)) for x, y in mesh.nodes[mesh.boundary_indices]]
-        )
+        x, y = mesh.nodes[mesh.boundary_indices].T
+        boundary_values = as_function(spec.g_expr)(x, y)
         return quotient_solve(
             mesh, A, M, as_function(spec.f_expr), boundary_values, settings
         )

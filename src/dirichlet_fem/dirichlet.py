@@ -43,20 +43,21 @@ if TYPE_CHECKING:
     from .analysis import PoincareEstimate
     from .mesh import Mesh
 
-ScalarField = Callable[[float, float], float]
+# f(x, y) on coordinate arrays: an array of their shape, or a scalar.
+Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class ProblemData:
     """One problem instance: a source function and an extension field.
 
-    f is kept as a function and committed to a load vector at solve
-    time; g is already a nodal field whose boundary values are the
-    Dirichlet data and whose interior values are one arbitrary
-    extension of it.
+    f is kept as an array callable and committed to a load vector at
+    solve time, with one call on all quadrature points; g is already a
+    nodal field whose boundary values are the Dirichlet data and whose
+    interior values are one arbitrary extension of it.
     """
 
-    f: ScalarField
+    f: Field
     g: np.ndarray
 
 
@@ -106,7 +107,7 @@ def _scaled_residual(
 
 
 def weak_residual(
-    mesh: "Mesh", A: SparseSymMatrix, u: np.ndarray, f: ScalarField
+    mesh: "Mesh", A: SparseSymMatrix, u: np.ndarray, f: Field
 ) -> float:
     """Scaled worst violation of the interior equilibrium equations.
 
@@ -199,7 +200,7 @@ def quotient_solve(
     mesh: "Mesh",
     A: SparseSymMatrix,
     M: SparseSymMatrix,
-    f: ScalarField,
+    f: Field,
     boundary_values: np.ndarray,
     settings: SolverSettings = SolverSettings(),
     poincare: "PoincareEstimate | None" = None,

@@ -1,14 +1,15 @@
 """A small closed expression language for problem data on the plane.
 
-Grammar: floating literals, the variables x and y, the constant pi,
-the functions sin, cos, exp, sqrt, abs, the binary operators + - * / ^
-(^ is right-associative power), unary minus, and parentheses.  Unary
-minus binds tighter than * and / but looser than ^, so -x^2 means
--(x^2) while -x*y means (-x)*y.
+Grammar: floating literals, the variables x and y, the constants pi
+and e, the functions sin, cos, exp, log, sqrt, abs, the binary
+operators + - * / ^ (^ is right-associative power), unary minus, and
+parentheses.  Unary minus binds tighter than * and / but looser than
+^, so -x^2 means -(x^2) while -x*y means (-x)*y.
 
 The language is deliberately tiny: every expression a problem file can
 contain is parsed into the AST here and evaluated by walking it, so no
-text from a problem file is ever handed to Python's own eval.
+text from a problem file is ever handed to Python's own eval.  One walk
+evaluates at a point or, with numpy ufuncs, over arrays of points.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
+
+import numpy as np
 
 __all__ = [
     "Num",
@@ -41,7 +44,7 @@ class Num:
 
 @dataclass(frozen=True)
 class Name:
-    ident: str  # "x", "y", or "pi"
+    ident: str  # "x", "y", "pi" or "e"
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,7 @@ class Binary:
 
 @dataclass(frozen=True)
 class Call:
-    func: str  # one of sin cos exp sqrt abs
+    func: str  # one of sin cos exp log sqrt abs
     arg: "Expr"
 
 
@@ -82,15 +85,16 @@ class EvalError(ValueError):
         self.point = point
 
 
-_FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
-    "abs": abs,
+_FUNCTIONS: dict[str, np.ufunc] = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
 }
 
-_CONSTANTS = {"pi": math.pi}
+_CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _RIGHT_ASSOC = {"^"}
@@ -196,16 +200,36 @@ def parse(source: str) -> Expr:
     return expr
 
 
-def evaluate(expr: Expr, x: float, y: float) -> float:
-    """Evaluate at a point; domain errors and non-finite results raise."""
-    point = (x, y)
-    value = _eval(expr, x, y, point)
-    if not math.isfinite(value):
-        raise EvalError(f"expression value is {value!r}", point)
-    return value
+def evaluate(expr: Expr, x, y):
+    """Evaluate at a point (floats give a float) or elementwise over arrays.
+
+    A domain error or a non-finite result raises EvalError at the first
+    offending point in row-major order, naming the first operation that
+    fails there, as a point-by-point walk would.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    failures: list = []  # (mask, message, operands) in walk order
+    with np.errstate(all="ignore"):
+        value = np.array(np.broadcast_to(_eval(expr, x, y, failures), x.shape))
+    failures.append((~np.isfinite(value), "expression value is {!r}", (value,)))
+    bad = np.logical_or.reduce([np.broadcast_to(m, x.shape) for m, _, _ in failures])
+    if not bad.any():
+        return float(value) if value.ndim == 0 else value
+    k = int(np.argmax(bad))
+
+    def at(v) -> float:
+        return float(np.broadcast_to(v, x.shape).flat[k])
+
+    message, operands = next((msg, ops) for m, msg, ops in failures if at(m))
+    raise EvalError(message.format(*map(at, operands)), (at(x), at(y)))
 
 
-def _eval(expr: Expr, x: float, y: float, point: tuple[float, float]) -> float:
+def _record(failures: list, mask, message: str, *operands) -> None:
+    if np.any(mask):  # only failures keep their operands alive
+        failures.append((mask, message, operands))
+
+
+def _eval(expr: Expr, x: np.ndarray, y: np.ndarray, failures: list):
     t = type(expr)
     if t is Num:
         return expr.value
@@ -216,10 +240,10 @@ def _eval(expr: Expr, x: float, y: float, point: tuple[float, float]) -> float:
             return y
         return _CONSTANTS[expr.ident]
     if t is Unary:
-        return -_eval(expr.operand, x, y, point)
+        return -_eval(expr.operand, x, y, failures)
     if t is Binary:
-        a = _eval(expr.left, x, y, point)
-        b = _eval(expr.right, x, y, point)
+        a = _eval(expr.left, x, y, failures)
+        b = _eval(expr.right, x, y, failures)
         op = expr.op
         if op == "+":
             return a + b
@@ -228,19 +252,18 @@ def _eval(expr: Expr, x: float, y: float, point: tuple[float, float]) -> float:
         if op == "*":
             return a * b
         if op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero", point)
-            return a / b
-        try:
-            return math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"cannot raise {a!r} to power {b!r}", point) from exc
-    # Call
-    a = _eval(expr.arg, x, y, point)
-    try:
-        return _FUNCTIONS[expr.func](a)
-    except (ValueError, OverflowError) as exc:
-        raise EvalError(f"{expr.func}({a!r}) is undefined", point) from exc
+            _record(failures, np.equal(b, 0.0), "division by zero")
+            return np.divide(a, b)
+        r = np.power(a, b)  # as math.pow: finite operands, non-finite power
+        mask = np.isfinite(a) & np.isfinite(b) & ~np.isfinite(r)
+        _record(failures, mask, "cannot raise {!r} to power {!r}", a, b)
+        return r
+    # Call; as the math module: NaN from non-NaN, or infinity from finite
+    a = _eval(expr.arg, x, y, failures)
+    r = _FUNCTIONS[expr.func](a)
+    mask = (np.isnan(r) & ~np.isnan(a)) | (np.isinf(r) & np.isfinite(a))
+    _record(failures, mask, expr.func + "({!r}) is undefined", a)
+    return r
 
 
 def _node_precedence(expr: Expr) -> int:
@@ -288,6 +311,6 @@ def _child(expr: Expr, min_prec: int) -> str:
     return text
 
 
-def as_function(expr: Expr) -> Callable[[float, float], float]:
-    """Wrap an expression as a plain (x, y) -> float callable."""
+def as_function(expr: Expr) -> Callable:
+    """Wrap an expression as an (x, y) callable over floats or arrays."""
     return lambda x, y: evaluate(expr, x, y)

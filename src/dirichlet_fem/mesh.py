@@ -19,6 +19,10 @@ from typing import Callable
 
 import numpy as np
 
+# A CLI solve peaks near 1.2 KB per node (256^2, 512^2) and verify near
+# 2.5 KB (64^2 to 256^2), so at this cap either stays under 4 GB.
+MAX_NODES = 1_500_000
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -66,7 +70,8 @@ def build_rect_mesh(
 
     Requires nx >= 2 and ny >= 2 so the triangulation has at least one
     interior node; a coarser grid has no interior degrees of freedom and
-    cannot carry a boundary-value problem.
+    cannot carry a boundary-value problem.  Grids with more than
+    MAX_NODES nodes are refused before anything is allocated.
     """
     if not (x1 > x0 and y1 > y0):
         raise ValueError(
@@ -78,6 +83,11 @@ def build_rect_mesh(
             f"grid {nx}x{ny} leaves no interior degrees of freedom; "
             "need nx >= 2 and ny >= 2"
         )
+    count = (nx + 1) * (ny + 1)
+    if count > MAX_NODES:
+        raise ValueError(
+            f"grid {nx}x{ny} has {count} nodes, over the cap of {MAX_NODES}"
+        )
 
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
@@ -86,17 +96,9 @@ def build_rect_mesh(
 
     # Two triangles per cell, cells visited row-major, split along the
     # lower-left -> upper-right diagonal.
-    triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    t = 0
-    for j in range(ny):
-        for i in range(nx):
-            a = j * (nx + 1) + i
-            b = a + 1
-            c = a + nx + 2
-            d = a + nx + 1
-            triangles[t] = (a, b, c)
-            triangles[t + 1] = (a, c, d)
-            t += 2
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    c = a + nx + 2
+    triangles = np.stack([a, a + 1, c, a, c, a + nx + 1], axis=1).reshape(-1, 3)
 
     ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy")
     on_border = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)
@@ -130,51 +132,54 @@ def signed_areas(mesh: Mesh) -> np.ndarray:
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def nodal_values(mesh: Mesh, f: Callable[[float, float], float]) -> np.ndarray:
-    """Sample f at every node: the coefficient vector of its interpolant."""
-    out = np.empty(mesh.node_count)
-    for k in range(mesh.node_count):
-        out[k] = f(float(mesh.nodes[k, 0]), float(mesh.nodes[k, 1]))
-    return out
+def nodal_values(mesh: Mesh, f: Callable) -> np.ndarray:
+    """Sample f at every node: the coefficient vector of its interpolant.
+
+    f is called once on the coordinate arrays; a scalar result is broadcast.
+    """
+    x, y = mesh.nodes.T
+    return np.array(np.broadcast_to(f(x, y), x.shape), dtype=float)
 
 
-def eval_p1(mesh: Mesh, values: np.ndarray, x: float, y: float) -> float:
+def eval_p1(mesh: Mesh, values: np.ndarray, x, y):
     """Evaluate the piecewise-linear interpolant of nodal values at (x, y).
 
-    Points are clamped to the closed rectangle, so evaluation a roundoff
-    outside the domain is safe.  Values on cell edges are continuous, so
-    the cell choice there does not matter.
+    Takes floats (giving a float) or arrays.  Points a roundoff outside
+    the rectangle are clamped to it; for a point farther out, or not
+    finite, ValueError names the first in row-major order.  Values on
+    cell edges are continuous, so the cell choice there does not matter.
     """
     if len(values) != mesh.node_count:
         raise ValueError(
             f"field length {len(values)} does not match node count {mesh.node_count}"
         )
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     x0, y0, x1, y1 = mesh.domain
+    bx, by = 1e-12 * (abs(x0) + abs(x1)), 1e-12 * (abs(y0) + abs(y1))
+    inside = (x >= x0 - bx) & (x <= x1 + bx) & (y >= y0 - by) & (y <= y1 + by)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise ValueError(
+            f"point ({x.flat[k]}, {y.flat[k]}) is not in the domain {mesh.domain}"
+        )
     u = (x - x0) / (x1 - x0) * mesh.nx
     v = (y - y0) / (y1 - y0) * mesh.ny
-    i = min(max(int(np.floor(u)), 0), mesh.nx - 1)
-    j = min(max(int(np.floor(v)), 0), mesh.ny - 1)
-    xi = min(max(u - i, 0.0), 1.0)
-    eta = min(max(v - j, 0.0), 1.0)
+    i = np.clip(np.floor(u), 0, mesh.nx - 1).astype(np.int64)
+    j = np.clip(np.floor(v), 0, mesh.ny - 1).astype(np.int64)
+    xi = np.clip(u - i, 0.0, 1.0)
+    eta = np.clip(v - j, 0.0, 1.0)
 
     a = j * (mesh.nx + 1) + i
-    b = a + 1
     c = a + mesh.nx + 2
-    d = a + mesh.nx + 1
-    if xi >= eta:
-        # lower triangle (a, b, c)
-        return float(
-            values[a] * (1.0 - xi) + values[b] * (xi - eta) + values[c] * eta
-        )
-    # upper triangle (a, c, d)
-    return float(
-        values[a] * (1.0 - eta) + values[c] * xi + values[d] * (eta - xi)
+    out = np.where(
+        xi >= eta,  # lower triangle (a, a + 1, c), else upper (a, c, a + nx + 1)
+        values[a] * (1.0 - xi) + values[a + 1] * (xi - eta) + values[c] * eta,
+        values[a] * (1.0 - eta) + values[c] * xi + values[c - 1] * (eta - xi),
     )
+    return float(out) if out.ndim == 0 else out
 
 
-def p1_interpolant(
-    mesh: Mesh, values: np.ndarray
-) -> Callable[[float, float], float]:
+def p1_interpolant(mesh: Mesh, values: np.ndarray) -> Callable:
     """Wrap nodal values as a callable piecewise-linear function of (x, y)."""
     frozen = np.asarray(values, dtype=float).copy()
     if len(frozen) != mesh.node_count:
@@ -182,7 +187,7 @@ def p1_interpolant(
             f"field length {len(frozen)} does not match node count {mesh.node_count}"
         )
 
-    def fn(x: float, y: float) -> float:
+    def fn(x, y):
         return eval_p1(mesh, frozen, x, y)
 
     return fn

@@ -16,6 +16,9 @@ blank lines and `#` comments ignored.  Recognized keys:
 Fields are written as CSV with one `node_index,x,y,u,is_boundary` row
 per node in global node order; values use %.17g so every one reads
 back bit-identically.
+
+A grid may have at most mesh.MAX_NODES (1,500,000) nodes; a file asking
+for more is refused as malformed before any array is allocated.
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ def make_settings(spec: ProblemSpec) -> SolverSettings:
 
 
 def make_data(spec: ProblemSpec, mesh: Mesh) -> ProblemData:
-    """Build solver inputs: f stays a function, g becomes a nodal field."""
+    """Build solver inputs: f stays an array callable, g becomes a nodal field."""
     g_fn = as_function(spec.g_expr)
     return ProblemData(f=as_function(spec.f_expr), g=nodal_values(mesh, g_fn))
 
@@ -208,11 +211,11 @@ def write_field_csv(stream: IO[str], mesh: Mesh, u: np.ndarray) -> None:
         raise ValueError(
             f"field shape {u.shape} does not match node count {mesh.node_count}"
         )
+    x, y = mesh.nodes.T.tolist()
+    flags = mesh.boundary_mask.astype(int).tolist()
+    rows = zip(range(mesh.node_count), x, y, u.tolist(), flags)
     stream.write(_CSV_HEADER + "\n")
-    for i in range(mesh.node_count):
-        x, y = mesh.nodes[i]
-        flag = int(mesh.boundary_mask[i])
-        stream.write(f"{i},{x:.17g},{y:.17g},{u[i]:.17g},{flag}\n")
+    stream.writelines(map("%d,%.17g,%.17g,%.17g,%d\n".__mod__, rows))
 
 
 def read_field_csv(stream: IO[str]) -> np.ndarray:

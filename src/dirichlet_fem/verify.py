@@ -18,7 +18,6 @@ cannot mask a genuine defect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .assembly import (
     norm_l2,
 )
 from .dirichlet import (
+    Field,
     ProblemData,
     objective,
     quotient_solve,
@@ -53,8 +53,8 @@ class CheckResult:
 
 def run_checks(
     mesh: Mesh,
-    f: Callable[[float, float], float],
-    g: Callable[[float, float], float],
+    f: Field,
+    g: Field,
     settings: SolverSettings = SolverSettings(),
     seed: int = 42,
 ) -> list[CheckResult]:

@@ -1,9 +1,25 @@
 """Shared meshes and assembled matrices, built once per session."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dirichlet_fem
 from dirichlet_fem import assemble_mass, assemble_stiffness, build_rect_mesh
+
+
+def cli_env() -> dict:
+    """Environment for `python -m dirichlet_fem` subprocesses.
+
+    pyproject's pytest pythonpath reaches only the test process, so the
+    child gets the src root of the package imported here.
+    """
+    src = str(Path(dirichlet_fem.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def make_triplet(x0, y0, x1, y1, nx, ny):

@@ -31,7 +31,7 @@ from dirichlet_fem import (
     trace,
     verify_uniqueness,
 )
-from tests.conftest import make_triplet
+from tests.conftest import cli_env, make_triplet
 
 
 def report(num, name, ok, detail):
@@ -276,6 +276,7 @@ def test_criterion_11_verification_output_is_deterministic(tmp_path):
         subprocess.run(
             [sys.executable, "-m", "dirichlet_fem", "verify", "--spec", str(spec)],
             capture_output=True,
+            env=cli_env(),
         )
         for _ in range(2)
     ]

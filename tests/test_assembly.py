@@ -153,6 +153,24 @@ def test_interior_positive_definite(unit8):
         assert A_int.quad_form(v) > 0.0
 
 
+def test_assembly_is_the_triangle_order_sum_of_local_matrices(skewed6x5):
+    # reference: add each triangle's upper local entries into a dict, in
+    # triangle order; the assembly must match it bit for bit
+    mesh, A, M = skewed6x5
+    for assembled, local in ((A, local_stiffness), (M, local_mass)):
+        acc = {}
+        for tri in mesh.triangles.tolist():
+            loc = local(mesh.nodes[tri])
+            for a in range(3):
+                for b in range(a, 3):
+                    key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+                    acc[key] = acc.get(key, 0.0) + float(loc[a, b])
+        keys = sorted(acc)
+        assert assembled.rows.tolist() == [k[0] for k in keys]
+        assert assembled.cols.tolist() == [k[1] for k in keys]
+        assert np.array_equal(assembled.vals, [acc[k] for k in keys])
+
+
 def test_assembly_deterministic(unit8):
     mesh, A, M = unit8
     A2 = assemble_stiffness(mesh)
@@ -202,8 +220,11 @@ def test_load_of_interpolant_is_mass_apply(unit8):
 
 def test_load_rejects_nonfinite_source(unit4):
     mesh, _, _ = unit4
-    with pytest.raises(ValueError, match=r"\("):
+    # the first quadrature point: the midpoint of triangle 0's first edge
+    with pytest.raises(ValueError, match=r"nan at quadrature point \(0.125, 0.0\)"):
         assemble_load(mesh, lambda x, y: float("nan"))
+    with pytest.raises(ValueError, match=r"inf at quadrature point \(1.0, 0.875\)"):
+        assemble_load(mesh, lambda x, y: np.where(x + y > 1.7, np.inf, 1.0))
 
 
 def test_norms_of_affine_field(skewed6x5):

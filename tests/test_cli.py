@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from tests.conftest import cli_env
+
 BASE = "domain = 0 0 1 1\ngrid = 4 4\n"
 
 
@@ -15,6 +17,7 @@ def run_cli(*args, cwd=None, binary=False):
         capture_output=True,
         text=not binary,
         cwd=cwd,
+        env=cli_env(),
     )
 
 
@@ -161,6 +164,11 @@ def test_convergence_writes_csv(tmp_path):
         (BASE + "f = 1\ng = 0\nmode = magic\n", 1, "one of"),
         ("domain = 0 0 1 1\ngrid = 1 1\nf = 1\ng = 0\n", 1, "interior"),
         (BASE + "f = 1/(x-0.125)\ng = 0\n", 2, "division by zero"),
+        (
+            "domain = 0 0 1 1\ngrid = 100000 100000\nf = 1\ng = 0\n",
+            1,
+            "10000200001 nodes, over the cap of 1500000",
+        ),
     ],
 )
 def test_error_exit_codes(tmp_path, content, code, fragment):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from dirichlet_fem import EvalError, ParseError, as_function, evaluate, parse, serialize
@@ -62,13 +63,17 @@ CORPUS = [
     ("sqrt(abs(x-2))", lambda x, y: math.sqrt(abs(x - 2.0))),
     ("exp(x)*cos(y)+sin(x)*y", lambda x, y: math.exp(x) * math.cos(y) + math.sin(x) * y),
     ("1.5*x+0.25*y-2", lambda x, y: 1.5 * x + 0.25 * y - 2.0),
+    ("e", lambda x, y: math.e),
+    ("e^x", lambda x, y: math.pow(math.e, x)),
+    ("log(x)", lambda x, y: math.log(x)),
+    ("log(e*y)-log(x)^2", lambda x, y: math.log(math.e * y) - math.log(x) ** 2),
 ]
 
 POINTS = [(0.3, 0.7), (1.25, 0.5), (2.0, 1.5)]
 
 
 def test_corpus_size():
-    assert len(CORPUS) == 50
+    assert len(CORPUS) == 54
 
 
 @pytest.mark.parametrize("text,fn", CORPUS, ids=[t for t, _ in CORPUS])
@@ -77,7 +82,13 @@ def test_corpus_evaluates(text, fn):
     for x, y in POINTS:
         want = fn(x, y)
         got = evaluate(tree, x, y)
+        assert type(got) is float
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (x, y)
+    # one array evaluation agrees with the point-by-point results
+    xs, ys = np.array(POINTS).T
+    at_once = evaluate(tree, xs, ys)
+    assert at_once.shape == xs.shape
+    assert np.array_equal(at_once, [evaluate(tree, x, y) for x, y in POINTS])
 
 
 @pytest.mark.parametrize("text,fn", CORPUS, ids=[t for t, _ in CORPUS])
@@ -164,11 +175,34 @@ def test_eval_errors_carry_the_point():
         evaluate(parse("exp(1000)"), 0.0, 0.0)
     with pytest.raises(EvalError, match="inf"):
         evaluate(parse("1e308*10"), 0.0, 0.0)
+    with pytest.raises(EvalError, match="undefined"):
+        evaluate(parse("log(x)"), 0.0, 0.0)
+    with pytest.raises(EvalError, match="undefined"):
+        evaluate(parse("log(x-1)"), 0.5, 0.0)
+    # an error that the result hides is still an error
+    with pytest.raises(EvalError, match="division by zero"):
+        evaluate(parse("exp(-1/x^2)"), 0.0, 0.0)
+
+
+def test_array_eval_reports_the_first_offending_point():
+    # sqrt is walked before the division, but the division fails at an
+    # earlier point in row-major order
+    tree = parse("sqrt(x)+1/y")
+    with pytest.raises(EvalError, match="division by zero") as info:
+        evaluate(tree, np.array([[1.0, -1.0], [4.0, 9.0]]), np.array([[0.0, 1.0], [1.0, 1.0]]))
+    assert info.value.point == (1.0, 0.0)
+    with pytest.raises(EvalError, match=r"sqrt\(-1.0\)") as info:
+        evaluate(tree, np.array([[1.0, -1.0], [4.0, 9.0]]), np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert info.value.point == (-1.0, 1.0)
+    with pytest.raises(EvalError, match="expression value is inf") as info:
+        evaluate(parse("x*1e308"), np.array([1.0, 20.0, 30.0]), 0.0)
+    assert info.value.point == (20.0, 0.0)
 
 
 def test_as_function_closure():
     fn = as_function(parse("x*y+1"))
     assert fn(2.0, 3.0) == 7.0
+    assert np.array_equal(fn(np.array([2.0, 1.0]), 3.0), [7.0, 4.0])
 
 
 def test_errors_are_value_errors():

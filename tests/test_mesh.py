@@ -37,6 +37,17 @@ def test_first_cell_split():
     assert mesh.triangles[1].tolist() == [0, 4, 3]
 
 
+def test_triangles_follow_cell_order():
+    nx, ny = 4, 3
+    mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, nx, ny)
+    want = []
+    for j in range(ny):
+        for i in range(nx):
+            a = j * (nx + 1) + i
+            want += [(a, a + 1, a + nx + 2), (a, a + nx + 2, a + nx + 1)]
+    assert mesh.triangles.tolist() == [list(t) for t in want]
+
+
 def test_interior_star_size():
     # each interior node touches 6 triangles under the fixed split
     mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, 4, 4)
@@ -94,11 +105,19 @@ def test_no_interior_rejected(nx, ny):
         build_rect_mesh(0.0, 0.0, 1.0, 1.0, nx, ny)
 
 
+def test_node_count_cap_is_checked_before_allocating():
+    # 10^10 nodes: the check must fire before any array is built
+    with pytest.raises(ValueError, match="10000200001 nodes, over the cap"):
+        build_rect_mesh(0.0, 0.0, 1.0, 1.0, 100000, 100000)
+
+
 def test_nodal_values_order(unit4):
     mesh, _, _ = unit4
     vals = nodal_values(mesh, lambda x, y: x + 10.0 * y)
     assert vals.shape == (mesh.node_count,)
     assert np.array_equal(vals, mesh.nodes[:, 0] + 10.0 * mesh.nodes[:, 1])
+    # a callable returning a scalar is broadcast over the nodes
+    assert np.array_equal(nodal_values(mesh, lambda x, y: 1.5), np.full(25, 1.5))
 
 
 def test_eval_p1_reproduces_affine(skewed6x5):
@@ -108,10 +127,27 @@ def test_eval_p1_reproduces_affine(skewed6x5):
     vals = nodal_values(mesh, fn)
     rng = np.random.default_rng(11)
     x0, y0, x1, y1 = mesh.domain
-    for _ in range(200):
-        x = rng.uniform(x0, x1)
-        y = rng.uniform(y0, y1)
+    xs = rng.uniform(x0, x1, 200)
+    ys = rng.uniform(y0, y1, 200)
+    for x, y in zip(xs, ys):
         assert abs(eval_p1(mesh, vals, x, y) - fn(x, y)) <= 1e-12 * 10.0
+    # one array call gives the point-by-point values
+    at_once = eval_p1(mesh, vals, xs, ys)
+    assert np.array_equal(at_once, [eval_p1(mesh, vals, x, y) for x, y in zip(xs, ys)])
+
+
+def test_eval_p1_rejects_points_off_the_domain(unit4):
+    mesh, _, _ = unit4
+    vals = np.arange(float(mesh.node_count))
+    with pytest.raises(ValueError, match=r"point \(5.0, 5.0\) is not in the domain"):
+        eval_p1(mesh, vals, 5.0, 5.0)
+    with pytest.raises(ValueError, match=r"point \(nan, 0.5\)"):
+        eval_p1(mesh, vals, float("nan"), 0.5)
+    # the first bad point in row-major order is named
+    with pytest.raises(ValueError, match=r"point \(0.5, -0.25\)"):
+        eval_p1(mesh, vals, np.array([0.5, 0.5, 2.0]), np.array([0.5, -0.25, 0.5]))
+    # a roundoff outside the rectangle is clamped onto it
+    assert eval_p1(mesh, vals, 1.0 + 1e-15, -1e-15) == vals[4]
 
 
 def test_eval_p1_at_nodes(unit4):
@@ -131,3 +167,4 @@ def test_p1_interpolant_wraps_eval(unit4):
     vals = rng.standard_normal(mesh.node_count)
     fn = p1_interpolant(mesh, vals)
     assert fn(0.3, 0.7) == eval_p1(mesh, vals, 0.3, 0.7)
+    assert type(fn(0.3, 0.7)) is float

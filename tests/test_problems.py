@@ -126,6 +126,24 @@ def test_csv_round_trip_is_bit_exact():
     assert np.array_equal(table[:, 4], mesh.boundary_mask.astype(float))
 
 
+def test_csv_extremes_keep_their_bytes_and_round_trip():
+    mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
+    u = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                  0.1, -2.5e-310, 1.0, 3.0, -0.0])
+    buf = io.StringIO()
+    write_field_csv(buf, mesh, u)
+    # reference: the row-by-row writer
+    want = "node_index,x,y,u,is_boundary\n" + "".join(
+        f"{i},{x:.17g},{y:.17g},{u[i]:.17g},{int(flag)}\n"
+        for i, ((x, y), flag) in enumerate(zip(mesh.nodes, mesh.boundary_mask))
+    )
+    assert buf.getvalue() == want
+    assert buf.getvalue().splitlines()[1] == "0,0,0,-0,1"
+    buf.seek(0)
+    back = read_field_csv(buf)[:, 3]
+    assert back.tobytes() == u.tobytes()
+
+
 def test_csv_header_and_flags():
     mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
     buf = io.StringIO()
