@@ -17,7 +17,9 @@ from .analysis import (
     estimate_poincare,
 )
 from .assembly import (
+    InteriorSystem,
     SparseSymMatrix,
+    assemble_system,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -53,13 +55,7 @@ from .problems import (
     read_field_csv,
     write_field_csv,
 )
-from .riesz import (
-    apply_dual,
-    check_square_identity,
-    dual_norm,
-    energy,
-    riesz_represent,
-)
+from .riesz import check_square_identity, dual_norm, energy, riesz_represent
 from .verify import CheckResult, all_passed, run_checks
 
 __version__ = "0.1.0"
@@ -70,6 +66,7 @@ __all__ = [
     "ConvergenceError",
     "EvalError",
     "FunctionalBound",
+    "InteriorSystem",
     "Mesh",
     "ParseError",
     "PoincareEstimate",
@@ -81,11 +78,11 @@ __all__ = [
     "SparseSymMatrix",
     "StabilityBounds",
     "all_passed",
-    "apply_dual",
     "as_function",
     "assemble_load",
     "assemble_mass",
     "assemble_stiffness",
+    "assemble_system",
     "build_functional",
     "build_rect_mesh",
     "cg_solve",

@@ -1,8 +1,9 @@
 """Quantitative checks behind the solver's continuity guarantees.
 
-The smallest eigenvalue lambda_min of the pencil (A_int, M_int)
-controls everything: the best constant in ||v||_2 <= a ||v||_grad over
-fields vanishing on the boundary is a = 1 / sqrt(lambda_min).
+The smallest eigenvalue lambda_min of an InteriorSystem's pencil
+(A_int, M_int) controls everything: the best constant in
+||v||_2 <= a ||v||_grad over fields vanishing on the boundary is
+a = 1 / sqrt(lambda_min).
 estimate_poincare finds it by inverse power iteration, and the two
 check_* routines evaluate both sides of the bounds that constant
 implies, for the load functional and for the full solution map.
@@ -18,24 +19,15 @@ by O(h^2), which is a property of the data, not of the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import (
-    SparseSymMatrix,
-    assemble_load,
-    norm_grad,
-    norm_l2,
-    norm_w12,
-    restrict_interior,
-)
+from .assembly import InteriorSystem, assemble_load, norm_grad, norm_l2, norm_w12
+from .dirichlet import ProblemData, build_functional
 from .linsolve import ConvergenceError, SolverSettings, cg_solve
-from .mesh import Mesh, nodal_values
+from .mesh import nodal_values
 from .riesz import riesz_represent
-
-if TYPE_CHECKING:
-    from .dirichlet import ProblemData
 
 
 @dataclass(frozen=True)
@@ -48,22 +40,19 @@ class PoincareEstimate:
 
 
 def estimate_poincare(
-    mesh: Mesh,
-    A: SparseSymMatrix,
-    M: SparseSymMatrix,
+    system: InteriorSystem,
     settings: SolverSettings = SolverSettings(),
     rq_tolerance: float = 1e-8,
     max_steps: int = 10000,
 ) -> PoincareEstimate:
     """Smallest pencil eigenvalue by inverse power iteration.
 
-    Restricts both brackets to the interior, then repeats
-    x <- A^{-1} (M x) with M-normalization from the all-ones start
+    Repeats x <- A_int^{-1} (M_int x) on the system's interior pencil,
+    with M-normalization from the all-ones start
     (never orthogonal to the positive ground mode), stopping once the
     Rayleigh quotient's relative change drops below rq_tolerance.
     """
-    A_int = A.restrict(mesh.interior_indices)
-    M_int = M.restrict(mesh.interior_indices)
+    A_int, M_int = system.A_int, system.M_int
     n = A_int.dimension
     if n == 0:
         raise ValueError("mesh has no interior nodes")
@@ -106,10 +95,8 @@ class FunctionalBound(NamedTuple):
 
 
 def check_functional_bound(
-    mesh: Mesh,
-    A: SparseSymMatrix,
-    M: SparseSymMatrix,
-    data: "ProblemData",
+    system: InteriorSystem,
+    data: ProblemData,
     a: float,
     settings: SolverSettings = SolverSettings(),
 ) -> FunctionalBound:
@@ -119,10 +106,9 @@ def check_functional_bound(
     f_h is the nodal interpolant of the source, the discrete stand-in
     for its square-sum norm.
     """
+    mesh, A, M, A_int = system.mesh, system.A, system.M, system.A_int
     g_field = np.asarray(data.g, dtype=float)
-    load = assemble_load(mesh, data.f)
-    lam = restrict_interior(mesh, load - A.apply(g_field))
-    A_int = A.restrict(mesh.interior_indices)
+    lam = build_functional(system, assemble_load(mesh, data.f), g_field)
     lhs = norm_grad(A_int, riesz_represent(A_int, lam, settings))
     rhs = a * norm_l2(M, nodal_values(mesh, data.f)) + norm_grad(A, g_field)
     return FunctionalBound(lhs=lhs, rhs=rhs)
@@ -143,11 +129,9 @@ class StabilityBounds(NamedTuple):
 
 
 def check_stability(
-    mesh: Mesh,
-    A: SparseSymMatrix,
-    M: SparseSymMatrix,
+    system: InteriorSystem,
     u: np.ndarray,
-    data: "ProblemData",
+    data: ProblemData,
     a: float,
 ) -> StabilityBounds:
     """Evaluate the continuity bounds for a solved field.
@@ -155,9 +139,10 @@ def check_stability(
     u is the solution of the problem in data; u - data.g vanishes on
     the boundary by construction of the solution map.
     """
+    A, M = system.A, system.M
     u = np.asarray(u, dtype=float)
     g_field = np.asarray(data.g, dtype=float)
-    f_norm = norm_l2(M, nodal_values(mesh, data.f))
+    f_norm = norm_l2(M, nodal_values(system.mesh, data.f))
     w = u - g_field
     factor = np.sqrt(a * a + 1.0)
     riesz_lhs = norm_w12(A, M, w)

@@ -13,11 +13,13 @@ closed-form local matrices (P1 gradients are constant per triangle), so
 the only quadrature in the package is the degree-2 edge-midpoint rule
 used for load vectors.  Entries are accumulated in triangle-index order
 with np.bincount, which makes repeated assemblies of the same mesh
-bit-identical.
+bit-identical.  assemble_system bundles both brackets with their
+interior blocks, the only restriction to the interior in the package.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -118,16 +120,6 @@ class SparseSymMatrix:
         ax = np.abs(np.asarray(x, dtype=float))
         return float(np.dot(ax, self._abs_csr @ ax))
 
-    def entry(self, i: int, j: int) -> float:
-        """A[i, j] (zero if the pair is not stored)."""
-        if i > j:
-            i, j = j, i
-        k = np.searchsorted(self.rows * self.dimension + self.cols,
-                            i * self.dimension + j)
-        if k < self.nnz and self.rows[k] == i and self.cols[k] == j:
-            return float(self.vals[k])
-        return 0.0
-
     def restrict(self, indices: np.ndarray) -> "SparseSymMatrix":
         """Principal submatrix on the given (sorted) global indices."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -216,6 +208,38 @@ def assemble_mass(mesh: Mesh) -> SparseSymMatrix:
     return _accumulate(mesh, area[:, None] * _MASS_PATTERN[_UPPER])
 
 
+@dataclass(frozen=True)
+class InteriorSystem:
+    """A mesh, its brackets, and their blocks on the interior nodes.
+
+    (A_int, M_int) is the pencil of the boundary-vanishing fields, the
+    space the Dirichlet problem is solved on.  Build it with
+    assemble_system, which restricts each bracket once per mesh.
+    """
+
+    mesh: Mesh
+    A: SparseSymMatrix
+    M: SparseSymMatrix
+    A_int: SparseSymMatrix
+    M_int: SparseSymMatrix
+
+    def __post_init__(self):
+        sizes = (self.A.dimension, self.M.dimension,
+                 self.A_int.dimension, self.M_int.dimension)
+        want = (self.mesh.node_count,) * 2 + (self.mesh.interior_count,) * 2
+        if sizes != want:
+            raise ValueError(
+                f"matrix dimensions {sizes} do not fit the mesh, which needs {want}"
+            )
+
+
+def assemble_system(mesh: Mesh) -> InteriorSystem:
+    """Stiffness, mass and their interior blocks of one mesh."""
+    A, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    A_int, M_int = (m.restrict(mesh.interior_indices) for m in (A, M))
+    return InteriorSystem(mesh, A, M, A_int, M_int)
+
+
 def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     """Load vector: component i approximates the integral of f * phi_i.
 
@@ -243,11 +267,12 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     )
 
 
-def _form_sqrt(m: SparseSymMatrix, x: np.ndarray) -> float:
-    q = m.quad_form(x)
+def _form_sqrt(x: np.ndarray, *mats: SparseSymMatrix) -> float:
+    """sqrt of the summed quadratic forms, clamping roundoff below zero."""
+    q = sum(m.quad_form(x) for m in mats)
     if q >= 0.0:
         return float(np.sqrt(q))
-    scale = max(1.0, m.abs_quad_form(x))
+    scale = max(1.0, sum(m.abs_quad_form(x) for m in mats))
     if q > -_FORM_CLAMP * scale:
         return 0.0
     raise ValueError(
@@ -258,27 +283,17 @@ def _form_sqrt(m: SparseSymMatrix, x: np.ndarray) -> float:
 
 def norm_grad(A: SparseSymMatrix, u: np.ndarray) -> float:
     """Gradient seminorm sqrt(u' A u); zero on constants."""
-    return _form_sqrt(A, u)
+    return _form_sqrt(u, A)
 
 
 def norm_l2(M: SparseSymMatrix, u: np.ndarray) -> float:
     """Square-sum norm sqrt(u' M u)."""
-    return _form_sqrt(M, u)
+    return _form_sqrt(u, M)
 
 
 def norm_w12(A: SparseSymMatrix, M: SparseSymMatrix, u: np.ndarray) -> float:
     """Full norm sqrt(u' A u + u' M u)."""
-    qa = A.quad_form(u)
-    qm = M.quad_form(u)
-    q = qa + qm
-    if q >= 0.0:
-        return float(np.sqrt(q))
-    scale = max(1.0, A.abs_quad_form(u) + M.abs_quad_form(u))
-    if q > -_FORM_CLAMP * scale:
-        return 0.0
-    raise ValueError(
-        f"quadratic form {q} is negative beyond roundoff; assembly is broken"
-    )
+    return _form_sqrt(u, A, M)
 
 
 def restrict_interior(mesh: Mesh, u: np.ndarray) -> np.ndarray:

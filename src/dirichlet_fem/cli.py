@@ -20,12 +20,7 @@ import sys
 import numpy as np
 
 from .analysis import estimate_poincare
-from .assembly import (
-    SparseSymMatrix,
-    assemble_mass,
-    assemble_stiffness,
-    norm_l2,
-)
+from .assembly import InteriorSystem, assemble_system, norm_l2
 from .dirichlet import ProblemData, SolveReport, quotient_solve, solve
 from .expr import EvalError, ParseError, as_function
 from .linsolve import ConvergenceError
@@ -42,17 +37,16 @@ from .problems import (
 from .verify import all_passed, run_checks
 
 
-def _solve_spec(
-    spec: ProblemSpec, mesh: Mesh, A: SparseSymMatrix, M: SparseSymMatrix
-) -> SolveReport:
+def _solve_spec(spec: ProblemSpec, system: InteriorSystem) -> SolveReport:
     settings = make_settings(spec)
+    mesh = system.mesh
     if spec.mode == "border":
         x, y = mesh.nodes[mesh.boundary_indices].T
         boundary_values = as_function(spec.g_expr)(x, y)
         return quotient_solve(
-            mesh, A, M, as_function(spec.f_expr), boundary_values, settings
+            system, as_function(spec.f_expr), boundary_values, settings
         )
-    return solve(mesh, A, M, make_data(spec, mesh), settings)
+    return solve(system, make_data(spec, mesh), settings)
 
 
 def _write_field(out_path: str | None, mesh: Mesh, u: np.ndarray) -> None:
@@ -84,9 +78,7 @@ def _print_report(mesh: Mesh, report: SolveReport) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
     mesh = make_mesh(spec)
-    A = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
-    report = _solve_spec(spec, mesh, A, M)
+    report = _solve_spec(spec, assemble_system(mesh))
     _print_report(mesh, report)
     _write_field(args.out, mesh, report.u)
     return 0
@@ -94,10 +86,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
-    mesh = make_mesh(spec)
     seed = spec.seed if args.seed is None else args.seed
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
     results = run_checks(
-        mesh,
+        assemble_system(make_mesh(spec)),
         as_function(spec.f_expr),
         as_function(spec.g_expr),
         make_settings(spec),
@@ -110,10 +103,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_poincare(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
-    mesh = make_mesh(spec)
-    A = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
-    est = estimate_poincare(mesh, A, M, make_settings(spec))
+    est = estimate_poincare(assemble_system(make_mesh(spec)), make_settings(spec))
     print(
         f"lambda_min={est.lambda_min:.12g} a={est.a:.12g} "
         f"iterations={est.iterations}"
@@ -135,13 +125,11 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     for level in range(args.levels):
         nx = spec.nx << level
         ny = spec.ny << level
-        mesh = build_rect_mesh(x0, y0, x1, y1, nx, ny)
-        A = assemble_stiffness(mesh)
-        M = assemble_mass(mesh)
-        report = _solve_spec(spec, mesh, A, M)
-        diff = report.u - nodal_values(mesh, u_exact)
+        system = assemble_system(build_rect_mesh(x0, y0, x1, y1, nx, ny))
+        report = _solve_spec(spec, system)
+        diff = report.u - nodal_values(system.mesh, u_exact)
         max_error = float(np.max(np.abs(diff)))
-        l2_error = norm_l2(M, diff)
+        l2_error = norm_l2(system.M, diff)
         h = max((x1 - x0) / nx, (y1 - y0) / ny)
 
         def order(e_prev: float, e_curr: float, h_prev: float) -> str:

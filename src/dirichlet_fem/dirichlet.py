@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .assembly import (
+    InteriorSystem,
     SparseSymMatrix,
     assemble_load,
     extend_by_zero,
@@ -81,11 +82,10 @@ class SolveReport:
 
 
 def build_functional(
-    mesh: "Mesh", A: SparseSymMatrix, data: ProblemData
+    system: InteriorSystem, load: np.ndarray, g: np.ndarray
 ) -> np.ndarray:
     """Interior coefficients of the reduced problem: (load - A g)_interior."""
-    load = assemble_load(mesh, data.f)
-    return restrict_interior(mesh, load - A.apply(np.asarray(data.g, float)))
+    return restrict_interior(system.mesh, load - system.A.apply(g))
 
 
 def objective(A: SparseSymMatrix, load: np.ndarray, u: np.ndarray) -> float:
@@ -93,11 +93,17 @@ def objective(A: SparseSymMatrix, load: np.ndarray, u: np.ndarray) -> float:
     return 0.5 * A.quad_form(u) - float(np.dot(load, u))
 
 
-def _scaled_residual(
-    mesh: "Mesh", A: SparseSymMatrix, load: np.ndarray, u: np.ndarray
+def weak_residual(
+    system: InteriorSystem, u: np.ndarray, load: np.ndarray
 ) -> float:
-    au = A.apply(u)
-    r = restrict_interior(mesh, au - load)
+    """Scaled worst violation of the interior equilibrium equations.
+
+    Returns max_i |(A u - load)_i| over interior i, divided by
+    max(1, ||load||_inf + ||A u||_inf).  Zero characterizes the
+    critical point among fields with the same boundary values.
+    """
+    au = system.A.apply(u)
+    r = restrict_interior(system.mesh, au - load)
     if len(r) == 0:
         return 0.0
     scale = max(
@@ -106,22 +112,8 @@ def _scaled_residual(
     return float(np.max(np.abs(r))) / scale
 
 
-def weak_residual(
-    mesh: "Mesh", A: SparseSymMatrix, u: np.ndarray, f: Field
-) -> float:
-    """Scaled worst violation of the interior equilibrium equations.
-
-    Returns max_i |(A u - load(f))_i| over interior i, divided by
-    max(1, ||load(f)||_inf + ||A u||_inf).  Zero characterizes the
-    critical point among fields with the same boundary values.
-    """
-    return _scaled_residual(mesh, A, assemble_load(mesh, f), u)
-
-
 def solve(
-    mesh: "Mesh",
-    A: SparseSymMatrix,
-    M: SparseSymMatrix,
+    system: InteriorSystem,
     data: ProblemData,
     settings: SolverSettings = SolverSettings(),
     poincare: "PoincareEstimate | None" = None,
@@ -134,6 +126,7 @@ def solve(
     """
     from .analysis import check_stability, estimate_poincare
 
+    mesh, A, M = system.mesh, system.A, system.M
     g_field = np.asarray(data.g, dtype=float)
     if g_field.shape != (mesh.node_count,):
         raise ValueError(
@@ -141,14 +134,13 @@ def solve(
             f"{mesh.node_count}"
         )
     load = assemble_load(mesh, data.f)
-    lam = restrict_interior(mesh, load - A.apply(g_field))
-    A_int = A.restrict(mesh.interior_indices)
-    result = cg_solve(A_int, lam, settings)
+    lam = build_functional(system, load, g_field)
+    result = cg_solve(system.A_int, lam, settings)
     u = extend_by_zero(mesh, result.x) + g_field
 
     if poincare is None:
-        poincare = estimate_poincare(mesh, A, M, settings)
-    bounds = check_stability(mesh, A, M, u, data, poincare.a)
+        poincare = estimate_poincare(system, settings)
+    bounds = check_stability(system, u, data, poincare.a)
 
     return SolveReport(
         u=u,
@@ -158,8 +150,8 @@ def solve(
         iterations=result.iterations,
         solver_residual=result.residual,
         energy_value=objective(A, load, u),
-        reduced_energy=reduced_energy(A_int, lam, result.x),
-        weak_residual=_scaled_residual(mesh, A, load, u),
+        reduced_energy=reduced_energy(system.A_int, lam, result.x),
+        weak_residual=weak_residual(system, u, load),
         norms=(norm_l2(M, u), norm_grad(A, u), norm_w12(A, M, u)),
         poincare_a=poincare.a,
         stability_lhs=bounds.lhs,
@@ -197,9 +189,7 @@ def extend(mesh: "Mesh", boundary_values: np.ndarray) -> np.ndarray:
 
 
 def quotient_solve(
-    mesh: "Mesh",
-    A: SparseSymMatrix,
-    M: SparseSymMatrix,
+    system: InteriorSystem,
     f: Field,
     boundary_values: np.ndarray,
     settings: SolverSettings = SolverSettings(),
@@ -212,12 +202,12 @@ def quotient_solve(
     yields the same field up to solver tolerance, so the map is well
     defined on classes of fields that agree on the boundary.
     """
-    data = ProblemData(f=f, g=extend(mesh, boundary_values))
-    return solve(mesh, A, M, data, settings, poincare)
+    data = ProblemData(f=f, g=extend(system.mesh, boundary_values))
+    return solve(system, data, settings, poincare)
 
 
 def verify_uniqueness(
-    mesh: "Mesh", A: SparseSymMatrix, u1: np.ndarray, u2: np.ndarray
+    system: InteriorSystem, u1: np.ndarray, u2: np.ndarray
 ) -> float:
     """Gradient-norm distance between two claimed solutions.
 
@@ -229,8 +219,8 @@ def verify_uniqueness(
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
-    b1 = trace(mesh, u1)
-    b2 = trace(mesh, u2)
+    b1 = trace(system.mesh, u1)
+    b2 = trace(system.mesh, u2)
     gap = float(np.max(np.abs(b1 - b2))) if len(b1) else 0.0
     limit = 1e-12 * max(1.0, float(np.max(np.abs(b1))) if len(b1) else 0.0)
     if gap > limit:
@@ -238,4 +228,4 @@ def verify_uniqueness(
             f"fields carry different boundary values (max gap {gap:.3e}); "
             "they are not solutions of the same problem"
         )
-    return norm_grad(A, u1 - u2)
+    return norm_grad(system.A, u1 - u2)

@@ -10,6 +10,10 @@ The language is deliberately tiny: every expression a problem file can
 contain is parsed into the AST here and evaluated by walking it, so no
 text from a problem file is ever handed to Python's own eval.  One walk
 evaluates at a point or, with numpy ufuncs, over arrays of points.
+
+Nesting is capped at MAX_DEPTH levels of parentheses, operators and
+function calls, so parsing, evaluation and serialization stay far
+inside Python's recursion limit; deeper text is a ParseError.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "Expr",
     "ParseError",
     "EvalError",
+    "MAX_DEPTH",
     "parse",
     "evaluate",
     "serialize",
@@ -100,6 +105,10 @@ _PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _RIGHT_ASSOC = {"^"}
 _UNARY_PRECEDENCE = 25
 
+# parse refuses a tree taller than this (a number or name has height 1),
+# and text opening more levels of parentheses, operands or arguments.
+MAX_DEPTH = 100
+
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
@@ -128,9 +137,12 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Precedence climbing; expression and primary return (tree, height)."""
+
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # expression() calls in progress
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -140,38 +152,50 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expression(self, min_prec: int) -> Expr:
-        left = self.primary()
+    @staticmethod
+    def nested(depth: int, offset: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(
+                f"expression nested deeper than {MAX_DEPTH} levels", offset
+            )
+        return depth
+
+    def expression(self, min_prec: int) -> tuple[Expr, int]:
+        self.open += 1
+        self.nested(self.open, self.peek()[2])
+        left, height = self.primary()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, offset = self.peek()
             if kind != "op" or text not in _PRECEDENCE:
                 break
             prec = _PRECEDENCE[text]
             if prec < min_prec:
                 break
             self.advance()
-            right = self.expression(prec if text in _RIGHT_ASSOC else prec + 1)
+            right, rh = self.expression(prec if text in _RIGHT_ASSOC else prec + 1)
             left = Binary(text, left, right)
-        return left
+            height = self.nested(1 + max(height, rh), offset)
+        self.open -= 1
+        return left, height
 
-    def primary(self) -> Expr:
+    def primary(self) -> tuple[Expr, int]:
         kind, text, offset = self.advance()
         if kind == "num":
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "ident":
             if self.peek()[:2] == ("op", "("):
                 if text not in _FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", offset)
                 self.advance()
-                arg = self.expression(0)
+                arg, height = self.expression(0)
                 self.expect_close()
-                return Call(text, arg)
+                return Call(text, arg), self.nested(height + 1, offset)
             if text in _FUNCTIONS:
                 raise ParseError(
                     f"function {text!r} needs parenthesized argument", offset
                 )
             if text == "x" or text == "y" or text in _CONSTANTS:
-                return Name(text)
+                return Name(text), 1
             raise ParseError(f"unknown name {text!r}", offset)
         if kind == "op":
             if text == "(":
@@ -179,7 +203,8 @@ class _Parser:
                 self.expect_close()
                 return inner
             if text == "-":
-                return Unary("-", self.expression(_UNARY_PRECEDENCE))
+                operand, height = self.expression(_UNARY_PRECEDENCE)
+                return Unary("-", operand), self.nested(height + 1, offset)
         if kind == "end":
             raise ParseError("unexpected end of expression", offset)
         raise ParseError(f"unexpected token {text!r}", offset)
@@ -193,7 +218,7 @@ class _Parser:
 def parse(source: str) -> Expr:
     """Parse expression text, raising ParseError with a byte offset."""
     parser = _Parser(_tokenize(source))
-    expr = parser.expression(0)
+    expr, _ = parser.expression(0)
     kind, text, offset = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {text!r} after expression", offset)

@@ -14,6 +14,7 @@ only use the ordering of ``interior_indices``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,21 +64,32 @@ class Mesh:
         return np.nonzero(self.boundary_mask)[0]
 
 
-def build_rect_mesh(
-    x0: float, y0: float, x1: float, y1: float, nx: int, ny: int
-) -> Mesh:
-    """Triangulate [x0, x1] x [y0, y1] on an nx-by-ny cell grid.
-
-    Requires nx >= 2 and ny >= 2 so the triangulation has at least one
-    interior node; a coarser grid has no interior degrees of freedom and
-    cannot carry a boundary-value problem.  Grids with more than
-    MAX_NODES nodes are refused before anything is allocated.
-    """
+def check_domain(x0: float, y0: float, x1: float, y1: float) -> None:
+    """Refuse a rectangle with a non-finite corner or extent, or no area."""
+    if not all(map(math.isfinite, (x0, y0, x1, y1, x1 - x0, y1 - y0))):
+        raise ValueError(
+            f"rectangle corners and extents must be finite, "
+            f"got ({x0}, {y0}, {x1}, {y1})"
+        )
     if not (x1 > x0 and y1 > y0):
         raise ValueError(
             f"degenerate rectangle: need x1 > x0 and y1 > y0, "
             f"got ({x0}, {y0}, {x1}, {y1})"
         )
+
+
+def build_rect_mesh(
+    x0: float, y0: float, x1: float, y1: float, nx: int, ny: int
+) -> Mesh:
+    """Triangulate [x0, x1] x [y0, y1] on an nx-by-ny cell grid.
+
+    The rectangle must pass check_domain.  Requires nx >= 2 and ny >= 2
+    so the triangulation has at least one interior node; a coarser grid
+    has no interior degrees of freedom and cannot carry a boundary-value
+    problem.  Grids with more than MAX_NODES nodes are refused before
+    anything is allocated.
+    """
+    check_domain(x0, y0, x1, y1)
     if nx < 2 or ny < 2:
         raise ValueError(
             f"grid {nx}x{ny} leaves no interior degrees of freedom; "
@@ -114,22 +126,6 @@ def build_rect_mesh(
         nx=nx,
         ny=ny,
     )
-
-
-def node_coordinates(mesh: Mesh, i: int) -> tuple[float, float]:
-    """Coordinates of node i."""
-    if not 0 <= i < mesh.node_count:
-        raise IndexError(f"node index {i} out of range [0, {mesh.node_count})")
-    x, y = mesh.nodes[i]
-    return float(x), float(y)
-
-
-def signed_areas(mesh: Mesh) -> np.ndarray:
-    """Signed area of every triangle (positive for counterclockwise)."""
-    p = mesh.nodes[mesh.triangles]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 def nodal_values(mesh: Mesh, f: Callable) -> np.ndarray:

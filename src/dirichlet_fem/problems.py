@@ -3,7 +3,7 @@
 A problem file is flat text, one `key = value` pair per line, with
 blank lines and `#` comments ignored.  Recognized keys:
 
-    domain   = x0 y0 x1 y1      rectangle corners (required)
+    domain   = x0 y0 x1 y1      rectangle corners, finite, x0 < x1, y0 < y1 (required)
     grid     = nx ny            cells per direction (required)
     f        = <expression>     source field (required)
     g        = <expression>     boundary data (required)
@@ -11,14 +11,16 @@ blank lines and `#` comments ignored.  Recognized keys:
     tol      = <float>          solver relative tolerance (default 1e-10)
     max_iter = <int>            solver iteration cap (default: 10x dimension)
     u_exact  = <expression>     reference field for convergence studies
-    seed     = <int>            seed for randomized verification (default 42)
+    seed     = <int>            seed for randomized verification, >= 0 (default 42)
 
 Fields are written as CSV with one `node_index,x,y,u,is_boundary` row
 per node in global node order; values use %.17g so every one reads
 back bit-identically.
 
 A grid may have at most mesh.MAX_NODES (1,500,000) nodes; a file asking
-for more is refused as malformed before any array is allocated.
+for more is refused as malformed before any array is allocated.  An
+expression may nest at most expr.MAX_DEPTH (100) levels deep; a deeper
+one is refused as malformed, naming its line.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .dirichlet import ProblemData
 from .expr import Expr, ParseError, as_function, parse
 from .linsolve import SolverSettings
-from .mesh import Mesh, build_rect_mesh, nodal_values
+from .mesh import Mesh, build_rect_mesh, check_domain, nodal_values
 
 _VALID_KEYS = (
     "domain",
@@ -115,6 +117,10 @@ def parse_problem(text: str) -> ProblemSpec:
         x0, y0, x1, y1 = (float(p) for p in parts)
     except ValueError:
         fail("domain", f"bad number in {values['domain']!r}")
+    try:
+        check_domain(x0, y0, x1, y1)
+    except ValueError as exc:
+        fail("domain", str(exc))
 
     parts = values["grid"].split()
     if len(parts) != 2:
@@ -162,6 +168,8 @@ def parse_problem(text: str) -> ProblemSpec:
             seed = int(values["seed"])
         except ValueError:
             fail("seed", f"bad integer {values['seed']!r}")
+        if seed < 0:
+            fail("seed", f"must be non-negative, got {seed}")
 
     return ProblemSpec(
         domain=(x0, y0, x1, y1),

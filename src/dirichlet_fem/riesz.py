@@ -25,11 +25,6 @@ from .assembly import SparseSymMatrix, norm_grad
 from .linsolve import SolverSettings, cg_solve
 
 
-def apply_dual(lam: np.ndarray, x: np.ndarray) -> float:
-    """Value of the functional with coefficients lam at the field x."""
-    return float(np.dot(lam, x))
-
-
 def riesz_represent(
     A: SparseSymMatrix,
     lam: np.ndarray,

@@ -23,6 +23,7 @@ import numpy as np
 
 from .analysis import check_functional_bound, check_stability, estimate_poincare
 from .assembly import (
+    InteriorSystem,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -40,8 +41,8 @@ from .dirichlet import (
     verify_uniqueness,
 )
 from .linsolve import SolverSettings
-from .mesh import Mesh, nodal_values, p1_interpolant
-from .riesz import check_square_identity, dual_norm, energy
+from .mesh import nodal_values, p1_interpolant
+from .riesz import check_square_identity, energy
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,14 @@ class CheckResult:
 
 
 def run_checks(
-    mesh: Mesh,
+    system: InteriorSystem,
     f: Field,
     g: Field,
     settings: SolverSettings = SolverSettings(),
     seed: int = 42,
 ) -> list[CheckResult]:
     """Run the full verification suite on one problem."""
+    mesh, A, A_int = system.mesh, system.A, system.A_int
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     tight = SolverSettings(
@@ -71,14 +73,11 @@ def run_checks(
     g_field = nodal_values(mesh, g)
     data = ProblemData(f=f_h, g=g_field)
 
-    A = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
     load = assemble_load(mesh, f_h)
-    A_int = A.restrict(mesh.interior_indices)
     n = mesh.interior_count
 
-    est = estimate_poincare(mesh, A, M, tight)
-    report = solve(mesh, A, M, data, tight, poincare=est)
+    est = estimate_poincare(system, tight)
+    report = solve(system, data, tight, poincare=est)
 
     # Normalize the reduced problem so the minimizer has unit energy
     # norm; identities are then checked against absolute tolerances.
@@ -136,10 +135,10 @@ def run_checks(
         )
     )
 
-    lam_norm = dual_norm(A_int, report.lam, tight)
+    # The dual norm of lam is the energy norm of its representer p.
     worst_overshoot = -np.inf
     for d in directions:
-        bound = lam_norm * norm_grad(A_int, d) * (1.0 + 1e-8) + 1e-13
+        bound = p_norm * norm_grad(A_int, d) * (1.0 + 1e-8) + 1e-13
         worst_overshoot = max(
             worst_overshoot, abs(float(np.dot(report.lam, d))) - bound
         )
@@ -151,8 +150,8 @@ def run_checks(
         )
     )
 
-    loose = solve(mesh, A, M, data, settings, poincare=est)
-    distance = verify_uniqueness(mesh, A, loose.u, report.u)
+    loose = solve(system, data, settings, poincare=est)
+    distance = verify_uniqueness(system, loose.u, report.u)
     uniq_tol = 1e-9 * (1.0 + norm_grad(A, report.u))
     results.append(
         CheckResult(
@@ -162,12 +161,11 @@ def run_checks(
         )
     )
 
-    M_int = M.restrict(mesh.interior_indices)
     worst_ratio = 0.0
     for v in list(directions) + [est.eigenvector]:
         denom = norm_grad(A_int, v)
         if denom > 0.0:
-            worst_ratio = max(worst_ratio, norm_l2(M_int, v) / denom)
+            worst_ratio = max(worst_ratio, norm_l2(system.M_int, v) / denom)
     results.append(
         CheckResult(
             "poincare-bound",
@@ -176,7 +174,7 @@ def run_checks(
         )
     )
 
-    fb = check_functional_bound(mesh, A, M, data, est.a, tight)
+    fb = check_functional_bound(system, data, est.a, tight)
     results.append(
         CheckResult(
             "functional-bound",
@@ -185,7 +183,7 @@ def run_checks(
         )
     )
 
-    sb = check_stability(mesh, A, M, report.u, data, est.a)
+    sb = check_stability(system, report.u, data, est.a)
     ok = sb.riesz_lhs <= sb.riesz_rhs * (1.0 + 1e-8) and sb.lhs <= sb.rhs * (
         1.0 + 1e-8
     )
@@ -207,10 +205,10 @@ def run_checks(
         g=alpha * g_field + beta * g2_vals,
     )
     u_b = solve(
-        mesh, A, M, ProblemData(f=p1_interpolant(mesh, f2_vals), g=g2_vals),
+        system, ProblemData(f=p1_interpolant(mesh, f2_vals), g=g2_vals),
         tight, poincare=est,
     ).u
-    u_combo = solve(mesh, A, M, combo, tight, poincare=est).u
+    u_combo = solve(system, combo, tight, poincare=est).u
     lin_err = float(np.max(np.abs(u_combo - (alpha * report.u + beta * u_b))))
     lin_scale = max(1.0, float(np.max(np.abs(u_combo))))
     results.append(
@@ -223,11 +221,11 @@ def run_checks(
 
     # Only boundary values of the extension may influence the solution.
     u_border = quotient_solve(
-        mesh, A, M, f_h, trace(mesh, g_field), tight, poincare=est
+        system, f_h, trace(mesh, g_field), tight, poincare=est
     ).u
     bump = extend_by_zero(mesh, rng.standard_normal(n))
     u_bumped = solve(
-        mesh, A, M, ProblemData(f=f_h, g=g_field + bump), tight, poincare=est
+        system, ProblemData(f=f_h, g=g_field + bump), tight, poincare=est
     ).u
     inv_err = max(
         float(np.max(np.abs(u_border - report.u))),
@@ -258,7 +256,7 @@ def run_checks(
         np.array_equal(A.rows, A2.rows)
         and np.array_equal(A.cols, A2.cols)
         and np.array_equal(A.vals, A2.vals)
-        and np.array_equal(M.vals, M2.vals)
+        and np.array_equal(system.M.vals, M2.vals)
         and np.array_equal(load, load2)
     )
     results.append(

@@ -1,4 +1,4 @@
-"""Shared meshes and assembled matrices, built once per session."""
+"""Shared meshes and their interior systems, built once per session."""
 
 import os
 from pathlib import Path
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dirichlet_fem
-from dirichlet_fem import assemble_mass, assemble_stiffness, build_rect_mesh
+from dirichlet_fem import assemble_system, build_rect_mesh
 
 
 def cli_env() -> dict:
@@ -22,30 +22,29 @@ def cli_env() -> dict:
     return env
 
 
-def make_triplet(x0, y0, x1, y1, nx, ny):
-    mesh = build_rect_mesh(x0, y0, x1, y1, nx, ny)
-    return mesh, assemble_stiffness(mesh), assemble_mass(mesh)
+def make_system(x0, y0, x1, y1, nx, ny):
+    return assemble_system(build_rect_mesh(x0, y0, x1, y1, nx, ny))
 
 
 @pytest.fixture(scope="session")
 def unit4():
-    return make_triplet(0.0, 0.0, 1.0, 1.0, 4, 4)
+    return make_system(0.0, 0.0, 1.0, 1.0, 4, 4)
 
 
 @pytest.fixture(scope="session")
 def unit8():
-    return make_triplet(0.0, 0.0, 1.0, 1.0, 8, 8)
+    return make_system(0.0, 0.0, 1.0, 1.0, 8, 8)
 
 
 @pytest.fixture(scope="session")
 def unit16():
-    return make_triplet(0.0, 0.0, 1.0, 1.0, 16, 16)
+    return make_system(0.0, 0.0, 1.0, 1.0, 16, 16)
 
 
 @pytest.fixture(scope="session")
 def skewed6x5():
     # non-square cells, offset corner: catches axis mixups
-    return make_triplet(-1.0, 2.0, 3.0, 4.5, 6, 5)
+    return make_system(-1.0, 2.0, 3.0, 4.5, 6, 5)
 
 
 def random_field(rng: np.random.Generator, n: int) -> np.ndarray:

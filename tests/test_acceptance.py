@@ -31,7 +31,7 @@ from dirichlet_fem import (
     trace,
     verify_uniqueness,
 )
-from tests.conftest import cli_env, make_triplet
+from tests.conftest import cli_env, make_system
 
 
 def report(num, name, ok, detail):
@@ -41,12 +41,12 @@ def report(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def grid16():
-    return make_triplet(0.0, 0.0, 1.0, 1.0, 16, 16)
+    return make_system(0.0, 0.0, 1.0, 1.0, 16, 16)
 
 
 @pytest.fixture(scope="module")
 def ladder():
-    return {n: make_triplet(0.0, 0.0, 1.0, 1.0, n, n) for n in (8, 16, 32, 64)}
+    return {n: make_system(0.0, 0.0, 1.0, 1.0, n, n) for n in (8, 16, 32, 64)}
 
 
 def exact_sine(x, y):
@@ -59,8 +59,7 @@ def sine_source(x, y):
 
 def test_criterion_01_unique_minimum_of_random_functionals(grid16):
     started = time.monotonic()
-    mesh, A, _ = grid16
-    A_int = A.restrict(mesh.interior_indices)
+    A_int = grid16.A_int
     n = A_int.dimension
     rng = np.random.default_rng(42)
     settings = SolverSettings(rel_tolerance=1e-10)
@@ -98,12 +97,11 @@ def test_criterion_01_unique_minimum_of_random_functionals(grid16):
 
 
 def test_criterion_02_minimizer_solves_weak_equations(grid16):
-    mesh, A, M = grid16
-    data = ProblemData(f=sine_source, g=nodal_values(mesh, lambda x, y: 0.2 * x))
-    first = solve(mesh, A, M, data, SolverSettings(rel_tolerance=1e-10))
-    second = solve(mesh, A, M, data, SolverSettings(rel_tolerance=1e-12))
-    distance = verify_uniqueness(mesh, A, first.u, second.u)
-    limit = 1e-9 * (1.0 + norm_grad(A, first.u))
+    data = ProblemData(f=sine_source, g=nodal_values(grid16.mesh, lambda x, y: 0.2 * x))
+    first = solve(grid16, data, SolverSettings(rel_tolerance=1e-10))
+    second = solve(grid16, data, SolverSettings(rel_tolerance=1e-12))
+    distance = verify_uniqueness(grid16, first.u, second.u)
+    limit = 1e-9 * (1.0 + norm_grad(grid16.A, first.u))
     ok = first.weak_residual <= 1e-9 and distance <= limit
     report(
         2,
@@ -115,9 +113,10 @@ def test_criterion_02_minimizer_solves_weak_equations(grid16):
 
 
 def test_criterion_03_hand_solved_center_value():
-    mesh, A, M = make_triplet(0.0, 0.0, 1.0, 1.0, 2, 2)
+    system = make_system(0.0, 0.0, 1.0, 1.0, 2, 2)
+    mesh = system.mesh
     data = ProblemData(f=lambda x, y: 1.0, g=np.zeros(mesh.node_count))
-    u = solve(mesh, A, M, data).u
+    u = solve(system, data).u
     center = int(np.where(np.all(mesh.nodes == [0.5, 0.5], axis=1))[0][0])
     error = abs(u[center] - 0.0625)
     ok = error <= 1e-10
@@ -126,9 +125,9 @@ def test_criterion_03_hand_solved_center_value():
 
 def test_criterion_04_affine_boundary_data_reproduced(ladder):
     worst = 0.0
-    for n, (mesh, A, M) in ladder.items():
-        g = nodal_values(mesh, lambda x, y: x)
-        u = solve(mesh, A, M, ProblemData(f=lambda x, y: 0.0, g=g)).u
+    for system in ladder.values():
+        g = nodal_values(system.mesh, lambda x, y: x)
+        u = solve(system, ProblemData(f=lambda x, y: 0.0, g=g)).u
         worst = max(worst, float(np.max(np.abs(u - g))))
     ok = worst <= 1e-8
     report(4, "affine exactness", ok, f"max nodal error={worst:.3e} (grids 8..64)")
@@ -138,10 +137,10 @@ def test_criterion_05_second_order_convergence(ladder):
     started = time.monotonic()
     errors = []
     for n in (8, 16, 32):
-        mesh, A, M = ladder[n]
-        data = ProblemData(f=sine_source, g=np.zeros(mesh.node_count))
-        u = solve(mesh, A, M, data).u
-        errors.append(norm_l2(M, u - nodal_values(mesh, exact_sine)))
+        system = ladder[n]
+        data = ProblemData(f=sine_source, g=np.zeros(system.mesh.node_count))
+        u = solve(system, data).u
+        errors.append(norm_l2(system.M, u - nodal_values(system.mesh, exact_sine)))
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     elapsed = time.monotonic() - started
     ok = all(3.4 <= r <= 4.6 for r in ratios) and elapsed < 30.0
@@ -156,8 +155,7 @@ def test_criterion_05_second_order_convergence(ladder):
 def test_criterion_06_embedding_constant(ladder):
     values = []
     for n in (8, 16, 32, 64):
-        mesh, A, M = ladder[n]
-        values.append(estimate_poincare(mesh, A, M).a)
+        values.append(estimate_poincare(ladder[n]).a)
     target = 1.0 / np.sqrt(2.0 * np.pi**2)
     deviation = abs(values[-1] - target) / target
     monotone = all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
@@ -172,8 +170,8 @@ def test_criterion_06_embedding_constant(ladder):
 
 
 def test_criterion_07_continuity_bounds_hold(grid16):
-    mesh, A, M = grid16
-    est = estimate_poincare(mesh, A, M)
+    mesh = grid16.mesh
+    est = estimate_poincare(grid16)
     rng = np.random.default_rng(42)
     settings = SolverSettings()
     slack = 1.0 + 1e-8
@@ -182,9 +180,9 @@ def test_criterion_07_continuity_bounds_hold(grid16):
         f_vals = rng.standard_normal(mesh.node_count)
         g = rng.standard_normal(mesh.node_count)
         data = ProblemData(f=p1_interpolant(mesh, f_vals), g=g)
-        u = solve(mesh, A, M, data, settings, poincare=est).u
-        functional = check_functional_bound(mesh, A, M, data, est.a, settings)
-        bounds = check_stability(mesh, A, M, u, data, est.a)
+        u = solve(grid16, data, settings, poincare=est).u
+        functional = check_functional_bound(grid16, data, est.a, settings)
+        bounds = check_stability(grid16, u, data, est.a)
         assert functional.lhs <= functional.rhs * slack
         assert bounds.riesz_lhs <= bounds.riesz_rhs * slack
         assert bounds.lhs <= bounds.rhs * slack
@@ -204,7 +202,7 @@ def test_criterion_07_continuity_bounds_hold(grid16):
 
 
 def test_criterion_08_solution_ignores_the_extension(grid16):
-    mesh, A, M = grid16
+    mesh, A, M = grid16.mesh, grid16.A, grid16.M
     rng = np.random.default_rng(42)
     worst = 0.0
     worst_null = 0.0
@@ -212,11 +210,11 @@ def test_criterion_08_solution_ignores_the_extension(grid16):
         f = p1_interpolant(mesh, rng.standard_normal(mesh.node_count))
         g = rng.standard_normal(mesh.node_count)
         psi = extend_by_zero(mesh, rng.standard_normal(mesh.interior_count))
-        base = solve(mesh, A, M, ProblemData(f, g)).u
-        bumped = solve(mesh, A, M, ProblemData(f, g + psi)).u
+        base = solve(grid16, ProblemData(f, g)).u
+        bumped = solve(grid16, ProblemData(f, g + psi)).u
         gap = norm_w12(A, M, bumped - base) / (1.0 + norm_w12(A, M, base))
         worst = max(worst, gap)
-        null = solve(mesh, A, M, ProblemData(lambda x, y: 0.0, psi)).u
+        null = solve(grid16, ProblemData(lambda x, y: 0.0, psi)).u
         worst_null = max(worst_null, norm_w12(A, M, null))
     ok = worst <= 1e-8 and worst_null <= 1e-8
     report(
@@ -229,19 +227,17 @@ def test_criterion_08_solution_ignores_the_extension(grid16):
 
 
 def test_criterion_09_solution_map_is_linear(grid16):
-    mesh, A, M = grid16
+    mesh, A, M = grid16.mesh, grid16.A, grid16.M
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(20):
         f1, f2 = rng.standard_normal((2, mesh.node_count))
         g1, g2 = rng.standard_normal((2, mesh.node_count))
         alpha, beta = rng.uniform(-2.0, 2.0, size=2)
-        u1 = solve(mesh, A, M, ProblemData(p1_interpolant(mesh, f1), g1)).u
-        u2 = solve(mesh, A, M, ProblemData(p1_interpolant(mesh, f2), g2)).u
+        u1 = solve(grid16, ProblemData(p1_interpolant(mesh, f1), g1)).u
+        u2 = solve(grid16, ProblemData(p1_interpolant(mesh, f2), g2)).u
         combo = solve(
-            mesh,
-            A,
-            M,
+            grid16,
             ProblemData(p1_interpolant(mesh, alpha * f1 + beta * f2), alpha * g1 + beta * g2),
         ).u
         deviation = norm_w12(A, M, combo - alpha * u1 - beta * u2)
@@ -252,14 +248,14 @@ def test_criterion_09_solution_map_is_linear(grid16):
 
 
 def test_criterion_10_factors_through_boundary_values(grid16):
-    mesh, A, M = grid16
+    mesh, A, M = grid16.mesh, grid16.A, grid16.M
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(20):
         f = p1_interpolant(mesh, rng.standard_normal(mesh.node_count))
         g = rng.standard_normal(mesh.node_count)  # arbitrary interior values
-        direct = solve(mesh, A, M, ProblemData(f, g)).u
-        quotient = quotient_solve(mesh, A, M, f, trace(mesh, g)).u
+        direct = solve(grid16, ProblemData(f, g)).u
+        quotient = quotient_solve(grid16, f, trace(mesh, g)).u
         gap = norm_w12(A, M, direct - quotient) / (1.0 + norm_w12(A, M, direct))
         worst = max(worst, gap)
     ok = worst <= 1e-8

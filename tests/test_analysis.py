@@ -9,7 +9,6 @@ from dirichlet_fem import (
     ConvergenceError,
     ProblemData,
     SolverSettings,
-    build_rect_mesh,
     check_functional_bound,
     check_stability,
     estimate_poincare,
@@ -19,23 +18,23 @@ from dirichlet_fem import (
     p1_interpolant,
     solve,
 )
-from tests.conftest import make_triplet
+from tests.conftest import make_system
 
 
 def test_one_dof_hand_eigenvalue():
     # A_int = [[4]], M_int = [[1/8]]: pencil eigenvalue 32, a = 1/sqrt(32)
-    mesh, A, M = make_triplet(0.0, 0.0, 1.0, 1.0, 2, 2)
-    est = estimate_poincare(mesh, A, M)
+    est = estimate_poincare(make_system(0.0, 0.0, 1.0, 1.0, 2, 2))
     assert est.lambda_min == pytest.approx(32.0, rel=1e-10)
     assert est.a == pytest.approx(1.0 / np.hypot(4.0, 4.0), rel=1e-10)
     assert est.iterations >= 1
 
 
 def test_matches_sparse_eigensolver(unit16):
-    mesh, A, M = unit16
-    est = estimate_poincare(mesh, A, M)
-    A_int = scipy.sparse.csr_matrix(A.restrict(mesh.interior_indices).toarray())
-    M_int = scipy.sparse.csr_matrix(M.restrict(mesh.interior_indices).toarray())
+    est = estimate_poincare(unit16)
+    # the interior blocks, cut from the full matrices independently
+    inner = np.ix_(unit16.mesh.interior_indices, unit16.mesh.interior_indices)
+    A_int = scipy.sparse.csr_matrix(unit16.A.toarray()[inner])
+    M_int = scipy.sparse.csr_matrix(unit16.M.toarray()[inner])
     vals = scipy.sparse.linalg.eigsh(
         A_int, k=1, M=M_int, sigma=0.0, which="LM", return_eigenvectors=False
     )
@@ -44,15 +43,15 @@ def test_matches_sparse_eigensolver(unit16):
 
 def test_eigenvector_attains_the_constant(unit16):
     # the ground mode turns the inequality into an equality
-    mesh, A, M = unit16
-    est = estimate_poincare(mesh, A, M)
+    mesh, A, M = unit16.mesh, unit16.A, unit16.M
+    est = estimate_poincare(unit16)
     v = extend_by_zero(mesh, est.eigenvector)
     assert norm_l2(M, v) == pytest.approx(est.a * norm_grad(A, v), rel=1e-6)
 
 
 def test_poincare_inequality_on_random_fields(unit16):
-    mesh, A, M = unit16
-    est = estimate_poincare(mesh, A, M)
+    mesh, A, M = unit16.mesh, unit16.A, unit16.M
+    est = estimate_poincare(unit16)
     rng = np.random.default_rng(41)
     for _ in range(50):
         v = extend_by_zero(mesh, rng.standard_normal(mesh.interior_count))
@@ -60,13 +59,10 @@ def test_poincare_inequality_on_random_fields(unit16):
 
 
 def test_residual_is_small_pencil_defect(unit8):
-    mesh, A, M = unit8
-    est = estimate_poincare(mesh, A, M)
-    A_int = A.restrict(mesh.interior_indices)
-    M_int = M.restrict(mesh.interior_indices)
-    defect = A_int.apply(est.eigenvector) - est.lambda_min * M_int.apply(
-        est.eigenvector
-    )
+    est = estimate_poincare(unit8)
+    v = extend_by_zero(unit8.mesh, est.eigenvector)
+    inner = unit8.mesh.interior_indices
+    defect = (unit8.A.apply(v) - est.lambda_min * unit8.M.apply(v))[inner]
     assert est.residual == pytest.approx(float(np.linalg.norm(defect)), rel=1e-12)
     # Rayleigh-quotient stopping at 1e-8 leaves a vector defect near
     # sqrt(1e-8); the value, not the vector, carries the 1e-8 accuracy
@@ -77,8 +73,7 @@ def test_monotone_under_refinement():
     # conforming refinement enlarges the trial space: a_h never drops
     values = []
     for n in (4, 8, 16):
-        mesh, A, M = make_triplet(0.0, 0.0, 1.0, 1.0, n, n)
-        values.append(estimate_poincare(mesh, A, M).a)
+        values.append(estimate_poincare(make_system(0.0, 0.0, 1.0, 1.0, n, n)).a)
     for coarse, fine in zip(values, values[1:]):
         assert fine >= coarse - 1e-10
     # and the limit constant on the unit square is 1/sqrt(2 pi^2)
@@ -87,41 +82,39 @@ def test_monotone_under_refinement():
 
 def test_two_by_one_rectangle_constant():
     # lowest Dirichlet mode of (0,2)x(0,1): a = 1/sqrt(5 pi^2 / 4)
-    mesh, A, M = make_triplet(0.0, 0.0, 2.0, 1.0, 64, 32)
-    est = estimate_poincare(mesh, A, M)
+    est = estimate_poincare(make_system(0.0, 0.0, 2.0, 1.0, 64, 32))
     want = 1.0 / np.sqrt(5.0 * np.pi**2 / 4.0)
     assert abs(est.a - want) <= 0.03 * want
 
 
 def test_iteration_cap_raises(unit8):
-    mesh, A, M = unit8
     with pytest.raises(ConvergenceError):
-        estimate_poincare(mesh, A, M, rq_tolerance=1e-30, max_steps=2)
+        estimate_poincare(unit8, rq_tolerance=1e-30, max_steps=2)
 
 
 def test_functional_bound_holds_for_nodal_data(unit16):
-    mesh, A, M = unit16
-    est = estimate_poincare(mesh, A, M)
+    mesh = unit16.mesh
+    est = estimate_poincare(unit16)
     rng = np.random.default_rng(42)
     for _ in range(25):
         f_vals = rng.standard_normal(mesh.node_count)
         g = rng.standard_normal(mesh.node_count)
         data = ProblemData(f=p1_interpolant(mesh, f_vals), g=g)
-        bound = check_functional_bound(mesh, A, M, data, est.a)
+        bound = check_functional_bound(unit16, data, est.a)
         assert bound.lhs <= bound.rhs * (1.0 + 1e-8)
 
 
 def test_stability_bounds_hold_for_nodal_data(unit16):
-    mesh, A, M = unit16
-    est = estimate_poincare(mesh, A, M)
+    mesh = unit16.mesh
+    est = estimate_poincare(unit16)
     rng = np.random.default_rng(43)
     settings = SolverSettings()
     for _ in range(25):
         f_vals = rng.standard_normal(mesh.node_count)
         g = rng.standard_normal(mesh.node_count)
         data = ProblemData(f=p1_interpolant(mesh, f_vals), g=g)
-        report = solve(mesh, A, M, data, settings, poincare=est)
-        bounds = check_stability(mesh, A, M, report.u, data, est.a)
+        report = solve(unit16, data, settings, poincare=est)
+        bounds = check_stability(unit16, report.u, data, est.a)
         assert bounds.riesz_lhs <= bounds.riesz_rhs * (1.0 + 1e-8)
         assert bounds.lhs <= bounds.rhs * (1.0 + 1e-8)
         # the full bound nests the intermediate one
@@ -131,9 +124,9 @@ def test_stability_bounds_hold_for_nodal_data(unit16):
 def test_bounds_are_tight_for_the_ground_mode(unit16):
     # feeding the eigenmode back as source makes the functional bound
     # nearly an equality: the constant cannot be improved
-    mesh, A, M = unit16
-    est = estimate_poincare(mesh, A, M)
+    mesh = unit16.mesh
+    est = estimate_poincare(unit16)
     v = extend_by_zero(mesh, est.eigenvector)
     data = ProblemData(f=p1_interpolant(mesh, v), g=np.zeros(mesh.node_count))
-    bound = check_functional_bound(mesh, A, M, data, est.a)
+    bound = check_functional_bound(unit16, data, est.a)
     assert bound.lhs == pytest.approx(bound.rhs, rel=1e-5)

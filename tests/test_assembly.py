@@ -5,10 +5,12 @@ import pytest
 import sympy as sp
 
 from dirichlet_fem import (
+    InteriorSystem,
     SparseSymMatrix,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    assemble_system,
     build_rect_mesh,
     extend_by_zero,
     nodal_values,
@@ -96,22 +98,21 @@ def test_local_rejects_degenerate_and_clockwise():
 
 
 def test_symmetry_is_exact(skewed6x5):
-    mesh, A, M = skewed6x5
-    for mat in (A, M):
+    for mat in (skewed6x5.A, skewed6x5.M):
         arr = mat.toarray()
         assert np.array_equal(arr, arr.T)
 
 
 def test_stiffness_kernel_contains_constants(skewed6x5):
     # row sums vanish: constants have zero gradient
-    mesh, A, _ = skewed6x5
+    mesh, A = skewed6x5.mesh, skewed6x5.A
     ones = np.ones(mesh.node_count)
     scale = float(np.max(np.abs(A.toarray())))
     assert np.max(np.abs(A.apply(ones))) <= 1e-12 * scale
 
 
 def test_mass_total_is_area(skewed6x5):
-    mesh, _, M = skewed6x5
+    mesh, M = skewed6x5.mesh, skewed6x5.M
     area = 4.0 * 2.5
     total = float(np.ones(mesh.node_count) @ M.apply(np.ones(mesh.node_count)))
     assert abs(total - area) <= 1e-12 * area
@@ -120,7 +121,7 @@ def test_mass_total_is_area(skewed6x5):
 def test_galerkin_exactness_affine(skewed6x5):
     # for nodal interpolants of affine fields the discrete brackets
     # reproduce the analytic integrals
-    mesh, A, M = skewed6x5
+    mesh, A, M = skewed6x5.mesh, skewed6x5.A, skewed6x5.M
     x0, y0, x1, y1 = mesh.domain
     area = (x1 - x0) * (y1 - y0)
     u_fn = lambda x, y: 1.0 + 2.0 * x - 3.0 * y
@@ -145,8 +146,7 @@ def test_galerkin_exactness_affine(skewed6x5):
 
 
 def test_interior_positive_definite(unit8):
-    mesh, A, _ = unit8
-    A_int = A.restrict(mesh.interior_indices)
+    A_int = unit8.A_int
     rng = np.random.default_rng(1)
     for _ in range(100):
         v = rng.standard_normal(A_int.dimension)
@@ -156,7 +156,7 @@ def test_interior_positive_definite(unit8):
 def test_assembly_is_the_triangle_order_sum_of_local_matrices(skewed6x5):
     # reference: add each triangle's upper local entries into a dict, in
     # triangle order; the assembly must match it bit for bit
-    mesh, A, M = skewed6x5
+    mesh, A, M = skewed6x5.mesh, skewed6x5.A, skewed6x5.M
     for assembled, local in ((A, local_stiffness), (M, local_mass)):
         acc = {}
         for tri in mesh.triangles.tolist():
@@ -172,7 +172,7 @@ def test_assembly_is_the_triangle_order_sum_of_local_matrices(skewed6x5):
 
 
 def test_assembly_deterministic(unit8):
-    mesh, A, M = unit8
+    mesh, A, M = unit8.mesh, unit8.A, unit8.M
     A2 = assemble_stiffness(mesh)
     M2 = assemble_mass(mesh)
     for first, second in ((A, A2), (M, M2)):
@@ -192,7 +192,7 @@ def test_load_constant_source():
 def test_load_sums_exactly_for_quadratics(skewed6x5):
     # midpoint rule integrates quadratics exactly; the basis sums to 1,
     # so the load total equals the integral of f
-    mesh, _, _ = skewed6x5
+    mesh = skewed6x5.mesh
     x0, y0, x1, y1 = mesh.domain
     fn = lambda x, y: x * x + 3.0 * x * y + y * y - x + 2.0
     load = assemble_load(mesh, fn)
@@ -210,7 +210,7 @@ def test_load_sums_exactly_for_quadratics(skewed6x5):
 
 def test_load_of_interpolant_is_mass_apply(unit8):
     # for P1 sources the quadrature load coincides with M f_h
-    mesh, _, M = unit8
+    mesh, M = unit8.mesh, unit8.M
     rng = np.random.default_rng(7)
     f_vals = rng.standard_normal(mesh.node_count)
     load = assemble_load(mesh, p1_interpolant(mesh, f_vals))
@@ -219,7 +219,7 @@ def test_load_of_interpolant_is_mass_apply(unit8):
 
 
 def test_load_rejects_nonfinite_source(unit4):
-    mesh, _, _ = unit4
+    mesh = unit4.mesh
     # the first quadrature point: the midpoint of triangle 0's first edge
     with pytest.raises(ValueError, match=r"nan at quadrature point \(0.125, 0.0\)"):
         assemble_load(mesh, lambda x, y: float("nan"))
@@ -228,7 +228,7 @@ def test_load_rejects_nonfinite_source(unit4):
 
 
 def test_norms_of_affine_field(skewed6x5):
-    mesh, A, M = skewed6x5
+    mesh, A, M = skewed6x5.mesh, skewed6x5.A, skewed6x5.M
     x0, y0, x1, y1 = mesh.domain
     area = (x1 - x0) * (y1 - y0)
     u = nodal_values(mesh, lambda x, y: 2.0 * x - y + 0.5)
@@ -253,7 +253,7 @@ def test_norms_of_affine_field(skewed6x5):
 
 def test_norm_grad_of_constant_is_roundoff(unit4):
     # the true value is 0; anything at the quad-form roundoff scale passes
-    mesh, A, _ = unit4
+    mesh, A = unit4.mesh, unit4.A
     u = np.full(mesh.node_count, 3.7)
     scale = np.sqrt(np.finfo(float).eps * A.abs_quad_form(u))
     assert norm_grad(A, u) <= scale
@@ -281,8 +281,10 @@ def test_sparse_matches_dense_oracle():
     )
     assert np.array_equal(m.diagonal(), np.diag(a))
     assert np.array_equal(m.toarray(), a)
+    # each unordered pair is stored once, in the upper triangle
+    stored = dict(zip(zip(m.rows.tolist(), m.cols.tolist()), m.vals.tolist()))
     for i, j in ((0, 0), (3, 7), (7, 3), (11, 2)):
-        assert m.entry(i, j) == a[i, j]
+        assert stored.get((min(i, j), max(i, j)), 0.0) == a[i, j]
 
     keep = np.array([1, 4, 5, 9])
     assert np.array_equal(m.restrict(keep).toarray(), a[np.ix_(keep, keep)])
@@ -301,7 +303,7 @@ def test_canonical_storage_validation():
 
 
 def test_restrict_extend_round_trip(unit4):
-    mesh, _, _ = unit4
+    mesh = unit4.mesh
     rng = np.random.default_rng(9)
     v = rng.standard_normal(mesh.interior_count)
     full = extend_by_zero(mesh, v)
@@ -311,3 +313,21 @@ def test_restrict_extend_round_trip(unit4):
         extend_by_zero(mesh, np.zeros(mesh.interior_count + 1))
     with pytest.raises(ValueError):
         restrict_interior(mesh, np.zeros(mesh.node_count - 1))
+
+
+def test_interior_system_holds_the_interior_blocks(skewed6x5):
+    mesh = skewed6x5.mesh
+    inner = np.ix_(mesh.interior_indices, mesh.interior_indices)
+    assert np.array_equal(skewed6x5.A_int.toarray(), skewed6x5.A.toarray()[inner])
+    assert np.array_equal(skewed6x5.M_int.toarray(), skewed6x5.M.toarray()[inner])
+    # a reassembly gives the same bits
+    again = assemble_system(mesh)
+    for name in ("A", "M", "A_int", "M_int"):
+        assert np.array_equal(getattr(again, name).vals, getattr(skewed6x5, name).vals)
+
+
+def test_interior_system_rejects_matrices_of_another_mesh(unit4, unit8):
+    with pytest.raises(ValueError, match="do not fit the mesh"):
+        InteriorSystem(unit4.mesh, unit8.A, unit8.M, unit8.A_int, unit8.M_int)
+    with pytest.raises(ValueError, match="do not fit the mesh"):
+        InteriorSystem(unit4.mesh, unit4.A, unit4.M, unit4.A, unit4.M_int)

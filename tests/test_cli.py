@@ -169,6 +169,17 @@ def test_convergence_writes_csv(tmp_path):
             1,
             "10000200001 nodes, over the cap of 1500000",
         ),
+        (
+            "domain = 0 0 inf 1\ngrid = 4 4\nf = 1\ng = 0\n",
+            1,
+            "line 1: domain: rectangle corners and extents must be finite",
+        ),
+        (
+            "domain = -1e308 0 1e308 1\ngrid = 4 4\nf = 1\ng = 0\n",
+            1,
+            "line 1: domain: rectangle corners and extents must be finite",
+        ),
+        (BASE + "f = 1\ng = 0\nseed = -1\n", 1, "line 5: seed: must be non-negative"),
     ],
 )
 def test_error_exit_codes(tmp_path, content, code, fragment):
@@ -176,6 +187,26 @@ def test_error_exit_codes(tmp_path, content, code, fragment):
     proc = run_cli("solve", "--spec", spec)
     assert proc.returncode == code
     assert fragment in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "f", ["(" * 1000 + "x" + ")" * 1000, "-" * 1000 + "x"], ids=["parens", "minus"]
+)
+def test_deep_nesting_is_malformed_without_traceback(tmp_path, f):
+    spec = write(tmp_path, "p.txt", BASE + f"f = {f}\ng = 0\n")
+    proc = run_cli("solve", "--spec", spec)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        "error: line 3: f: expression nested deeper than 100 levels"
+    )
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_rejects_negative_seed_flag(tmp_path):
+    spec = write(tmp_path, "p.txt", BASE + "f = 1\ng = 0\n")
+    proc = run_cli("verify", "--spec", spec, "--seed", "-1")
+    assert proc.returncode == 1
+    assert "--seed must be non-negative" in proc.stderr
 
 
 def test_missing_file_is_io_error(tmp_path):

@@ -8,7 +8,6 @@ from dirichlet_fem import (
     SolverSettings,
     assemble_load,
     build_functional,
-    build_rect_mesh,
     extend,
     extend_by_zero,
     nodal_values,
@@ -21,6 +20,7 @@ from dirichlet_fem import (
     verify_uniqueness,
     weak_residual,
 )
+from tests.conftest import make_system
 
 
 def zero(x, y):
@@ -30,13 +30,10 @@ def zero(x, y):
 def test_hand_oracle_center_value():
     # unit source, zero boundary, one interior unknown at (0.5, 0.5):
     # 4 u = 1/4 by hand assembly
-    mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
-    from dirichlet_fem import assemble_mass, assemble_stiffness
-
-    A = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
+    system = make_system(0.0, 0.0, 1.0, 1.0, 2, 2)
+    mesh = system.mesh
     data = ProblemData(f=lambda x, y: 1.0, g=np.zeros(mesh.node_count))
-    report = solve(mesh, A, M, data)
+    report = solve(system, data)
     center = int(np.where(np.all(mesh.nodes == [0.5, 0.5], axis=1))[0][0])
     assert report.u[center] == pytest.approx(0.0625, abs=1e-10)
     assert report.energy_value == pytest.approx(-0.0078125, rel=1e-10)
@@ -45,19 +42,19 @@ def test_hand_oracle_center_value():
 
 def test_affine_field_reproduced_exactly(unit8):
     # zero source, affine boundary data: the interpolant solves exactly
-    mesh, A, M = unit8
+    mesh = unit8.mesh
     g = nodal_values(mesh, lambda x, y: x)
-    report = solve(mesh, A, M, ProblemData(f=zero, g=g))
+    report = solve(unit8, ProblemData(f=zero, g=g))
     assert np.max(np.abs(report.u - g)) <= 1e-8
 
 
 def test_report_fields_are_consistent(unit16):
-    mesh, A, M = unit16
+    mesh, A = unit16.mesh, unit16.A
     rng = np.random.default_rng(31)
     f_vals = rng.standard_normal(mesh.node_count)
     g = rng.standard_normal(mesh.node_count)
     data = ProblemData(f=p1_interpolant(mesh, f_vals), g=g)
-    report = solve(mesh, A, M, data)
+    report = solve(unit16, data)
 
     load = assemble_load(mesh, data.f)
     assert report.energy_value == pytest.approx(
@@ -81,11 +78,11 @@ def test_report_fields_are_consistent(unit16):
 
 
 def test_energy_minimality_among_admissible_fields(unit8):
-    mesh, A, M = unit8
+    mesh, A = unit8.mesh, unit8.A
     rng = np.random.default_rng(32)
     g = rng.standard_normal(mesh.node_count)
     f = p1_interpolant(mesh, rng.standard_normal(mesh.node_count))
-    report = solve(mesh, A, M, ProblemData(f=f, g=g))
+    report = solve(unit8, ProblemData(f=f, g=g))
     load = assemble_load(mesh, f)
     base = objective(A, load, report.u)
     for _ in range(100):
@@ -98,13 +95,12 @@ def test_energy_minimality_among_admissible_fields(unit8):
 
 def test_shift_identity(unit8):
     # J(v + g) - J(g) = 0.5||v||_grad^2 - lam(v) for interior v
-    mesh, A, M = unit8
+    mesh, A = unit8.mesh, unit8.A
     rng = np.random.default_rng(33)
     g = rng.standard_normal(mesh.node_count)
     f = p1_interpolant(mesh, rng.standard_normal(mesh.node_count))
-    data = ProblemData(f=f, g=g)
-    lam = build_functional(mesh, A, data)
     load = assemble_load(mesh, f)
+    lam = build_functional(unit8, load, g)
     for _ in range(20):
         v = rng.standard_normal(mesh.interior_count)
         ext = extend_by_zero(mesh, v)
@@ -114,41 +110,43 @@ def test_shift_identity(unit8):
 
 
 def test_weak_residual_flags_non_solutions(unit8):
-    mesh, A, M = unit8
+    mesh = unit8.mesh
     g = np.zeros(mesh.node_count)
     f = lambda x, y: 1.0
-    report = solve(mesh, A, M, ProblemData(f=f, g=g))
-    assert weak_residual(mesh, A, report.u, f) <= 1e-9
+    report = solve(unit8, ProblemData(f=f, g=g))
+    load = assemble_load(mesh, f)
+    assert weak_residual(unit8, report.u, load) <= 1e-9
+    assert weak_residual(unit8, report.u, load) == report.weak_residual
     off = report.u.copy()
     off[mesh.interior_indices[0]] += 0.1
-    assert weak_residual(mesh, A, off, f) > 1e-4
+    assert weak_residual(unit8, off, load) > 1e-4
 
 
 def test_two_solves_agree(unit16):
     # independent tolerances, same minimizer: uniqueness in practice
-    mesh, A, M = unit16
+    mesh = unit16.mesh
     rng = np.random.default_rng(34)
     g = rng.standard_normal(mesh.node_count)
     data = ProblemData(f=p1_interpolant(mesh, rng.standard_normal(mesh.node_count)), g=g)
-    u1 = solve(mesh, A, M, data, SolverSettings(rel_tolerance=1e-10)).u
-    u2 = solve(mesh, A, M, data, SolverSettings(rel_tolerance=1e-12)).u
+    u1 = solve(unit16, data, SolverSettings(rel_tolerance=1e-10)).u
+    u2 = solve(unit16, data, SolverSettings(rel_tolerance=1e-12)).u
     from dirichlet_fem import norm_grad
 
-    dist = verify_uniqueness(mesh, A, u1, u2)
-    assert dist <= 1e-9 * (1.0 + norm_grad(A, u1))
+    dist = verify_uniqueness(unit16, u1, u2)
+    assert dist <= 1e-9 * (1.0 + norm_grad(unit16.A, u1))
 
 
 def test_verify_uniqueness_rejects_boundary_mismatch(unit8):
-    mesh, A, _ = unit8
+    mesh = unit8.mesh
     u1 = np.zeros(mesh.node_count)
     u2 = np.zeros(mesh.node_count)
     u2[mesh.boundary_indices[0]] = 1e-6
     with pytest.raises(ValueError, match="boundary"):
-        verify_uniqueness(mesh, A, u1, u2)
+        verify_uniqueness(unit8, u1, u2)
 
 
 def test_trace_extend_round_trip(unit8):
-    mesh, _, _ = unit8
+    mesh = unit8.mesh
     rng = np.random.default_rng(35)
     b = rng.standard_normal(len(mesh.boundary_indices))
     field = extend(mesh, b)
@@ -160,28 +158,28 @@ def test_trace_extend_round_trip(unit8):
 
 def test_quotient_solve_matches_direct(unit16):
     # the solution depends only on the boundary class of g
-    mesh, A, M = unit16
+    mesh, A, M = unit16.mesh, unit16.A, unit16.M
     rng = np.random.default_rng(36)
     f = p1_interpolant(mesh, rng.standard_normal(mesh.node_count))
     g = rng.standard_normal(mesh.node_count)  # random interior extension
-    direct = solve(mesh, A, M, ProblemData(f=f, g=g))
-    quotient = quotient_solve(mesh, A, M, f, trace(mesh, g))
+    direct = solve(unit16, ProblemData(f=f, g=g))
+    quotient = quotient_solve(unit16, f, trace(mesh, g))
     dist = norm_w12(A, M, direct.u - quotient.u)
     assert dist <= 1e-8 * (1.0 + norm_w12(A, M, direct.u))
 
 
 def test_solution_map_is_linear(unit16):
-    mesh, A, M = unit16
+    mesh, A, M = unit16.mesh, unit16.A, unit16.M
     rng = np.random.default_rng(37)
     n = mesh.node_count
     f1_vals, f2_vals = rng.standard_normal((2, n))
     g1, g2 = rng.standard_normal((2, n))
     alpha, beta = rng.uniform(-2.0, 2.0, size=2)
 
-    u1 = solve(mesh, A, M, ProblemData(p1_interpolant(mesh, f1_vals), g1)).u
-    u2 = solve(mesh, A, M, ProblemData(p1_interpolant(mesh, f2_vals), g2)).u
+    u1 = solve(unit16, ProblemData(p1_interpolant(mesh, f1_vals), g1)).u
+    u2 = solve(unit16, ProblemData(p1_interpolant(mesh, f2_vals), g2)).u
     combo_f = p1_interpolant(mesh, alpha * f1_vals + beta * f2_vals)
-    u12 = solve(mesh, A, M, ProblemData(combo_f, alpha * g1 + beta * g2)).u
+    u12 = solve(unit16, ProblemData(combo_f, alpha * g1 + beta * g2)).u
 
     deviation = norm_w12(A, M, u12 - alpha * u1 - beta * u2)
     scale = 1.0 + max(norm_w12(A, M, u1), norm_w12(A, M, u2))
@@ -190,40 +188,36 @@ def test_solution_map_is_linear(unit16):
 
 def test_class_invariance(unit16):
     # bumping g by any boundary-vanishing field leaves the solution alone
-    mesh, A, M = unit16
+    mesh, A, M = unit16.mesh, unit16.A, unit16.M
     rng = np.random.default_rng(38)
     f = p1_interpolant(mesh, rng.standard_normal(mesh.node_count))
     g = rng.standard_normal(mesh.node_count)
     psi = rng.standard_normal(mesh.interior_count)
 
-    base = solve(mesh, A, M, ProblemData(f, g))
-    bumped = solve(mesh, A, M, ProblemData(f, g + extend_by_zero(mesh, psi)))
+    base = solve(unit16, ProblemData(f, g))
+    bumped = solve(unit16, ProblemData(f, g + extend_by_zero(mesh, psi)))
     dist = norm_w12(A, M, bumped.u - base.u)
     assert dist <= 1e-8 * (1.0 + norm_w12(A, M, base.u))
 
     # zero data with a boundary-vanishing extension solves to zero
-    null = solve(mesh, A, M, ProblemData(zero, extend_by_zero(mesh, psi)))
+    null = solve(unit16, ProblemData(zero, extend_by_zero(mesh, psi)))
     assert norm_w12(A, M, null.u) <= 1e-8
 
 
 def test_solve_reuses_supplied_poincare(unit8):
-    mesh, A, M = unit8
     from dirichlet_fem import estimate_poincare
 
-    est = estimate_poincare(mesh, A, M)
-    data = ProblemData(f=lambda x, y: 1.0, g=np.zeros(mesh.node_count))
-    report = solve(mesh, A, M, data, poincare=est)
+    est = estimate_poincare(unit8)
+    data = ProblemData(f=lambda x, y: 1.0, g=np.zeros(unit8.mesh.node_count))
+    report = solve(unit8, data, poincare=est)
     assert report.poincare_a == est.a
 
 
 def test_build_functional_hand_value():
     # 3x3 grid, f = 1, g = 0: the single functional entry is the load 1/4
-    mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
-    from dirichlet_fem import assemble_stiffness
-
-    A = assemble_stiffness(mesh)
-    lam = build_functional(
-        mesh, A, ProblemData(f=lambda x, y: 1.0, g=np.zeros(mesh.node_count))
-    )
+    system = make_system(0.0, 0.0, 1.0, 1.0, 2, 2)
+    mesh = system.mesh
+    load = assemble_load(mesh, lambda x, y: 1.0)
+    lam = build_functional(system, load, np.zeros(mesh.node_count))
     assert lam.shape == (1,)
     assert lam[0] == pytest.approx(0.25, rel=1e-14)

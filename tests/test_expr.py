@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dirichlet_fem import EvalError, ParseError, as_function, evaluate, parse, serialize
-from dirichlet_fem.expr import Binary, Call, Name, Num, Unary
+from dirichlet_fem.expr import MAX_DEPTH, Binary, Call, Name, Num, Unary
 
 # (text, reference implementation); evaluated at the sample points below
 CORPUS = [
@@ -159,6 +159,37 @@ def test_parse_errors_carry_offsets(text, offset):
 def test_parse_errors_name_the_problem(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 1000 + "x" + ")" * 1000,
+        "-" * 1000 + "x",
+        "sin(" * 1000 + "x" + ")" * 1000,
+        "+".join(["x"] * 1000),  # a left-deep tree: no parser recursion
+        "^".join(["x"] * 1000),
+    ],
+    ids=["parens", "minus", "calls", "sum", "power"],
+)
+def test_nesting_past_the_cap_is_a_parse_error(text):
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse(text)
+
+
+def test_nesting_at_the_cap_evaluates_and_round_trips():
+    deepest = [
+        "(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1),
+        "-" * (MAX_DEPTH - 1) + "x",
+        "+".join(["x"] * MAX_DEPTH),
+        "^".join(["1"] * MAX_DEPTH),
+    ]
+    for text in deepest:
+        tree = parse(text)
+        assert np.isfinite(evaluate(tree, 0.5, 0.25))
+        assert parse(serialize(tree)) == tree
+    with pytest.raises(ParseError):
+        parse("-" * MAX_DEPTH + "x")
 
 
 def test_eval_errors_carry_the_point():

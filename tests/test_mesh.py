@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dirichlet_fem import build_rect_mesh, eval_p1, nodal_values, p1_interpolant
-from dirichlet_fem.mesh import node_coordinates, signed_areas
 
 
 @pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (8, 8), (16, 4)])
@@ -27,7 +26,7 @@ def test_row_major_ordering():
         (0.0, 1.0), (0.5, 1.0), (1.0, 1.0),
     ]
     assert np.allclose(mesh.nodes, expected, atol=0.0)
-    assert node_coordinates(mesh, 4) == (0.5, 0.5)
+    assert tuple(mesh.nodes[4].tolist()) == (0.5, 0.5)
 
 
 def test_first_cell_split():
@@ -57,8 +56,10 @@ def test_interior_star_size():
 
 
 def test_area_sum(skewed6x5):
-    mesh, _, _ = skewed6x5
-    areas = signed_areas(mesh)
+    mesh = skewed6x5.mesh
+    p = mesh.nodes[mesh.triangles]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     assert np.all(areas > 0.0)
     total = float(np.sum(areas))
     exact = (3.0 - (-1.0)) * (4.5 - 2.0)
@@ -66,7 +67,7 @@ def test_area_sum(skewed6x5):
 
 
 def test_boundary_mask_matches_coordinates(skewed6x5):
-    mesh, _, _ = skewed6x5
+    mesh = skewed6x5.mesh
     x0, y0, x1, y1 = mesh.domain
     on_edge = (
         np.isclose(mesh.nodes[:, 0], x0)
@@ -99,6 +100,19 @@ def test_degenerate_rectangle_rejected(args):
         build_rect_mesh(*args)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0.0, 0.0, float("inf"), 1.0, 2, 2),
+        (float("nan"), 0.0, 1.0, 1.0, 2, 2),
+        (-1e308, 0.0, 1e308, 1.0, 2, 2),  # the extent overflows
+    ],
+)
+def test_non_finite_rectangle_rejected(args):
+    with pytest.raises(ValueError, match="must be finite"):
+        build_rect_mesh(*args)
+
+
 @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 4), (5, 1), (0, 3)])
 def test_no_interior_rejected(nx, ny):
     with pytest.raises(ValueError, match="interior"):
@@ -112,7 +126,7 @@ def test_node_count_cap_is_checked_before_allocating():
 
 
 def test_nodal_values_order(unit4):
-    mesh, _, _ = unit4
+    mesh = unit4.mesh
     vals = nodal_values(mesh, lambda x, y: x + 10.0 * y)
     assert vals.shape == (mesh.node_count,)
     assert np.array_equal(vals, mesh.nodes[:, 0] + 10.0 * mesh.nodes[:, 1])
@@ -122,7 +136,7 @@ def test_nodal_values_order(unit4):
 
 def test_eval_p1_reproduces_affine(skewed6x5):
     # P1 elements represent affine fields exactly, everywhere
-    mesh, _, _ = skewed6x5
+    mesh = skewed6x5.mesh
     fn = lambda x, y: 2.0 - 3.0 * x + 0.5 * y
     vals = nodal_values(mesh, fn)
     rng = np.random.default_rng(11)
@@ -137,7 +151,7 @@ def test_eval_p1_reproduces_affine(skewed6x5):
 
 
 def test_eval_p1_rejects_points_off_the_domain(unit4):
-    mesh, _, _ = unit4
+    mesh = unit4.mesh
     vals = np.arange(float(mesh.node_count))
     with pytest.raises(ValueError, match=r"point \(5.0, 5.0\) is not in the domain"):
         eval_p1(mesh, vals, 5.0, 5.0)
@@ -151,7 +165,7 @@ def test_eval_p1_rejects_points_off_the_domain(unit4):
 
 
 def test_eval_p1_at_nodes(unit4):
-    mesh, _, _ = unit4
+    mesh = unit4.mesh
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(mesh.node_count)
     for i in range(mesh.node_count):
@@ -162,7 +176,7 @@ def test_eval_p1_at_nodes(unit4):
 
 
 def test_p1_interpolant_wraps_eval(unit4):
-    mesh, _, _ = unit4
+    mesh = unit4.mesh
     rng = np.random.default_rng(6)
     vals = rng.standard_normal(mesh.node_count)
     fn = p1_interpolant(mesh, vals)

@@ -72,6 +72,7 @@ def test_defaults():
         ("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\ntol = 2\n", 5, "lie in"),
         ("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\nmax_iter = 0\n", 5, "positive"),
         ("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\nseed = x\n", 5, "bad integer"),
+        ("domain = 0 1 1 1\ngrid = 4 4\nf = 1\ng = 0\n", 1, "degenerate"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
