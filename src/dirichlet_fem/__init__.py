@@ -34,7 +34,6 @@ from .dirichlet import (
     SolveReport,
     build_functional,
     extend,
-    objective,
     quotient_solve,
     solve,
     trace,
@@ -55,7 +54,7 @@ from .problems import (
     read_field_csv,
     write_field_csv,
 )
-from .riesz import check_square_identity, dual_norm, energy, riesz_represent
+from .riesz import check_square_identity, energy, riesz_represent
 from .verify import CheckResult, all_passed, run_checks
 
 __version__ = "0.1.0"
@@ -89,7 +88,6 @@ __all__ = [
     "check_functional_bound",
     "check_square_identity",
     "check_stability",
-    "dual_norm",
     "energy",
     "estimate_poincare",
     "eval_p1",
@@ -104,7 +102,6 @@ __all__ = [
     "norm_grad",
     "norm_l2",
     "norm_w12",
-    "objective",
     "p1_interpolant",
     "parse",
     "parse_problem",

@@ -13,8 +13,10 @@ closed-form local matrices (P1 gradients are constant per triangle), so
 the only quadrature in the package is the degree-2 edge-midpoint rule
 used for load vectors.  Entries are accumulated in triangle-index order
 with np.bincount, which makes repeated assemblies of the same mesh
-bit-identical.  assemble_system bundles both brackets with their
-interior blocks, the only restriction to the interior in the package.
+bit-identical.  Each bracket is held as one scipy CSR in a
+SparseSymMatrix, which checks exact symmetry when it is built.
+assemble_system bundles both brackets with their interior blocks, the
+only restriction to the interior in the package.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 from .mesh import Mesh
 
@@ -33,77 +35,40 @@ _FORM_CLAMP = 1e-12
 
 
 class SparseSymMatrix:
-    """Sparse symmetric matrix storing each unordered index pair once.
+    """An exactly symmetric sparse matrix: one scipy CSR, checked once.
 
-    Entries are kept in canonical order (row <= col, sorted row-major);
-    ``apply`` reflects the stored triangle, so symmetry is exact by
-    construction rather than by numerical accident.
+    The constructor refuses a matrix that is not square or whose entries
+    differ from their transposes by any bit, so every holder of this type
+    may rely on exact symmetry.  ``apply`` is the path of every mat-vec.
     """
 
-    def __init__(
-        self,
-        dimension: int,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-    ):
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if not (len(rows) == len(cols) == len(vals)):
-            raise ValueError("rows, cols, vals must have equal length")
-        if len(rows) and (rows.min() < 0 or cols.max() >= dimension):
-            raise ValueError("entry index out of range")
-        if np.any(rows > cols):
-            raise ValueError("entries must satisfy row <= col")
-        self.dimension = int(dimension)
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self._csr: csr_matrix | None = None
-        self._abs_csr: csr_matrix | None = None
-
-    @classmethod
-    def from_dense(cls, a) -> "SparseSymMatrix":
-        """Store the upper triangle of a dense symmetric array."""
-        a = np.asarray(a, dtype=float)
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValueError("matrix must be square")
-        if not np.array_equal(a, a.T):
+    def __init__(self, csr):
+        csr = csr_matrix(csr)
+        if csr.shape[0] != csr.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {csr.shape}")
+        if (csr != csr.T).nnz:
             raise ValueError("matrix must be symmetric")
-        rows, cols = np.nonzero(np.triu(a))
-        return cls(n, rows, cols, a[rows, cols])
+        self.csr = csr
+
+    @property
+    def dimension(self) -> int:
+        return self.csr.shape[0]
 
     @property
     def nnz(self) -> int:
-        return len(self.vals)
-
-    def _full(self) -> csr_matrix:
-        if self._csr is None:
-            off = self.rows != self.cols
-            r = np.concatenate([self.rows, self.cols[off]])
-            c = np.concatenate([self.cols, self.rows[off]])
-            v = np.concatenate([self.vals, self.vals[off]])
-            self._csr = csr_matrix(
-                (v, (r, c)), shape=(self.dimension, self.dimension)
-            )
-        return self._csr
+        return self.csr.nnz
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product, reflecting the stored triangle."""
+        """Matrix-vector product."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(
                 f"vector length {x.shape} does not match dimension {self.dimension}"
             )
-        return self._full() @ x
+        return self.csr @ x
 
     def diagonal(self) -> np.ndarray:
-        d = np.zeros(self.dimension)
-        on = self.rows == self.cols
-        d[self.rows[on]] = self.vals[on]
-        return d
+        return self.csr.diagonal()
 
     def quad_form(self, x: np.ndarray) -> float:
         """x . (A x)."""
@@ -111,31 +76,15 @@ class SparseSymMatrix:
 
     def abs_quad_form(self, x: np.ndarray) -> float:
         """|x| . (|A| |x|): the roundoff scale of quad_form."""
-        if self._abs_csr is None:
-            full = self._full()
-            self._abs_csr = csr_matrix(
-                (np.abs(full.data), full.indices, full.indptr),
-                shape=full.shape,
-            )
         ax = np.abs(np.asarray(x, dtype=float))
-        return float(np.dot(ax, self._abs_csr @ ax))
+        return float(np.dot(ax, abs(self.csr) @ ax))
 
     def restrict(self, indices: np.ndarray) -> "SparseSymMatrix":
         """Principal submatrix on the given (sorted) global indices."""
-        indices = np.asarray(indices, dtype=np.int64)
-        pos_r = np.searchsorted(indices, self.rows)
-        pos_c = np.searchsorted(indices, self.cols)
-        pos_r_c = np.minimum(pos_r, len(indices) - 1) if len(indices) else pos_r
-        pos_c_c = np.minimum(pos_c, len(indices) - 1) if len(indices) else pos_c
-        keep = np.zeros(self.nnz, dtype=bool)
-        if len(indices):
-            keep = (indices[pos_r_c] == self.rows) & (indices[pos_c_c] == self.cols)
-        return SparseSymMatrix(
-            len(indices), pos_r_c[keep], pos_c_c[keep], self.vals[keep].copy()
-        )
+        return SparseSymMatrix(self.csr[indices][:, indices])
 
     def toarray(self) -> np.ndarray:
-        return self._full().toarray()
+        return self.csr.toarray()
 
 
 # Local index pairs (a, b), a <= b, of the six stored entries of a
@@ -175,23 +124,34 @@ def local_mass(coords: np.ndarray) -> np.ndarray:
 
 
 def _accumulate(mesh: Mesh, upper: np.ndarray) -> SparseSymMatrix:
-    """Sum (T, 6) upper local entries into global storage, triangle order.
+    """Sum (T, 6) upper local entries into one symmetric CSR, triangle order.
 
-    np.bincount adds its weights one at a time in input order, so each
-    global entry is the triangle-order sum of its contributions and a
-    reassembly is bit-identical.
+    The stable sort keeps the contributions to each entry in triangle
+    order and np.bincount adds its weights one at a time in input order,
+    so each entry is the triangle-order sum and a reassembly is
+    bit-identical.  The strict upper part is then mirrored, and exact
+    zeros (the stiffness across every cell diagonal) are dropped.
     """
     n = mesh.node_count
     gi, gj = mesh.triangles[:, _UPPER[0]], mesh.triangles[:, _UPPER[1]]
     keys = (np.minimum(gi, gj) * n + np.maximum(gi, gj)).ravel()
+    del gi, gj
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    first = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first) - 1
-    unique = sorted_keys[first]
-    vals = np.bincount(inverse, weights=upper.ravel(), minlength=len(unique))
-    return SparseSymMatrix(n, unique // n, unique % n, vals)
+    keys = keys[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    vals = np.bincount(np.cumsum(first) - 1, weights=upper.ravel()[order])
+    rows, cols = (k.astype(np.int32) for k in np.divmod(keys[first], n))
+    del keys, order, first  # free the sort before the CSR is built
+    off = rows != cols
+    full = coo_matrix(
+        (
+            np.concatenate([vals, vals[off]]),
+            (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])),
+        ),
+        shape=(n, n),
+    ).tocsr()
+    full.eliminate_zeros()
+    return SparseSymMatrix(full)
 
 
 def assemble_stiffness(mesh: Mesh) -> SparseSymMatrix:

@@ -11,13 +11,14 @@ unconstrained quadratic problem on the interior degrees of freedom:
 J(w + g) = E(w) + J(g) with
 
     E(w) = 0.5 * w . (A_int w) - lam . w,
-    lam = (load(f) - A g) restricted to the interior,
+    lam = (load(f) - A g) restricted to the interior.
 
-so the minimizer is the representer of lam in the gradient inner
-product and the whole pipeline reduces to one SPD solve.  The extension
-enters only through its boundary values: changing g inside the domain
-changes lam and the shift J(g) but not the reconstructed u, which is
-what quotient_solve demonstrates by always extending with zeros.
+J and E are one expression, riesz.energy, on two spaces.  The minimizer
+is the representer of lam in the gradient inner product, so the whole
+pipeline reduces to one SPD solve.  The extension enters only through
+its boundary values: changing g inside the domain changes lam and the
+shift J(g) but not the reconstructed u, which is what quotient_solve
+demonstrates by always extending with zeros.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 
 from .assembly import (
     InteriorSystem,
-    SparseSymMatrix,
     assemble_load,
     extend_by_zero,
     norm_grad,
@@ -38,7 +38,7 @@ from .assembly import (
     restrict_interior,
 )
 from .linsolve import SolverSettings, cg_solve
-from .riesz import energy as reduced_energy
+from .riesz import energy
 
 if TYPE_CHECKING:
     from .analysis import PoincareEstimate
@@ -86,11 +86,6 @@ def build_functional(
 ) -> np.ndarray:
     """Interior coefficients of the reduced problem: (load - A g)_interior."""
     return restrict_interior(system.mesh, load - system.A.apply(g))
-
-
-def objective(A: SparseSymMatrix, load: np.ndarray, u: np.ndarray) -> float:
-    """Dirichlet energy 0.5 u . (A u) - load . u of a full field."""
-    return 0.5 * A.quad_form(u) - float(np.dot(load, u))
 
 
 def weak_residual(
@@ -149,8 +144,8 @@ def solve(
         g_field=g_field.copy(),
         iterations=result.iterations,
         solver_residual=result.residual,
-        energy_value=objective(A, load, u),
-        reduced_energy=reduced_energy(system.A_int, lam, result.x),
+        energy_value=energy(A, load, u),
+        reduced_energy=energy(system.A_int, lam, result.x),
         weak_residual=weak_residual(system, u, load),
         norms=(norm_l2(M, u), norm_grad(A, u), norm_w12(A, M, u)),
         poincare_a=poincare.a,

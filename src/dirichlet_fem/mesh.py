@@ -15,13 +15,14 @@ only use the ordering of ``interior_indices``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-# A CLI solve peaks near 1.2 KB per node (256^2, 512^2) and verify near
-# 2.5 KB (64^2 to 256^2), so at this cap either stays under 4 GB.
+# A CLI solve peaks near 0.9 KB per node (256^2, 512^2) and verify near
+# 1.9 KB (128^2, 256^2), so at this cap either stays under 4 GB.
 MAX_NODES = 1_500_000
 
 
@@ -86,8 +87,10 @@ def build_rect_mesh(
     The rectangle must pass check_domain.  Requires nx >= 2 and ny >= 2
     so the triangulation has at least one interior node; a coarser grid
     has no interior degrees of freedom and cannot carry a boundary-value
-    problem.  Grids with more than MAX_NODES nodes are refused before
-    anything is allocated.
+    problem.  Grids with more than MAX_NODES nodes, or whose cells have a
+    squared side or an area that is not a finite normal float (the local
+    matrices would overflow or underflow), are refused before anything
+    is allocated.
     """
     check_domain(x0, y0, x1, y1)
     if nx < 2 or ny < 2:
@@ -99,6 +102,12 @@ def build_rect_mesh(
     if count > MAX_NODES:
         raise ValueError(
             f"grid {nx}x{ny} has {count} nodes, over the cap of {MAX_NODES}"
+        )
+    w, h = (x1 - x0) / nx, (y1 - y0) / ny
+    if not all(sys.float_info.min <= q < math.inf for q in (w * w, h * h, w * h)):
+        raise ValueError(
+            f"grid {nx}x{ny} gives cells of {w} x {h}, whose squared sides "
+            "or area overflow or underflow a float"
         )
 
     xs = np.linspace(x0, x1, nx + 1)

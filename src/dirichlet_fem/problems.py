@@ -18,7 +18,9 @@ per node in global node order; values use %.17g so every one reads
 back bit-identically.
 
 A grid may have at most mesh.MAX_NODES (1,500,000) nodes; a file asking
-for more is refused as malformed before any array is allocated.  An
+for more, or for cells whose squared sides or area overflow or
+underflow a float, is refused as malformed before any array is
+allocated.  An
 expression may nest at most expr.MAX_DEPTH (100) levels deep; a deeper
 one is refused as malformed, naming its line.
 """

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import SparseSymMatrix, norm_grad
+from .assembly import SparseSymMatrix
 from .linsolve import SolverSettings, cg_solve
 
 
@@ -32,15 +32,6 @@ def riesz_represent(
 ) -> np.ndarray:
     """The vector p with (A p) . v = lam . v for every v."""
     return cg_solve(A, lam, settings).x
-
-
-def dual_norm(
-    A: SparseSymMatrix,
-    lam: np.ndarray,
-    settings: SolverSettings = SolverSettings(),
-) -> float:
-    """Operator norm of the functional: the A-norm of its representer."""
-    return norm_grad(A, riesz_represent(A, lam, settings))
 
 
 def energy(A: SparseSymMatrix, lam: np.ndarray, x: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.sparse import csr_matrix
 
 from dirichlet_fem import (
     InteriorSystem,
@@ -155,7 +156,8 @@ def test_interior_positive_definite(unit8):
 
 def test_assembly_is_the_triangle_order_sum_of_local_matrices(skewed6x5):
     # reference: add each triangle's upper local entries into a dict, in
-    # triangle order; the assembly must match it bit for bit
+    # triangle order; both triangles of the assembly must match it bit
+    # for bit
     mesh, A, M = skewed6x5.mesh, skewed6x5.A, skewed6x5.M
     for assembled, local in ((A, local_stiffness), (M, local_mass)):
         acc = {}
@@ -165,10 +167,10 @@ def test_assembly_is_the_triangle_order_sum_of_local_matrices(skewed6x5):
                 for b in range(a, 3):
                     key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
                     acc[key] = acc.get(key, 0.0) + float(loc[a, b])
-        keys = sorted(acc)
-        assert assembled.rows.tolist() == [k[0] for k in keys]
-        assert assembled.cols.tolist() == [k[1] for k in keys]
-        assert np.array_equal(assembled.vals, [acc[k] for k in keys])
+        want = np.zeros((mesh.node_count, mesh.node_count))
+        for (i, j), value in acc.items():
+            want[i, j] = want[j, i] = value
+        assert assembled.toarray().tobytes() == want.tobytes()
 
 
 def test_assembly_deterministic(unit8):
@@ -176,9 +178,8 @@ def test_assembly_deterministic(unit8):
     A2 = assemble_stiffness(mesh)
     M2 = assemble_mass(mesh)
     for first, second in ((A, A2), (M, M2)):
-        assert np.array_equal(first.rows, second.rows)
-        assert np.array_equal(first.cols, second.cols)
-        assert np.array_equal(first.vals, second.vals)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(first.csr, part), getattr(second.csr, part))
 
 
 def test_load_constant_source():
@@ -260,7 +261,7 @@ def test_norm_grad_of_constant_is_roundoff(unit4):
 
 
 def test_form_sqrt_rejects_negative_forms():
-    m = SparseSymMatrix.from_dense(-np.eye(3))
+    m = SparseSymMatrix(csr_matrix(-np.eye(3)))
     with pytest.raises(ValueError, match="negative"):
         norm_l2(m, np.ones(3))
 
@@ -271,7 +272,7 @@ def test_sparse_matches_dense_oracle():
     a = a + a.T
     a[np.abs(a) < 0.8] = 0.0  # keep it genuinely sparse
     a = (a + a.T) / 2.0
-    m = SparseSymMatrix.from_dense(a)
+    m = SparseSymMatrix(csr_matrix(a))
 
     x = rng.standard_normal(12)
     assert np.allclose(m.apply(x), a @ x, rtol=1e-15, atol=1e-15)
@@ -281,25 +282,22 @@ def test_sparse_matches_dense_oracle():
     )
     assert np.array_equal(m.diagonal(), np.diag(a))
     assert np.array_equal(m.toarray(), a)
-    # each unordered pair is stored once, in the upper triangle
-    stored = dict(zip(zip(m.rows.tolist(), m.cols.tolist()), m.vals.tolist()))
+    # both triangles are stored, nonzeros only
+    assert m.nnz == np.count_nonzero(a)
     for i, j in ((0, 0), (3, 7), (7, 3), (11, 2)):
-        assert stored.get((min(i, j), max(i, j)), 0.0) == a[i, j]
+        assert m.csr[i, j] == m.csr[j, i] == a[i, j]
 
     keep = np.array([1, 4, 5, 9])
     assert np.array_equal(m.restrict(keep).toarray(), a[np.ix_(keep, keep)])
 
 
-def test_from_dense_validation():
+def test_constructor_refuses_asymmetric_and_non_square():
     with pytest.raises(ValueError, match="symmetric"):
-        SparseSymMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        SparseSymMatrix(csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
+    with pytest.raises(ValueError, match="symmetric"):  # off by one ulp
+        SparseSymMatrix(csr_matrix([[1.0, 0.1], [np.nextafter(0.1, 1.0), 1.0]]))
     with pytest.raises(ValueError, match="square"):
-        SparseSymMatrix.from_dense(np.ones((2, 3)))
-
-
-def test_canonical_storage_validation():
-    with pytest.raises(ValueError, match="row <= col"):
-        SparseSymMatrix(2, [1], [0], [1.0])
+        SparseSymMatrix(csr_matrix(np.ones((2, 3))))
 
 
 def test_restrict_extend_round_trip(unit4):
@@ -323,7 +321,11 @@ def test_interior_system_holds_the_interior_blocks(skewed6x5):
     # a reassembly gives the same bits
     again = assemble_system(mesh)
     for name in ("A", "M", "A_int", "M_int"):
-        assert np.array_equal(getattr(again, name).vals, getattr(skewed6x5, name).vals)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(
+                getattr(getattr(again, name).csr, part),
+                getattr(getattr(skewed6x5, name).csr, part),
+            )
 
 
 def test_interior_system_rejects_matrices_of_another_mesh(unit4, unit8):

@@ -180,6 +180,16 @@ def test_convergence_writes_csv(tmp_path):
             "line 1: domain: rectangle corners and extents must be finite",
         ),
         (BASE + "f = 1\ng = 0\nseed = -1\n", 1, "line 5: seed: must be non-negative"),
+        (
+            "domain = 0 0 1e200 1e200\ngrid = 4 4\nf = 1\ng = 0\n",
+            1,
+            "grid 4x4 gives cells of 2.5e+199 x 2.5e+199, whose squared sides",
+        ),
+        (
+            "domain = 0 0 1e-200 1e-200\ngrid = 4 4\nf = 1\ng = 0\n",
+            1,
+            "grid 4x4 gives cells of 2.5e-201 x 2.5e-201, whose squared sides",
+        ),
     ],
 )
 def test_error_exit_codes(tmp_path, content, code, fragment):
@@ -187,6 +197,7 @@ def test_error_exit_codes(tmp_path, content, code, fragment):
     proc = run_cli("solve", "--spec", spec)
     assert proc.returncode == code
     assert fragment in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,11 @@ from dirichlet_fem import (
     SolverSettings,
     assemble_load,
     build_functional,
+    energy,
     extend,
     extend_by_zero,
     nodal_values,
     norm_w12,
-    objective,
     p1_interpolant,
     quotient_solve,
     solve,
@@ -58,10 +58,10 @@ def test_report_fields_are_consistent(unit16):
 
     load = assemble_load(mesh, data.f)
     assert report.energy_value == pytest.approx(
-        objective(A, load, report.u), rel=1e-12
+        energy(A, load, report.u), rel=1e-12
     )
     # shifting by the extension leaves exactly the reduced energy
-    assert report.energy_value - objective(A, load, g) == pytest.approx(
+    assert report.energy_value - energy(A, load, g) == pytest.approx(
         report.reduced_energy, rel=1e-10
     )
     assert report.reduced_energy <= 0.0
@@ -84,13 +84,13 @@ def test_energy_minimality_among_admissible_fields(unit8):
     f = p1_interpolant(mesh, rng.standard_normal(mesh.node_count))
     report = solve(unit8, ProblemData(f=f, g=g))
     load = assemble_load(mesh, f)
-    base = objective(A, load, report.u)
+    base = energy(A, load, report.u)
     for _ in range(100):
         d = rng.standard_normal(mesh.interior_count)
         d /= np.linalg.norm(d)
         for eps in (0.1, -0.1, 0.01, -0.01):
             trial = report.u + eps * extend_by_zero(mesh, d)
-            assert objective(A, load, trial) >= base
+            assert energy(A, load, trial) >= base
 
 
 def test_shift_identity(unit8):
@@ -104,7 +104,7 @@ def test_shift_identity(unit8):
     for _ in range(20):
         v = rng.standard_normal(mesh.interior_count)
         ext = extend_by_zero(mesh, v)
-        got = objective(A, load, ext + g) - objective(A, load, g)
+        got = energy(A, load, ext + g) - energy(A, load, g)
         want = 0.5 * A.quad_form(ext) - float(lam @ v)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from dirichlet_fem import (
     CGResult,
@@ -19,7 +20,7 @@ def spd(rng: np.random.Generator, n: int, cond: float = 10.0) -> np.ndarray:
 
 
 def as_sparse(a: np.ndarray) -> SparseSymMatrix:
-    return SparseSymMatrix.from_dense((a + a.T) / 2.0)
+    return SparseSymMatrix(csr_matrix((a + a.T) / 2.0))
 
 
 def test_two_by_two_hand_oracle():

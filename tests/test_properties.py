@@ -1,10 +1,14 @@
-"""Property-based tests: expression round trips, problem-file parsing, CSV.
+"""Property-based tests: expression round trips, problem-file parsing, CSV,
+and the exit codes of the command line.
 
 Examples are derandomized and not stored, so every run draws the same
 cases; the counts keep the file to a few seconds.
 """
 
+import contextlib
 import io
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 
 from dirichlet_fem import (
     ProblemFormatError,
+    cli,
     build_rect_mesh,
     parse,
     parse_problem,
@@ -95,3 +100,76 @@ def test_field_csv_round_trip_is_bit_exact(data):
     buf.seek(0)
     back = read_field_csv(buf)[:, 3]
     assert back.tobytes() == u.tobytes()
+
+
+# A valid file on a grid of at most 6x6 with one value replaced, or any
+# text; flags that argparse accepts, with values the commands may refuse.
+CLI_VALID = {**VALID, "u_exact": "x*y"}
+cli_edit = st.one_of(
+    st.tuples(
+        st.sampled_from(["f", "g", "u_exact"]),
+        st.one_of(expressions, st.sampled_from(["1/(x-0.5)", "log(x-1)", "exp(1000*y)"])),
+    ),
+    st.tuples(
+        st.just("grid"),
+        st.one_of(
+            st.tuples(st.integers(-1, 6), st.integers(-1, 6)).map("{0[0]} {0[1]}".format),
+            st.sampled_from(["4", "4 4 4", "a b", "2.5 3", "1e400 2", "1" + "0" * 400 + " 2"]),
+        ),
+    ),
+    st.tuples(
+        st.just("domain"),
+        st.sampled_from([
+            "-1 2 3 4.5", "0 0 1e200 1e200", "0 0 1e-200 1e-200", "0 0 inf 1",
+            "1 1 0 0", "0 0 1", "nan 0 1 1", "0 0 1e-150 1e-150", "0 0 1e154 1e154",
+        ]),
+    ),
+    st.tuples(st.just("tol"), st.sampled_from(["0.5", "1e-300", "0", "1", "nan", "t"])),
+    st.tuples(st.just("max_iter"), st.sampled_from(["1", "3", "0", "-2", "2.5"])),
+    st.tuples(st.just("seed"), st.sampled_from(["0", "7", "-1", "9" * 20, "s"])),
+    st.tuples(st.just("mode"), st.sampled_from(["border", "extension", "magic"])),
+)
+cli_files = st.one_of(
+    st.text(max_size=40),
+    cli_edit.map(lambda e: "\n".join(f"{k} = {v}" for k, v in {**CLI_VALID, e[0]: e[1]}.items())),
+)
+out_flags = st.sampled_from([[], ["--out", "{tmp}/field.csv"], ["--out", "{tmp}/absent/field.csv"]])
+cli_argv = st.one_of(
+    out_flags.map(lambda out: ["solve", *out]),
+    st.sampled_from([[], ["--seed", "0"], ["--seed", "3"], ["--seed", "-1"]]).map(
+        lambda seed: ["verify", *seed]
+    ),
+    st.just(["poincare"]),
+    st.tuples(st.integers(-1, 2), out_flags).map(
+        lambda lv: ["convergence", "--levels", str(lv[0]), *lv[1]]
+    ),
+)
+
+
+def run_main(argv, spec):
+    """cli.main's exit code on spec text (None: no file), output captured."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.txt")
+        if spec is not None:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(spec)
+        argv = [argv[0], "--spec", path, *(a.format(tmp=tmp) for a in argv[1:])]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(argv)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(cli_argv, cli_files)
+def test_cli_exit_codes_follow_the_docstring(argv, spec):
+    code = run_main(argv, spec)
+    assert code in (0, 1, 2, 3)
+    try:
+        parse_problem(spec)
+    except ProblemFormatError:
+        assert code == 1  # malformed text
+
+
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(cli_argv)
+def test_cli_missing_file_is_io_error(argv):
+    assert run_main(argv, None) == 3
