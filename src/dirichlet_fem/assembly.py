@@ -17,6 +17,12 @@ bit-identical.  Each bracket is held as one scipy CSR in a
 SparseSymMatrix, which checks exact symmetry when it is built.
 assemble_system bundles both brackets with their interior blocks, the
 only restriction to the interior in the package.
+
+The stiffness across the cell diagonals is exactly zero, so A_int is
+the five-point operator (hy/hx) I (x) T_nx + (hx/hy) T_ny (x) I with
+T_n = tridiag(-1, 2, -1), which sine transforms diagonalise (Buzbee,
+Golub & Nielson, SIAM J. Numer. Anal. 1970).  assemble_system gives
+A_int that exact inverse, so cg_solve takes one step on it.
 """
 
 from __future__ import annotations
@@ -40,15 +46,18 @@ class SparseSymMatrix:
     The constructor refuses a matrix that is not square or whose entries
     differ from their transposes by any bit, so every holder of this type
     may rely on exact symmetry.  ``apply`` is the path of every mat-vec.
+    ``inverse``, if given, is a symmetric positive definite approximation
+    r -> A^{-1} r that cg_solve preconditions with.
     """
 
-    def __init__(self, csr):
+    def __init__(self, csr, inverse: Callable | None = None):
         csr = csr_matrix(csr)
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
         if (csr != csr.T).nnz:
             raise ValueError("matrix must be symmetric")
         self.csr = csr
+        self.inverse = inverse
 
     @property
     def dimension(self) -> int:
@@ -79,9 +88,14 @@ class SparseSymMatrix:
         ax = np.abs(np.asarray(x, dtype=float))
         return float(np.dot(ax, abs(self.csr) @ ax))
 
-    def restrict(self, indices: np.ndarray) -> "SparseSymMatrix":
-        """Principal submatrix on the given (sorted) global indices."""
-        return SparseSymMatrix(self.csr[indices][:, indices])
+    def restrict(self, indices: np.ndarray, inverse=None) -> "SparseSymMatrix":
+        """Principal submatrix on the given (sorted) global indices.
+
+        It is exactly symmetric because self is, so it is not checked again.
+        """
+        block = object.__new__(SparseSymMatrix)
+        block.csr, block.inverse = self.csr[indices][:, indices], inverse
+        return block
 
     def toarray(self) -> np.ndarray:
         return self.csr.toarray()
@@ -193,10 +207,47 @@ class InteriorSystem:
             )
 
 
+def _dst1_rows(x: np.ndarray) -> np.ndarray:
+    """DST-I of each row: y_k = sum_n x_n sin(pi k n / (m + 1)), k, n = 1..m.
+
+    The rfft of the odd extension (0, x, 0, -reversed x) is -2i y.
+    numpy.fft is loaded with numpy; importing scipy.fft instead would
+    add about 0.08 s to the start of every process.
+    """
+    rows, m = x.shape
+    ext = np.zeros((rows, 2 * m + 2))
+    ext[:, 1 : m + 1] = x
+    ext[:, m + 2 :] = -x[:, ::-1]
+    return -0.5 * np.fft.rfft(ext).imag[:, 1 : m + 1]
+
+
+def _sine_inverse(mesh: Mesh) -> Callable:
+    """The inverse of the five-point interior stiffness of a rectangle mesh.
+
+    The DST-I S_n of order n - 1 holds the eigenvectors of T_n, with
+    eigenvalues 4 sin^2(i pi / 2n), and S_n S_n = (n / 2) I.  An interior
+    vector is an (ny - 1) x (nx - 1) array, x running fastest.
+    """
+    x0, y0, x1, y1 = mesh.domain
+    nx, ny = mesh.nx, mesh.ny
+    ratio = ((y1 - y0) / ny) / ((x1 - x0) / nx)  # hy / hx
+    mu_x, mu_y = (4.0 * np.sin(np.arange(1, n) * (np.pi / (2 * n))) ** 2
+                  for n in (nx, ny))
+    # indexed (x mode, y mode), the layout between the two transform passes
+    scale = (4.0 / (nx * ny)) / (ratio * mu_x[:, None] + mu_y[None, :] / ratio)
+
+    def inverse(r: np.ndarray) -> np.ndarray:
+        t = _dst1_rows(_dst1_rows(r.reshape(ny - 1, nx - 1)).T) * scale
+        return _dst1_rows(_dst1_rows(t).T).ravel()
+
+    return inverse
+
+
 def assemble_system(mesh: Mesh) -> InteriorSystem:
     """Stiffness, mass and their interior blocks of one mesh."""
     A, M = assemble_stiffness(mesh), assemble_mass(mesh)
-    A_int, M_int = (m.restrict(mesh.interior_indices) for m in (A, M))
+    A_int = A.restrict(mesh.interior_indices, _sine_inverse(mesh))
+    M_int = M.restrict(mesh.interior_indices)
     return InteriorSystem(mesh, A, M, A_int, M_int)
 
 

@@ -47,5 +47,18 @@ def skewed6x5():
     return make_system(-1.0, 2.0, 3.0, 4.5, 6, 5)
 
 
+# Grids whose interior solves the sine-transform inverse must serve:
+# square cells, skewed cells at an offset, a strip, 15:1 cells and the
+# grids with a single interior row.
+SINE_GRIDS = {
+    "unit16": (0.0, 0.0, 1.0, 1.0, 16, 16),
+    "skewed37x23": (-1.0, 2.0, 3.0, 4.5, 37, 23),
+    "strip40x4": (0.0, 0.0, 10.0, 1.0, 40, 4),
+    "unit300x20": (0.0, 0.0, 1.0, 1.0, 300, 20),
+    "unit2x2": (0.0, 0.0, 1.0, 1.0, 2, 2),
+    "unit2x7": (0.0, 0.0, 1.0, 1.0, 2, 7),
+}
+
+
 def random_field(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n)

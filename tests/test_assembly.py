@@ -22,6 +22,7 @@ from dirichlet_fem import (
     restrict_interior,
 )
 from dirichlet_fem.assembly import local_mass, local_stiffness
+from tests.conftest import SINE_GRIDS, make_system
 
 
 def sympy_local(coords):
@@ -326,6 +327,26 @@ def test_interior_system_holds_the_interior_blocks(skewed6x5):
                 getattr(getattr(again, name).csr, part),
                 getattr(getattr(skewed6x5, name).csr, part),
             )
+
+
+def test_interior_blocks_are_exactly_symmetric():
+    # restrict does not re-check: a principal block of an exactly
+    # symmetric matrix must come out exactly symmetric
+    system = make_system(*SINE_GRIDS["skewed37x23"])
+    for block in (system.A_int, system.M_int):
+        assert (block.csr != block.csr.T).nnz == 0
+    assert system.A_int.inverse is not None
+    assert system.M_int.inverse is None
+
+
+@pytest.mark.parametrize("name", sorted(SINE_GRIDS))
+def test_sine_inverse_inverts_the_interior_stiffness(name):
+    system = make_system(*SINE_GRIDS[name])
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        r = rng.standard_normal(system.mesh.interior_count)
+        z = system.A_int.inverse(r)
+        assert np.linalg.norm(system.A_int.apply(z) - r) <= 1e-12 * np.linalg.norm(r)
 
 
 def test_interior_system_rejects_matrices_of_another_mesh(unit4, unit8):

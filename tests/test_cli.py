@@ -236,3 +236,17 @@ def test_convergence_rejects_bad_levels(tmp_path):
     spec = write(tmp_path, "p.txt", BASE + "f = 1\ng = 0\nu_exact = 0\n")
     proc = run_cli("convergence", "--spec", spec, "--levels", "0")
     assert proc.returncode == 1
+
+
+def test_cli_import_loads_no_fft_or_sparse_solver():
+    # each would add about 0.08 s to the start of every process; the
+    # sine transforms use numpy.fft, which numpy has already loaded
+    code = (
+        "import sys, dirichlet_fem.cli; "
+        "print([m for m in ('scipy.fft', 'scipy.sparse.linalg') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,8 +1,10 @@
-"""Preconditioned conjugate gradients on small dense oracles."""
+"""Preconditioned conjugate gradients on small dense oracles and on the
+interior systems, whose sine-transform inverse makes each solve one step."""
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import spsolve
 
 from dirichlet_fem import (
     CGResult,
@@ -11,6 +13,7 @@ from dirichlet_fem import (
     SparseSymMatrix,
     cg_solve,
 )
+from tests.conftest import SINE_GRIDS, make_system
 
 
 def spd(rng: np.random.Generator, n: int, cond: float = 10.0) -> np.ndarray:
@@ -120,3 +123,53 @@ def test_default_cap_is_ten_n():
     a = as_sparse(np.array([[4.0, 1.0], [1.0, 3.0]]))
     result = cg_solve(a, np.array([1.0, 2.0]), SolverSettings(rel_tolerance=1e-15))
     assert result.iterations <= 20
+
+
+@pytest.mark.parametrize("name", sorted(SINE_GRIDS))
+def test_interior_solves_take_one_step(name):
+    system = make_system(*SINE_GRIDS[name])
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal(system.mesh.interior_count)
+    result = cg_solve(system.A_int, b)
+    assert (result.iterations, result.restarts) == (1, 0)
+    tight = cg_solve(system.A_int, b, SolverSettings(rel_tolerance=1e-12))
+    assert tight.iterations <= 2
+    want = spsolve(system.A_int.csr.tocsc(), b)
+    assert np.linalg.norm(tight.x - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_wrong_inverse_still_meets_the_tolerance():
+    # correctness never rests on the preconditioner: a mismatched one
+    # costs iterations, and the answer is still judged on A x - b
+    system = make_system(*SINE_GRIDS["skewed37x23"])
+    csr = system.A_int.csr
+    stretched = make_system(-1.0, 2.0, 3.4, 4.5, 37, 23).A_int.inverse
+    b = system.M_int.apply(np.ones(system.mesh.interior_count))
+    want = spsolve(csr.tocsc(), b)
+    for inverse in (lambda r: 3.0 * r, stretched):
+        result = cg_solve(SparseSymMatrix(csr, inverse), b)
+        assert result.iterations > 1
+        assert np.linalg.norm(csr @ result.x - b) <= 1e-10 * np.linalg.norm(b)
+        assert result.residual == pytest.approx(np.linalg.norm(csr @ result.x - b))
+        assert np.allclose(result.x, want, rtol=1e-8)
+
+
+def test_indefinite_preconditioner_raises():
+    flip = np.array([1.0, -1.0])
+    a = SparseSymMatrix(csr_matrix(np.diag([2.0, 3.0])), inverse=lambda r: flip * r)
+    with pytest.raises(ConvergenceError, match="preconditioner is not positive"):
+        cg_solve(a, np.array([1.0, 2.0]))
+
+
+def test_no_inverse_is_plain_cg():
+    # the same interior stiffness without its inverse takes the plain-CG
+    # path and its pinned iteration count
+    system = make_system(*SINE_GRIDS["skewed37x23"])
+    b = system.M_int.apply(np.ones(system.mesh.interior_count))
+    plain = SparseSymMatrix(system.A_int.csr)
+    result = cg_solve(plain, b)
+    assert (result.iterations, result.restarts) == (81, 0)
+    assert cg_solve(system.A_int, b).iterations == 1
+    # near the roundoff floor plain CG's recursive residual runs ahead
+    # of the true one; the restarts that costs are counted
+    assert cg_solve(plain, b, SolverSettings(rel_tolerance=1e-14)).restarts > 0
