@@ -11,12 +11,15 @@ and the mass matrix M the square-sum bracket
 for the piecewise-linear nodal basis {phi_i}.  Both are assembled from
 closed-form local matrices (P1 gradients are constant per triangle), so
 the only quadrature in the package is the degree-2 edge-midpoint rule
-used for load vectors.  Entries are accumulated in triangle-index order
-with np.bincount, which makes repeated assemblies of the same mesh
-bit-identical.  Each bracket is held as one scipy CSR in a
-SparseSymMatrix, which checks exact symmetry when it is built.
-assemble_system bundles both brackets with their interior blocks, the
-only restriction to the interior in the package.
+used for load vectors.  A bracket is banded: each upper entry (i, j) is
+binned by its band j - i and its lower node i, and one np.bincount sums
+every bin in triangle-index order, so repeated assemblies of the same
+mesh are bit-identical (banded storage: Saad, Iterative Methods for
+Sparse Linear Systems, 2nd ed., section 3.4).  Each bracket is held as
+one scipy CSR in a SparseSymMatrix, which checks exact symmetry when it
+is built and compares exactly with ==; no other module reads its
+storage.  assemble_system bundles both brackets with their interior
+blocks, the only restriction to the interior in the package.
 
 The stiffness across the cell diagonals is exactly zero, so A_int is
 the five-point operator (hy/hx) I (x) T_nx + (hx/hy) T_ny (x) I with
@@ -31,9 +34,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix, diags
 
-from .mesh import Mesh
+from .mesh import Mesh, _as_field
 
 # Form sum below this multiple of the accumulated roundoff scale is
 # treated as zero; anything more negative means broken assembly.
@@ -100,6 +103,19 @@ class SparseSymMatrix:
     def toarray(self) -> np.ndarray:
         return self.csr.toarray()
 
+    def __eq__(self, other) -> bool:
+        """Exact comparison: the same stored pattern and the same entries.
+
+        The inverse is not compared; two assemblies of one mesh are equal.
+        """
+        if not isinstance(other, SparseSymMatrix):
+            return NotImplemented
+        a, b = self.csr, other.csr
+        pairs = zip((a.indptr, a.indices, a.data), (b.indptr, b.indices, b.data))
+        return a.shape == b.shape and all(
+            x.dtype == y.dtype and np.array_equal(x, y) for x, y in pairs
+        )
+
 
 # Local index pairs (a, b), a <= b, of the six stored entries of a
 # symmetric 3x3 local matrix, in row-major order.
@@ -121,49 +137,38 @@ def _geometry(p: np.ndarray):
     return b, c, area
 
 
-def local_stiffness(coords: np.ndarray) -> np.ndarray:
-    """Exact 3x3 gradient-bracket matrix of one triangle.
-
-    For vertices P0, P1, P2 the barycentric gradients are constant, so
-    K[i, j] = area * grad(lam_i) . grad(lam_j) in closed form.  The
-    entries are bit-identical to those assemble_stiffness sums.
-    """
-    b, c, area = _geometry(np.asarray(coords, dtype=float))
-    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-
-
-def local_mass(coords: np.ndarray) -> np.ndarray:
-    """Exact 3x3 square-sum-bracket matrix of one triangle: (area/12) * (1 + I)."""
-    return _geometry(np.asarray(coords, dtype=float))[2] * _MASS_PATTERN
-
-
 def _accumulate(mesh: Mesh, upper: np.ndarray) -> SparseSymMatrix:
     """Sum (T, 6) upper local entries into one symmetric CSR, triangle order.
 
-    The stable sort keeps the contributions to each entry in triangle
-    order and np.bincount adds its weights one at a time in input order,
-    so each entry is the triangle-order sum and a reassembly is
-    bit-identical.  The strict upper part is then mirrored, and exact
-    zeros (the stiffness across every cell diagonal) are dropped.
+    Entry (i, j), i <= j, is binned by (band of j - i, i), where the
+    bands are the offsets that occur, so no mesh layout is assumed.  The
+    six bins of a triangle are distinct and np.bincount adds its weights
+    one at a time in input order, so each entry is the triangle-order
+    sum and a reassembly is bit-identical.  diags mirrors the bands; the
+    exact zeros (the stiffness across every cell diagonal) are dropped.
     """
     n = mesh.node_count
-    gi, gj = mesh.triangles[:, _UPPER[0]], mesh.triangles[:, _UPPER[1]]
-    keys = (np.minimum(gi, gj) * n + np.maximum(gi, gj)).ravel()
+    # np.take keeps (T, 6) C-ordered, so the ravels below copy nothing
+    gi, gj = (np.take(mesh.triangles, k, axis=1) for k in _UPPER)
+    lo = np.minimum(gi, gj)
+    offset = np.abs(np.subtract(gj, gi, out=gj), out=gj)  # gj's buffer: lower peak
     del gi, gj
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    vals = np.bincount(np.cumsum(first) - 1, weights=upper.ravel()[order])
-    rows, cols = (k.astype(np.int32) for k in np.divmod(keys[first], n))
-    del keys, order, first  # free the sort before the CSR is built
-    off = rows != cols
-    full = coo_matrix(
-        (
-            np.concatenate([vals, vals[off]]),
-            (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])),
-        ),
+    present = np.bincount(offset.ravel()) > 0
+    key = (np.cumsum(present) - 1)[offset] * n + lo
+    del lo, offset
+    bands = np.bincount(
+        key.ravel(), weights=upper.ravel(), minlength=n * np.count_nonzero(present)
+    ).reshape(-1, n)
+    del key
+    # offset 0 (the diagonal) is always the first band
+    offsets = np.flatnonzero(present)
+    upper_bands = [band[: n - k] for band, k in zip(bands, offsets)]
+    full = diags(
+        upper_bands + upper_bands[1:],
+        np.concatenate([offsets, -offsets[1:]]),
         shape=(n, n),
-    ).tocsr()
+        format="csr",
+    )
     full.eliminate_zeros()
     return SparseSymMatrix(full)
 
@@ -309,22 +314,13 @@ def norm_w12(A: SparseSymMatrix, M: SparseSymMatrix, u: np.ndarray) -> float:
 
 def restrict_interior(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Drop boundary components, keeping interior nodes in global order."""
-    u = np.asarray(u, dtype=float)
-    if len(u) != mesh.node_count:
-        raise ValueError(
-            f"field length {len(u)} does not match node count {mesh.node_count}"
-        )
-    return u[mesh.interior_indices].copy()
+    return _as_field(u, mesh.node_count)[mesh.interior_indices]
 
 
 def extend_by_zero(mesh: Mesh, v: np.ndarray) -> np.ndarray:
     """Embed an interior vector as a field vanishing on every boundary node."""
-    v = np.asarray(v, dtype=float)
-    if len(v) != mesh.interior_count:
-        raise ValueError(
-            f"interior field length {len(v)} does not match "
-            f"interior count {mesh.interior_count}"
-        )
     out = np.zeros(mesh.node_count)
-    out[mesh.interior_indices] = v
+    out[mesh.interior_indices] = _as_field(
+        v, mesh.interior_count, "interior node count"
+    )
     return out

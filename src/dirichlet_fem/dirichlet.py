@@ -38,11 +38,11 @@ from .assembly import (
     restrict_interior,
 )
 from .linsolve import SolverSettings, cg_solve
+from .mesh import Mesh, _as_field
 from .riesz import energy
 
 if TYPE_CHECKING:
     from .analysis import PoincareEstimate
-    from .mesh import Mesh
 
 # f(x, y) on coordinate arrays: an array of their shape, or a scalar.
 Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -122,12 +122,7 @@ def solve(
     from .analysis import check_stability, estimate_poincare
 
     mesh, A, M = system.mesh, system.A, system.M
-    g_field = np.asarray(data.g, dtype=float)
-    if g_field.shape != (mesh.node_count,):
-        raise ValueError(
-            f"extension shape {g_field.shape} does not match node count "
-            f"{mesh.node_count}"
-        )
+    g_field = _as_field(data.g, mesh.node_count)
     load = assemble_load(mesh, data.f)
     lam = build_functional(system, load, g_field)
     result = cg_solve(system.A_int, lam, settings)
@@ -154,32 +149,21 @@ def solve(
     )
 
 
-def trace(mesh: "Mesh", u: np.ndarray) -> np.ndarray:
+def trace(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Boundary node values of a full field, in global index order."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (mesh.node_count,):
-        raise ValueError(
-            f"field shape {u.shape} does not match node count {mesh.node_count}"
-        )
-    return u[mesh.boundary_indices].copy()
+    return _as_field(u, mesh.node_count)[mesh.boundary_indices]
 
 
-def extend(mesh: "Mesh", boundary_values: np.ndarray) -> np.ndarray:
+def extend(mesh: Mesh, boundary_values: np.ndarray) -> np.ndarray:
     """Full field carrying the given boundary values and zeros inside.
 
     The canonical right inverse of trace: trace(extend(b)) == b exactly,
     and extend picks one representative of each class of fields sharing
     boundary values.
     """
-    boundary_values = np.asarray(boundary_values, dtype=float)
     nb = mesh.node_count - mesh.interior_count
-    if boundary_values.shape != (nb,):
-        raise ValueError(
-            f"boundary data shape {boundary_values.shape} does not match "
-            f"boundary node count {nb}"
-        )
     out = np.zeros(mesh.node_count)
-    out[mesh.boundary_indices] = boundary_values
+    out[mesh.boundary_indices] = _as_field(boundary_values, nb, "boundary node count")
     return out
 
 

@@ -32,7 +32,7 @@ class Mesh:
 
     Attributes:
         nodes: (node_count, 2) coordinates.
-        triangles: (triangle_count, 3) node indices, counterclockwise.
+        triangles: (2 * nx * ny, 3) node indices, counterclockwise.
         boundary_mask: per-node flag, True on the rectangle border.
         interior_indices: global indices of interior nodes, increasing.
         domain: (x0, y0, x1, y1) rectangle bounds.
@@ -52,10 +52,6 @@ class Mesh:
         return self.nodes.shape[0]
 
     @property
-    def triangle_count(self) -> int:
-        return self.triangles.shape[0]
-
-    @property
     def interior_count(self) -> int:
         return self.interior_indices.shape[0]
 
@@ -63,6 +59,14 @@ class Mesh:
     def boundary_indices(self) -> np.ndarray:
         """Global indices of boundary nodes, increasing."""
         return np.nonzero(self.boundary_mask)[0]
+
+
+def _as_field(values, count: int, what: str = "node count") -> np.ndarray:
+    """values as a float array of shape (count,), else ValueError."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (count,):
+        raise ValueError(f"field shape {arr.shape} does not match {what} {count}")
+    return arr
 
 
 def check_domain(x0: float, y0: float, x1: float, y1: float) -> None:
@@ -154,10 +158,7 @@ def eval_p1(mesh: Mesh, values: np.ndarray, x, y):
     finite, ValueError names the first in row-major order.  Values on
     cell edges are continuous, so the cell choice there does not matter.
     """
-    if len(values) != mesh.node_count:
-        raise ValueError(
-            f"field length {len(values)} does not match node count {mesh.node_count}"
-        )
+    values = _as_field(values, mesh.node_count)
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     x0, y0, x1, y1 = mesh.domain
     bx, by = 1e-12 * (abs(x0) + abs(x1)), 1e-12 * (abs(y0) + abs(y1))
@@ -186,11 +187,7 @@ def eval_p1(mesh: Mesh, values: np.ndarray, x, y):
 
 def p1_interpolant(mesh: Mesh, values: np.ndarray) -> Callable:
     """Wrap nodal values as a callable piecewise-linear function of (x, y)."""
-    frozen = np.asarray(values, dtype=float).copy()
-    if len(frozen) != mesh.node_count:
-        raise ValueError(
-            f"field length {len(frozen)} does not match node count {mesh.node_count}"
-        )
+    frozen = _as_field(values, mesh.node_count).copy()
 
     def fn(x, y):
         return eval_p1(mesh, frozen, x, y)

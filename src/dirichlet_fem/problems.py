@@ -35,7 +35,7 @@ import numpy as np
 from .dirichlet import ProblemData
 from .expr import Expr, ParseError, as_function, parse
 from .linsolve import SolverSettings
-from .mesh import Mesh, build_rect_mesh, check_domain, nodal_values
+from .mesh import Mesh, _as_field, build_rect_mesh, check_domain, nodal_values
 
 _VALID_KEYS = (
     "domain",
@@ -216,11 +216,7 @@ _CSV_HEADER = "node_index,x,y,u,is_boundary"
 
 def write_field_csv(stream: IO[str], mesh: Mesh, u: np.ndarray) -> None:
     """Write one row per node in node order; %.17g keeps values bit-exact."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (mesh.node_count,):
-        raise ValueError(
-            f"field shape {u.shape} does not match node count {mesh.node_count}"
-        )
+    u = _as_field(u, mesh.node_count)
     x, y = mesh.nodes.T.tolist()
     flags = mesh.boundary_mask.astype(int).tolist()
     rows = zip(range(mesh.node_count), x, y, u.tolist(), flags)

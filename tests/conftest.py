@@ -8,6 +8,7 @@ import pytest
 
 import dirichlet_fem
 from dirichlet_fem import assemble_system, build_rect_mesh
+from dirichlet_fem.assembly import _geometry
 
 
 def cli_env() -> dict:
@@ -58,6 +59,42 @@ SINE_GRIDS = {
     "unit2x2": (0.0, 0.0, 1.0, 1.0, 2, 2),
     "unit2x7": (0.0, 0.0, 1.0, 1.0, 2, 7),
 }
+
+
+def local_stiffness(coords) -> np.ndarray:
+    """Closed-form 3x3 gradient-bracket matrix of one triangle.
+
+    The barycentric gradients are constant, so K[i, j] = area *
+    grad(lam_i) . grad(lam_j); the operations are those assembly sums.
+    """
+    b, c, area = _geometry(np.asarray(coords, dtype=float))
+    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
+
+
+def local_mass(coords) -> np.ndarray:
+    """Closed-form 3x3 square-sum-bracket matrix of one triangle: (area/12)(1 + I)."""
+    return _geometry(np.asarray(coords, dtype=float))[2] * (
+        (np.ones((3, 3)) + np.eye(3)) / 12.0
+    )
+
+
+def triangle_order_sum(mesh, local) -> np.ndarray:
+    """Dense matrix of a bracket, added up one Python float at a time.
+
+    Each triangle's upper local entries go into a dict in triangle
+    order, then are mirrored: the sum assembly must match bit for bit.
+    """
+    acc = {}
+    for tri in mesh.triangles.tolist():
+        loc = local(mesh.nodes[tri])
+        for a in range(3):
+            for b in range(a, 3):
+                key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
+                acc[key] = acc.get(key, 0.0) + float(loc[a, b])
+    want = np.zeros((mesh.node_count, mesh.node_count))
+    for (i, j), value in acc.items():
+        want[i, j] = want[j, i] = value
+    return want
 
 
 def random_field(rng: np.random.Generator, n: int) -> np.ndarray:

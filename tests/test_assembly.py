@@ -7,6 +7,7 @@ from scipy.sparse import csr_matrix
 
 from dirichlet_fem import (
     InteriorSystem,
+    Mesh,
     SparseSymMatrix,
     assemble_load,
     assemble_mass,
@@ -21,8 +22,13 @@ from dirichlet_fem import (
     p1_interpolant,
     restrict_interior,
 )
-from dirichlet_fem.assembly import local_mass, local_stiffness
-from tests.conftest import SINE_GRIDS, make_system
+from tests.conftest import (
+    SINE_GRIDS,
+    local_mass,
+    local_stiffness,
+    make_system,
+    triangle_order_sum,
+)
 
 
 def sympy_local(coords):
@@ -97,6 +103,19 @@ def test_local_rejects_degenerate_and_clockwise():
             local_stiffness(coords)
         with pytest.raises(ValueError):
             local_mass(coords)
+        # and assembly refuses a mesh holding such a triangle
+        mesh = Mesh(
+            nodes=coords,
+            triangles=np.array([[0, 1, 2]]),
+            boundary_mask=np.ones(3, dtype=bool),
+            interior_indices=np.array([], dtype=int),
+            domain=(0.0, 0.0, 2.0, 1.0),
+            nx=1,
+            ny=1,
+        )
+        for assemble in (assemble_stiffness, assemble_mass):
+            with pytest.raises(ValueError, match="degenerate or clockwise"):
+                assemble(mesh)
 
 
 def test_symmetry_is_exact(skewed6x5):
@@ -161,16 +180,7 @@ def test_assembly_is_the_triangle_order_sum_of_local_matrices(skewed6x5):
     # for bit
     mesh, A, M = skewed6x5.mesh, skewed6x5.A, skewed6x5.M
     for assembled, local in ((A, local_stiffness), (M, local_mass)):
-        acc = {}
-        for tri in mesh.triangles.tolist():
-            loc = local(mesh.nodes[tri])
-            for a in range(3):
-                for b in range(a, 3):
-                    key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-                    acc[key] = acc.get(key, 0.0) + float(loc[a, b])
-        want = np.zeros((mesh.node_count, mesh.node_count))
-        for (i, j), value in acc.items():
-            want[i, j] = want[j, i] = value
+        want = triangle_order_sum(mesh, local)
         assert assembled.toarray().tobytes() == want.tobytes()
 
 
@@ -178,9 +188,8 @@ def test_assembly_deterministic(unit8):
     mesh, A, M = unit8.mesh, unit8.A, unit8.M
     A2 = assemble_stiffness(mesh)
     M2 = assemble_mass(mesh)
-    for first, second in ((A, A2), (M, M2)):
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(first.csr, part), getattr(second.csr, part))
+    assert A == A2 and M == M2
+    assert A != M and A != A.restrict(mesh.interior_indices)
 
 
 def test_load_constant_source():
@@ -261,6 +270,45 @@ def test_norm_grad_of_constant_is_roundoff(unit4):
     assert norm_grad(A, u) <= scale
 
 
+@pytest.mark.parametrize("name", sorted(SINE_GRIDS) + ["unit256"])
+def test_stored_pattern(name):
+    # A keeps the diagonal and both sides of every horizontal and
+    # vertical edge (h and v of them); M also the nx * ny cell
+    # diagonals, at offset nx + 2, where A is exactly zero and stores
+    # nothing.  At 256^2 the sum is the benchmark's assembly.nnz.
+    x0, y0, x1, y1, nx, ny = SINE_GRIDS.get(name, (0.0, 0.0, 1.0, 1.0, 256, 256))
+    mesh = build_rect_mesh(x0, y0, x1, y1, nx, ny)
+    A, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    n, h, v = mesh.node_count, (ny + 1) * nx, (nx + 1) * ny
+    assert A.nnz == n + 2 * (h + v)
+    assert M.nnz == n + 2 * (h + v + nx * ny)
+    a, m = A.csr.tocoo(), M.csr.tocoo()
+    assert not np.any(np.abs(a.col - a.row) == nx + 2)
+    assert np.count_nonzero(np.abs(m.col - m.row) == nx + 2) == 2 * nx * ny
+    if name == "unit256":
+        assert A.nnz + M.nnz == 789506
+
+
+def test_equality_is_exact():
+    a = np.array([[2.0, 0.1, 0.0], [0.1, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    m = SparseSymMatrix(csr_matrix(a))
+    assert m == SparseSymMatrix(csr_matrix(a.copy()))
+    # one ulp off, in both triangles
+    b = a.copy()
+    b[0, 1] = b[1, 0] = np.nextafter(0.1, 1.0)
+    assert m != SparseSymMatrix(csr_matrix(b))
+    # the same values with every entry stored, the zeros too
+    stored = csr_matrix((a.ravel(), np.tile(np.arange(3), 3), np.arange(0, 10, 3)))
+    assert stored.nnz == m.nnz + 2 and np.array_equal(stored.toarray(), a)
+    assert m != SparseSymMatrix(stored)
+    # another shape, another index type, another object
+    assert m != SparseSymMatrix(csr_matrix(np.eye(4)))
+    wide = csr_matrix(a)
+    wide.indices, wide.indptr = (x.astype(np.int64) for x in (wide.indices, wide.indptr))
+    assert m != SparseSymMatrix(wide)
+    assert m != object()
+
+
 def test_form_sqrt_rejects_negative_forms():
     m = SparseSymMatrix(csr_matrix(-np.eye(3)))
     with pytest.raises(ValueError, match="negative"):
@@ -322,11 +370,7 @@ def test_interior_system_holds_the_interior_blocks(skewed6x5):
     # a reassembly gives the same bits
     again = assemble_system(mesh)
     for name in ("A", "M", "A_int", "M_int"):
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(
-                getattr(getattr(again, name).csr, part),
-                getattr(getattr(skewed6x5, name).csr, part),
-            )
+        assert getattr(again, name) == getattr(skewed6x5, name)
 
 
 def test_interior_blocks_are_exactly_symmetric():

@@ -1,5 +1,7 @@
 """Solution map: oracles, minimality, linearity, boundary-class behavior."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,19 @@ from dirichlet_fem import (
     assemble_load,
     build_functional,
     energy,
+    eval_p1,
     extend,
     extend_by_zero,
     nodal_values,
     norm_w12,
     p1_interpolant,
     quotient_solve,
+    restrict_interior,
     solve,
     trace,
     verify_uniqueness,
     weak_residual,
+    write_field_csv,
 )
 from tests.conftest import make_system
 
@@ -154,6 +159,37 @@ def test_trace_extend_round_trip(unit8):
     assert np.all(field[mesh.interior_indices] == 0.0)
     with pytest.raises(ValueError):
         extend(mesh, b[:-1])
+
+
+# Every function taking a field: name -> (call, which count its shape
+# must be).
+FIELD_TAKERS = {
+    "restrict_interior": (lambda s, u: restrict_interior(s.mesh, u), "nodes"),
+    "extend_by_zero": (lambda s, v: extend_by_zero(s.mesh, v), "interior"),
+    "solve": (lambda s, g: solve(s, ProblemData(f=zero, g=g)), "nodes"),
+    "trace": (lambda s, u: trace(s.mesh, u), "nodes"),
+    "extend": (lambda s, b: extend(s.mesh, b), "boundary"),
+    "eval_p1": (lambda s, u: eval_p1(s.mesh, u, 0.5, 0.5), "nodes"),
+    "p1_interpolant": (lambda s, u: p1_interpolant(s.mesh, u), "nodes"),
+    "write_field_csv": (
+        lambda s, u: write_field_csv(io.StringIO(), s.mesh, u), "nodes"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_TAKERS))
+def test_field_takers_refuse_other_shapes(unit4, name):
+    call, kind = FIELD_TAKERS[name]
+    mesh = unit4.mesh
+    count = {
+        "nodes": mesh.node_count,
+        "interior": mesh.interior_count,
+        "boundary": mesh.node_count - mesh.interior_count,
+    }[kind]
+    for bad in (np.zeros((count, 2)), np.zeros((1, count)), 3.0, np.zeros(count + 1)):
+        with pytest.raises(ValueError, match="node count"):
+            call(unit4, bad)
+    call(unit4, np.zeros(count))  # the right shape passes
 
 
 def test_quotient_solve_matches_direct(unit16):

@@ -10,7 +10,7 @@ from dirichlet_fem import build_rect_mesh, eval_p1, nodal_values, p1_interpolant
 def test_counts(nx, ny):
     mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, nx, ny)
     assert mesh.node_count == (nx + 1) * (ny + 1)
-    assert mesh.triangle_count == 2 * nx * ny
+    assert mesh.triangles.shape == (2 * nx * ny, 3)
     assert int(np.sum(mesh.boundary_mask)) == 2 * (nx + ny)
     assert mesh.interior_count == (nx - 1) * (ny - 1)
     assert len(mesh.boundary_indices) + len(mesh.interior_indices) == (
