@@ -11,15 +11,16 @@ and the mass matrix M the square-sum bracket
 for the piecewise-linear nodal basis {phi_i}.  Both are assembled from
 closed-form local matrices (P1 gradients are constant per triangle), so
 the only quadrature in the package is the degree-2 edge-midpoint rule
-used for load vectors.  A bracket is banded: each upper entry (i, j) is
-binned by its band j - i and its lower node i, and one np.bincount sums
-every bin in triangle-index order, so repeated assemblies of the same
-mesh are bit-identical (banded storage: Saad, Iterative Methods for
-Sparse Linear Systems, 2nd ed., section 3.4).  Each bracket is held as
-one scipy CSR in a SparseSymMatrix, which checks exact symmetry when it
-is built and compares exactly with ==; no other module reads its
-storage.  assemble_system bundles both brackets with their interior
-blocks, the only restriction to the interior in the package.
+used for load vectors.  A bracket is banded and is stored by its
+diagonals: each upper entry (i, j) is binned by its band j - i and its
+lower node i, and one np.bincount sums every bin in triangle-index
+order, so repeated assemblies of the same mesh are bit-identical
+(banded storage: Saad, Iterative Methods for Sparse Linear Systems, 2nd
+ed., section 3.4).  A SparseSymMatrix holds the main diagonal and the
+nonzero upper diagonals as numpy arrays, checks exact symmetry when it
+is built from outside and compares exactly with ==; no other module
+reads its storage.  assemble_system bundles both brackets with their
+interior blocks, the only restriction to the interior in the package.
 
 The stiffness across the cell diagonals is exactly zero, so A_int is
 the five-point operator (hy/hx) I (x) T_nx + (hx/hy) T_ny (x) I with
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+import numpy.fft  # numpy loads it lazily; see _dst1_rows
 
 from .mesh import Mesh, _as_field
 
@@ -44,31 +45,68 @@ _FORM_CLAMP = 1e-12
 
 
 class SparseSymMatrix:
-    """An exactly symmetric sparse matrix: one scipy CSR, checked once.
+    """An exactly symmetric sparse matrix, stored by its diagonals.
 
-    The constructor refuses a matrix that is not square or whose entries
-    differ from their transposes by any bit, so every holder of this type
-    may rely on exact symmetry.  ``apply`` is the path of every mat-vec.
-    ``inverse``, if given, is a symmetric positive definite approximation
-    r -> A^{-1} r that cg_solve preconditions with.
+    ``offsets`` holds the increasing offsets k of the stored diagonals,
+    0 first, and ``bands[i]`` the upper diagonal at ``offsets[i]``:
+    entries (r, r + k), r < dimension - k, which mirror (r + k, r).  The
+    main diagonal is always stored; an off-diagonal is stored when it
+    holds a nonzero (symmetric DIA: Saad, Iterative Methods for Sparse
+    Linear Systems, 2nd ed., section 3.4).  The constructor takes a
+    square 2-D array, or any matrix with a ``toarray`` method, and
+    refuses one whose entries differ from their transposes by any bit,
+    so every holder of this type may rely on exact symmetry.  ``apply``
+    is the path of every mat-vec.  ``inverse``, if given, is a symmetric
+    positive definite approximation r -> A^{-1} r that cg_solve
+    preconditions with.
     """
 
-    def __init__(self, csr, inverse: Callable | None = None):
-        csr = csr_matrix(csr)
-        if csr.shape[0] != csr.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {csr.shape}")
-        if (csr != csr.T).nnz:
+    def __init__(self, matrix, inverse: Callable | None = None):
+        a = np.asarray(matrix.toarray() if hasattr(matrix, "toarray") else matrix,
+                       dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {a.shape}")
+        if not np.array_equal(a, a.T):
             raise ValueError("matrix must be symmetric")
-        self.csr = csr
+        row, col = np.nonzero(np.triu(a))
+        self.offsets, self.bands = _banded(len(a), row, col - row, a[row, col])
         self.inverse = inverse
+
+    @classmethod
+    def _from_pairs(cls, n, lo, offset, weights, inverse=None) -> "SparseSymMatrix":
+        """Sum weights into entries (lo, lo + offset), in input order.
+
+        Not checked: both triangles come from the same upper entry.
+        """
+        m = object.__new__(cls)
+        m.offsets, m.bands = _banded(n, lo, offset, weights)
+        m.inverse = inverse
+        return m
 
     @property
     def dimension(self) -> int:
-        return self.csr.shape[0]
+        return len(self.bands[0])
 
     @property
     def nnz(self) -> int:
-        return self.csr.nnz
+        """Nonzero entries of the full matrix, both triangles."""
+        counts = [int(np.count_nonzero(band)) for band in self.bands]
+        return counts[0] + 2 * sum(counts[1:])
+
+    def _product(self, bands, x: np.ndarray) -> np.ndarray:
+        # Each row adds its terms in increasing column order from zero:
+        # the lower diagonals from the farthest in, the main diagonal,
+        # then the upper ones outwards.  That is the order of a sorted
+        # CSR product, so the bits are those of csr @ x.
+        y = np.zeros(len(x))
+        term = np.empty(len(x))
+        pairs = list(zip(self.offsets.tolist(), bands))
+        for k, band in pairs[:0:-1]:
+            y[k:] += np.multiply(band, x[: len(band)], out=term[: len(band)])
+        y += np.multiply(bands[0], x, out=term)
+        for k, band in pairs[1:]:
+            y[: len(band)] += np.multiply(band, x[k:], out=term[: len(band)])
+        return y
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product."""
@@ -77,10 +115,10 @@ class SparseSymMatrix:
             raise ValueError(
                 f"vector length {x.shape} does not match dimension {self.dimension}"
             )
-        return self.csr @ x
+        return self._product(self.bands, x)
 
     def diagonal(self) -> np.ndarray:
-        return self.csr.diagonal()
+        return self.bands[0].copy()
 
     def quad_form(self, x: np.ndarray) -> float:
         """x . (A x)."""
@@ -89,32 +127,70 @@ class SparseSymMatrix:
     def abs_quad_form(self, x: np.ndarray) -> float:
         """|x| . (|A| |x|): the roundoff scale of quad_form."""
         ax = np.abs(np.asarray(x, dtype=float))
-        return float(np.dot(ax, abs(self.csr) @ ax))
+        return float(np.dot(ax, self._product([np.abs(b) for b in self.bands], ax)))
 
     def restrict(self, indices: np.ndarray, inverse=None) -> "SparseSymMatrix":
-        """Principal submatrix on the given (sorted) global indices.
+        """Principal submatrix on the given distinct global indices, in order.
 
-        It is exactly symmetric because self is, so it is not checked again.
+        Each stored pair with both ends kept moves to its new offset; the
+        block is exactly symmetric because self is, so it is not checked.
         """
-        block = object.__new__(SparseSymMatrix)
-        block.csr, block.inverse = self.csr[indices][:, indices], inverse
-        return block
+        indices = np.asarray(indices)
+        n = self.dimension
+        new = np.full(n, -1)
+        new[indices] = np.arange(len(indices))
+        lo, offset, weights = [], [], []
+        for k, band in zip(self.offsets.tolist(), self.bands):
+            i, j = new[: n - k], new[k:]
+            kept = (i >= 0) & (j >= 0)
+            i, j = i[kept], j[kept]
+            lo.append(np.minimum(i, j))
+            offset.append(np.abs(j - i))
+            weights.append(band[kept])
+        return SparseSymMatrix._from_pairs(
+            len(indices), *map(np.concatenate, (lo, offset, weights)), inverse
+        )
 
     def toarray(self) -> np.ndarray:
-        return self.csr.toarray()
+        n = self.dimension
+        out = np.zeros((n, n))
+        r = np.arange(n)
+        for k, band in zip(self.offsets.tolist(), self.bands):
+            out[r[: n - k], r[k:]] = out[r[k:], r[: n - k]] = band
+        return out
 
     def __eq__(self, other) -> bool:
-        """Exact comparison: the same stored pattern and the same entries.
+        """Exact comparison: the same offsets and the same diagonals.
 
         The inverse is not compared; two assemblies of one mesh are equal.
         """
         if not isinstance(other, SparseSymMatrix):
             return NotImplemented
-        a, b = self.csr, other.csr
-        pairs = zip((a.indptr, a.indices, a.data), (b.indptr, b.indices, b.data))
-        return a.shape == b.shape and all(
-            x.dtype == y.dtype and np.array_equal(x, y) for x, y in pairs
+        return (
+            self.dimension == other.dimension
+            and np.array_equal(self.offsets, other.offsets)
+            and all(map(np.array_equal, self.bands, other.bands))
         )
+
+
+def _banded(n: int, lo: np.ndarray, offset: np.ndarray, weights: np.ndarray):
+    """Offsets and upper diagonals of the n x n sum of weights at (lo, lo + offset).
+
+    Entries are binned by (band, lo), where the bands are the offsets
+    that occur; np.bincount adds the weights one at a time in input
+    order, so each entry is the input-order sum.  Off-diagonals with no
+    nonzero are dropped.
+    """
+    present = np.bincount(offset, minlength=1) > 0
+    present[0] = True  # the main diagonal is always stored
+    key = (np.cumsum(present) - 1)[offset] * n + lo
+    sums = np.bincount(
+        key, weights=weights, minlength=n * np.count_nonzero(present)
+    ).reshape(-1, n)
+    del key
+    kept = [(k, band[: n - k]) for k, band in zip(np.flatnonzero(present), sums)]
+    kept = [(k, band) for k, band in kept if k == 0 or band.any()]
+    return np.array([k for k, _ in kept]), [band for _, band in kept]
 
 
 # Local index pairs (a, b), a <= b, of the six stored entries of a
@@ -138,39 +214,22 @@ def _geometry(p: np.ndarray):
 
 
 def _accumulate(mesh: Mesh, upper: np.ndarray) -> SparseSymMatrix:
-    """Sum (T, 6) upper local entries into one symmetric CSR, triangle order.
+    """Sum (T, 6) upper local entries into one symmetric matrix, triangle order.
 
-    Entry (i, j), i <= j, is binned by (band of j - i, i), where the
-    bands are the offsets that occur, so no mesh layout is assumed.  The
-    six bins of a triangle are distinct and np.bincount adds its weights
-    one at a time in input order, so each entry is the triangle-order
-    sum and a reassembly is bit-identical.  diags mirrors the bands; the
-    exact zeros (the stiffness across every cell diagonal) are dropped.
+    Entry (i, j), i <= j, goes to band j - i at row i, where the bands
+    are the offsets that occur, so no mesh layout is assumed.  The six
+    bins of a triangle are distinct, so each entry is the triangle-order
+    sum and a reassembly is bit-identical.  The band of exact zeros (the
+    stiffness across every cell diagonal) is not stored.
     """
-    n = mesh.node_count
     # np.take keeps (T, 6) C-ordered, so the ravels below copy nothing
     gi, gj = (np.take(mesh.triangles, k, axis=1) for k in _UPPER)
     lo = np.minimum(gi, gj)
     offset = np.abs(np.subtract(gj, gi, out=gj), out=gj)  # gj's buffer: lower peak
     del gi, gj
-    present = np.bincount(offset.ravel()) > 0
-    key = (np.cumsum(present) - 1)[offset] * n + lo
-    del lo, offset
-    bands = np.bincount(
-        key.ravel(), weights=upper.ravel(), minlength=n * np.count_nonzero(present)
-    ).reshape(-1, n)
-    del key
-    # offset 0 (the diagonal) is always the first band
-    offsets = np.flatnonzero(present)
-    upper_bands = [band[: n - k] for band, k in zip(bands, offsets)]
-    full = diags(
-        upper_bands + upper_bands[1:],
-        np.concatenate([offsets, -offsets[1:]]),
-        shape=(n, n),
-        format="csr",
+    return SparseSymMatrix._from_pairs(
+        mesh.node_count, lo.ravel(), offset.ravel(), upper.ravel()
     )
-    full.eliminate_zeros()
-    return SparseSymMatrix(full)
 
 
 def assemble_stiffness(mesh: Mesh) -> SparseSymMatrix:
@@ -216,7 +275,8 @@ def _dst1_rows(x: np.ndarray) -> np.ndarray:
     """DST-I of each row: y_k = sum_n x_n sin(pi k n / (m + 1)), k, n = 1..m.
 
     The rfft of the odd extension (0, x, 0, -reversed x) is -2i y.
-    numpy.fft is loaded with numpy; importing scipy.fft instead would
+    numpy loads numpy.fft lazily, so this module imports it with the
+    package rather than on a command's first transform; scipy.fft would
     add about 0.08 s to the start of every process.
     """
     rows, m = x.shape

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with the package
 
 from .analysis import check_functional_bound, check_stability, estimate_poincare
 from .assembly import (

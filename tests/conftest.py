@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix, diags
 
 import dirichlet_fem
 from dirichlet_fem import assemble_system, build_rect_mesh
@@ -21,6 +22,18 @@ def cli_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def as_csr(m) -> csr_matrix:
+    """A scipy CSR oracle of a SparseSymMatrix: from its dense form when
+    small, else mirrored from its diagonals (a dense 256^2 is 35 GB)."""
+    if m.dimension <= 2000:
+        return csr_matrix(m.toarray())
+    offsets = np.asarray(m.offsets)
+    full = diags(m.bands + m.bands[1:], np.concatenate([offsets, -offsets[1:]]),
+                 format="csr")
+    full.eliminate_zeros()
+    return full
 
 
 def make_system(x0, y0, x1, y1, nx, ny):

@@ -24,6 +24,7 @@ from dirichlet_fem import (
 )
 from tests.conftest import (
     SINE_GRIDS,
+    as_csr,
     local_mass,
     local_stiffness,
     make_system,
@@ -270,42 +271,85 @@ def test_norm_grad_of_constant_is_roundoff(unit4):
     assert norm_grad(A, u) <= scale
 
 
+def grid(name):
+    return SINE_GRIDS.get(name, (0.0, 0.0, 1.0, 1.0, 256, 256))
+
+
+def interior_offsets(nx, ny, cell_diagonals):
+    # interior rows hold nx - 1 nodes: a horizontal neighbour is 1 on,
+    # a vertical one nx - 1 and a cell-diagonal one nx
+    wide, tall = nx > 2, ny > 2
+    pairs = ((1, wide), (nx - 1, tall), (nx, wide and tall and cell_diagonals))
+    return sorted({0} | {k for k, present in pairs if present})
+
+
 @pytest.mark.parametrize("name", sorted(SINE_GRIDS) + ["unit256"])
 def test_stored_pattern(name):
     # A keeps the diagonal and both sides of every horizontal and
     # vertical edge (h and v of them); M also the nx * ny cell
     # diagonals, at offset nx + 2, where A is exactly zero and stores
     # nothing.  At 256^2 the sum is the benchmark's assembly.nnz.
-    x0, y0, x1, y1, nx, ny = SINE_GRIDS.get(name, (0.0, 0.0, 1.0, 1.0, 256, 256))
-    mesh = build_rect_mesh(x0, y0, x1, y1, nx, ny)
-    A, M = assemble_stiffness(mesh), assemble_mass(mesh)
-    n, h, v = mesh.node_count, (ny + 1) * nx, (nx + 1) * ny
+    x0, y0, x1, y1, nx, ny = grid(name)
+    system = make_system(x0, y0, x1, y1, nx, ny)
+    A, M = system.A, system.M
+    n, h, v = system.mesh.node_count, (ny + 1) * nx, (nx + 1) * ny
+    assert type(A.nnz) is type(M.nnz) is int  # the benchmark writes it as JSON
     assert A.nnz == n + 2 * (h + v)
     assert M.nnz == n + 2 * (h + v + nx * ny)
-    a, m = A.csr.tocoo(), M.csr.tocoo()
+    assert A.offsets.tolist() == [0, 1, nx + 1]
+    assert M.offsets.tolist() == [0, 1, nx + 1, nx + 2]
+    assert np.count_nonzero(M.bands[3]) == nx * ny
+    a, m = as_csr(A).tocoo(), as_csr(M).tocoo()
+    assert (a.nnz, m.nnz) == (A.nnz, M.nnz)
     assert not np.any(np.abs(a.col - a.row) == nx + 2)
     assert np.count_nonzero(np.abs(m.col - m.row) == nx + 2) == 2 * nx * ny
     if name == "unit256":
         assert A.nnz + M.nnz == 789506
+    # restriction regroups by the interior offsets
+    assert system.M_int.offsets.tolist() == interior_offsets(nx, ny, True)
+    assert system.A_int.offsets.tolist() == interior_offsets(nx, ny, False)
+    if nx > 2 and ny > 2:
+        assert system.M_int.offsets.tolist() == [0, 1, nx - 1, nx]
+        assert system.A_int.offsets.tolist() == [0, 1, nx - 1]
+
+
+@pytest.mark.parametrize("name", sorted(SINE_GRIDS) + ["unit256"])
+def test_products_have_the_bits_of_scipy(name):
+    # the diagonals are added in column order, as csr_matvec does, so
+    # every product has the same bits as the scipy CSR of the matrix
+    system = make_system(*grid(name))
+    rng = np.random.default_rng(17)
+    for key in ("A", "M", "A_int", "M_int"):
+        m = getattr(system, key)
+        oracle = as_csr(m)
+        assert m.nnz == oracle.nnz
+        assert np.array_equal(m.diagonal(), oracle.diagonal())
+        for x in (rng.standard_normal(m.dimension), np.ones(m.dimension)):
+            assert m.apply(x).tobytes() == (oracle @ x).tobytes(), key
+            ax = np.abs(x)
+            assert m.abs_quad_form(x) == float(np.dot(ax, abs(oracle) @ ax)), key
 
 
 def test_equality_is_exact():
     a = np.array([[2.0, 0.1, 0.0], [0.1, 2.0, -1.0], [0.0, -1.0, 2.0]])
     m = SparseSymMatrix(csr_matrix(a))
-    assert m == SparseSymMatrix(csr_matrix(a.copy()))
-    # one ulp off, in both triangles
+    assert m == SparseSymMatrix(a.copy())
+    assert m.offsets.tolist() == [0, 1]
+    # one ulp off, in both triangles of an off-diagonal
     b = a.copy()
     b[0, 1] = b[1, 0] = np.nextafter(0.1, 1.0)
-    assert m != SparseSymMatrix(csr_matrix(b))
-    # the same values with every entry stored, the zeros too
-    stored = csr_matrix((a.ravel(), np.tile(np.arange(3), 3), np.arange(0, 10, 3)))
-    assert stored.nnz == m.nnz + 2 and np.array_equal(stored.toarray(), a)
-    assert m != SparseSymMatrix(stored)
-    # another shape, another index type, another object
-    assert m != SparseSymMatrix(csr_matrix(np.eye(4)))
-    wide = csr_matrix(a)
-    wide.indices, wide.indptr = (x.astype(np.int64) for x in (wide.indices, wide.indptr))
-    assert m != SparseSymMatrix(wide)
+    assert m != SparseSymMatrix(b)
+    # one ulp off on the main diagonal
+    b = a.copy()
+    b[2, 2] = np.nextafter(2.0, 3.0)
+    assert m != SparseSymMatrix(b)
+    # one more diagonal, holding the smallest subnormal
+    c = a.copy()
+    c[0, 2] = c[2, 0] = 5e-324
+    assert SparseSymMatrix(c).offsets.tolist() == [0, 1, 2]
+    assert m != SparseSymMatrix(c)
+    # another shape, another object
+    assert m != SparseSymMatrix(np.eye(4))
     assert m != object()
 
 
@@ -322,19 +366,25 @@ def test_sparse_matches_dense_oracle():
     a[np.abs(a) < 0.8] = 0.0  # keep it genuinely sparse
     a = (a + a.T) / 2.0
     m = SparseSymMatrix(csr_matrix(a))
+    assert m == SparseSymMatrix(a)
 
     x = rng.standard_normal(12)
     assert np.allclose(m.apply(x), a @ x, rtol=1e-15, atol=1e-15)
+    assert m.apply(x).tobytes() == (csr_matrix(a) @ x).tobytes()
     assert m.quad_form(x) == pytest.approx(x @ a @ x, rel=1e-13)
     assert m.abs_quad_form(x) == pytest.approx(
         np.abs(x) @ np.abs(a) @ np.abs(x), rel=1e-13
     )
     assert np.array_equal(m.diagonal(), np.diag(a))
     assert np.array_equal(m.toarray(), a)
-    # both triangles are stored, nonzeros only
+    # both triangles count, nonzeros only; the diagonals that hold one
     assert m.nnz == np.count_nonzero(a)
+    assert m.offsets.tolist() == [
+        k for k in range(12) if k == 0 or np.any(np.diagonal(a, k))
+    ]
+    dense = m.toarray()
     for i, j in ((0, 0), (3, 7), (7, 3), (11, 2)):
-        assert m.csr[i, j] == m.csr[j, i] == a[i, j]
+        assert dense[i, j] == dense[j, i] == a[i, j]
 
     keep = np.array([1, 4, 5, 9])
     assert np.array_equal(m.restrict(keep).toarray(), a[np.ix_(keep, keep)])
@@ -347,6 +397,8 @@ def test_constructor_refuses_asymmetric_and_non_square():
         SparseSymMatrix(csr_matrix([[1.0, 0.1], [np.nextafter(0.1, 1.0), 1.0]]))
     with pytest.raises(ValueError, match="square"):
         SparseSymMatrix(csr_matrix(np.ones((2, 3))))
+    with pytest.raises(ValueError, match="square"):
+        SparseSymMatrix(np.ones(3))
 
 
 def test_restrict_extend_round_trip(unit4):
@@ -377,8 +429,13 @@ def test_interior_blocks_are_exactly_symmetric():
     # restrict does not re-check: a principal block of an exactly
     # symmetric matrix must come out exactly symmetric
     system = make_system(*SINE_GRIDS["skewed37x23"])
-    for block in (system.A_int, system.M_int):
-        assert (block.csr != block.csr.T).nnz == 0
+    inner = system.mesh.interior_indices
+    for full, block in ((system.A, system.A_int), (system.M, system.M_int)):
+        oracle = as_csr(full)[inner][:, inner]
+        assert (oracle != oracle.T).nnz == 0
+        assert np.array_equal(block.toarray(), oracle.toarray())
+        # the constructor's symmetry check passes and stores the same
+        assert SparseSymMatrix(oracle) == block
     assert system.A_int.inverse is not None
     assert system.M_int.inverse is None
 

@@ -1,7 +1,9 @@
 """End-to-end command line behavior via subprocess."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,14 +241,55 @@ def test_convergence_rejects_bad_levels(tmp_path):
 
 
 def test_cli_import_loads_no_fft_or_sparse_solver():
-    # each would add about 0.08 s to the start of every process; the
-    # sine transforms use numpy.fft, which numpy has already loaded
+    # no scipy module at all: importing scipy.sparse was about half the
+    # start-up of every process; the sine transforms use numpy.fft
     code = (
         "import sys, dirichlet_fem.cli; "
-        "print([m for m in ('scipy.fft', 'scipy.sparse.linalg') if m in sys.modules])"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_load_no_numpy_or_scipy_module_after_import(tmp_path):
+    # numpy loads numpy.fft, numpy.random and numpy.ma on first use;
+    # the package loads what it needs at import, so no command pays
+    spec = write(tmp_path, "p.txt", BASE + "f = x\ng = y\nu_exact = x*y\n")
+    border = write(tmp_path, "b.txt", BASE + "mode = border\nf = 1\ng = x\nu_exact = x\n")
+    code = f"""
+import contextlib, io, sys
+from dirichlet_fem import cli
+before = set(sys.modules)
+commands = (
+    ["solve", "--spec", {spec!r}],
+    ["solve", "--spec", {border!r}],
+    ["verify", "--spec", {spec!r}, "--seed", "3"],
+    ["poincare", "--spec", {spec!r}],
+    ["convergence", "--spec", {spec!r}, "--levels", "2"],
+)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in commands]
+print(codes, sorted(m for m in set(sys.modules) - before
+                    if m.startswith(("numpy.", "scipy"))))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0] []"
+
+
+def test_src_imports_nothing_third_party_but_numpy():
+    # scipy is an oracle of the tests and the benchmark, not a dependency
+    src = Path(__file__).resolve().parents[1] / "src"
+    found = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert found - set(sys.stdlib_module_names) == {"numpy"}

@@ -13,7 +13,7 @@ from dirichlet_fem import (
     SparseSymMatrix,
     cg_solve,
 )
-from tests.conftest import SINE_GRIDS, make_system
+from tests.conftest import SINE_GRIDS, as_csr, make_system
 
 
 def spd(rng: np.random.Generator, n: int, cond: float = 10.0) -> np.ndarray:
@@ -134,7 +134,7 @@ def test_interior_solves_take_one_step(name):
     assert (result.iterations, result.restarts) == (1, 0)
     tight = cg_solve(system.A_int, b, SolverSettings(rel_tolerance=1e-12))
     assert tight.iterations <= 2
-    want = spsolve(system.A_int.csr.tocsc(), b)
+    want = spsolve(as_csr(system.A_int).tocsc(), b)
     assert np.linalg.norm(tight.x - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -142,7 +142,7 @@ def test_wrong_inverse_still_meets_the_tolerance():
     # correctness never rests on the preconditioner: a mismatched one
     # costs iterations, and the answer is still judged on A x - b
     system = make_system(*SINE_GRIDS["skewed37x23"])
-    csr = system.A_int.csr
+    csr = as_csr(system.A_int)
     stretched = make_system(-1.0, 2.0, 3.4, 4.5, 37, 23).A_int.inverse
     b = system.M_int.apply(np.ones(system.mesh.interior_count))
     want = spsolve(csr.tocsc(), b)
@@ -166,7 +166,8 @@ def test_no_inverse_is_plain_cg():
     # path and its pinned iteration count
     system = make_system(*SINE_GRIDS["skewed37x23"])
     b = system.M_int.apply(np.ones(system.mesh.interior_count))
-    plain = SparseSymMatrix(system.A_int.csr)
+    plain = SparseSymMatrix(system.A_int.toarray())
+    assert plain == system.A_int and plain.inverse is None
     result = cg_solve(plain, b)
     assert (result.iterations, result.restarts) == (81, 0)
     assert cg_solve(system.A_int, b).iterations == 1
