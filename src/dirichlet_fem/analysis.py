@@ -4,16 +4,19 @@ The smallest eigenvalue lambda_min of an InteriorSystem's pencil
 (A_int, M_int) controls everything: the best constant in
 ||v||_2 <= a ||v||_grad over fields vanishing on the boundary is
 a = 1 / sqrt(lambda_min).
-estimate_poincare finds it by inverse power iteration, and the two
-check_* routines evaluate both sides of the bounds that constant
-implies, for the load functional and for the full solution map.
+estimate_poincare brackets lambda_min by Rayleigh-Ritz on a Krylov
+space, and the two check_* routines evaluate both sides of the bounds
+that constant implies, for the load functional and for the full
+solution map.
 
-The Rayleigh quotient of the iteration approaches lambda_min from
-above, so the reported a approaches the true discrete constant from
-below and never overshoots it.  Both bounds are exact theorems of the
-discrete brackets when the source is piecewise linear on the mesh;
-for other sources the load quadrature departs from the mass bracket
-by O(h^2), which is a property of the data, not of the solver.
+The bracket [lambda_lo, rho] is certified: rho is a Rayleigh quotient,
+so a = 1 / sqrt(rho) never overshoots the true discrete constant, and
+Temple's inequality makes a_hi = 1 / sqrt(lambda_lo) an upper bound on
+it, which is the end the bounds are checked with.  Both bounds are
+exact theorems of the discrete brackets when the source is piecewise
+linear on the mesh; for other sources the load quadrature departs from
+the mass bracket by O(h^2), which is a property of the data, not of
+the solver.
 """
 
 from __future__ import annotations
@@ -24,66 +27,113 @@ from typing import NamedTuple
 import numpy as np
 
 from .assembly import InteriorSystem, assemble_load, norm_grad, norm_l2, norm_w12
+from .assembly import stiffness_spectrum
 from .dirichlet import ProblemData, build_functional
-from .linsolve import ConvergenceError, SolverSettings, cg_solve
+from .linsolve import ConvergenceError, SolverSettings
 from .mesh import nodal_values
 from .riesz import riesz_represent
 
 
 @dataclass(frozen=True)
 class PoincareEstimate:
-    a: float  # best constant in ||v||_2 <= a ||v||_grad
-    lambda_min: float  # smallest eigenvalue of the (A_int, M_int) pencil
-    iterations: int  # outer power-iteration steps taken
-    residual: float  # pencil defect ||A v - lambda M v|| at the result
+    a: float  # 1 / sqrt(lambda_min), at most the best constant
+    lambda_min: float  # Rayleigh quotient rho of the eigenvector, >= lambda_1
+    iterations: int  # Krylov steps taken, one sine solve each
+    residual: float  # pencil defect ||A v - lambda_min M v|| at the result
     eigenvector: np.ndarray  # M-normalized ground mode, interior indexing
+    lambda_lo: float  # certified lower bound on lambda_1
+    a_hi: float  # 1 / sqrt(lambda_lo), at least the best constant
 
 
 def estimate_poincare(
     system: InteriorSystem,
-    settings: SolverSettings = SolverSettings(),
     rq_tolerance: float = 1e-8,
-    max_steps: int = 10000,
+    max_steps: int = 200,
 ) -> PoincareEstimate:
-    """Smallest pencil eigenvalue by inverse power iteration.
+    """Bracket the smallest pencil eigenvalue lambda_1 by Rayleigh-Ritz.
 
-    Repeats x <- A_int^{-1} (M_int x) on the system's interior pencil,
-    with M-normalization from the all-ones start
-    (never orthogonal to the positive ground mode), stopping once the
-    Rayleigh quotient's relative change drops below rq_tolerance.
+    The trial space is the Krylov space of A_int^{-1} M_int (one sine
+    solve a step) from the all-ones vector, which is never orthogonal to
+    the positive ground mode, in an M-orthonormal basis (classical
+    Gram-Schmidt, twice).  Its lowest Ritz vector v has Rayleigh quotient
+    rho >= lambda_1 and residual r = A v - rho M v.  hx hy / 4 <= M_int
+    <= hx hy (Wathen, IMA J. Numer. Anal. 1987), so with the eigenvalues
+    mu_1 <= mu_2 of A_int from stiffness_spectrum, Courant-Fischer gives
+    l_2 = mu_2 / (hx hy) <= lambda_2, and Temple's inequality (Parlett,
+    The Symmetric Eigenvalue Problem, ch. 10) gives, if rho < l_2,
+
+        lambda_1 >= rho - 4 ||r||^2 / (hx hy) / (l_2 - rho),
+
+    less a bound on the rounding of A v, M v and the dot products, so
+    lambda_lo is a lower bound in floating point.  The steps stop once
+    (rho - lambda_lo) / rho <= rq_tolerance.  While rho >= l_2 the
+    bracket is [mu_1 / (hx hy), rho]; it is returned, wide, once rho
+    settles to rq_tolerance or the space fills.
     """
-    A_int, M_int = system.A_int, system.M_int
+    A_int, M_int, mesh = system.A_int, system.M_int, system.mesh
     n = A_int.dimension
     if n == 0:
         raise ValueError("mesh has no interior nodes")
-    x = np.ones(n)
-    x = x / np.sqrt(M_int.quad_form(x))
-    rho = A_int.quad_form(x)
+    x0, y0, x1, y1 = mesh.domain
+    cell = ((x1 - x0) / mesh.nx) * ((y1 - y0) / mesh.ny)  # hx hy
+    mu = np.partition(np.append(stiffness_spectrum(mesh), np.inf), 1)
+    floor, ell_2 = mu[0] / cell, mu[1] / cell
+    eps = np.finfo(float).eps
+    apply_error = A_int.apply_error(), M_int.apply_error()
+
+    Q = np.ones((1, n)) / np.sqrt(M_int.quad_form(np.ones(n)))  # M-orthonormal rows
+    Mq = M_int.apply(Q[0])
+    H = np.array([[A_int.quad_form(Q[0])]])  # Q A_int Q^T
+    rho_prev = np.inf
     for step in range(1, max_steps + 1):
-        y = cg_solve(A_int, M_int.apply(x), settings).x
-        scale = np.sqrt(M_int.quad_form(y))
-        if scale == 0.0:
-            raise ConvergenceError(
-                "power iteration collapsed to the zero vector",
-                iterations=step,
-                residual=float("inf"),
-            )
-        x = y / scale
-        rho_next = A_int.quad_form(x)
-        if abs(rho_next - rho) < rq_tolerance * rho_next:
-            defect = A_int.apply(x) - rho_next * M_int.apply(x)
+        w = A_int.inverse(Mq)
+        for _ in range(2):
+            w -= (Q @ M_int.apply(w)) @ Q
+        Mw = M_int.apply(w)
+        norm = np.sqrt(w @ Mw)
+        full = len(Q) == n or not norm > 0.0  # no new direction
+        if not full:
+            q, Mq = w / norm, Mw / norm
+            Q = np.vstack([Q, q])
+            h = Q @ A_int.apply(q)
+            H = np.block([[H, h[:-1, None]], [h[None, :]]])
+        v = np.linalg.eigh(H)[1][:, 0] @ Q
+
+        Av, Mv = A_int.apply(v), M_int.apply(v)
+        m = float(v @ Mv)
+        rho = float(v @ Av) / m
+        r = Av - rho * Mv
+        # Rounding: e bounds ||fl(r) - (A v - rho M v)||, rho_err |rho(v) - rho|.
+        r_norm, v_norm = float(np.linalg.norm(r)), float(np.linalg.norm(v))
+        e = ((apply_error[0] + rho * apply_error[1]) * v_norm
+             + eps * (r_norm + rho * float(np.linalg.norm(Mv))))
+        rho_err = (abs(float(v @ r)) + v_norm * (e + n * eps * r_norm)) / m
+        temple = rho + rho_err < ell_2
+        lambda_lo = floor
+        if temple:  # t^2 bounds ||r||^2_{M^-1} / m; unsquared, it stays finite
+            t = 2.0 * (r_norm + e) / np.sqrt(cell * m) * (1.0 + 4.0 * n * eps)
+            gap = ell_2 - rho - rho_err
+            lambda_lo = max(floor, rho - rho_err - t * (t / gap))
+        width = (rho - lambda_lo) / rho
+        settled = rho_prev - rho <= rq_tolerance * rho
+        if width <= rq_tolerance or not temple and (full or settled):
             return PoincareEstimate(
-                a=1.0 / np.sqrt(rho_next),
-                lambda_min=rho_next,
+                a=1.0 / np.sqrt(rho),
+                lambda_min=rho,
                 iterations=step,
-                residual=float(np.linalg.norm(defect)),
-                eigenvector=x,
+                residual=r_norm,
+                eigenvector=np.copysign(1.0, v.sum()) * v,
+                lambda_lo=lambda_lo,
+                a_hi=1.0 / np.sqrt(lambda_lo),
             )
-        rho = rho_next
+        if full:
+            break
+        rho_prev = rho
     raise ConvergenceError(
-        f"Rayleigh quotient did not settle within {max_steps} steps",
-        iterations=max_steps,
-        residual=float("inf"),
+        f"bracket width {width:.3e} above {rq_tolerance:.3e} after {step} "
+        f"Krylov steps" + (", where the space stopped growing" if full else ""),
+        iterations=step,
+        residual=r_norm,
     )
 
 

@@ -129,6 +129,20 @@ class SparseSymMatrix:
         ax = np.abs(np.asarray(x, dtype=float))
         return float(np.dot(ax, self._product([np.abs(b) for b in self.bands], ax)))
 
+    def apply_error(self) -> float:
+        """A bound c with ||fl(apply(x)) - A x|| <= c ||x|| for every x.
+
+        A row adds at most 2 len(offsets) - 1 products in turn, so its
+        rounding is below that many eps times (|A| |x|) in that row
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+        ed., section 3.1), and the 2-norm of the symmetric |A| is at
+        most its largest row sum.
+        """
+        terms = 2 * len(self.offsets) - 1
+        ones = np.ones(self.dimension)
+        row_sums = self._product([np.abs(b) for b in self.bands], ones)
+        return terms * np.finfo(float).eps * float(row_sums.max())
+
     def restrict(self, indices: np.ndarray, inverse=None) -> "SparseSymMatrix":
         """Principal submatrix on the given distinct global indices, in order.
 
@@ -232,17 +246,23 @@ def _accumulate(mesh: Mesh, upper: np.ndarray) -> SparseSymMatrix:
     )
 
 
-def assemble_stiffness(mesh: Mesh) -> SparseSymMatrix:
-    """Gradient-bracket Gram matrix of the nodal basis."""
-    b, c, area = _geometry(mesh.nodes[mesh.triangles])
+def assemble_stiffness(mesh: Mesh, geometry: tuple | None = None) -> SparseSymMatrix:
+    """Gradient-bracket Gram matrix of the nodal basis.
+
+    geometry is the mesh's _geometry, when the caller already has it.
+    """
+    b, c, area = geometry or _geometry(mesh.nodes[mesh.triangles])
     ia, ib = _UPPER
     upper = (b[:, ia] * b[:, ib] + c[:, ia] * c[:, ib]) / (4.0 * area)[:, None]
     return _accumulate(mesh, upper)
 
 
-def assemble_mass(mesh: Mesh) -> SparseSymMatrix:
-    """Square-sum-bracket Gram matrix of the nodal basis."""
-    _, _, area = _geometry(mesh.nodes[mesh.triangles])
+def assemble_mass(mesh: Mesh, geometry: tuple | None = None) -> SparseSymMatrix:
+    """Square-sum-bracket Gram matrix of the nodal basis.
+
+    geometry is the mesh's _geometry, when the caller already has it.
+    """
+    _, _, area = geometry or _geometry(mesh.nodes[mesh.triangles])
     return _accumulate(mesh, area[:, None] * _MASS_PATTERN[_UPPER])
 
 
@@ -286,20 +306,31 @@ def _dst1_rows(x: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(ext).imag[:, 1 : m + 1]
 
 
-def _sine_inverse(mesh: Mesh) -> Callable:
-    """The inverse of the five-point interior stiffness of a rectangle mesh.
+def stiffness_spectrum(mesh: Mesh) -> np.ndarray:
+    """Every eigenvalue of the interior stiffness A_int of a rectangle mesh.
 
     The DST-I S_n of order n - 1 holds the eigenvectors of T_n, with
-    eigenvalues 4 sin^2(i pi / 2n), and S_n S_n = (n / 2) I.  An interior
-    vector is an (ny - 1) x (nx - 1) array, x running fastest.
+    eigenvalues 4 sin^2(i pi / 2n), so A_int has the eigenvalue
+    (hy/hx) mu_i + (hx/hy) mu_j for each x mode i and y mode j.  The
+    array is indexed (x mode, y mode), the layout between the two
+    transform passes of the sine inverse, which divides by it.
     """
     x0, y0, x1, y1 = mesh.domain
     nx, ny = mesh.nx, mesh.ny
     ratio = ((y1 - y0) / ny) / ((x1 - x0) / nx)  # hy / hx
     mu_x, mu_y = (4.0 * np.sin(np.arange(1, n) * (np.pi / (2 * n))) ** 2
                   for n in (nx, ny))
-    # indexed (x mode, y mode), the layout between the two transform passes
-    scale = (4.0 / (nx * ny)) / (ratio * mu_x[:, None] + mu_y[None, :] / ratio)
+    return ratio * mu_x[:, None] + mu_y[None, :] / ratio
+
+
+def _sine_inverse(mesh: Mesh) -> Callable:
+    """The inverse of the five-point interior stiffness of a rectangle mesh.
+
+    S_n S_n = (n / 2) I for the DST-I S_n of order n - 1.  An interior
+    vector is an (ny - 1) x (nx - 1) array, x running fastest.
+    """
+    nx, ny = mesh.nx, mesh.ny
+    scale = (4.0 / (nx * ny)) / stiffness_spectrum(mesh)
 
     def inverse(r: np.ndarray) -> np.ndarray:
         t = _dst1_rows(_dst1_rows(r.reshape(ny - 1, nx - 1)).T) * scale
@@ -310,7 +341,9 @@ def _sine_inverse(mesh: Mesh) -> Callable:
 
 def assemble_system(mesh: Mesh) -> InteriorSystem:
     """Stiffness, mass and their interior blocks of one mesh."""
-    A, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    geometry = _geometry(mesh.nodes[mesh.triangles])
+    A, M = assemble_stiffness(mesh, geometry), assemble_mass(mesh, geometry)
+    del geometry  # free the per-triangle arrays before the restrictions
     A_int = A.restrict(mesh.interior_indices, _sine_inverse(mesh))
     M_int = M.restrict(mesh.interior_indices)
     return InteriorSystem(mesh, A, M, A_int, M_int)

@@ -68,6 +68,7 @@ def _print_report(mesh: Mesh, report: SolveReport) -> None:
         f"norm_grad      = {norm_grad:.12g}",
         f"norm_w12       = {norm_w12:.12g}",
         f"poincare_a     = {report.poincare_a:.12g}",
+        f"poincare_a_hi  = {report.poincare_a_hi:.12g}",
         f"stability_lhs  = {report.stability_lhs:.12g}",
         f"stability_rhs  = {report.stability_rhs:.12g}",
         f"cg_iterations  = {report.iterations}",
@@ -103,10 +104,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_poincare(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
-    est = estimate_poincare(assemble_system(make_mesh(spec)), make_settings(spec))
+    est = estimate_poincare(assemble_system(make_mesh(spec)))
     print(
         f"lambda_min={est.lambda_min:.12g} a={est.a:.12g} "
         f"iterations={est.iterations}"
+    )
+    width = (est.lambda_min - est.lambda_lo) / est.lambda_min
+    print(
+        f"lambda_lo={est.lambda_lo:.12g} a_hi={est.a_hi:.12g} width={width:.3e}",
+        file=sys.stderr,
     )
     return 0
 

@@ -77,6 +77,7 @@ class SolveReport:
     weak_residual: float
     norms: tuple[float, float, float]  # (l2, grad, full) norms of u
     poincare_a: float
+    poincare_a_hi: float
     stability_lhs: float
     stability_rhs: float
 
@@ -115,9 +116,10 @@ def solve(
 ) -> SolveReport:
     """Solve the problem and report the diagnostics alongside the field.
 
-    The report always carries the embedding constant and both sides of
-    the continuity bound; pass a precomputed estimate to avoid the
-    power iteration when solving many problems on one mesh.
+    The report always carries the embedding constant's bracket and both
+    sides of the continuity bound, evaluated with its upper end; pass a
+    precomputed estimate to avoid the eigen-estimate when solving many
+    problems on one mesh.
     """
     from .analysis import check_stability, estimate_poincare
 
@@ -129,8 +131,8 @@ def solve(
     u = extend_by_zero(mesh, result.x) + g_field
 
     if poincare is None:
-        poincare = estimate_poincare(system, settings)
-    bounds = check_stability(system, u, data, poincare.a)
+        poincare = estimate_poincare(system)
+    bounds = check_stability(system, u, data, poincare.a_hi)
 
     return SolveReport(
         u=u,
@@ -144,6 +146,7 @@ def solve(
         weak_residual=weak_residual(system, u, load),
         norms=(norm_l2(M, u), norm_grad(A, u), norm_w12(A, M, u)),
         poincare_a=poincare.a,
+        poincare_a_hi=poincare.a_hi,
         stability_lhs=bounds.lhs,
         stability_rhs=bounds.rhs,
     )

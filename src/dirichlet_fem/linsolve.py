@@ -8,7 +8,8 @@ measured against a SuperLU factor cached per matrix, which at 256^2
 was slower and raised the solver's peak memory by about 80%.  The solver
 trusts nothing, the preconditioner included: convergence is judged on
 the true residual A x - b, and a nonpositive curvature p . Ap or r . z,
-or a non-finite iterate, aborts with a diagnostic instead of silently
+a non-finite iterate, or a true residual stuck at its roundoff floor
+above the tolerance, aborts with a diagnostic instead of silently
 looping.
 """
 
@@ -72,7 +73,9 @@ def cg_solve(
     convergence the true residual is recomputed; if roundoff drift (or
     a preconditioner that does not match A) has opened a gap, the
     iteration restarts from the true residual, so the tolerance in the
-    result is always measured against A x - b itself.  Without an
+    result is always measured against A x - b itself.  Three restarts
+    in a row that do not halve the best true residual so far mean the
+    tolerance is below the roundoff floor, and raise.  Without an
     inverse the iterates are those of plain CG.
     """
     b = np.asarray(b, dtype=float)
@@ -105,7 +108,8 @@ def cg_solve(
     x = np.zeros(n)
     r = b.copy()
     p = None  # no search direction yet, or restarted
-    iterations = restarts = 0
+    iterations = restarts = stalls = 0
+    best = np.inf  # smallest true residual at a restart
 
     while True:
         r_norm = float(np.linalg.norm(r))
@@ -118,6 +122,15 @@ def cg_solve(
                                 restarts=restarts)
             r, p = true_r, None
             restarts += 1
+            stalls = 0 if true_norm <= 0.5 * best else stalls + 1
+            best = min(best, true_norm)
+            if stalls == 3:
+                raise ConvergenceError(
+                    f"stalled at the roundoff floor: true residual {best:.3e} "
+                    f"vs threshold {threshold:.3e} after {restarts} restarts",
+                    iterations=iterations,
+                    residual=true_norm,
+                )
         if iterations >= max_iter:
             true_norm = float(np.linalg.norm(b - A.apply(x)))
             raise ConvergenceError(

@@ -76,7 +76,7 @@ def run_checks(
     load = assemble_load(mesh, f_h)
     n = mesh.interior_count
 
-    est = estimate_poincare(system, tight)
+    est = estimate_poincare(system)
     report = solve(system, data, tight, poincare=est)
 
     # Normalize the reduced problem so the minimizer has unit energy
@@ -169,12 +169,12 @@ def run_checks(
     results.append(
         CheckResult(
             "poincare-bound",
-            worst_ratio <= est.a * (1.0 + 1e-8),
-            f"worst ratio={worst_ratio:.12g} a={est.a:.12g}",
+            worst_ratio <= est.a_hi * (1.0 + 1e-8),
+            f"worst ratio={worst_ratio:.12g} a_hi={est.a_hi:.12g}",
         )
     )
 
-    fb = check_functional_bound(system, data, est.a, tight)
+    fb = check_functional_bound(system, data, est.a_hi, tight)
     results.append(
         CheckResult(
             "functional-bound",
@@ -183,7 +183,7 @@ def run_checks(
         )
     )
 
-    sb = check_stability(system, report.u, data, est.a)
+    sb = check_stability(system, report.u, data, est.a_hi)
     ok = sb.riesz_lhs <= sb.riesz_rhs * (1.0 + 1e-8) and sb.lhs <= sb.rhs * (
         1.0 + 1e-8
     )

@@ -1,5 +1,7 @@
 """Embedding constant and the continuity bounds it feeds."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -18,7 +20,28 @@ from dirichlet_fem import (
     p1_interpolant,
     solve,
 )
-from tests.conftest import make_system
+from tests.conftest import SINE_GRIDS, as_csr, make_system
+
+CERTIFIED_GRIDS = {
+    "strip320x32": (0.0, 0.0, 10.0, 1.0, 320, 32),
+    "rect128x32": (0.0, 0.0, 4.0, 1.0, 128, 32),
+    "skewed37x23": SINE_GRIDS["skewed37x23"],
+}
+
+
+def smallest_eigenvalues(system, k=1, pencil=True):
+    """The k smallest eigenvalues of (A_int, M_int), or of A_int alone."""
+    A = as_csr(system.A_int)
+    M = as_csr(system.M_int) if pencil else None
+    vals = scipy.sparse.linalg.eigsh(
+        A, k=k, M=M, sigma=0.0, which="LM", tol=0, return_eigenvectors=False
+    )
+    return np.sort(vals)
+
+
+def cell_area(system):
+    x0, y0, x1, y1 = system.mesh.domain
+    return (x1 - x0) / system.mesh.nx * ((y1 - y0) / system.mesh.ny)
 
 
 def test_one_dof_hand_eigenvalue():
@@ -130,3 +153,64 @@ def test_bounds_are_tight_for_the_ground_mode(unit16):
     data = ProblemData(f=p1_interpolant(mesh, v), g=np.zeros(mesh.node_count))
     bound = check_functional_bound(unit16, data, est.a)
     assert bound.lhs == pytest.approx(bound.rhs, rel=1e-5)
+
+
+@pytest.mark.parametrize("name", CERTIFIED_GRIDS)
+def test_bracket_contains_the_eigenvalue(name):
+    system = make_system(*CERTIFIED_GRIDS[name])
+    est = estimate_poincare(system)
+    ref = smallest_eigenvalues(system)[0]
+    assert est.lambda_lo <= ref <= est.lambda_min
+    assert (est.lambda_min - est.lambda_lo) / est.lambda_min < 1e-8
+    assert est.a == 1.0 / np.sqrt(est.lambda_min)
+    assert est.a_hi == 1.0 / np.sqrt(est.lambda_lo)
+    if name == "strip320x32":
+        # the power iteration this replaced stopped 5.9e-8 off, after 78
+        # solves; the Krylov space is near exact after 13
+        assert abs(est.lambda_min - ref) <= 1e-10 * ref
+        assert est.iterations <= 16
+
+
+def test_lower_end_is_temples_bound():
+    # A loose tolerance stops with a wide bracket, whose lower end is
+    # then all Temple's correction: rebuilt here from the residual and
+    # scipy's second eigenvalue of A_int, it must match to roundoff.
+    system = make_system(*CERTIFIED_GRIDS["strip320x32"])
+    est = estimate_poincare(system, rq_tolerance=1e-4)
+    v, rho, cell = est.eigenvector, est.lambda_min, cell_area(system)
+    r = as_csr(system.A_int) @ v - rho * (as_csr(system.M_int) @ v)
+    ell_2 = smallest_eigenvalues(system, k=2, pencil=False)[1] / cell
+    temple = rho - 4.0 * float(r @ r) / cell / (ell_2 - rho)
+    assert rho - temple > 1e-6 * rho
+    assert est.lambda_lo == pytest.approx(temple, rel=1e-10)
+
+
+def test_grid_bound_when_temple_does_not_apply():
+    # Three cells across a long strip: the mass matrix keeps rho above
+    # mu_2 / (hx hy), so the lower end is mu_1 / (hx hy), and it is wide.
+    system = make_system(0.0, 0.0, 20.0, 1.0, 200, 3)
+    est = estimate_poincare(system)
+    mu = smallest_eigenvalues(system, k=2, pencil=False) / cell_area(system)
+    assert est.lambda_min >= mu[1]
+    assert est.lambda_lo == pytest.approx(mu[0], rel=1e-12)
+    assert est.lambda_lo <= smallest_eigenvalues(system)[0] <= est.lambda_min
+    assert (est.lambda_min - est.lambda_lo) / est.lambda_min > 1e-2
+
+
+def test_estimate_calls_no_linear_solver(monkeypatch, unit16):
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_poincare called cg_solve")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dirichlet_fem") and hasattr(module, "cg_solve"):
+            monkeypatch.setattr(module, "cg_solve", refuse)
+    est = estimate_poincare(unit16)
+    assert est.lambda_lo <= est.lambda_min
+
+
+def test_unreachable_tolerance_fills_the_space_and_raises(unit8):
+    # 49 interior nodes: the Krylov space fills at step 49.  Its basis
+    # must stay M-orthonormal all the way there; a basis that decays
+    # returns a vector that is no ground mode before it fills.
+    with pytest.raises(ConvergenceError, match="after 49 Krylov steps"):
+        estimate_poincare(unit8, rq_tolerance=1e-30, max_steps=100)

@@ -423,6 +423,9 @@ def test_interior_system_holds_the_interior_blocks(skewed6x5):
     again = assemble_system(mesh)
     for name in ("A", "M", "A_int", "M_int"):
         assert getattr(again, name) == getattr(skewed6x5, name)
+    # the geometry assemble_system shares gives the standalone bits
+    assert skewed6x5.A == assemble_stiffness(mesh)
+    assert skewed6x5.M == assemble_mass(mesh)
 
 
 def test_interior_blocks_are_exactly_symmetric():

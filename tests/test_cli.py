@@ -1,6 +1,7 @@
 """End-to-end command line behavior via subprocess."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,7 @@ def test_solve_report_contents(tmp_path):
         "norm_grad",
         "norm_w12",
         "poincare_a",
+        "poincare_a_hi",
         "stability_lhs",
         "stability_rhs",
         "cg_iterations",
@@ -111,10 +113,20 @@ def test_poincare_hand_value(tmp_path):
     spec = write(tmp_path, "p.txt", "domain = 0 0 1 1\ngrid = 2 2\nf = 0\ng = 0\n")
     proc = run_cli("poincare", "--spec", spec)
     assert proc.returncode == 0
+    # stdout is one line in a fixed form, which scripts parse
+    assert re.fullmatch(
+        r"lambda_min=\S+ a=\S+ iterations=\d+\n", proc.stdout
+    ), proc.stdout
     fields = dict(part.split("=") for part in proc.stdout.split())
     assert float(fields["lambda_min"]) == pytest.approx(32.0, rel=1e-9)
     assert float(fields["a"]) == pytest.approx(0.176777, rel=1e-4)
     assert int(fields["iterations"]) >= 1
+    # the certified bracket goes to stderr
+    bracket = dict(part.split("=") for part in proc.stderr.split())
+    assert set(bracket) == {"lambda_lo", "a_hi", "width"}
+    assert float(bracket["lambda_lo"]) <= float(fields["lambda_min"])
+    assert float(bracket["a_hi"]) >= float(fields["a"])
+    assert 0.0 <= float(bracket["width"]) <= 1e-8
 
 
 def test_convergence_single_level_prints_no_order(tmp_path):

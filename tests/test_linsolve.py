@@ -174,3 +174,16 @@ def test_no_inverse_is_plain_cg():
     # near the roundoff floor plain CG's recursive residual runs ahead
     # of the true one; the restarts that costs are counted
     assert cg_solve(plain, b, SolverSettings(rel_tolerance=1e-14)).restarts > 0
+
+
+def test_stall_at_the_roundoff_floor_raises_fast():
+    # 1e-17 is below the roundoff floor of a 64^2 interior solve: the
+    # true residual stops halving from one restart to the next, and the
+    # solve gives up instead of restarting up to its 10 n cap
+    system = make_system(0.0, 0.0, 1.0, 1.0, 64, 64)
+    b = system.M_int.apply(np.ones(system.mesh.interior_count))
+    with pytest.raises(ConvergenceError, match="roundoff floor") as info:
+        cg_solve(system.A_int, b, SolverSettings(rel_tolerance=1e-17))
+    assert info.value.iterations <= 50
+    assert "threshold" in str(info.value)
+    assert info.value.residual > 1e-17 * np.linalg.norm(b)
