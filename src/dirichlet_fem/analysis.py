@@ -54,13 +54,15 @@ def estimate_poincare(
 
     The trial space is the Krylov space of A_int^{-1} M_int (one sine
     solve a step) from the all-ones vector, which is never orthogonal to
-    the positive ground mode, in an M-orthonormal basis (classical
-    Gram-Schmidt, twice).  Its lowest Ritz vector v has Rayleigh quotient
-    rho >= lambda_1 and residual r = A v - rho M v.  hx hy / 4 <= M_int
-    <= hx hy (Wathen, IMA J. Numer. Anal. 1987), so with the eigenvalues
-    mu_1 <= mu_2 of A_int from stiffness_spectrum, Courant-Fischer gives
-    l_2 = mu_2 / (hx hy) <= lambda_2, and Temple's inequality (Parlett,
-    The Symmetric Eigenvalue Problem, ch. 10) gives, if rho < l_2,
+    the positive ground mode, in an M-orthonormal basis Q (classical
+    Gram-Schmidt, twice).  M_int Q is kept beside Q, so a step applies
+    M_int once, to its new vector.  The lowest Ritz vector v has
+    Rayleigh quotient rho >= lambda_1 and residual r = A v - rho M v.
+    hx hy / 4 <= M_int <= hx hy (Wathen, IMA J. Numer. Anal. 1987), so
+    with the eigenvalues mu_1 <= mu_2 of A_int from stiffness_spectrum,
+    Courant-Fischer gives l_2 = mu_2 / (hx hy) <= lambda_2, and Temple's
+    inequality (Parlett, The Symmetric Eigenvalue Problem, ch. 10)
+    gives, if rho < l_2,
 
         lambda_1 >= rho - 4 ||r||^2 / (hx hy) / (l_2 - rho),
 
@@ -70,6 +72,10 @@ def estimate_poincare(
     bracket is [mu_1 / (hx hy), rho]; it is returned, wide, once rho
     settles to rq_tolerance or the space fills.
     """
+    if not 0.0 < rq_tolerance < 1.0:
+        raise ValueError(f"rq_tolerance must lie in (0, 1), got {rq_tolerance}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be positive, got {max_steps}")
     A_int, M_int, mesh = system.A_int, system.M_int, system.mesh
     n = A_int.dimension
     if n == 0:
@@ -82,19 +88,19 @@ def estimate_poincare(
     apply_error = A_int.apply_error(), M_int.apply_error()
 
     Q = np.ones((1, n)) / np.sqrt(M_int.quad_form(np.ones(n)))  # M-orthonormal rows
-    Mq = M_int.apply(Q[0])
+    MQ = M_int.apply(Q[0])[None, :]  # rows M_int q, kept beside Q
     H = np.array([[A_int.quad_form(Q[0])]])  # Q A_int Q^T
     rho_prev = np.inf
     for step in range(1, max_steps + 1):
-        w = A_int.inverse(Mq)
+        w = A_int.inverse(MQ[-1])
         for _ in range(2):
-            w -= (Q @ M_int.apply(w)) @ Q
+            w -= (MQ @ w) @ Q
         Mw = M_int.apply(w)
         norm = np.sqrt(w @ Mw)
         full = len(Q) == n or not norm > 0.0  # no new direction
         if not full:
-            q, Mq = w / norm, Mw / norm
-            Q = np.vstack([Q, q])
+            q = w / norm
+            Q, MQ = np.vstack([Q, q]), np.vstack([MQ, Mw / norm])
             h = Q @ A_int.apply(q)
             H = np.block([[H, h[:-1, None]], [h[None, :]]])
         v = np.linalg.eigh(H)[1][:, 0] @ Q

@@ -26,7 +26,8 @@ The stiffness across the cell diagonals is exactly zero, so A_int is
 the five-point operator (hy/hx) I (x) T_nx + (hx/hy) T_ny (x) I with
 T_n = tridiag(-1, 2, -1), which sine transforms diagonalise (Buzbee,
 Golub & Nielson, SIAM J. Numer. Anal. 1970).  assemble_system gives
-A_int that exact inverse, so cg_solve takes one step on it.
+A_int that exact inverse, and cg_solve solves with it: one application
+per solve, checked on the true residual.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ class SparseSymMatrix:
     square 2-D array, or any matrix with a ``toarray`` method, and
     refuses one whose entries differ from their transposes by any bit,
     so every holder of this type may rely on exact symmetry.  ``apply``
-    is the path of every mat-vec.  ``inverse``, if given, is a symmetric
-    positive definite approximation r -> A^{-1} r that cg_solve
-    preconditions with.
+    is the path of every mat-vec.  ``inverse``, if given, is the map
+    r -> A^{-1} r, exact or close to it, that cg_solve solves and
+    refines with; a matrix without one cannot be solved.
     """
 
     def __init__(self, matrix, inverse: Callable | None = None):
@@ -116,9 +117,6 @@ class SparseSymMatrix:
                 f"vector length {x.shape} does not match dimension {self.dimension}"
             )
         return self._product(self.bands, x)
-
-    def diagonal(self) -> np.ndarray:
-        return self.bands[0].copy()
 
     def quad_form(self, x: np.ndarray) -> float:
         """x . (A x)."""

@@ -115,6 +115,21 @@ def test_iteration_cap_raises(unit8):
         estimate_poincare(unit8, rq_tolerance=1e-30, max_steps=2)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_steps": 0}, {"max_steps": -3}, {"rq_tolerance": 0.0},
+     {"rq_tolerance": -1e-8}, {"rq_tolerance": 1.0}, {"rq_tolerance": np.nan}],
+)
+def test_bad_arguments_are_refused(monkeypatch, unit8, kwargs):
+    # refused before any work: no mat-vec, no sine solve
+    def refuse(*args):
+        raise AssertionError("estimate_poincare did work on bad arguments")
+
+    monkeypatch.setattr(type(unit8.A_int), "apply", refuse)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        estimate_poincare(unit8, **kwargs)
+
+
 def test_functional_bound_holds_for_nodal_data(unit16):
     mesh = unit16.mesh
     est = estimate_poincare(unit16)

@@ -32,7 +32,7 @@ def test_representer_matches_dense_solve(interior_system):
 def test_one_dof_hand_oracle():
     # 3x3-node unit grid: single interior unknown, A_int = [[4]];
     # lam = [1/4] gives p = 1/16 and E(p) = -1/128
-    A_int = SparseSymMatrix(csr_matrix([[4.0]]))
+    A_int = SparseSymMatrix(csr_matrix([[4.0]]), inverse=lambda r: r / 4.0)
     lam = np.array([0.25])
     p = riesz_represent(A_int, lam)
     assert p[0] == pytest.approx(0.0625, rel=1e-12)

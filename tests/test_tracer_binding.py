@@ -1,0 +1,53 @@
+"""The benchmark's span tracer still binds the package.
+
+perfbench/tracer.py wraps functions of dirichlet_fem by module and name,
+and reads a few fields off their results.  pytest collects only tests/,
+so a rename in the package would break a traced benchmark run
+(`perfbench/run.py --trace 1`) while every other test passed.  The
+tracer is read here as text and executed into a fresh namespace, so
+nothing is written beside it and nothing in the package is patched.
+"""
+
+import importlib
+import operator
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dirichlet_fem import assemble_mass, assemble_stiffness, cg_solve, estimate_poincare
+from tests.conftest import make_system
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer() -> types.ModuleType:
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER)
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), vars(module))
+    return module
+
+
+def test_every_target_resolves(tracer):
+    # install() also wraps expr.as_function, outside both tables
+    bound = tracer.TARGETS + tracer.LEAVES + (("expr", "as_function", None),)
+    for module_name, attr, _ in bound:
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        assert callable(operator.attrgetter(attr)(owner)), f"{module_name}.{attr}"
+
+
+def test_results_carry_the_counted_fields(tracer):
+    # the fields tracer.ON_RESULT reads: iterations of a solve and of an
+    # estimate, nnz of an assembled bracket
+    assert set(tracer.ON_RESULT) == {
+        "linsolve.cg", "analysis.poincare", "assembly.stiffness",
+        "assembly.mass", "mesh.build",
+    }
+    system = make_system(0.0, 0.0, 1.0, 1.0, 8, 8)
+    ones = np.ones(system.mesh.interior_count)
+    assert type(cg_solve(system.A_int, ones).iterations) is int
+    assert type(estimate_poincare(system).iterations) is int
+    for assemble in (assemble_stiffness, assemble_mass):
+        assert type(assemble(system.mesh).nnz) is int
