@@ -41,7 +41,7 @@ from .dirichlet import (
     weak_residual,
 )
 from .expr import EvalError, ParseError, as_function, evaluate, parse, serialize
-from .linsolve import CGResult, ConvergenceError, SolverSettings, cg_solve
+from .linsolve import CGResult, ConvergenceError, cg_solve
 from .mesh import Mesh, build_rect_mesh, eval_p1, nodal_values, p1_interpolant
 from .problems import (
     ProblemFormatError,
@@ -49,7 +49,6 @@ from .problems import (
     load_problem,
     make_data,
     make_mesh,
-    make_settings,
     parse_problem,
     read_field_csv,
     write_field_csv,
@@ -73,7 +72,6 @@ __all__ = [
     "ProblemFormatError",
     "ProblemSpec",
     "SolveReport",
-    "SolverSettings",
     "SparseSymMatrix",
     "StabilityBounds",
     "all_passed",
@@ -97,7 +95,6 @@ __all__ = [
     "load_problem",
     "make_data",
     "make_mesh",
-    "make_settings",
     "nodal_values",
     "norm_grad",
     "norm_l2",

@@ -29,7 +29,7 @@ import numpy as np
 from .assembly import InteriorSystem, assemble_load, norm_grad, norm_l2, norm_w12
 from .assembly import stiffness_spectrum
 from .dirichlet import ProblemData, build_functional
-from .linsolve import ConvergenceError, SolverSettings
+from .linsolve import ConvergenceError
 from .mesh import nodal_values
 from .riesz import riesz_represent
 
@@ -154,7 +154,7 @@ def check_functional_bound(
     system: InteriorSystem,
     data: ProblemData,
     a: float,
-    settings: SolverSettings = SolverSettings(),
+    tol: float = 1e-10,
 ) -> FunctionalBound:
     """Evaluate ||lam|| <= a ||f_h||_2 + ||g||_grad on the given mesh.
 
@@ -165,7 +165,7 @@ def check_functional_bound(
     mesh, A, M, A_int = system.mesh, system.A, system.M, system.A_int
     g_field = np.asarray(data.g, dtype=float)
     lam = build_functional(system, assemble_load(mesh, data.f), g_field)
-    lhs = norm_grad(A_int, riesz_represent(A_int, lam, settings))
+    lhs = norm_grad(A_int, riesz_represent(A_int, lam, tol))
     rhs = a * norm_l2(M, nodal_values(mesh, data.f)) + norm_grad(A, g_field)
     return FunctionalBound(lhs=lhs, rhs=rhs)
 

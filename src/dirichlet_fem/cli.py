@@ -31,22 +31,20 @@ from .problems import (
     load_problem,
     make_data,
     make_mesh,
-    make_settings,
     write_field_csv,
 )
 from .verify import all_passed, run_checks
 
 
 def _solve_spec(spec: ProblemSpec, system: InteriorSystem) -> SolveReport:
-    settings = make_settings(spec)
     mesh = system.mesh
     if spec.mode == "border":
         x, y = mesh.nodes[mesh.boundary_indices].T
         boundary_values = as_function(spec.g_expr)(x, y)
         return quotient_solve(
-            system, as_function(spec.f_expr), boundary_values, settings
+            system, as_function(spec.f_expr), boundary_values, spec.tol
         )
-    return solve(system, make_data(spec, mesh), settings)
+    return solve(system, make_data(spec, mesh), spec.tol)
 
 
 def _write_field(out_path: str | None, mesh: Mesh, u: np.ndarray) -> None:
@@ -94,7 +92,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         assemble_system(make_mesh(spec)),
         as_function(spec.f_expr),
         as_function(spec.g_expr),
-        make_settings(spec),
+        spec.tol,
         seed,
     )
     for r in results:

@@ -37,7 +37,7 @@ from .assembly import (
     norm_w12,
     restrict_interior,
 )
-from .linsolve import SolverSettings, cg_solve
+from .linsolve import cg_solve
 from .mesh import Mesh, _as_field
 from .riesz import energy
 
@@ -111,7 +111,7 @@ def weak_residual(
 def solve(
     system: InteriorSystem,
     data: ProblemData,
-    settings: SolverSettings = SolverSettings(),
+    tol: float = 1e-10,
     poincare: "PoincareEstimate | None" = None,
 ) -> SolveReport:
     """Solve the problem and report the diagnostics alongside the field.
@@ -127,7 +127,7 @@ def solve(
     g_field = _as_field(data.g, mesh.node_count)
     load = assemble_load(mesh, data.f)
     lam = build_functional(system, load, g_field)
-    result = cg_solve(system.A_int, lam, settings)
+    result = cg_solve(system.A_int, lam, tol)
     u = extend_by_zero(mesh, result.x) + g_field
 
     if poincare is None:
@@ -174,7 +174,7 @@ def quotient_solve(
     system: InteriorSystem,
     f: Field,
     boundary_values: np.ndarray,
-    settings: SolverSettings = SolverSettings(),
+    tol: float = 1e-10,
     poincare: "PoincareEstimate | None" = None,
 ) -> SolveReport:
     """Solve from boundary values alone, with no extension supplied.
@@ -185,7 +185,7 @@ def quotient_solve(
     defined on classes of fields that agree on the boundary.
     """
     data = ProblemData(f=f, g=extend(system.mesh, boundary_values))
-    return solve(system, data, settings, poincare)
+    return solve(system, data, tol, poincare)
 
 
 def verify_uniqueness(

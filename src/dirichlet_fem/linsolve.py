@@ -14,9 +14,8 @@ diagnostic instead of silently looping.
 
 The solver began as conjugate gradients preconditioned by that inverse,
 whose first step is this solve.  It keeps the names cg_solve and
-CGResult because the problem files' settings, the CLI report's
-cg_iterations and the benchmark's tracer (perfbench/tracer.py) are
-written against them.
+CGResult because the CLI report's cg_iterations and the benchmark's
+tracer (perfbench/tracer.py) are written against them.
 """
 
 from __future__ import annotations
@@ -29,30 +28,6 @@ from .assembly import SparseSymMatrix
 
 
 @dataclass(frozen=True)
-class SolverSettings:
-    """Stopping control for cg_solve.
-
-    rel_tolerance is relative to the right-hand side: the solve stops
-    once ||A x - b|| <= rel_tolerance * ||b||.  max_iterations caps the
-    applications of the inverse; None means ten times the system
-    dimension.
-    """
-
-    rel_tolerance: float = 1e-10
-    max_iterations: int | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tolerance < 1.0):
-            raise ValueError(
-                f"rel_tolerance must lie in (0, 1), got {self.rel_tolerance}"
-            )
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be positive, got {self.max_iterations}"
-            )
-
-
-@dataclass(frozen=True)
 class CGResult:
     x: np.ndarray
     iterations: int  # applications of the inverse
@@ -60,7 +35,7 @@ class CGResult:
 
 
 class ConvergenceError(RuntimeError):
-    """Solve failed: iteration cap hit, or the residual stopped shrinking."""
+    """Solve failed: the residual stopped shrinking."""
 
     def __init__(self, message: str, iterations: int, residual: float):
         super().__init__(message)
@@ -71,16 +46,21 @@ class ConvergenceError(RuntimeError):
 def cg_solve(
     A: SparseSymMatrix,
     b: np.ndarray,
-    settings: SolverSettings = SolverSettings(),
+    tol: float = 1e-10,
 ) -> CGResult:
-    """Solve A x = b by A.inverse with iterative refinement.
+    """Solve A x = b to ||b - A x|| <= tol * ||b|| by A.inverse with refinement.
 
-    x starts at A.inverse(b); while ||b - A x|| is above
-    rel_tolerance * ||b||, A.inverse of that residual is added.  Three
+    x starts at A.inverse(b); while the true residual is above the
+    threshold tol * ||b||, A.inverse of that residual is added.  Three
     steps in a row that do not halve the best residual so far mean the
     tolerance is below the roundoff floor, or the inverse does not fit
-    A, and raise, as does reaching max_iterations.
+    A, and raise.  The best residual is a positive float that halves at
+    least every third step, so a solve applies the inverse at most
+    3 * ceil(log2(||r_1|| / threshold)) + 3 times, r_1 being the first
+    residual, or raises.
     """
+    if not (0.0 < tol < 1.0):  # NaN fails too
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if A.inverse is None:
         raise ValueError("matrix has no inverse to solve with")
     b = np.asarray(b, dtype=float)
@@ -94,9 +74,7 @@ def cg_solve(
     if b_norm == 0.0:
         return CGResult(x=np.zeros(n), iterations=0, residual=0.0)
 
-    max_iter = settings.max_iterations or 10 * n
-    threshold = settings.rel_tolerance * b_norm
-
+    threshold = tol * b_norm
     x = A.inverse(b)
     iterations, stalls, best = 1, 0, np.inf  # best: smallest true residual
     while True:
@@ -106,13 +84,11 @@ def cg_solve(
             return CGResult(x=x, iterations=iterations, residual=r_norm)
         stalls = 0 if r_norm <= 0.5 * best else stalls + 1  # NaN stalls too
         best = min(best, r_norm)
-        if stalls == 3 or iterations >= max_iter:
-            cause = ("stalled at the roundoff floor, or on an inverse that "
-                     "does not fit the matrix" if stalls == 3
-                     else f"no convergence within {max_iter} iterations")
+        if stalls == 3:
             raise ConvergenceError(
-                f"{cause}: best true residual {best:.3e} vs threshold "
-                f"{threshold:.3e} after {iterations} iterations",
+                "stalled at the roundoff floor, or on an inverse that does "
+                f"not fit the matrix: best true residual {best:.3e} vs "
+                f"threshold {threshold:.3e} after {iterations} iterations",
                 iterations=iterations,
                 residual=best,
             )

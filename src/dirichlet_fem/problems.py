@@ -1,15 +1,15 @@
 """Problem files and field output.
 
 A problem file is flat text, one `key = value` pair per line, with
-blank lines and `#` comments ignored.  Recognized keys:
+blank lines and lines starting with `#` ignored.  Recognized keys, and
+no others:
 
     domain   = x0 y0 x1 y1      rectangle corners, finite, x0 < x1, y0 < y1 (required)
     grid     = nx ny            cells per direction (required)
     f        = <expression>     source field (required)
     g        = <expression>     boundary data (required)
     mode     = extension|border how g enters the solve (default extension)
-    tol      = <float>          solver relative tolerance (default 1e-10)
-    max_iter = <int>            solver iteration cap (default: 10x dimension)
+    tol      = <float>          solver relative tolerance in (0, 1) (default 1e-10)
     u_exact  = <expression>     reference field for convergence studies
     seed     = <int>            seed for randomized verification, >= 0 (default 42)
 
@@ -34,7 +34,6 @@ import numpy as np
 
 from .dirichlet import ProblemData
 from .expr import Expr, ParseError, as_function, parse
-from .linsolve import SolverSettings
 from .mesh import Mesh, _as_field, build_rect_mesh, check_domain, nodal_values
 
 _VALID_KEYS = (
@@ -44,7 +43,6 @@ _VALID_KEYS = (
     "g",
     "mode",
     "tol",
-    "max_iter",
     "u_exact",
     "seed",
 )
@@ -73,7 +71,6 @@ class ProblemSpec:
     g_expr: Expr
     mode: str = "extension"
     tol: float = 1e-10
-    max_iter: int | None = None
     u_exact_text: str | None = None
     u_exact_expr: Expr | None = None
     seed: int = 42
@@ -155,15 +152,6 @@ def parse_problem(text: str) -> ProblemSpec:
         if not (0.0 < tol < 1.0):
             fail("tol", f"must lie in (0, 1), got {tol}")
 
-    max_iter = None
-    if "max_iter" in values:
-        try:
-            max_iter = int(values["max_iter"])
-        except ValueError:
-            fail("max_iter", f"bad integer {values['max_iter']!r}")
-        if max_iter < 1:
-            fail("max_iter", f"must be positive, got {max_iter}")
-
     seed = 42
     if "seed" in values:
         try:
@@ -183,7 +171,6 @@ def parse_problem(text: str) -> ProblemSpec:
         g_expr=g_expr,
         mode=mode,
         tol=tol,
-        max_iter=max_iter,
         u_exact_text=values.get("u_exact"),
         u_exact_expr=u_exact_expr,
         seed=seed,
@@ -199,10 +186,6 @@ def load_problem(path: str) -> ProblemSpec:
 def make_mesh(spec: ProblemSpec) -> Mesh:
     x0, y0, x1, y1 = spec.domain
     return build_rect_mesh(x0, y0, x1, y1, spec.nx, spec.ny)
-
-
-def make_settings(spec: ProblemSpec) -> SolverSettings:
-    return SolverSettings(rel_tolerance=spec.tol, max_iterations=spec.max_iter)
 
 
 def make_data(spec: ProblemSpec, mesh: Mesh) -> ProblemData:

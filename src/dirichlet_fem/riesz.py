@@ -22,16 +22,16 @@ from __future__ import annotations
 import numpy as np
 
 from .assembly import SparseSymMatrix
-from .linsolve import SolverSettings, cg_solve
+from .linsolve import cg_solve
 
 
 def riesz_represent(
     A: SparseSymMatrix,
     lam: np.ndarray,
-    settings: SolverSettings = SolverSettings(),
+    tol: float = 1e-10,
 ) -> np.ndarray:
-    """The vector p with (A p) . v = lam . v for every v."""
-    return cg_solve(A, lam, settings).x
+    """The vector p with (A p) . v = lam . v for every v, to tol * ||lam||."""
+    return cg_solve(A, lam, tol).x
 
 
 def energy(A: SparseSymMatrix, lam: np.ndarray, x: np.ndarray) -> float:
@@ -43,18 +43,14 @@ def check_square_identity(
     A: SparseSymMatrix,
     lam: np.ndarray,
     x: np.ndarray,
-    p: np.ndarray | None = None,
-    settings: SolverSettings = SolverSettings(),
+    p: np.ndarray,
 ) -> float:
     """Discrepancy of the completed square at one test vector.
 
     Returns |E(x) + 0.5 ||p||_A^2 - 0.5 ||x - p||_A^2|, which vanishes
     identically when p solves A p = lam; with an iterative p the value
     is (x - p) . (A p - lam), so it stays at solver-residual scale.
-    The representer is solved internally unless passed in.
     """
-    if p is None:
-        p = riesz_represent(A, lam, settings)
     d = np.asarray(x, dtype=float) - p
     return abs(
         energy(A, lam, x)

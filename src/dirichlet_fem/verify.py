@@ -40,7 +40,6 @@ from .dirichlet import (
     trace,
     verify_uniqueness,
 )
-from .linsolve import SolverSettings
 from .mesh import nodal_values, p1_interpolant
 from .riesz import check_square_identity, energy
 
@@ -56,17 +55,14 @@ def run_checks(
     system: InteriorSystem,
     f: Field,
     g: Field,
-    settings: SolverSettings = SolverSettings(),
+    tol: float = 1e-10,
     seed: int = 42,
 ) -> list[CheckResult]:
     """Run the full verification suite on one problem."""
     mesh, A, A_int = system.mesh, system.A, system.A_int
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
-    tight = SolverSettings(
-        rel_tolerance=min(settings.rel_tolerance, 1e-12),
-        max_iterations=settings.max_iterations,
-    )
+    tight = min(tol, 1e-12)
 
     f_vals = nodal_values(mesh, f)
     f_h = p1_interpolant(mesh, f_vals)
@@ -150,7 +146,7 @@ def run_checks(
         )
     )
 
-    loose = solve(system, data, settings, poincare=est)
+    loose = solve(system, data, tol, poincare=est)
     distance = verify_uniqueness(system, loose.u, report.u)
     uniq_tol = 1e-9 * (1.0 + norm_grad(A, report.u))
     results.append(
@@ -240,7 +236,7 @@ def run_checks(
         )
     )
 
-    wr_tol = max(1e-8, 10.0 * tight.rel_tolerance * np.sqrt(max(n, 1)))
+    wr_tol = max(1e-8, 10.0 * tight * np.sqrt(max(n, 1)))
     results.append(
         CheckResult(
             "weak-residual",

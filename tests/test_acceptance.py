@@ -14,7 +14,6 @@ import pytest
 
 from dirichlet_fem import (
     ProblemData,
-    SolverSettings,
     check_functional_bound,
     check_stability,
     energy,
@@ -62,13 +61,12 @@ def test_criterion_01_unique_minimum_of_random_functionals(grid16):
     A_int = grid16.A_int
     n = A_int.dimension
     rng = np.random.default_rng(42)
-    settings = SolverSettings(rel_tolerance=1e-10)
 
     worst_gap = np.inf  # smallest energy excess seen (must stay >= 0)
     worst_defect = 0.0  # largest scaled completed-square discrepancy
     for _ in range(100):
         lam = rng.standard_normal(n)
-        p = riesz_represent(A_int, lam, settings)
+        p = riesz_represent(A_int, lam, 1e-10)
         base = energy(A_int, lam, p)
         for _ in range(5):
             d = rng.standard_normal(n)
@@ -98,8 +96,8 @@ def test_criterion_01_unique_minimum_of_random_functionals(grid16):
 
 def test_criterion_02_minimizer_solves_weak_equations(grid16):
     data = ProblemData(f=sine_source, g=nodal_values(grid16.mesh, lambda x, y: 0.2 * x))
-    first = solve(grid16, data, SolverSettings(rel_tolerance=1e-10))
-    second = solve(grid16, data, SolverSettings(rel_tolerance=1e-12))
+    first = solve(grid16, data, 1e-10)
+    second = solve(grid16, data, 1e-12)
     distance = verify_uniqueness(grid16, first.u, second.u)
     limit = 1e-9 * (1.0 + norm_grad(grid16.A, first.u))
     ok = first.weak_residual <= 1e-9 and distance <= limit
@@ -173,15 +171,14 @@ def test_criterion_07_continuity_bounds_hold(grid16):
     mesh = grid16.mesh
     est = estimate_poincare(grid16)
     rng = np.random.default_rng(42)
-    settings = SolverSettings()
     slack = 1.0 + 1e-8
     margins = []
     for _ in range(50):
         f_vals = rng.standard_normal(mesh.node_count)
         g = rng.standard_normal(mesh.node_count)
         data = ProblemData(f=p1_interpolant(mesh, f_vals), g=g)
-        u = solve(grid16, data, settings, poincare=est).u
-        functional = check_functional_bound(grid16, data, est.a, settings)
+        u = solve(grid16, data, poincare=est).u
+        functional = check_functional_bound(grid16, data, est.a)
         bounds = check_stability(grid16, u, data, est.a)
         assert functional.lhs <= functional.rhs * slack
         assert bounds.riesz_lhs <= bounds.riesz_rhs * slack

@@ -10,7 +10,6 @@ import scipy.sparse.linalg
 from dirichlet_fem import (
     ConvergenceError,
     ProblemData,
-    SolverSettings,
     check_functional_bound,
     check_stability,
     estimate_poincare,
@@ -146,12 +145,11 @@ def test_stability_bounds_hold_for_nodal_data(unit16):
     mesh = unit16.mesh
     est = estimate_poincare(unit16)
     rng = np.random.default_rng(43)
-    settings = SolverSettings()
     for _ in range(25):
         f_vals = rng.standard_normal(mesh.node_count)
         g = rng.standard_normal(mesh.node_count)
         data = ProblemData(f=p1_interpolant(mesh, f_vals), g=g)
-        report = solve(unit16, data, settings, poincare=est)
+        report = solve(unit16, data, poincare=est)
         bounds = check_stability(unit16, report.u, data, est.a)
         assert bounds.riesz_lhs <= bounds.riesz_rhs * (1.0 + 1e-8)
         assert bounds.lhs <= bounds.rhs * (1.0 + 1e-8)

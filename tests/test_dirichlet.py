@@ -7,7 +7,6 @@ import pytest
 
 from dirichlet_fem import (
     ProblemData,
-    SolverSettings,
     assemble_load,
     build_functional,
     energy,
@@ -133,8 +132,8 @@ def test_two_solves_agree(unit16):
     rng = np.random.default_rng(34)
     g = rng.standard_normal(mesh.node_count)
     data = ProblemData(f=p1_interpolant(mesh, rng.standard_normal(mesh.node_count)), g=g)
-    u1 = solve(unit16, data, SolverSettings(rel_tolerance=1e-10)).u
-    u2 = solve(unit16, data, SolverSettings(rel_tolerance=1e-12)).u
+    u1 = solve(unit16, data, 1e-10).u
+    u2 = solve(unit16, data, 1e-12).u
     from dirichlet_fem import norm_grad
 
     dist = verify_uniqueness(unit16, u1, u2)

@@ -1,16 +1,18 @@
 """Problem files: parsing, defaults, diagnostics, CSV round trips."""
 
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dirichlet_fem import problems
 from dirichlet_fem import (
     ProblemFormatError,
     build_rect_mesh,
     make_data,
     make_mesh,
-    make_settings,
     nodal_values,
     parse_problem,
     read_field_csv,
@@ -26,7 +28,6 @@ f = x*y
 g = sin(pi*x)
 mode = border
 tol = 1e-8
-max_iter = 500
 u_exact = x
 seed = 7
 """
@@ -40,7 +41,6 @@ def test_parse_full_file():
     assert spec.g_text == "sin(pi*x)"
     assert spec.mode == "border"
     assert spec.tol == 1e-8
-    assert spec.max_iter == 500
     assert spec.u_exact_text == "x"
     assert spec.seed == 7
 
@@ -49,7 +49,6 @@ def test_defaults():
     spec = parse_problem("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\n")
     assert spec.mode == "extension"
     assert spec.tol == 1e-10
-    assert spec.max_iter is None
     assert spec.u_exact_text is None
     assert spec.u_exact_expr is None
     assert spec.seed == 42
@@ -70,7 +69,7 @@ def test_defaults():
         ("domain = 0 0 1 1\ngrid = 4 4\nf = sin(\ng = 0\n", 3, "offset"),
         ("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\nmode = fancy\n", 5, "one of"),
         ("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\ntol = 2\n", 5, "lie in"),
-        ("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\nmax_iter = 0\n", 5, "positive"),
+        ("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\nmax_iter = 500\n", 5, "unknown key"),
         ("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\nseed = x\n", 5, "bad integer"),
         ("domain = 0 1 1 1\ngrid = 4 4\nf = 1\ng = 0\n", 1, "degenerate"),
     ],
@@ -98,10 +97,6 @@ def test_make_helpers():
     mesh = make_mesh(spec)
     assert mesh.domain == (0.0, 0.0, 2.0, 1.0)
     assert (mesh.nx, mesh.ny) == (8, 4)
-
-    settings = make_settings(spec)
-    assert settings.rel_tolerance == 1e-8
-    assert settings.max_iterations == 500
 
     data = make_data(spec, mesh)
     assert data.f(0.5, 0.25) == pytest.approx(0.125, rel=1e-15)
@@ -169,3 +164,19 @@ def test_csv_write_rejects_wrong_length():
     mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
     with pytest.raises(ValueError, match="node count"):
         write_field_csv(io.StringIO(), mesh, np.zeros(3))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_docs_and_parser_agree_on_the_keys():
+    # the module docstring's key table and README's problem-file example
+    # name exactly the keys the parser accepts, and the example parses
+    table = re.findall(r"^    (\w+)\s+= ", problems.__doc__, re.M)
+    assert sorted(table) == sorted(problems._VALID_KEYS)
+    blocks = re.findall(r"^```\w*\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    example = next(b for b in blocks if b.lstrip().startswith("# manufactured"))
+    keys = re.findall(r"^(\w+)\s*=", example, re.M)
+    assert sorted(keys) == sorted(problems._VALID_KEYS)
+    parse_problem(example)
+    assert "max_iter" not in problems.__doc__ and "max_iter" not in example

@@ -125,6 +125,7 @@ cli_edit = st.one_of(
         ]),
     ),
     st.tuples(st.just("tol"), st.sampled_from(["0.5", "1e-300", "0", "1", "nan", "t"])),
+    # max_iter is not a key: the file is malformed and must exit 1
     st.tuples(st.just("max_iter"), st.sampled_from(["1", "3", "0", "-2", "2.5"])),
     st.tuples(st.just("seed"), st.sampled_from(["0", "7", "-1", "9" * 20, "s"])),
     st.tuples(st.just("mode"), st.sampled_from(["border", "extension", "magic"])),

@@ -5,7 +5,6 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from dirichlet_fem import (
-    SolverSettings,
     SparseSymMatrix,
     check_square_identity,
     energy,
@@ -55,7 +54,7 @@ def test_minimality_over_random_directions(interior_system):
 def test_strict_quadratic_excess(interior_system):
     # E(p + eps d) - E(p) = eps^2/2 ||d||_A^2: uniqueness made numeric
     A_int, lam = interior_system
-    p = riesz_represent(A_int, lam, SolverSettings(rel_tolerance=1e-13))
+    p = riesz_represent(A_int, lam, 1e-13)
     base = energy(A_int, lam, p)
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -100,7 +99,7 @@ def test_dual_value_bounded_by_dual_norm(interior_system):
 
 def test_square_identity_random_points(interior_system):
     A_int, lam = interior_system
-    p = riesz_represent(A_int, lam, SolverSettings(rel_tolerance=1e-12))
+    p = riesz_represent(A_int, lam, 1e-12)
     rng = np.random.default_rng(26)
     for _ in range(50):
         x = rng.standard_normal(len(lam)) * rng.uniform(0.1, 10.0)
@@ -108,8 +107,3 @@ def test_square_identity_random_points(interior_system):
         assert check_square_identity(A_int, lam, x, p) <= 1e-10 * scale
 
 
-def test_square_identity_solves_internally(interior_system):
-    A_int, lam = interior_system
-    x = np.zeros(len(lam))
-    # at x = 0 the identity reads E(0) + 0.5||p||^2 - 0.5||p||^2 = 0
-    assert check_square_identity(A_int, lam, x) <= 1e-10

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dirichlet_fem import CheckResult, SolverSettings, all_passed, run_checks
+from dirichlet_fem import CheckResult, all_passed, run_checks
 
 EXPECTED_CHECKS = [
     "square-identity",
@@ -29,7 +29,7 @@ def smooth_g(x, y):
 
 
 def test_all_checks_pass(unit8):
-    results = run_checks(unit8, smooth_f, smooth_g, SolverSettings(), seed=42)
+    results = run_checks(unit8, smooth_f, smooth_g, seed=42)
     assert [r.name for r in results] == EXPECTED_CHECKS
     failures = [r for r in results if not r.passed]
     assert not failures, [f"{r.name}: {r.detail}" for r in failures]
@@ -37,8 +37,8 @@ def test_all_checks_pass(unit8):
 
 
 def test_same_seed_same_details(unit8):
-    a = run_checks(unit8, smooth_f, smooth_g, SolverSettings(), seed=7)
-    b = run_checks(unit8, smooth_f, smooth_g, SolverSettings(), seed=7)
+    a = run_checks(unit8, smooth_f, smooth_g, seed=7)
+    b = run_checks(unit8, smooth_f, smooth_g, seed=7)
     assert [(r.name, r.passed, r.detail) for r in a] == [
         (r.name, r.passed, r.detail) for r in b
     ]
@@ -54,7 +54,7 @@ def test_all_passed_helper():
 
 def test_passes_on_skewed_domain(skewed6x5):
     # nothing in the identities depends on the unit square
-    results = run_checks(skewed6x5, smooth_f, smooth_g, SolverSettings(), seed=3)
+    results = run_checks(skewed6x5, smooth_f, smooth_g, seed=3)
     assert all_passed(results), [
         f"{r.name}: {r.detail}" for r in results if not r.passed
     ]
