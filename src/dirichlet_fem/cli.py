@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from .analysis import estimate_poincare
-from .assembly import InteriorSystem, assemble_system, norm_l2
-from .dirichlet import ProblemData, SolveReport, quotient_solve, solve
+from .analysis import check_stability, estimate_poincare
+from .assembly import InteriorSystem, assemble_system, norm_grad, norm_l2, norm_w12
+from .dirichlet import ProblemData, SolveReport, quotient_solve, solve, weak_residual
 from .expr import EvalError, ParseError, as_function
 from .linsolve import ConvergenceError
 from .mesh import Mesh, build_rect_mesh, nodal_values
@@ -33,18 +33,22 @@ from .problems import (
     make_mesh,
     write_field_csv,
 )
+from .riesz import energy
 from .verify import all_passed, run_checks
 
 
-def _solve_spec(spec: ProblemSpec, system: InteriorSystem) -> SolveReport:
+def _solve_spec(
+    spec: ProblemSpec, system: InteriorSystem
+) -> tuple[ProblemData, SolveReport]:
+    """Solve the file's problem; return the data it solved and the report."""
     mesh = system.mesh
     if spec.mode == "border":
         x, y = mesh.nodes[mesh.boundary_indices].T
-        boundary_values = as_function(spec.g_expr)(x, y)
-        return quotient_solve(
-            system, as_function(spec.f_expr), boundary_values, spec.tol
-        )
-    return solve(system, make_data(spec, mesh), spec.tol)
+        f = as_function(spec.f_expr)
+        report = quotient_solve(system, f, as_function(spec.g_expr)(x, y), spec.tol)
+        return ProblemData(f=f, g=report.g_field), report
+    data = make_data(spec, mesh)
+    return data, solve(system, data, spec.tol)
 
 
 def _write_field(out_path: str | None, mesh: Mesh, u: np.ndarray) -> None:
@@ -55,20 +59,24 @@ def _write_field(out_path: str | None, mesh: Mesh, u: np.ndarray) -> None:
             write_field_csv(handle, mesh, u)
 
 
-def _print_report(mesh: Mesh, report: SolveReport) -> None:
-    norm_2, norm_grad, norm_w12 = report.norms
+def _print_report(
+    system: InteriorSystem, data: ProblemData, report: SolveReport
+) -> None:
+    mesh, A, M, u = system.mesh, system.A, system.M, report.u
+    est = estimate_poincare(system)
+    bounds = check_stability(system, u, data, est.a_hi)
     lines = (
         f"nodes          = {mesh.node_count} "
         f"({mesh.interior_count} interior)",
-        f"energy         = {report.energy_value:.17g}",
-        f"weak_residual  = {report.weak_residual:.6e}",
-        f"norm_l2        = {norm_2:.12g}",
-        f"norm_grad      = {norm_grad:.12g}",
-        f"norm_w12       = {norm_w12:.12g}",
-        f"poincare_a     = {report.poincare_a:.12g}",
-        f"poincare_a_hi  = {report.poincare_a_hi:.12g}",
-        f"stability_lhs  = {report.stability_lhs:.12g}",
-        f"stability_rhs  = {report.stability_rhs:.12g}",
+        f"energy         = {energy(A, report.load, u):.17g}",
+        f"weak_residual  = {weak_residual(system, u, report.load):.6e}",
+        f"norm_l2        = {norm_l2(M, u):.12g}",
+        f"norm_grad      = {norm_grad(A, u):.12g}",
+        f"norm_w12       = {norm_w12(A, M, u):.12g}",
+        f"poincare_a     = {est.a:.12g}",
+        f"poincare_a_hi  = {est.a_hi:.12g}",
+        f"stability_lhs  = {bounds.lhs:.12g}",
+        f"stability_rhs  = {bounds.rhs:.12g}",
         f"cg_iterations  = {report.iterations}",
     )
     print("\n".join(lines), file=sys.stderr)
@@ -76,10 +84,10 @@ def _print_report(mesh: Mesh, report: SolveReport) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
-    mesh = make_mesh(spec)
-    report = _solve_spec(spec, assemble_system(mesh))
-    _print_report(mesh, report)
-    _write_field(args.out, mesh, report.u)
+    system = assemble_system(make_mesh(spec))
+    data, report = _solve_spec(spec, system)
+    _print_report(system, data, report)
+    _write_field(args.out, system.mesh, report.u)
     return 0
 
 
@@ -130,7 +138,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         nx = spec.nx << level
         ny = spec.ny << level
         system = assemble_system(build_rect_mesh(x0, y0, x1, y1, nx, ny))
-        report = _solve_spec(spec, system)
+        _, report = _solve_spec(spec, system)
         diff = report.u - nodal_values(system.mesh, u_exact)
         max_error = float(np.max(np.abs(diff)))
         l2_error = norm_l2(system.M, diff)

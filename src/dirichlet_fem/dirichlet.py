@@ -15,16 +15,18 @@ J(w + g) = E(w) + J(g) with
 
 J and E are one expression, riesz.energy, on two spaces.  The minimizer
 is the representer of lam in the gradient inner product, so the whole
-pipeline reduces to one SPD solve.  The extension enters only through
-its boundary values: changing g inside the domain changes lam and the
-shift J(g) but not the reconstructed u, which is what quotient_solve
-demonstrates by always extending with zeros.
+pipeline reduces to one SPD solve; solve makes the load and that solve
+and nothing else, and its readers compute the numbers that judge it.
+The extension enters only through its boundary values: changing g
+inside the domain changes lam and the shift J(g) but not the
+reconstructed u, which is what quotient_solve demonstrates by always
+extending with zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -33,16 +35,10 @@ from .assembly import (
     assemble_load,
     extend_by_zero,
     norm_grad,
-    norm_l2,
-    norm_w12,
     restrict_interior,
 )
 from .linsolve import cg_solve
 from .mesh import Mesh, _as_field
-from .riesz import energy
-
-if TYPE_CHECKING:
-    from .analysis import PoincareEstimate
 
 # f(x, y) on coordinate arrays: an array of their shape, or a scalar.
 Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -64,22 +60,14 @@ class ProblemData:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Everything a solve produced, kept for later verification."""
+    """What one solve made; J(u) = energy(A, load, u), E(p) = energy(A_int, lam, p)."""
 
     u: np.ndarray  # full nodal field, boundary values included
     p: np.ndarray  # interior minimizer of the reduced energy
     lam: np.ndarray  # interior coefficients of the reduced functional
+    load: np.ndarray  # assembled load of f, one entry per node
     g_field: np.ndarray  # extension the solve actually used
-    iterations: int
-    solver_residual: float
-    energy_value: float  # objective J(u) at the solution
-    reduced_energy: float  # E(p); equals -0.5 ||p||_A^2, never positive
-    weak_residual: float
-    norms: tuple[float, float, float]  # (l2, grad, full) norms of u
-    poincare_a: float
-    poincare_a_hi: float
-    stability_lhs: float
-    stability_rhs: float
+    iterations: int  # applications of the interior inverse
 
 
 def build_functional(
@@ -112,43 +100,25 @@ def solve(
     system: InteriorSystem,
     data: ProblemData,
     tol: float = 1e-10,
-    poincare: "PoincareEstimate | None" = None,
 ) -> SolveReport:
-    """Solve the problem and report the diagnostics alongside the field.
+    """Solve the problem by one load assembly and one interior solve.
 
-    The report always carries the embedding constant's bracket and both
-    sides of the continuity bound, evaluated with its upper end; pass a
-    precomputed estimate to avoid the eigen-estimate when solving many
-    problems on one mesh.
+    The interior correction p represents lam = (load - A g)_interior to
+    `tol`, and u = p + g on the full grid.  Energies, norms, the weak
+    residual and the continuity bounds are computed from the report.
     """
-    from .analysis import check_stability, estimate_poincare
-
-    mesh, A, M = system.mesh, system.A, system.M
+    mesh = system.mesh
     g_field = _as_field(data.g, mesh.node_count)
     load = assemble_load(mesh, data.f)
     lam = build_functional(system, load, g_field)
     result = cg_solve(system.A_int, lam, tol)
-    u = extend_by_zero(mesh, result.x) + g_field
-
-    if poincare is None:
-        poincare = estimate_poincare(system)
-    bounds = check_stability(system, u, data, poincare.a_hi)
-
     return SolveReport(
-        u=u,
+        u=extend_by_zero(mesh, result.x) + g_field,
         p=result.x,
         lam=lam,
+        load=load,
         g_field=g_field.copy(),
         iterations=result.iterations,
-        solver_residual=result.residual,
-        energy_value=energy(A, load, u),
-        reduced_energy=energy(system.A_int, lam, result.x),
-        weak_residual=weak_residual(system, u, load),
-        norms=(norm_l2(M, u), norm_grad(A, u), norm_w12(A, M, u)),
-        poincare_a=poincare.a,
-        poincare_a_hi=poincare.a_hi,
-        stability_lhs=bounds.lhs,
-        stability_rhs=bounds.rhs,
     )
 
 
@@ -175,7 +145,6 @@ def quotient_solve(
     f: Field,
     boundary_values: np.ndarray,
     tol: float = 1e-10,
-    poincare: "PoincareEstimate | None" = None,
 ) -> SolveReport:
     """Solve from boundary values alone, with no extension supplied.
 
@@ -185,7 +154,7 @@ def quotient_solve(
     defined on classes of fields that agree on the boundary.
     """
     data = ProblemData(f=f, g=extend(system.mesh, boundary_values))
-    return solve(system, data, tol, poincare)
+    return solve(system, data, tol)
 
 
 def verify_uniqueness(

@@ -149,7 +149,7 @@ def test_stability_bounds_hold_for_nodal_data(unit16):
         f_vals = rng.standard_normal(mesh.node_count)
         g = rng.standard_normal(mesh.node_count)
         data = ProblemData(f=p1_interpolant(mesh, f_vals), g=g)
-        report = solve(unit16, data, poincare=est)
+        report = solve(unit16, data)
         bounds = check_stability(unit16, report.u, data, est.a)
         assert bounds.riesz_lhs <= bounds.riesz_rhs * (1.0 + 1e-8)
         assert bounds.lhs <= bounds.rhs * (1.0 + 1e-8)

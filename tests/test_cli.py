@@ -56,27 +56,70 @@ def test_solve_hand_oracle(tmp_path):
 
 
 def test_solve_report_contents(tmp_path):
-    spec = write(tmp_path, "p.txt", BASE + "f = 1\ng = x\n")
+    # every report line is the library's own number on the same file
+    from dirichlet_fem import (
+        assemble_system, check_stability, energy, estimate_poincare,
+        load_problem, make_data, make_mesh, norm_grad, norm_l2, norm_w12,
+        solve, weak_residual,
+    )
+
+    # a grid whose bracket ends differ in the printed digits, so a line
+    # taking a for a_hi shows
+    text = "domain = 0 0 2 1\ngrid = 12 8\nf = 1\ng = x\n"
+    spec = write(tmp_path, "p.txt", text)
     out = str(tmp_path / "field.csv")
     proc = run_cli("solve", "--spec", spec, "--out", out)
     assert proc.returncode == 0
     assert proc.stdout == ""
-    for key in (
-        "energy",
-        "weak_residual",
-        "norm_l2",
-        "norm_grad",
-        "norm_w12",
-        "poincare_a",
-        "poincare_a_hi",
-        "stability_lhs",
-        "stability_rhs",
-        "cg_iterations",
-    ):
-        assert key in proc.stderr, key
+    problem = load_problem(spec)
+    system = assemble_system(make_mesh(problem))
+    A, M, mesh = system.A, system.M, system.mesh
+    data = make_data(problem, mesh)
+    report = solve(system, data, problem.tol)
+    u = report.u
+    est = estimate_poincare(system)
+    bounds = check_stability(system, u, data, est.a_hi)
+    expected = {
+        "nodes": f"{mesh.node_count} ({mesh.interior_count} interior)",
+        "energy": f"{energy(A, report.load, u):.17g}",
+        "weak_residual": f"{weak_residual(system, u, report.load):.6e}",
+        "norm_l2": f"{norm_l2(M, u):.12g}",
+        "norm_grad": f"{norm_grad(A, u):.12g}",
+        "norm_w12": f"{norm_w12(A, M, u):.12g}",
+        "poincare_a": f"{est.a:.12g}",
+        "poincare_a_hi": f"{est.a_hi:.12g}",
+        "stability_lhs": f"{bounds.lhs:.12g}",
+        "stability_rhs": f"{bounds.rhs:.12g}",
+        "cg_iterations": f"{report.iterations}",
+    }
+    assert expected["poincare_a"] != expected["poincare_a_hi"]
+    lines = [line.split("=", 1) for line in proc.stderr.splitlines()]
+    assert [key.strip() for key, _ in lines] == list(expected)
+    assert {key.strip(): value.strip() for key, value in lines} == expected
     with open(out, "r", encoding="utf-8") as handle:
         table = read_csv(handle.read())
-    assert table.shape == (25, 5)
+    assert table.shape == (117, 5)
+    assert np.array_equal(table[:, 3], u)
+
+
+def test_convergence_makes_no_eigen_estimate(tmp_path, monkeypatch, capsys):
+    # the table needs no embedding constant, so convergence never asks
+    # for one; solve, whose report prints it, does
+    from dirichlet_fem import cli
+    from dirichlet_fem.linsolve import ConvergenceError
+
+    def refuse(*args, **kwargs):
+        raise ConvergenceError("estimate_poincare called", iterations=0, residual=0.0)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dirichlet_fem") and hasattr(module, "estimate_poincare"):
+            monkeypatch.setattr(module, "estimate_poincare", refuse)
+    for mode in ("extension", "border"):
+        text = BASE + f"f = 0\ng = x\nu_exact = x\nmode = {mode}\n"
+        spec = write(tmp_path, f"{mode}.txt", text)
+        assert cli.main(["convergence", "--spec", spec, "--levels", "2"]) == 0
+        assert cli.main(["solve", "--spec", spec]) == 2
+        assert "estimate_poincare called" in capsys.readouterr().err
 
 
 def test_border_mode_matches_extension(tmp_path):

@@ -9,11 +9,15 @@ from dirichlet_fem import (
     ProblemData,
     assemble_load,
     build_functional,
+    check_stability,
     energy,
+    estimate_poincare,
     eval_p1,
     extend,
     extend_by_zero,
     nodal_values,
+    norm_grad,
+    norm_l2,
     norm_w12,
     p1_interpolant,
     quotient_solve,
@@ -40,8 +44,12 @@ def test_hand_oracle_center_value():
     report = solve(system, data)
     center = int(np.where(np.all(mesh.nodes == [0.5, 0.5], axis=1))[0][0])
     assert report.u[center] == pytest.approx(0.0625, abs=1e-10)
-    assert report.energy_value == pytest.approx(-0.0078125, rel=1e-10)
-    assert report.reduced_energy == pytest.approx(-0.0078125, rel=1e-10)
+    assert energy(system.A, report.load, report.u) == pytest.approx(
+        -0.0078125, rel=1e-10
+    )
+    assert energy(system.A_int, report.lam, report.p) == pytest.approx(
+        -0.0078125, rel=1e-10
+    )
 
 
 def test_affine_field_reproduced_exactly(unit8):
@@ -60,20 +68,25 @@ def test_report_fields_are_consistent(unit16):
     data = ProblemData(f=p1_interpolant(mesh, f_vals), g=g)
     report = solve(unit16, data)
 
+    # the report carries the one load the solve assembled, bit for bit
     load = assemble_load(mesh, data.f)
-    assert report.energy_value == pytest.approx(
-        energy(A, load, report.u), rel=1e-12
-    )
+    assert np.array_equal(report.load, load)
+    assert np.array_equal(report.lam, build_functional(unit16, load, g))
     # shifting by the extension leaves exactly the reduced energy
-    assert report.energy_value - energy(A, load, g) == pytest.approx(
-        report.reduced_energy, rel=1e-10
+    reduced = energy(unit16.A_int, report.lam, report.p)
+    assert energy(A, load, report.u) - energy(A, load, g) == pytest.approx(
+        reduced, rel=1e-10
     )
-    assert report.reduced_energy <= 0.0
+    assert reduced <= 0.0
     assert np.array_equal(report.g_field, g)
-    l2, grad, full = report.norms
-    assert full == pytest.approx(np.hypot(l2, grad), rel=1e-12)
-    assert report.weak_residual <= 1e-9
-    assert report.stability_lhs <= report.stability_rhs * (1.0 + 1e-8)
+    assert report.iterations == 1
+    l2, grad = norm_l2(unit16.M, report.u), norm_grad(A, report.u)
+    assert norm_w12(A, unit16.M, report.u) == pytest.approx(
+        np.hypot(l2, grad), rel=1e-12
+    )
+    assert weak_residual(unit16, report.u, report.load) <= 1e-9
+    bounds = check_stability(unit16, report.u, data, estimate_poincare(unit16).a_hi)
+    assert bounds.lhs <= bounds.rhs * (1.0 + 1e-8)
     # the boundary rows of u are g's, the interior rows are g + p
     assert np.array_equal(report.u[mesh.boundary_indices], g[mesh.boundary_indices])
     assert np.allclose(
@@ -119,8 +132,8 @@ def test_weak_residual_flags_non_solutions(unit8):
     f = lambda x, y: 1.0
     report = solve(unit8, ProblemData(f=f, g=g))
     load = assemble_load(mesh, f)
+    assert np.array_equal(report.load, load)
     assert weak_residual(unit8, report.u, load) <= 1e-9
-    assert weak_residual(unit8, report.u, load) == report.weak_residual
     off = report.u.copy()
     off[mesh.interior_indices[0]] += 0.1
     assert weak_residual(unit8, off, load) > 1e-4
@@ -237,15 +250,6 @@ def test_class_invariance(unit16):
     # zero data with a boundary-vanishing extension solves to zero
     null = solve(unit16, ProblemData(zero, extend_by_zero(mesh, psi)))
     assert norm_w12(A, M, null.u) <= 1e-8
-
-
-def test_solve_reuses_supplied_poincare(unit8):
-    from dirichlet_fem import estimate_poincare
-
-    est = estimate_poincare(unit8)
-    data = ProblemData(f=lambda x, y: 1.0, g=np.zeros(unit8.mesh.node_count))
-    report = solve(unit8, data, poincare=est)
-    assert report.poincare_a == est.a
 
 
 def test_build_functional_hand_value():

@@ -1,0 +1,81 @@
+"""The package's modules import each other without a cycle.
+
+Imports are read from the source with ast, so nothing is imported and
+an import inside a function counts like one at the top.  The solution
+map sits below everything that judges it: dirichlet imports nothing
+from analysis, verify or cli.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dirichlet_fem"
+
+
+def internal_imports() -> dict[str, set[str]]:
+    """module name -> the package modules it imports, anywhere in its text."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for name in modules:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        edges = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if node.level == 0:
+                    parts = (node.module or "").split(".")
+                    if parts[0] != PACKAGE.name:
+                        continue
+                    targets = parts[1:2] or [a.name for a in node.names]
+                elif node.module:
+                    targets = [node.module.split(".")[0]]
+                else:
+                    targets = [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                targets = [
+                    a.name.split(".")[1]
+                    for a in node.names
+                    if a.name.startswith(PACKAGE.name + ".")
+                ]
+            else:
+                continue
+            edges.update(t if t in modules else "__init__" for t in targets)
+        graph[name] = edges - {name}
+    return graph
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the graph as a path that returns to its start, or []."""
+    state: dict[str, str] = {}
+    path: list[str] = []
+
+    def visit(node):
+        state[node] = "open"
+        path.append(node)
+        for nxt in sorted(graph[node]):
+            if state.get(nxt) == "open":
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state:
+                cycle = visit(nxt)
+                if cycle:
+                    return cycle
+        state[node] = "done"
+        path.pop()
+        return []
+
+    for node in sorted(graph):
+        if node not in state:
+            cycle = visit(node)
+            if cycle:
+                return cycle
+    return []
+
+
+def test_internal_imports_form_a_dag():
+    graph = internal_imports()
+    assert {"dirichlet", "analysis", "verify", "cli"} <= set(graph)
+    assert find_cycle(graph) == []
+
+
+def test_dirichlet_imports_none_of_its_judges():
+    assert not internal_imports()["dirichlet"] & {"analysis", "verify", "cli"}
+

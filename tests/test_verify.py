@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import dirichlet_fem.verify
 from dirichlet_fem import CheckResult, all_passed, run_checks
 
 EXPECTED_CHECKS = [
@@ -58,3 +59,25 @@ def test_passes_on_skewed_domain(skewed6x5):
     assert all_passed(results), [
         f"{r.name}: {r.detail}" for r in results if not r.passed
     ]
+
+
+def test_uniqueness_compares_two_different_solves(unit8, monkeypatch):
+    # the two fields come from different right-hand sides (two extensions
+    # of one g), so the check measures a real distance, not a field
+    # against its own bits
+    calls = []
+    original = dirichlet_fem.verify.verify_uniqueness
+
+    def record(system, u1, u2):
+        calls.append((u1.copy(), u2.copy()))
+        return original(system, u1, u2)
+
+    monkeypatch.setattr(dirichlet_fem.verify, "verify_uniqueness", record)
+    results = run_checks(unit8, smooth_f, smooth_g, seed=42)
+    assert len(calls) == 1
+    u1, u2 = calls[0]
+    assert u1.shape == u2.shape == (unit8.mesh.node_count,)
+    assert not np.array_equal(u1, u2)
+    uniqueness = next(r for r in results if r.name == "uniqueness")
+    assert uniqueness.passed
+    assert "grad distance=0.000e+00" not in uniqueness.detail
