@@ -7,16 +7,16 @@ a = 1 / sqrt(lambda_min).
 estimate_poincare brackets lambda_min by Rayleigh-Ritz on a Krylov
 space, and the two check_* routines evaluate both sides of the bounds
 that constant implies, for the load functional and for the full
-solution map.
+solution map.  They take the source as its nodal values f_vals and
+measure it by ||f_h||_2 from the mass bracket.
 
 The bracket [lambda_lo, rho] is certified: rho is a Rayleigh quotient,
 so a = 1 / sqrt(rho) never overshoots the true discrete constant, and
 Temple's inequality makes a_hi = 1 / sqrt(lambda_lo) an upper bound on
 it, which is the end the bounds are checked with.  Both bounds are
-exact theorems of the discrete brackets when the source is piecewise
-linear on the mesh; for other sources the load quadrature departs from
-the mass bracket by O(h^2), which is a property of the data, not of
-the solver.
+exact statements about the discrete brackets when load = M f_vals; a
+load assembled from another source departs from that by its quadrature
+gap, O(h^2), which is a property of the data, not of the solver.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import InteriorSystem, assemble_load, norm_grad, norm_l2, norm_w12
-from .assembly import stiffness_spectrum
+from .assembly import InteriorSystem, norm_grad, norm_l2, norm_w12, stiffness_spectrum
 from .dirichlet import ProblemData, build_functional
 from .linsolve import ConvergenceError
-from .mesh import nodal_values
 from .riesz import riesz_represent
+
+RQ_TOLERANCE = 1e-8  # relative bracket width at which the steps stop
+MAX_STEPS = 200  # Krylov steps before the estimate gives up
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,7 @@ class PoincareEstimate:
     a_hi: float  # 1 / sqrt(lambda_lo), at least the best constant
 
 
-def estimate_poincare(
-    system: InteriorSystem,
-    rq_tolerance: float = 1e-8,
-    max_steps: int = 200,
-) -> PoincareEstimate:
+def estimate_poincare(system: InteriorSystem) -> PoincareEstimate:
     """Bracket the smallest pencil eigenvalue lambda_1 by Rayleigh-Ritz.
 
     The trial space is the Krylov space of A_int^{-1} M_int (one sine
@@ -68,14 +65,12 @@ def estimate_poincare(
 
     less a bound on the rounding of A v, M v and the dot products, so
     lambda_lo is a lower bound in floating point.  The steps stop once
-    (rho - lambda_lo) / rho <= rq_tolerance.  While rho >= l_2 the
+    (rho - lambda_lo) / rho <= RQ_TOLERANCE.  While rho >= l_2 the
     bracket is [mu_1 / (hx hy), rho]; it is returned, wide, once rho
-    settles to rq_tolerance or the space fills.
+    settles to RQ_TOLERANCE or the space fills.  A Ritz vector whose
+    M-norm is not a finite positive number (the squares overflowed or
+    underflowed) raises ConvergenceError.
     """
-    if not 0.0 < rq_tolerance < 1.0:
-        raise ValueError(f"rq_tolerance must lie in (0, 1), got {rq_tolerance}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be positive, got {max_steps}")
     A_int, M_int, mesh = system.A_int, system.M_int, system.mesh
     n = A_int.dimension
     if n == 0:
@@ -91,7 +86,7 @@ def estimate_poincare(
     MQ = M_int.apply(Q[0])[None, :]  # rows M_int q, kept beside Q
     H = np.array([[A_int.quad_form(Q[0])]])  # Q A_int Q^T
     rho_prev = np.inf
-    for step in range(1, max_steps + 1):
+    for step in range(1, MAX_STEPS + 1):
         w = A_int.inverse(MQ[-1])
         for _ in range(2):
             w -= (MQ @ w) @ Q
@@ -107,6 +102,13 @@ def estimate_poincare(
 
         Av, Mv = A_int.apply(v), M_int.apply(v)
         m = float(v @ Mv)
+        if not 0.0 < m < np.inf:
+            raise ConvergenceError(
+                f"Ritz vector's squared M-norm is {m:.3e}, not a finite "
+                f"positive number, after {step} Krylov steps",
+                iterations=step,
+                residual=np.nan,
+            )
         rho = float(v @ Av) / m
         r = Av - rho * Mv
         # Rounding: e bounds ||fl(r) - (A v - rho M v)||, rho_err |rho(v) - rho|.
@@ -121,8 +123,8 @@ def estimate_poincare(
             gap = ell_2 - rho - rho_err
             lambda_lo = max(floor, rho - rho_err - t * (t / gap))
         width = (rho - lambda_lo) / rho
-        settled = rho_prev - rho <= rq_tolerance * rho
-        if width <= rq_tolerance or not temple and (full or settled):
+        settled = rho_prev - rho <= RQ_TOLERANCE * rho
+        if width <= RQ_TOLERANCE or not temple and (full or settled):
             return PoincareEstimate(
                 a=1.0 / np.sqrt(rho),
                 lambda_min=rho,
@@ -136,7 +138,7 @@ def estimate_poincare(
             break
         rho_prev = rho
     raise ConvergenceError(
-        f"bracket width {width:.3e} above {rq_tolerance:.3e} after {step} "
+        f"bracket width {width:.3e} above {RQ_TOLERANCE:.3e} after {step} "
         f"Krylov steps" + (", where the space stopped growing" if full else ""),
         iterations=step,
         residual=r_norm,
@@ -153,20 +155,21 @@ class FunctionalBound(NamedTuple):
 def check_functional_bound(
     system: InteriorSystem,
     data: ProblemData,
+    f_vals: np.ndarray,
     a: float,
     tol: float = 1e-10,
 ) -> FunctionalBound:
     """Evaluate ||lam|| <= a ||f_h||_2 + ||g||_grad on the given mesh.
 
     The left side is the gradient norm of the functional's representer;
-    f_h is the nodal interpolant of the source, the discrete stand-in
-    for its square-sum norm.
+    f_h is the P1 field with nodal values f_vals, the source whose load
+    is data.load.
     """
-    mesh, A, M, A_int = system.mesh, system.A, system.M, system.A_int
+    A, M, A_int = system.A, system.M, system.A_int
     g_field = np.asarray(data.g, dtype=float)
-    lam = build_functional(system, assemble_load(mesh, data.f), g_field)
+    lam = build_functional(system, data.load, g_field)
     lhs = norm_grad(A_int, riesz_represent(A_int, lam, tol))
-    rhs = a * norm_l2(M, nodal_values(mesh, data.f)) + norm_grad(A, g_field)
+    rhs = a * norm_l2(M, f_vals) + norm_grad(A, g_field)
     return FunctionalBound(lhs=lhs, rhs=rhs)
 
 
@@ -188,17 +191,19 @@ def check_stability(
     system: InteriorSystem,
     u: np.ndarray,
     data: ProblemData,
+    f_vals: np.ndarray,
     a: float,
 ) -> StabilityBounds:
     """Evaluate the continuity bounds for a solved field.
 
-    u is the solution of the problem in data; u - data.g vanishes on
-    the boundary by construction of the solution map.
+    u is the solution of the problem in data, whose load is that of
+    the P1 field with nodal values f_vals; u - data.g vanishes on the
+    boundary by construction of the solution map.
     """
     A, M = system.A, system.M
     u = np.asarray(u, dtype=float)
     g_field = np.asarray(data.g, dtype=float)
-    f_norm = norm_l2(M, nodal_values(system.mesh, data.f))
+    f_norm = norm_l2(M, f_vals)
     w = u - g_field
     factor = np.sqrt(a * a + 1.0)
     riesz_lhs = norm_w12(A, M, w)

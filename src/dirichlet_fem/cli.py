@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from .analysis import check_stability, estimate_poincare
-from .assembly import InteriorSystem, assemble_system, norm_grad, norm_l2, norm_w12
+from .assembly import InteriorSystem, assemble_load, assemble_system
+from .assembly import norm_grad, norm_l2, norm_w12
 from .dirichlet import ProblemData, SolveReport, quotient_solve, solve, weak_residual
 from .expr import EvalError, ParseError, as_function
 from .linsolve import ConvergenceError
@@ -44,9 +45,9 @@ def _solve_spec(
     mesh = system.mesh
     if spec.mode == "border":
         x, y = mesh.nodes[mesh.boundary_indices].T
-        f = as_function(spec.f_expr)
-        report = quotient_solve(system, f, as_function(spec.g_expr)(x, y), spec.tol)
-        return ProblemData(f=f, g=report.g_field), report
+        load = assemble_load(mesh, as_function(spec.f_expr))
+        report = quotient_solve(system, load, as_function(spec.g_expr)(x, y), spec.tol)
+        return ProblemData(load=load, g=report.g_field), report
     data = make_data(spec, mesh)
     return data, solve(system, data, spec.tol)
 
@@ -60,16 +61,16 @@ def _write_field(out_path: str | None, mesh: Mesh, u: np.ndarray) -> None:
 
 
 def _print_report(
-    system: InteriorSystem, data: ProblemData, report: SolveReport
+    system: InteriorSystem, data: ProblemData, report: SolveReport, f_vals: np.ndarray
 ) -> None:
     mesh, A, M, u = system.mesh, system.A, system.M, report.u
     est = estimate_poincare(system)
-    bounds = check_stability(system, u, data, est.a_hi)
+    bounds = check_stability(system, u, data, f_vals, est.a_hi)
     lines = (
         f"nodes          = {mesh.node_count} "
         f"({mesh.interior_count} interior)",
-        f"energy         = {energy(A, report.load, u):.17g}",
-        f"weak_residual  = {weak_residual(system, u, report.load):.6e}",
+        f"energy         = {energy(A, data.load, u):.17g}",
+        f"weak_residual  = {weak_residual(system, u, data.load):.6e}",
         f"norm_l2        = {norm_l2(M, u):.12g}",
         f"norm_grad      = {norm_grad(A, u):.12g}",
         f"norm_w12       = {norm_w12(A, M, u):.12g}",
@@ -86,7 +87,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
     system = assemble_system(make_mesh(spec))
     data, report = _solve_spec(spec, system)
-    _print_report(system, data, report)
+    f_vals = nodal_values(system.mesh, as_function(spec.f_expr))
+    _print_report(system, data, report, f_vals)
     _write_field(args.out, system.mesh, report.u)
     return 0
 

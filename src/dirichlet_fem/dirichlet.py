@@ -1,9 +1,10 @@
 """The discrete Dirichlet problem and its solution map.
 
-Given a source f and an extension g of the boundary data, the field
-sought minimizes the energy
+Given a load vector (the bounded functional l, one entry per node)
+and an extension g of the boundary data, the field sought minimizes
+the energy
 
-    J(u) = 0.5 * u . (A u) - load(f) . u
+    J(u) = 0.5 * u . (A u) - load . u
 
 over all nodal fields agreeing with g on the boundary.  Writing
 u = w + g with w vanishing on the boundary turns this into an
@@ -11,50 +12,42 @@ unconstrained quadratic problem on the interior degrees of freedom:
 J(w + g) = E(w) + J(g) with
 
     E(w) = 0.5 * w . (A_int w) - lam . w,
-    lam = (load(f) - A g) restricted to the interior.
+    lam = (load - A g) restricted to the interior.
 
 J and E are one expression, riesz.energy, on two spaces.  The minimizer
 is the representer of lam in the gradient inner product, so the whole
-pipeline reduces to one SPD solve; solve makes the load and that solve
-and nothing else, and its readers compute the numbers that judge it.
-The extension enters only through its boundary values: changing g
-inside the domain changes lam and the shift J(g) but not the
-reconstructed u, which is what quotient_solve demonstrates by always
-extending with zeros.
+pipeline reduces to one SPD solve; solve makes that solve and nothing
+else, and its readers compute the numbers that judge it.  Turning a
+source into a load is the caller's step: assembly.assemble_load
+integrates a callable, and M.apply(f_vals) is the exact load of the P1
+field with nodal values f_vals.  The extension enters only through its
+boundary values: changing g inside the domain changes lam and the shift
+J(g) but not the reconstructed u, which is what quotient_solve
+demonstrates by always extending with zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .assembly import (
-    InteriorSystem,
-    assemble_load,
-    extend_by_zero,
-    norm_grad,
-    restrict_interior,
-)
+from .assembly import InteriorSystem, extend_by_zero, norm_grad, restrict_interior
 from .linsolve import cg_solve
 from .mesh import Mesh, _as_field
-
-# f(x, y) on coordinate arrays: an array of their shape, or a scalar.
-Field = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class ProblemData:
-    """One problem instance: a source function and an extension field.
+    """One problem instance: a load functional and an extension field.
 
-    f is kept as an array callable and committed to a load vector at
-    solve time, with one call on all quadrature points; g is already a
-    nodal field whose boundary values are the Dirichlet data and whose
-    interior values are one arbitrary extension of it.
+    load is the functional as a nodal vector, its value on each hat
+    function; g is a nodal field whose boundary values are the
+    Dirichlet data and whose interior values are one arbitrary
+    extension of it.
     """
 
-    f: Field
+    load: np.ndarray
     g: np.ndarray
 
 
@@ -65,7 +58,6 @@ class SolveReport:
     u: np.ndarray  # full nodal field, boundary values included
     p: np.ndarray  # interior minimizer of the reduced energy
     lam: np.ndarray  # interior coefficients of the reduced functional
-    load: np.ndarray  # assembled load of f, one entry per node
     g_field: np.ndarray  # extension the solve actually used
     iterations: int  # applications of the interior inverse
 
@@ -101,7 +93,7 @@ def solve(
     data: ProblemData,
     tol: float = 1e-10,
 ) -> SolveReport:
-    """Solve the problem by one load assembly and one interior solve.
+    """Solve the problem by one interior solve.
 
     The interior correction p represents lam = (load - A g)_interior to
     `tol`, and u = p + g on the full grid.  Energies, norms, the weak
@@ -109,14 +101,13 @@ def solve(
     """
     mesh = system.mesh
     g_field = _as_field(data.g, mesh.node_count)
-    load = assemble_load(mesh, data.f)
+    load = _as_field(data.load, mesh.node_count)
     lam = build_functional(system, load, g_field)
     result = cg_solve(system.A_int, lam, tol)
     return SolveReport(
         u=extend_by_zero(mesh, result.x) + g_field,
         p=result.x,
         lam=lam,
-        load=load,
         g_field=g_field.copy(),
         iterations=result.iterations,
     )
@@ -142,7 +133,7 @@ def extend(mesh: Mesh, boundary_values: np.ndarray) -> np.ndarray:
 
 def quotient_solve(
     system: InteriorSystem,
-    f: Field,
+    load: np.ndarray,
     boundary_values: np.ndarray,
     tol: float = 1e-10,
 ) -> SolveReport:
@@ -153,7 +144,7 @@ def quotient_solve(
     yields the same field up to solver tolerance, so the map is well
     defined on classes of fields that agree on the boundary.
     """
-    data = ProblemData(f=f, g=extend(system.mesh, boundary_values))
+    data = ProblemData(load=load, g=extend(system.mesh, boundary_values))
     return solve(system, data, tol)
 
 

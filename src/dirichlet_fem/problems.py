@@ -32,6 +32,7 @@ from typing import IO
 
 import numpy as np
 
+from .assembly import assemble_load
 from .dirichlet import ProblemData
 from .expr import Expr, ParseError, as_function, parse
 from .mesh import Mesh, _as_field, build_rect_mesh, check_domain, nodal_values
@@ -65,13 +66,10 @@ class ProblemSpec:
     domain: tuple[float, float, float, float]
     nx: int
     ny: int
-    f_text: str
-    g_text: str
     f_expr: Expr
     g_expr: Expr
     mode: str = "extension"
     tol: float = 1e-10
-    u_exact_text: str | None = None
     u_exact_expr: Expr | None = None
     seed: int = 42
 
@@ -165,13 +163,10 @@ def parse_problem(text: str) -> ProblemSpec:
         domain=(x0, y0, x1, y1),
         nx=nx,
         ny=ny,
-        f_text=values["f"],
-        g_text=values["g"],
         f_expr=f_expr,
         g_expr=g_expr,
         mode=mode,
         tol=tol,
-        u_exact_text=values.get("u_exact"),
         u_exact_expr=u_exact_expr,
         seed=seed,
     )
@@ -189,9 +184,9 @@ def make_mesh(spec: ProblemSpec) -> Mesh:
 
 
 def make_data(spec: ProblemSpec, mesh: Mesh) -> ProblemData:
-    """Build solver inputs: f stays an array callable, g becomes a nodal field."""
-    g_fn = as_function(spec.g_expr)
-    return ProblemData(f=as_function(spec.f_expr), g=nodal_values(mesh, g_fn))
+    """Build solver inputs: f's assembled load and g's nodal field."""
+    load = assemble_load(mesh, as_function(spec.f_expr))
+    return ProblemData(load=load, g=nodal_values(mesh, as_function(spec.g_expr)))
 
 
 _CSV_HEADER = "node_index,x,y,u,is_boundary"

@@ -2,13 +2,11 @@
 
 Every check here is either an algebraic identity (true to roundoff no
 matter how inexact the inner solves are) or an inequality that is a
-theorem of the discrete brackets.  To keep the inequalities theorems
-rather than approximations, the source term is replaced by its nodal
-interpolant before checking: the edge-midpoint load rule integrates
-piecewise-linear integrands exactly, so for interpolated sources the
-load functional and the mass bracket agree and the bounds must hold
-with no discretization slack.  Boundary data needs no such treatment,
-since it enters the discrete problem only through nodal values.
+theorem of the discrete brackets.  The source is taken as its nodal
+values f_vals and every load as M f_vals, the load of the P1 field
+with those values, so the bounds are exact statements about the mass
+bracket and must hold with no discretization slack.  Boundary data
+enters the discrete problem only through nodal values anyway.
 
 Every solve here runs at a tight tolerance, min(tol, 1e-12), instead
 of the problem's own, so a loose problem tolerance cannot mask a
@@ -18,6 +16,7 @@ genuine defect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package
@@ -33,7 +32,6 @@ from .assembly import (
     norm_l2,
 )
 from .dirichlet import (
-    Field,
     ProblemData,
     quotient_solve,
     solve,
@@ -54,26 +52,25 @@ class CheckResult:
 
 def run_checks(
     system: InteriorSystem,
-    f: Field,
-    g: Field,
+    f: Callable,
+    g: Callable,
     tol: float = 1e-10,
     seed: int = 42,
 ) -> list[CheckResult]:
     """Run the full verification suite on one problem."""
-    mesh, A, A_int = system.mesh, system.A, system.A_int
+    mesh, A, M, A_int = system.mesh, system.A, system.M, system.A_int
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     tight = min(tol, 1e-12)
 
     f_vals = nodal_values(mesh, f)
-    f_h = p1_interpolant(mesh, f_vals)
     g_field = nodal_values(mesh, g)
-    data = ProblemData(f=f_h, g=g_field)
+    load = M.apply(f_vals)
+    data = ProblemData(load=load, g=g_field)
     n = mesh.interior_count
 
     est = estimate_poincare(system)
     report = solve(system, data, tight)
-    load = report.load
 
     # Normalize the reduced problem so the minimizer has unit energy
     # norm; identities are then checked against absolute tolerances.
@@ -93,7 +90,7 @@ def run_checks(
     alpha, beta = rng.uniform(0.5, 2.0, 2)
     bump = extend_by_zero(mesh, rng.standard_normal(n))
     # The same problem through another extension of g, so another lam.
-    u_bumped = solve(system, ProblemData(f=f_h, g=g_field + bump), tight).u
+    u_bumped = solve(system, ProblemData(load=load, g=g_field + bump), tight).u
 
     defect = max(
         check_square_identity(A_int, lam1, p1 + d, p=p1) for d in directions
@@ -176,7 +173,7 @@ def run_checks(
         )
     )
 
-    fb = check_functional_bound(system, data, est.a_hi, tight)
+    fb = check_functional_bound(system, data, f_vals, est.a_hi, tight)
     results.append(
         CheckResult(
             "functional-bound",
@@ -185,7 +182,7 @@ def run_checks(
         )
     )
 
-    sb = check_stability(system, report.u, data, est.a_hi)
+    sb = check_stability(system, report.u, data, f_vals, est.a_hi)
     ok = sb.riesz_lhs <= sb.riesz_rhs * (1.0 + 1e-8) and sb.lhs <= sb.rhs * (
         1.0 + 1e-8
     )
@@ -200,12 +197,10 @@ def run_checks(
 
     # Linearity of the solution map in both data slots.
     combo = ProblemData(
-        f=p1_interpolant(mesh, alpha * f_vals + beta * f2_vals),
+        load=M.apply(alpha * f_vals + beta * f2_vals),
         g=alpha * g_field + beta * g2_vals,
     )
-    u_b = solve(
-        system, ProblemData(f=p1_interpolant(mesh, f2_vals), g=g2_vals), tight
-    ).u
+    u_b = solve(system, ProblemData(load=M.apply(f2_vals), g=g2_vals), tight).u
     u_combo = solve(system, combo, tight).u
     lin_err = float(np.max(np.abs(u_combo - (alpha * report.u + beta * u_b))))
     lin_scale = max(1.0, float(np.max(np.abs(u_combo))))
@@ -218,7 +213,7 @@ def run_checks(
     )
 
     # Only boundary values of the extension may influence the solution.
-    u_border = quotient_solve(system, f_h, trace(mesh, g_field), tight).u
+    u_border = quotient_solve(system, load, trace(mesh, g_field), tight).u
     inv_err = max(
         float(np.max(np.abs(u_border - report.u))),
         float(np.max(np.abs(u_bumped - report.u))),
@@ -242,10 +237,12 @@ def run_checks(
         )
     )
 
+    # Two loads integrated from one callable, not M f_vals against itself.
+    f_h = p1_interpolant(mesh, f_vals)
     identical = (
         assemble_stiffness(mesh) == A
-        and assemble_mass(mesh) == system.M
-        and np.array_equal(load, assemble_load(mesh, f_h))
+        and assemble_mass(mesh) == M
+        and np.array_equal(assemble_load(mesh, f_h), assemble_load(mesh, f_h))
     )
     results.append(
         CheckResult(

@@ -14,6 +14,7 @@ import pytest
 
 from dirichlet_fem import (
     ProblemData,
+    assemble_load,
     check_functional_bound,
     check_stability,
     energy,
@@ -23,7 +24,6 @@ from dirichlet_fem import (
     norm_grad,
     norm_l2,
     norm_w12,
-    p1_interpolant,
     quotient_solve,
     riesz_represent,
     solve,
@@ -96,12 +96,15 @@ def test_criterion_01_unique_minimum_of_random_functionals(grid16):
 
 
 def test_criterion_02_minimizer_solves_weak_equations(grid16):
-    data = ProblemData(f=sine_source, g=nodal_values(grid16.mesh, lambda x, y: 0.2 * x))
+    mesh = grid16.mesh
+    data = ProblemData(
+        load=assemble_load(mesh, sine_source), g=nodal_values(mesh, lambda x, y: 0.2 * x)
+    )
     first = solve(grid16, data, 1e-10)
     second = solve(grid16, data, 1e-12)
     distance = verify_uniqueness(grid16, first.u, second.u)
     limit = 1e-9 * (1.0 + norm_grad(grid16.A, first.u))
-    residual = weak_residual(grid16, first.u, first.load)
+    residual = weak_residual(grid16, first.u, data.load)
     ok = residual <= 1e-9 and distance <= limit
     report(
         2,
@@ -115,7 +118,9 @@ def test_criterion_02_minimizer_solves_weak_equations(grid16):
 def test_criterion_03_hand_solved_center_value():
     system = make_system(0.0, 0.0, 1.0, 1.0, 2, 2)
     mesh = system.mesh
-    data = ProblemData(f=lambda x, y: 1.0, g=np.zeros(mesh.node_count))
+    data = ProblemData(
+        load=assemble_load(mesh, lambda x, y: 1.0), g=np.zeros(mesh.node_count)
+    )
     u = solve(system, data).u
     center = int(np.where(np.all(mesh.nodes == [0.5, 0.5], axis=1))[0][0])
     error = abs(u[center] - 0.0625)
@@ -127,7 +132,7 @@ def test_criterion_04_affine_boundary_data_reproduced(ladder):
     worst = 0.0
     for system in ladder.values():
         g = nodal_values(system.mesh, lambda x, y: x)
-        u = solve(system, ProblemData(f=lambda x, y: 0.0, g=g)).u
+        u = solve(system, ProblemData(load=np.zeros(system.mesh.node_count), g=g)).u
         worst = max(worst, float(np.max(np.abs(u - g))))
     ok = worst <= 1e-8
     report(4, "affine exactness", ok, f"max nodal error={worst:.3e} (grids 8..64)")
@@ -138,9 +143,12 @@ def test_criterion_05_second_order_convergence(ladder):
     errors = []
     for n in (8, 16, 32):
         system = ladder[n]
-        data = ProblemData(f=sine_source, g=np.zeros(system.mesh.node_count))
+        mesh = system.mesh
+        data = ProblemData(
+            load=assemble_load(mesh, sine_source), g=np.zeros(mesh.node_count)
+        )
         u = solve(system, data).u
-        errors.append(norm_l2(system.M, u - nodal_values(system.mesh, exact_sine)))
+        errors.append(norm_l2(system.M, u - nodal_values(mesh, exact_sine)))
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     elapsed = time.monotonic() - started
     ok = all(3.4 <= r <= 4.6 for r in ratios) and elapsed < 30.0
@@ -178,10 +186,10 @@ def test_criterion_07_continuity_bounds_hold(grid16):
     for _ in range(50):
         f_vals = rng.standard_normal(mesh.node_count)
         g = rng.standard_normal(mesh.node_count)
-        data = ProblemData(f=p1_interpolant(mesh, f_vals), g=g)
+        data = ProblemData(load=grid16.M.apply(f_vals), g=g)
         u = solve(grid16, data).u
-        functional = check_functional_bound(grid16, data, est.a)
-        bounds = check_stability(grid16, u, data, est.a)
+        functional = check_functional_bound(grid16, data, f_vals, est.a)
+        bounds = check_stability(grid16, u, data, f_vals, est.a)
         assert functional.lhs <= functional.rhs * slack
         assert bounds.riesz_lhs <= bounds.riesz_rhs * slack
         assert bounds.lhs <= bounds.rhs * slack
@@ -206,14 +214,14 @@ def test_criterion_08_solution_ignores_the_extension(grid16):
     worst = 0.0
     worst_null = 0.0
     for _ in range(20):
-        f = p1_interpolant(mesh, rng.standard_normal(mesh.node_count))
+        load = M.apply(rng.standard_normal(mesh.node_count))
         g = rng.standard_normal(mesh.node_count)
         psi = extend_by_zero(mesh, rng.standard_normal(mesh.interior_count))
-        base = solve(grid16, ProblemData(f, g)).u
-        bumped = solve(grid16, ProblemData(f, g + psi)).u
+        base = solve(grid16, ProblemData(load, g)).u
+        bumped = solve(grid16, ProblemData(load, g + psi)).u
         gap = norm_w12(A, M, bumped - base) / (1.0 + norm_w12(A, M, base))
         worst = max(worst, gap)
-        null = solve(grid16, ProblemData(lambda x, y: 0.0, psi)).u
+        null = solve(grid16, ProblemData(np.zeros(mesh.node_count), psi)).u
         worst_null = max(worst_null, norm_w12(A, M, null))
     ok = worst <= 1e-8 and worst_null <= 1e-8
     report(
@@ -233,11 +241,11 @@ def test_criterion_09_solution_map_is_linear(grid16):
         f1, f2 = rng.standard_normal((2, mesh.node_count))
         g1, g2 = rng.standard_normal((2, mesh.node_count))
         alpha, beta = rng.uniform(-2.0, 2.0, size=2)
-        u1 = solve(grid16, ProblemData(p1_interpolant(mesh, f1), g1)).u
-        u2 = solve(grid16, ProblemData(p1_interpolant(mesh, f2), g2)).u
+        u1 = solve(grid16, ProblemData(M.apply(f1), g1)).u
+        u2 = solve(grid16, ProblemData(M.apply(f2), g2)).u
         combo = solve(
             grid16,
-            ProblemData(p1_interpolant(mesh, alpha * f1 + beta * f2), alpha * g1 + beta * g2),
+            ProblemData(M.apply(alpha * f1 + beta * f2), alpha * g1 + beta * g2),
         ).u
         deviation = norm_w12(A, M, combo - alpha * u1 - beta * u2)
         scale = 1.0 + max(norm_w12(A, M, u1), norm_w12(A, M, u2))
@@ -251,10 +259,10 @@ def test_criterion_10_factors_through_boundary_values(grid16):
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(20):
-        f = p1_interpolant(mesh, rng.standard_normal(mesh.node_count))
+        load = M.apply(rng.standard_normal(mesh.node_count))
         g = rng.standard_normal(mesh.node_count)  # arbitrary interior values
-        direct = solve(grid16, ProblemData(f, g)).u
-        quotient = quotient_solve(grid16, f, trace(mesh, g)).u
+        direct = solve(grid16, ProblemData(load, g)).u
+        quotient = quotient_solve(grid16, load, trace(mesh, g)).u
         gap = norm_w12(A, M, direct - quotient) / (1.0 + norm_w12(A, M, direct))
         worst = max(worst, gap)
     ok = worst <= 1e-8

@@ -58,9 +58,9 @@ def test_solve_hand_oracle(tmp_path):
 def test_solve_report_contents(tmp_path):
     # every report line is the library's own number on the same file
     from dirichlet_fem import (
-        assemble_system, check_stability, energy, estimate_poincare,
-        load_problem, make_data, make_mesh, norm_grad, norm_l2, norm_w12,
-        solve, weak_residual,
+        as_function, assemble_system, check_stability, energy, estimate_poincare,
+        load_problem, make_data, make_mesh, nodal_values, norm_grad, norm_l2,
+        norm_w12, solve, weak_residual,
     )
 
     # a grid whose bracket ends differ in the printed digits, so a line
@@ -78,11 +78,12 @@ def test_solve_report_contents(tmp_path):
     report = solve(system, data, problem.tol)
     u = report.u
     est = estimate_poincare(system)
-    bounds = check_stability(system, u, data, est.a_hi)
+    f_vals = nodal_values(mesh, as_function(problem.f_expr))
+    bounds = check_stability(system, u, data, f_vals, est.a_hi)
     expected = {
         "nodes": f"{mesh.node_count} ({mesh.interior_count} interior)",
-        "energy": f"{energy(A, report.load, u):.17g}",
-        "weak_residual": f"{weak_residual(system, u, report.load):.6e}",
+        "energy": f"{energy(A, data.load, u):.17g}",
+        "weak_residual": f"{weak_residual(system, u, data.load):.6e}",
         "norm_l2": f"{norm_l2(M, u):.12g}",
         "norm_grad": f"{norm_grad(A, u):.12g}",
         "norm_w12": f"{norm_w12(A, M, u):.12g}",
@@ -267,6 +268,18 @@ def test_deep_nesting_is_malformed_without_traceback(tmp_path, f):
     assert proc.stderr.startswith(
         "error: line 3: f: expression nested deeper than 100 levels"
     )
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["poincare", "solve", "verify"])
+@pytest.mark.parametrize("size", ["1e80", "1e100"])
+def test_huge_cells_fail_at_runtime_without_traceback(tmp_path, command, size):
+    # a well-posed file whose Krylov vectors' M-norms overflow: a runtime
+    # failure naming that norm, not a crash reported as malformed input
+    text = f"domain = 0 0 {size} {size}\ngrid = 4 4\nf = 1\ng = 0\n"
+    proc = run_cli(command, "--spec", write(tmp_path, "p.txt", text))
+    assert proc.returncode == 2
+    assert re.search(r"^error: Ritz vector's squared M-norm is ", proc.stderr, re.M)
     assert "Traceback" not in proc.stderr
 
 

@@ -28,11 +28,7 @@ from dirichlet_fem import (
     weak_residual,
     write_field_csv,
 )
-from tests.conftest import make_system
-
-
-def zero(x, y):
-    return 0.0
+from tests.conftest import SINE_GRIDS, make_system
 
 
 def test_hand_oracle_center_value():
@@ -40,11 +36,13 @@ def test_hand_oracle_center_value():
     # 4 u = 1/4 by hand assembly
     system = make_system(0.0, 0.0, 1.0, 1.0, 2, 2)
     mesh = system.mesh
-    data = ProblemData(f=lambda x, y: 1.0, g=np.zeros(mesh.node_count))
+    data = ProblemData(
+        load=assemble_load(mesh, lambda x, y: 1.0), g=np.zeros(mesh.node_count)
+    )
     report = solve(system, data)
     center = int(np.where(np.all(mesh.nodes == [0.5, 0.5], axis=1))[0][0])
     assert report.u[center] == pytest.approx(0.0625, abs=1e-10)
-    assert energy(system.A, report.load, report.u) == pytest.approx(
+    assert energy(system.A, data.load, report.u) == pytest.approx(
         -0.0078125, rel=1e-10
     )
     assert energy(system.A_int, report.lam, report.p) == pytest.approx(
@@ -56,7 +54,7 @@ def test_affine_field_reproduced_exactly(unit8):
     # zero source, affine boundary data: the interpolant solves exactly
     mesh = unit8.mesh
     g = nodal_values(mesh, lambda x, y: x)
-    report = solve(unit8, ProblemData(f=zero, g=g))
+    report = solve(unit8, ProblemData(load=np.zeros(mesh.node_count), g=g))
     assert np.max(np.abs(report.u - g)) <= 1e-8
 
 
@@ -65,12 +63,11 @@ def test_report_fields_are_consistent(unit16):
     rng = np.random.default_rng(31)
     f_vals = rng.standard_normal(mesh.node_count)
     g = rng.standard_normal(mesh.node_count)
-    data = ProblemData(f=p1_interpolant(mesh, f_vals), g=g)
+    load = unit16.M.apply(f_vals)
+    data = ProblemData(load=load, g=g)
     report = solve(unit16, data)
 
-    # the report carries the one load the solve assembled, bit for bit
-    load = assemble_load(mesh, data.f)
-    assert np.array_equal(report.load, load)
+    # the report's functional is the one of the given load, bit for bit
     assert np.array_equal(report.lam, build_functional(unit16, load, g))
     # shifting by the extension leaves exactly the reduced energy
     reduced = energy(unit16.A_int, report.lam, report.p)
@@ -84,8 +81,9 @@ def test_report_fields_are_consistent(unit16):
     assert norm_w12(A, unit16.M, report.u) == pytest.approx(
         np.hypot(l2, grad), rel=1e-12
     )
-    assert weak_residual(unit16, report.u, report.load) <= 1e-9
-    bounds = check_stability(unit16, report.u, data, estimate_poincare(unit16).a_hi)
+    assert weak_residual(unit16, report.u, load) <= 1e-9
+    a_hi = estimate_poincare(unit16).a_hi
+    bounds = check_stability(unit16, report.u, data, f_vals, a_hi)
     assert bounds.lhs <= bounds.rhs * (1.0 + 1e-8)
     # the boundary rows of u are g's, the interior rows are g + p
     assert np.array_equal(report.u[mesh.boundary_indices], g[mesh.boundary_indices])
@@ -98,9 +96,8 @@ def test_energy_minimality_among_admissible_fields(unit8):
     mesh, A = unit8.mesh, unit8.A
     rng = np.random.default_rng(32)
     g = rng.standard_normal(mesh.node_count)
-    f = p1_interpolant(mesh, rng.standard_normal(mesh.node_count))
-    report = solve(unit8, ProblemData(f=f, g=g))
-    load = assemble_load(mesh, f)
+    load = unit8.M.apply(rng.standard_normal(mesh.node_count))
+    report = solve(unit8, ProblemData(load=load, g=g))
     base = energy(A, load, report.u)
     for _ in range(100):
         d = rng.standard_normal(mesh.interior_count)
@@ -129,10 +126,8 @@ def test_shift_identity(unit8):
 def test_weak_residual_flags_non_solutions(unit8):
     mesh = unit8.mesh
     g = np.zeros(mesh.node_count)
-    f = lambda x, y: 1.0
-    report = solve(unit8, ProblemData(f=f, g=g))
-    load = assemble_load(mesh, f)
-    assert np.array_equal(report.load, load)
+    load = assemble_load(mesh, lambda x, y: 1.0)
+    report = solve(unit8, ProblemData(load=load, g=g))
     assert weak_residual(unit8, report.u, load) <= 1e-9
     off = report.u.copy()
     off[mesh.interior_indices[0]] += 0.1
@@ -144,7 +139,7 @@ def test_two_solves_agree(unit16):
     mesh = unit16.mesh
     rng = np.random.default_rng(34)
     g = rng.standard_normal(mesh.node_count)
-    data = ProblemData(f=p1_interpolant(mesh, rng.standard_normal(mesh.node_count)), g=g)
+    data = ProblemData(load=unit16.M.apply(rng.standard_normal(mesh.node_count)), g=g)
     u1 = solve(unit16, data, 1e-10).u
     u2 = solve(unit16, data, 1e-12).u
     from dirichlet_fem import norm_grad
@@ -178,7 +173,10 @@ def test_trace_extend_round_trip(unit8):
 FIELD_TAKERS = {
     "restrict_interior": (lambda s, u: restrict_interior(s.mesh, u), "nodes"),
     "extend_by_zero": (lambda s, v: extend_by_zero(s.mesh, v), "interior"),
-    "solve": (lambda s, g: solve(s, ProblemData(f=zero, g=g)), "nodes"),
+    "solve": (lambda s, g: solve(s, ProblemData(np.zeros(s.mesh.node_count), g)), "nodes"),
+    "solve_load": (
+        lambda s, load: solve(s, ProblemData(load, np.zeros(s.mesh.node_count))), "nodes"
+    ),
     "trace": (lambda s, u: trace(s.mesh, u), "nodes"),
     "extend": (lambda s, b: extend(s.mesh, b), "boundary"),
     "eval_p1": (lambda s, u: eval_p1(s.mesh, u, 0.5, 0.5), "nodes"),
@@ -208,10 +206,10 @@ def test_quotient_solve_matches_direct(unit16):
     # the solution depends only on the boundary class of g
     mesh, A, M = unit16.mesh, unit16.A, unit16.M
     rng = np.random.default_rng(36)
-    f = p1_interpolant(mesh, rng.standard_normal(mesh.node_count))
+    load = M.apply(rng.standard_normal(mesh.node_count))
     g = rng.standard_normal(mesh.node_count)  # random interior extension
-    direct = solve(unit16, ProblemData(f=f, g=g))
-    quotient = quotient_solve(unit16, f, trace(mesh, g))
+    direct = solve(unit16, ProblemData(load=load, g=g))
+    quotient = quotient_solve(unit16, load, trace(mesh, g))
     dist = norm_w12(A, M, direct.u - quotient.u)
     assert dist <= 1e-8 * (1.0 + norm_w12(A, M, direct.u))
 
@@ -224,10 +222,10 @@ def test_solution_map_is_linear(unit16):
     g1, g2 = rng.standard_normal((2, n))
     alpha, beta = rng.uniform(-2.0, 2.0, size=2)
 
-    u1 = solve(unit16, ProblemData(p1_interpolant(mesh, f1_vals), g1)).u
-    u2 = solve(unit16, ProblemData(p1_interpolant(mesh, f2_vals), g2)).u
-    combo_f = p1_interpolant(mesh, alpha * f1_vals + beta * f2_vals)
-    u12 = solve(unit16, ProblemData(combo_f, alpha * g1 + beta * g2)).u
+    u1 = solve(unit16, ProblemData(M.apply(f1_vals), g1)).u
+    u2 = solve(unit16, ProblemData(M.apply(f2_vals), g2)).u
+    combo_load = M.apply(alpha * f1_vals + beta * f2_vals)
+    u12 = solve(unit16, ProblemData(combo_load, alpha * g1 + beta * g2)).u
 
     deviation = norm_w12(A, M, u12 - alpha * u1 - beta * u2)
     scale = 1.0 + max(norm_w12(A, M, u1), norm_w12(A, M, u2))
@@ -238,17 +236,17 @@ def test_class_invariance(unit16):
     # bumping g by any boundary-vanishing field leaves the solution alone
     mesh, A, M = unit16.mesh, unit16.A, unit16.M
     rng = np.random.default_rng(38)
-    f = p1_interpolant(mesh, rng.standard_normal(mesh.node_count))
+    load = M.apply(rng.standard_normal(mesh.node_count))
     g = rng.standard_normal(mesh.node_count)
     psi = rng.standard_normal(mesh.interior_count)
 
-    base = solve(unit16, ProblemData(f, g))
-    bumped = solve(unit16, ProblemData(f, g + extend_by_zero(mesh, psi)))
+    base = solve(unit16, ProblemData(load, g))
+    bumped = solve(unit16, ProblemData(load, g + extend_by_zero(mesh, psi)))
     dist = norm_w12(A, M, bumped.u - base.u)
     assert dist <= 1e-8 * (1.0 + norm_w12(A, M, base.u))
 
     # zero data with a boundary-vanishing extension solves to zero
-    null = solve(unit16, ProblemData(zero, extend_by_zero(mesh, psi)))
+    null = solve(unit16, ProblemData(np.zeros(mesh.node_count), extend_by_zero(mesh, psi)))
     assert norm_w12(A, M, null.u) <= 1e-8
 
 
@@ -260,3 +258,18 @@ def test_build_functional_hand_value():
     lam = build_functional(system, load, np.zeros(mesh.node_count))
     assert lam.shape == (1,)
     assert lam[0] == pytest.approx(0.25, rel=1e-14)
+
+
+def test_point_loads_are_reciprocal():
+    # the discrete Green's function is symmetric: the response at node j
+    # to a unit load at node i is the response at i to a unit load at j
+    system = make_system(*SINE_GRIDS["skewed37x23"])
+    mesh = system.mesh
+    g = np.zeros(mesh.node_count)
+    rng = np.random.default_rng(40)
+    pairs = rng.choice(mesh.interior_indices, size=(8, 2), replace=False)
+    for i, j in pairs:
+        u_i = solve(system, ProblemData(load=np.eye(1, mesh.node_count, i)[0], g=g)).u
+        u_j = solve(system, ProblemData(load=np.eye(1, mesh.node_count, j)[0], g=g)).u
+        assert u_i[j] > 0.0
+        assert u_i[j] == pytest.approx(u_j[i], rel=1e-12, abs=0.0)

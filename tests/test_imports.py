@@ -3,7 +3,8 @@
 Imports are read from the source with ast, so nothing is imported and
 an import inside a function counts like one at the top.  The solution
 map sits below everything that judges it: dirichlet imports nothing
-from analysis, verify or cli.
+from analysis, verify or cli.  It takes a load, not a source: it names
+nothing that samples or integrates a callable.
 """
 
 import ast
@@ -79,3 +80,16 @@ def test_internal_imports_form_a_dag():
 def test_dirichlet_imports_none_of_its_judges():
     assert not internal_imports()["dirichlet"] & {"analysis", "verify", "cli"}
 
+
+
+def test_dirichlet_names_no_sampler_or_quadrature():
+    tree = ast.parse((PACKAGE / "dirichlet.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.rpartition(".")[2] for a in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"assemble_load", "nodal_values", "eval_p1", "p1_interpolant"}

@@ -10,10 +10,12 @@ import pytest
 from dirichlet_fem import problems
 from dirichlet_fem import (
     ProblemFormatError,
+    assemble_load,
     build_rect_mesh,
     make_data,
     make_mesh,
     nodal_values,
+    parse,
     parse_problem,
     read_field_csv,
     write_field_csv,
@@ -37,11 +39,11 @@ def test_parse_full_file():
     spec = parse_problem(FULL)
     assert spec.domain == (0.0, 0.0, 2.0, 1.0)
     assert (spec.nx, spec.ny) == (8, 4)
-    assert spec.f_text == "x*y"
-    assert spec.g_text == "sin(pi*x)"
+    assert spec.f_expr == parse("x*y")
+    assert spec.g_expr == parse("sin(pi*x)")
     assert spec.mode == "border"
     assert spec.tol == 1e-8
-    assert spec.u_exact_text == "x"
+    assert spec.u_exact_expr == parse("x")
     assert spec.seed == 7
 
 
@@ -49,7 +51,6 @@ def test_defaults():
     spec = parse_problem("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\n")
     assert spec.mode == "extension"
     assert spec.tol == 1e-10
-    assert spec.u_exact_text is None
     assert spec.u_exact_expr is None
     assert spec.seed == 42
 
@@ -99,7 +100,7 @@ def test_make_helpers():
     assert (mesh.nx, mesh.ny) == (8, 4)
 
     data = make_data(spec, mesh)
-    assert data.f(0.5, 0.25) == pytest.approx(0.125, rel=1e-15)
+    assert np.array_equal(data.load, assemble_load(mesh, lambda x, y: x * y))
     want = nodal_values(mesh, lambda x, y: np.sin(np.pi * x))
     assert np.allclose(data.g, want, rtol=1e-15, atol=1e-18)
 
