@@ -157,7 +157,6 @@ def check_functional_bound(
     data: ProblemData,
     f_vals: np.ndarray,
     a: float,
-    tol: float = 1e-10,
 ) -> FunctionalBound:
     """Evaluate ||lam|| <= a ||f_h||_2 + ||g||_grad on the given mesh.
 
@@ -168,7 +167,7 @@ def check_functional_bound(
     A, M, A_int = system.A, system.M, system.A_int
     g_field = np.asarray(data.g, dtype=float)
     lam = build_functional(system, data.load, g_field)
-    lhs = norm_grad(A_int, riesz_represent(A_int, lam, tol))
+    lhs = norm_grad(A_int, riesz_represent(A_int, lam))
     rhs = a * norm_l2(M, f_vals) + norm_grad(A, g_field)
     return FunctionalBound(lhs=lhs, rhs=rhs)
 
@@ -190,19 +189,19 @@ class StabilityBounds(NamedTuple):
 def check_stability(
     system: InteriorSystem,
     u: np.ndarray,
-    data: ProblemData,
+    g: np.ndarray,
     f_vals: np.ndarray,
     a: float,
 ) -> StabilityBounds:
     """Evaluate the continuity bounds for a solved field.
 
-    u is the solution of the problem in data, whose load is that of
-    the P1 field with nodal values f_vals; u - data.g vanishes on the
-    boundary by construction of the solution map.
+    u solves the problem with extension g and the load of the P1 field
+    with nodal values f_vals; u - g vanishes on the boundary by
+    construction of the solution map.
     """
     A, M = system.A, system.M
     u = np.asarray(u, dtype=float)
-    g_field = np.asarray(data.g, dtype=float)
+    g_field = np.asarray(g, dtype=float)
     f_norm = norm_l2(M, f_vals)
     w = u - g_field
     factor = np.sqrt(a * a + 1.0)

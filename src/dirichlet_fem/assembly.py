@@ -127,19 +127,21 @@ class SparseSymMatrix:
         ax = np.abs(np.asarray(x, dtype=float))
         return float(np.dot(ax, self._product([np.abs(b) for b in self.bands], ax)))
 
+    def norm_inf(self) -> float:
+        """Largest row sum of |A|, which bounds ||A||_2 and ||(|A|)||_2 by symmetry."""
+        ones = np.ones(self.dimension)
+        return float(self._product([np.abs(b) for b in self.bands], ones).max())
+
     def apply_error(self) -> float:
         """A bound c with ||fl(apply(x)) - A x|| <= c ||x|| for every x.
 
         A row adds at most 2 len(offsets) - 1 products in turn, so its
         rounding is below that many eps times (|A| |x|) in that row
         (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-        ed., section 3.1), and the 2-norm of the symmetric |A| is at
-        most its largest row sum.
+        ed., section 3.1), and the 2-norm of |A| is at most norm_inf.
         """
         terms = 2 * len(self.offsets) - 1
-        ones = np.ones(self.dimension)
-        row_sums = self._product([np.abs(b) for b in self.bands], ones)
-        return terms * np.finfo(float).eps * float(row_sums.max())
+        return terms * np.finfo(float).eps * self.norm_inf()
 
     def restrict(self, indices: np.ndarray, inverse=None) -> "SparseSymMatrix":
         """Principal submatrix on the given distinct global indices, in order.

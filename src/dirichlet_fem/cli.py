@@ -20,36 +20,15 @@ import sys
 import numpy as np
 
 from .analysis import check_stability, estimate_poincare
-from .assembly import InteriorSystem, assemble_load, assemble_system
+from .assembly import InteriorSystem, assemble_system
 from .assembly import norm_grad, norm_l2, norm_w12
-from .dirichlet import ProblemData, SolveReport, quotient_solve, solve, weak_residual
-from .expr import EvalError, ParseError, as_function
+from .dirichlet import ProblemData, SolveReport, solve, weak_residual
+from .expr import EvalError, as_function
 from .linsolve import ConvergenceError
 from .mesh import Mesh, build_rect_mesh, nodal_values
-from .problems import (
-    ProblemFormatError,
-    ProblemSpec,
-    load_problem,
-    make_data,
-    make_mesh,
-    write_field_csv,
-)
+from .problems import load_problem, make_data, make_mesh, write_field_csv
 from .riesz import energy
 from .verify import all_passed, run_checks
-
-
-def _solve_spec(
-    spec: ProblemSpec, system: InteriorSystem
-) -> tuple[ProblemData, SolveReport]:
-    """Solve the file's problem; return the data it solved and the report."""
-    mesh = system.mesh
-    if spec.mode == "border":
-        x, y = mesh.nodes[mesh.boundary_indices].T
-        load = assemble_load(mesh, as_function(spec.f_expr))
-        report = quotient_solve(system, load, as_function(spec.g_expr)(x, y), spec.tol)
-        return ProblemData(load=load, g=report.g_field), report
-    data = make_data(spec, mesh)
-    return data, solve(system, data, spec.tol)
 
 
 def _write_field(out_path: str | None, mesh: Mesh, u: np.ndarray) -> None:
@@ -65,7 +44,7 @@ def _print_report(
 ) -> None:
     mesh, A, M, u = system.mesh, system.A, system.M, report.u
     est = estimate_poincare(system)
-    bounds = check_stability(system, u, data, f_vals, est.a_hi)
+    bounds = check_stability(system, u, data.g, f_vals, est.a_hi)
     lines = (
         f"nodes          = {mesh.node_count} "
         f"({mesh.interior_count} interior)",
@@ -86,7 +65,8 @@ def _print_report(
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
     system = assemble_system(make_mesh(spec))
-    data, report = _solve_spec(spec, system)
+    data = make_data(spec, system.mesh)
+    report = solve(system, data)
     f_vals = nodal_values(system.mesh, as_function(spec.f_expr))
     _print_report(system, data, report, f_vals)
     _write_field(args.out, system.mesh, report.u)
@@ -102,7 +82,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         assemble_system(make_mesh(spec)),
         as_function(spec.f_expr),
         as_function(spec.g_expr),
-        spec.tol,
         seed,
     )
     for r in results:
@@ -140,8 +119,8 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         nx = spec.nx << level
         ny = spec.ny << level
         system = assemble_system(build_rect_mesh(x0, y0, x1, y1, nx, ny))
-        _, report = _solve_spec(spec, system)
-        diff = report.u - nodal_values(system.mesh, u_exact)
+        u = solve(system, make_data(spec, system.mesh)).u
+        diff = u - nodal_values(system.mesh, u_exact)
         max_error = float(np.max(np.abs(diff)))
         l2_error = norm_l2(system.M, diff)
         h = max((x1 - x0) / nx, (y1 - y0) / ny)
@@ -218,16 +197,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (EvalError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ProblemFormatError and ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

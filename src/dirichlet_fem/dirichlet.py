@@ -58,7 +58,6 @@ class SolveReport:
     u: np.ndarray  # full nodal field, boundary values included
     p: np.ndarray  # interior minimizer of the reduced energy
     lam: np.ndarray  # interior coefficients of the reduced functional
-    g_field: np.ndarray  # extension the solve actually used
     iterations: int  # applications of the interior inverse
 
 
@@ -88,27 +87,23 @@ def weak_residual(
     return float(np.max(np.abs(r))) / scale
 
 
-def solve(
-    system: InteriorSystem,
-    data: ProblemData,
-    tol: float = 1e-10,
-) -> SolveReport:
+def solve(system: InteriorSystem, data: ProblemData) -> SolveReport:
     """Solve the problem by one interior solve.
 
     The interior correction p represents lam = (load - A g)_interior to
-    `tol`, and u = p + g on the full grid.  Energies, norms, the weak
-    residual and the continuity bounds are computed from the report.
+    cg_solve's backward error, and u = p + g on the full grid.
+    Energies, norms, the weak residual and the continuity bounds are
+    computed from the report.
     """
     mesh = system.mesh
     g_field = _as_field(data.g, mesh.node_count)
     load = _as_field(data.load, mesh.node_count)
     lam = build_functional(system, load, g_field)
-    result = cg_solve(system.A_int, lam, tol)
+    result = cg_solve(system.A_int, lam)
     return SolveReport(
         u=extend_by_zero(mesh, result.x) + g_field,
         p=result.x,
         lam=lam,
-        g_field=g_field.copy(),
         iterations=result.iterations,
     )
 
@@ -132,10 +127,7 @@ def extend(mesh: Mesh, boundary_values: np.ndarray) -> np.ndarray:
 
 
 def quotient_solve(
-    system: InteriorSystem,
-    load: np.ndarray,
-    boundary_values: np.ndarray,
-    tol: float = 1e-10,
+    system: InteriorSystem, load: np.ndarray, boundary_values: np.ndarray
 ) -> SolveReport:
     """Solve from boundary values alone, with no extension supplied.
 
@@ -145,7 +137,7 @@ def quotient_solve(
     defined on classes of fields that agree on the boundary.
     """
     data = ProblemData(load=load, g=extend(system.mesh, boundary_values))
-    return solve(system, data, tol)
+    return solve(system, data)
 
 
 def verify_uniqueness(

@@ -8,9 +8,11 @@ factor cached per matrix, which at 256^2 was slower and raised the
 solver's peak memory by about 80%.  The solver trusts nothing, the
 inverse included: the answer is judged on the true residual b - A x
 and improved by iterative refinement (Higham, Accuracy and Stability
-of Numerical Algorithms, 2nd ed., ch. 12) until it meets the
-tolerance.  Refinement that stops halving the residual aborts with a
-diagnostic instead of silently looping.
+of Numerical Algorithms, 2nd ed., ch. 12) until its normwise backward
+error is at most TOLERANCE.  That is a fixed relative perturbation of
+A and b, so one constant serves every grid and every caller, and no
+solve has a setting.  Refinement that stops halving the residual
+aborts with a diagnostic instead of silently looping.
 
 The solver began as conjugate gradients preconditioned by that inverse,
 whose first step is this solve.  It keeps the names cg_solve and
@@ -26,6 +28,8 @@ import numpy as np
 
 from .assembly import SparseSymMatrix
 
+TOLERANCE = 1e-12  # normwise backward error at which a solve stops
+
 
 @dataclass(frozen=True)
 class CGResult:
@@ -35,7 +39,7 @@ class CGResult:
 
 
 class ConvergenceError(RuntimeError):
-    """Solve failed: the residual stopped shrinking."""
+    """Solve failed: the residual stopped shrinking, or its threshold overflowed."""
 
     def __init__(self, message: str, iterations: int, residual: float):
         super().__init__(message)
@@ -43,24 +47,22 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def cg_solve(
-    A: SparseSymMatrix,
-    b: np.ndarray,
-    tol: float = 1e-10,
-) -> CGResult:
-    """Solve A x = b to ||b - A x|| <= tol * ||b|| by A.inverse with refinement.
+def cg_solve(A: SparseSymMatrix, b: np.ndarray) -> CGResult:
+    """Solve A x = b to a normwise backward error of TOLERANCE.
 
     x starts at A.inverse(b); while the true residual is above the
-    threshold tol * ||b||, A.inverse of that residual is added.  Three
-    steps in a row that do not halve the best residual so far mean the
-    tolerance is below the roundoff floor, or the inverse does not fit
-    A, and raise.  The best residual is a positive float that halves at
-    least every third step, so a solve applies the inverse at most
-    3 * ceil(log2(||r_1|| / threshold)) + 3 times, r_1 being the first
-    residual, or raises.
+    threshold TOLERANCE * (||A|| ||x|| + ||b||), ||A|| being the
+    largest row sum of |A|, A.inverse of that residual is added.  The
+    returned x solves (A + dA) x = b + db with ||dA||_2 <= TOLERANCE ||A||
+    and ||db|| <= TOLERANCE ||b|| (Rigal & Gaches, J. ACM 1967; Arioli,
+    Duff & Ruiz, SIAM J. Matrix Anal. Appl. 1992).  A threshold that is
+    not finite (a norm overflowed) raises, and so do three steps in a
+    row that do not halve the best residual: the roundoff floor is above
+    the threshold, or the inverse does not fit A.  The threshold is
+    never below TOLERANCE * ||b||, so a solve applies the inverse at
+    most 3 * ceil(log2(||r_1|| / (TOLERANCE * ||b||))) + 3 times, r_1
+    being the first residual, or raises.
     """
-    if not (0.0 < tol < 1.0):  # NaN fails too
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if A.inverse is None:
         raise ValueError("matrix has no inverse to solve with")
     b = np.asarray(b, dtype=float)
@@ -74,12 +76,21 @@ def cg_solve(
     if b_norm == 0.0:
         return CGResult(x=np.zeros(n), iterations=0, residual=0.0)
 
-    threshold = tol * b_norm
+    a_norm = A.norm_inf()
     x = A.inverse(b)
     iterations, stalls, best = 1, 0, np.inf  # best: smallest true residual
     while True:
         r = b - A.apply(x)
         r_norm = float(np.linalg.norm(r))
+        ax_norm = a_norm * float(np.linalg.norm(x))
+        threshold = TOLERANCE * (ax_norm + b_norm)
+        if not threshold < np.inf:  # NaN fails too
+            raise ConvergenceError(
+                f"residual threshold is not finite: ||b|| = {b_norm:.3e}, "
+                f"||A|| ||x|| = {ax_norm:.3e}",
+                iterations=iterations,
+                residual=r_norm,
+            )
         if r_norm <= threshold:
             return CGResult(x=x, iterations=iterations, residual=r_norm)
         stalls = 0 if r_norm <= 0.5 * best else stalls + 1  # NaN stalls too

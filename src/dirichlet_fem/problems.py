@@ -9,7 +9,6 @@ no others:
     f        = <expression>     source field (required)
     g        = <expression>     boundary data (required)
     mode     = extension|border how g enters the solve (default extension)
-    tol      = <float>          solver relative tolerance in (0, 1) (default 1e-10)
     u_exact  = <expression>     reference field for convergence studies
     seed     = <int>            seed for randomized verification, >= 0 (default 42)
 
@@ -33,7 +32,7 @@ from typing import IO
 import numpy as np
 
 from .assembly import assemble_load
-from .dirichlet import ProblemData
+from .dirichlet import ProblemData, extend
 from .expr import Expr, ParseError, as_function, parse
 from .mesh import Mesh, _as_field, build_rect_mesh, check_domain, nodal_values
 
@@ -43,7 +42,6 @@ _VALID_KEYS = (
     "f",
     "g",
     "mode",
-    "tol",
     "u_exact",
     "seed",
 )
@@ -69,7 +67,6 @@ class ProblemSpec:
     f_expr: Expr
     g_expr: Expr
     mode: str = "extension"
-    tol: float = 1e-10
     u_exact_expr: Expr | None = None
     seed: int = 42
 
@@ -141,15 +138,6 @@ def parse_problem(text: str) -> ProblemSpec:
     if mode not in _MODES:
         fail("mode", f"must be one of {', '.join(_MODES)}, got {mode!r}")
 
-    tol = 1e-10
-    if "tol" in values:
-        try:
-            tol = float(values["tol"])
-        except ValueError:
-            fail("tol", f"bad number {values['tol']!r}")
-        if not (0.0 < tol < 1.0):
-            fail("tol", f"must lie in (0, 1), got {tol}")
-
     seed = 42
     if "seed" in values:
         try:
@@ -166,7 +154,6 @@ def parse_problem(text: str) -> ProblemSpec:
         f_expr=f_expr,
         g_expr=g_expr,
         mode=mode,
-        tol=tol,
         u_exact_expr=u_exact_expr,
         seed=seed,
     )
@@ -184,9 +171,17 @@ def make_mesh(spec: ProblemSpec) -> Mesh:
 
 
 def make_data(spec: ProblemSpec, mesh: Mesh) -> ProblemData:
-    """Build solver inputs: f's assembled load and g's nodal field."""
+    """Build solver inputs: f's assembled load and an extension of g.
+
+    In extension mode g is sampled at every node; in border mode only
+    at the boundary nodes and extended by zero, as quotient_solve does.
+    """
     load = assemble_load(mesh, as_function(spec.f_expr))
-    return ProblemData(load=load, g=nodal_values(mesh, as_function(spec.g_expr)))
+    g = as_function(spec.g_expr)
+    if spec.mode == "border":
+        x, y = mesh.nodes[mesh.boundary_indices].T
+        return ProblemData(load=load, g=extend(mesh, g(x, y)))
+    return ProblemData(load=load, g=nodal_values(mesh, g))
 
 
 _CSV_HEADER = "node_index,x,y,u,is_boundary"

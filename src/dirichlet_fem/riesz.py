@@ -25,13 +25,9 @@ from .assembly import SparseSymMatrix
 from .linsolve import cg_solve
 
 
-def riesz_represent(
-    A: SparseSymMatrix,
-    lam: np.ndarray,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """The vector p with (A p) . v = lam . v for every v, to tol * ||lam||."""
-    return cg_solve(A, lam, tol).x
+def riesz_represent(A: SparseSymMatrix, lam: np.ndarray) -> np.ndarray:
+    """The vector p with (A p) . v = lam . v for every v, to cg_solve's backward error."""
+    return cg_solve(A, lam).x
 
 
 def energy(A: SparseSymMatrix, lam: np.ndarray, x: np.ndarray) -> float:

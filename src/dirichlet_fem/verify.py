@@ -6,11 +6,8 @@ theorem of the discrete brackets.  The source is taken as its nodal
 values f_vals and every load as M f_vals, the load of the P1 field
 with those values, so the bounds are exact statements about the mass
 bracket and must hold with no discretization slack.  Boundary data
-enters the discrete problem only through nodal values anyway.
-
-Every solve here runs at a tight tolerance, min(tol, 1e-12), instead
-of the problem's own, so a loose problem tolerance cannot mask a
-genuine defect.
+enters the discrete problem only through nodal values anyway.  Every
+solve stops at the fixed normwise backward error linsolve.TOLERANCE.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from .dirichlet import (
     verify_uniqueness,
     weak_residual,
 )
+from .linsolve import TOLERANCE
 from .mesh import nodal_values, p1_interpolant
 from .riesz import check_square_identity, energy
 
@@ -54,14 +52,12 @@ def run_checks(
     system: InteriorSystem,
     f: Callable,
     g: Callable,
-    tol: float = 1e-10,
     seed: int = 42,
 ) -> list[CheckResult]:
     """Run the full verification suite on one problem."""
     mesh, A, M, A_int = system.mesh, system.A, system.M, system.A_int
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
-    tight = min(tol, 1e-12)
 
     f_vals = nodal_values(mesh, f)
     g_field = nodal_values(mesh, g)
@@ -70,7 +66,7 @@ def run_checks(
     n = mesh.interior_count
 
     est = estimate_poincare(system)
-    report = solve(system, data, tight)
+    report = solve(system, data)
 
     # Normalize the reduced problem so the minimizer has unit energy
     # norm; identities are then checked against absolute tolerances.
@@ -90,7 +86,7 @@ def run_checks(
     alpha, beta = rng.uniform(0.5, 2.0, 2)
     bump = extend_by_zero(mesh, rng.standard_normal(n))
     # The same problem through another extension of g, so another lam.
-    u_bumped = solve(system, ProblemData(load=load, g=g_field + bump), tight).u
+    u_bumped = solve(system, ProblemData(load=load, g=g_field + bump)).u
 
     defect = max(
         check_square_identity(A_int, lam1, p1 + d, p=p1) for d in directions
@@ -173,7 +169,7 @@ def run_checks(
         )
     )
 
-    fb = check_functional_bound(system, data, f_vals, est.a_hi, tight)
+    fb = check_functional_bound(system, data, f_vals, est.a_hi)
     results.append(
         CheckResult(
             "functional-bound",
@@ -182,7 +178,7 @@ def run_checks(
         )
     )
 
-    sb = check_stability(system, report.u, data, f_vals, est.a_hi)
+    sb = check_stability(system, report.u, g_field, f_vals, est.a_hi)
     ok = sb.riesz_lhs <= sb.riesz_rhs * (1.0 + 1e-8) and sb.lhs <= sb.rhs * (
         1.0 + 1e-8
     )
@@ -200,8 +196,8 @@ def run_checks(
         load=M.apply(alpha * f_vals + beta * f2_vals),
         g=alpha * g_field + beta * g2_vals,
     )
-    u_b = solve(system, ProblemData(load=M.apply(f2_vals), g=g2_vals), tight).u
-    u_combo = solve(system, combo, tight).u
+    u_b = solve(system, ProblemData(load=M.apply(f2_vals), g=g2_vals)).u
+    u_combo = solve(system, combo).u
     lin_err = float(np.max(np.abs(u_combo - (alpha * report.u + beta * u_b))))
     lin_scale = max(1.0, float(np.max(np.abs(u_combo))))
     results.append(
@@ -213,7 +209,7 @@ def run_checks(
     )
 
     # Only boundary values of the extension may influence the solution.
-    u_border = quotient_solve(system, load, trace(mesh, g_field), tight).u
+    u_border = quotient_solve(system, load, trace(mesh, g_field)).u
     inv_err = max(
         float(np.max(np.abs(u_border - report.u))),
         float(np.max(np.abs(u_bumped - report.u))),
@@ -228,7 +224,7 @@ def run_checks(
     )
 
     residual = weak_residual(system, report.u, load)
-    wr_tol = max(1e-8, 10.0 * tight * np.sqrt(max(n, 1)))
+    wr_tol = max(1e-8, 10.0 * TOLERANCE * np.sqrt(max(n, 1)))
     results.append(
         CheckResult(
             "weak-residual",

@@ -137,7 +137,7 @@ def test_stability_bounds_hold_for_nodal_data(unit16):
         g = rng.standard_normal(mesh.node_count)
         data = ProblemData(load=unit16.M.apply(f_vals), g=g)
         report = solve(unit16, data)
-        bounds = check_stability(unit16, report.u, data, f_vals, est.a)
+        bounds = check_stability(unit16, report.u, data.g, f_vals, est.a)
         assert bounds.riesz_lhs <= bounds.riesz_rhs * (1.0 + 1e-8)
         assert bounds.lhs <= bounds.rhs * (1.0 + 1e-8)
         # the full bound nests the intermediate one

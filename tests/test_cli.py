@@ -75,11 +75,11 @@ def test_solve_report_contents(tmp_path):
     system = assemble_system(make_mesh(problem))
     A, M, mesh = system.A, system.M, system.mesh
     data = make_data(problem, mesh)
-    report = solve(system, data, problem.tol)
+    report = solve(system, data)
     u = report.u
     est = estimate_poincare(system)
     f_vals = nodal_values(mesh, as_function(problem.f_expr))
-    bounds = check_stability(system, u, data, f_vals, est.a_hi)
+    bounds = check_stability(system, u, data.g, f_vals, est.a_hi)
     expected = {
         "nodes": f"{mesh.node_count} ({mesh.interior_count} interior)",
         "energy": f"{energy(A, data.load, u):.17g}",
@@ -271,15 +271,21 @@ def test_deep_nesting_is_malformed_without_traceback(tmp_path, f):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("command", ["poincare", "solve", "verify"])
+RITZ = "Ritz vector's squared M-norm is "
+THRESHOLD = r"residual threshold is not finite: \|\|b\|\| = inf"
+
+
+@pytest.mark.parametrize("command", ["poincare", "solve", "verify", "convergence"])
 @pytest.mark.parametrize("size", ["1e80", "1e100"])
 def test_huge_cells_fail_at_runtime_without_traceback(tmp_path, command, size):
-    # a well-posed file whose Krylov vectors' M-norms overflow: a runtime
-    # failure naming that norm, not a crash reported as malformed input
-    text = f"domain = 0 0 {size} {size}\ngrid = 4 4\nf = 1\ng = 0\n"
+    # a well-posed file whose norms overflow: a runtime failure naming
+    # the norm, not a crash reported as malformed input; verify and
+    # poincare estimate first, solve and convergence solve first
+    text = f"domain = 0 0 {size} {size}\ngrid = 4 4\nf = 1\ng = 0\nu_exact = 0\n"
     proc = run_cli(command, "--spec", write(tmp_path, "p.txt", text))
     assert proc.returncode == 2
-    assert re.search(r"^error: Ritz vector's squared M-norm is ", proc.stderr, re.M)
+    message = THRESHOLD if command in ("solve", "convergence") else RITZ
+    assert re.search(r"^error: " + message, proc.stderr, re.M)
     assert "Traceback" not in proc.stderr
 
 

@@ -2,6 +2,7 @@
 
 import io
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ grid = 8 4
 f = x*y
 g = sin(pi*x)
 mode = border
-tol = 1e-8
 u_exact = x
 seed = 7
 """
@@ -42,7 +42,6 @@ def test_parse_full_file():
     assert spec.f_expr == parse("x*y")
     assert spec.g_expr == parse("sin(pi*x)")
     assert spec.mode == "border"
-    assert spec.tol == 1e-8
     assert spec.u_exact_expr == parse("x")
     assert spec.seed == 7
 
@@ -50,7 +49,6 @@ def test_parse_full_file():
 def test_defaults():
     spec = parse_problem("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\n")
     assert spec.mode == "extension"
-    assert spec.tol == 1e-10
     assert spec.u_exact_expr is None
     assert spec.seed == 42
 
@@ -69,7 +67,7 @@ def test_defaults():
         ("domain = 0 0 1 1\ngrid = 4 4.5\nf = 1\ng = 0\n", 2, "bad integer"),
         ("domain = 0 0 1 1\ngrid = 4 4\nf = sin(\ng = 0\n", 3, "offset"),
         ("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\nmode = fancy\n", 5, "one of"),
-        ("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\ntol = 2\n", 5, "lie in"),
+        ("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\ntol = 1e-10\n", 5, "unknown key 'tol'"),
         ("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\nmax_iter = 500\n", 5, "unknown key"),
         ("domain = 0 0 1 1\ngrid = 4 4\nf = 1\ng = 0\nseed = x\n", 5, "bad integer"),
         ("domain = 0 1 1 1\ngrid = 4 4\nf = 1\ng = 0\n", 1, "degenerate"),
@@ -102,7 +100,13 @@ def test_make_helpers():
     data = make_data(spec, mesh)
     assert np.array_equal(data.load, assemble_load(mesh, lambda x, y: x * y))
     want = nodal_values(mesh, lambda x, y: np.sin(np.pi * x))
-    assert np.allclose(data.g, want, rtol=1e-15, atol=1e-18)
+    # border mode: g's boundary values, extended by zero as quotient_solve does
+    boundary = mesh.boundary_mask
+    assert np.allclose(data.g[boundary], want[boundary], rtol=1e-15, atol=1e-18)
+    assert np.all(data.g[~boundary] == 0.0)
+    extension = make_data(replace(spec, mode="extension"), mesh)
+    assert np.array_equal(extension.load, data.load)
+    assert np.allclose(extension.g, want, rtol=1e-15, atol=1e-18)
 
 
 def test_csv_round_trip_is_bit_exact():
@@ -180,4 +184,5 @@ def test_docs_and_parser_agree_on_the_keys():
     keys = re.findall(r"^(\w+)\s*=", example, re.M)
     assert sorted(keys) == sorted(problems._VALID_KEYS)
     parse_problem(example)
-    assert "max_iter" not in problems.__doc__ and "max_iter" not in example
+    for gone in ("max_iter", "tol"):
+        assert not re.search(rf"\b{gone}\b", problems.__doc__ + example)

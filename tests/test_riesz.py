@@ -54,7 +54,7 @@ def test_minimality_over_random_directions(interior_system):
 def test_strict_quadratic_excess(interior_system):
     # E(p + eps d) - E(p) = eps^2/2 ||d||_A^2: uniqueness made numeric
     A_int, lam = interior_system
-    p = riesz_represent(A_int, lam, 1e-13)
+    p = riesz_represent(A_int, lam)
     base = energy(A_int, lam, p)
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -99,7 +99,7 @@ def test_dual_value_bounded_by_dual_norm(interior_system):
 
 def test_square_identity_random_points(interior_system):
     A_int, lam = interior_system
-    p = riesz_represent(A_int, lam, 1e-12)
+    p = riesz_represent(A_int, lam)
     rng = np.random.default_rng(26)
     for _ in range(50):
         x = rng.standard_normal(len(lam)) * rng.uniform(0.1, 10.0)
