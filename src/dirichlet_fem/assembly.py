@@ -16,11 +16,14 @@ diagonals: each upper entry (i, j) is binned by its band j - i and its
 lower node i, and one np.bincount sums every bin in triangle-index
 order, so repeated assemblies of the same mesh are bit-identical
 (banded storage: Saad, Iterative Methods for Sparse Linear Systems, 2nd
-ed., section 3.4).  A SparseSymMatrix holds the main diagonal and the
-nonzero upper diagonals as numpy arrays, checks exact symmetry when it
-is built from outside and compares exactly with ==; no other module
-reads its storage.  assemble_system bundles both brackets with their
-interior blocks, the only restriction to the interior in the package.
+ed., section 3.4).  assemble_system gathers the vertex coordinates and
+bins the six upper local entries of every triangle once per mesh, for
+both brackets; the stiffness fills its local entries column by column.
+A SparseSymMatrix holds the main diagonal and the nonzero upper
+diagonals as numpy arrays, checks exact symmetry when it is built from
+outside and compares exactly with ==; no other module reads its
+storage.  assemble_system bundles both brackets with their interior
+blocks, the only restriction to the interior in the package.
 
 The stiffness across the cell diagonals is exactly zero, so A_int is
 the five-point operator (hy/hx) I (x) T_nx + (hx/hy) T_ny (x) I with
@@ -70,17 +73,14 @@ class SparseSymMatrix:
         if not np.array_equal(a, a.T):
             raise ValueError("matrix must be symmetric")
         row, col = np.nonzero(np.triu(a))
-        self.offsets, self.bands = _banded(len(a), row, col - row, a[row, col])
+        self.offsets, self.bands = _binner(len(a), row, col)(a[row, col])
         self.inverse = inverse
 
     @classmethod
-    def _from_pairs(cls, n, lo, offset, weights, inverse=None) -> "SparseSymMatrix":
-        """Sum weights into entries (lo, lo + offset), in input order.
-
-        Not checked: both triangles come from the same upper entry.
-        """
+    def _from_pairs(cls, binner, weights, inverse=None) -> "SparseSymMatrix":
+        """Sum weights with a _binner, in input order; symmetric by construction."""
         m = object.__new__(cls)
-        m.offsets, m.bands = _banded(n, lo, offset, weights)
+        m.offsets, m.bands = binner(weights)
         m.inverse = inverse
         return m
 
@@ -153,17 +153,12 @@ class SparseSymMatrix:
         n = self.dimension
         new = np.full(n, -1)
         new[indices] = np.arange(len(indices))
-        lo, offset, weights = [], [], []
-        for k, band in zip(self.offsets.tolist(), self.bands):
-            i, j = new[: n - k], new[k:]
-            kept = (i >= 0) & (j >= 0)
-            i, j = i[kept], j[kept]
-            lo.append(np.minimum(i, j))
-            offset.append(np.abs(j - i))
-            weights.append(band[kept])
-        return SparseSymMatrix._from_pairs(
-            len(indices), *map(np.concatenate, (lo, offset, weights)), inverse
-        )
+        ends = [(new[: n - k], new[k:]) for k in self.offsets.tolist()]
+        i, j = (np.concatenate(e) for e in zip(*ends))
+        kept = (i >= 0) & (j >= 0)
+        weights = np.concatenate(self.bands)[kept]
+        binner = _binner(len(indices), i[kept], j[kept])
+        return SparseSymMatrix._from_pairs(binner, weights, inverse)
 
     def toarray(self) -> np.ndarray:
         n = self.dimension
@@ -187,24 +182,28 @@ class SparseSymMatrix:
         )
 
 
-def _banded(n: int, lo: np.ndarray, offset: np.ndarray, weights: np.ndarray):
-    """Offsets and upper diagonals of the n x n sum of weights at (lo, lo + offset).
+def _binner(n: int, i: np.ndarray, j: np.ndarray) -> Callable:
+    """Map weights at entries (i, j) of an n x n symmetric matrix to its bands.
 
-    Entries are binned by (band, lo), where the bands are the offsets
-    that occur; np.bincount adds the weights one at a time in input
-    order, so each entry is the input-order sum.  Off-diagonals with no
-    nonzero are dropped.
+    Entry (i, j) goes to band |j - i| at row min(i, j), where the bands
+    are the offsets that occur, so no layout is assumed.  The map returns
+    the offsets and upper diagonals of the input-order sums; diagonals
+    with no nonzero are dropped, except the main one.
     """
+    offset = np.abs(j - i)
     present = np.bincount(offset, minlength=1) > 0
     present[0] = True  # the main diagonal is always stored
-    key = (np.cumsum(present) - 1)[offset] * n + lo
-    sums = np.bincount(
-        key, weights=weights, minlength=n * np.count_nonzero(present)
-    ).reshape(-1, n)
-    del key
-    kept = [(k, band[: n - k]) for k, band in zip(np.flatnonzero(present), sums)]
-    kept = [(k, band) for k, band in kept if k == 0 or band.any()]
-    return np.array([k for k, _ in kept]), [band for _, band in kept]
+    key = np.take(np.cumsum(present) - 1, offset) * n
+    key += np.minimum(i, j)
+    offsets = np.flatnonzero(present)
+
+    def banded(weights):
+        sums = np.bincount(key, weights=weights, minlength=n * len(offsets))
+        kept = [(k, band[: n - k]) for k, band in zip(offsets, sums.reshape(-1, n))]
+        kept = [(k, band) for k, band in kept if k == 0 or band.any()]
+        return np.array([k for k, _ in kept]), [band for _, band in kept]
+
+    return banded
 
 
 # Local index pairs (a, b), a <= b, of the six stored entries of a
@@ -213,57 +212,54 @@ _UPPER = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def _geometry(p: np.ndarray):
-    """b, c and signed areas of triangles with vertices p, shape (..., 3, 2).
+def _geometry(x: np.ndarray, y: np.ndarray):
+    """b, c and signed areas of triangles with vertex coordinates x, y, (..., 3).
 
-    grad(lam_i) = (b_i, c_i) / (2 * area); inverted triangles are refused.
+    grad(lam_k) = (b[k], c[k]) / (2 * area); inverted triangles are refused.
     """
-    x, y = p[..., 0], p[..., 1]
-    b = y[..., [1, 2, 0]] - y[..., [2, 0, 1]]
-    c = x[..., [2, 0, 1]] - x[..., [1, 2, 0]]
-    area = 0.5 * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
+    (x0, x1, x2), (y0, y1, y2) = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
+    b = (y1 - y2, y2 - y0, y0 - y1)
+    c = (x2 - x1, x0 - x2, x1 - x0)
+    area = 0.5 * (b[0] * c[1] - b[1] * c[0])
     if np.any(area <= 0):
         raise ValueError("triangle is degenerate or clockwise")
     return b, c, area
 
 
-def _accumulate(mesh: Mesh, upper: np.ndarray) -> SparseSymMatrix:
-    """Sum (T, 6) upper local entries into one symmetric matrix, triangle order.
+def _triangles(mesh: Mesh) -> tuple:
+    """The _binner of a mesh's (T, 6) upper local entries, and its _geometry.
 
-    Entry (i, j), i <= j, goes to band j - i at row i, where the bands
-    are the offsets that occur, so no mesh layout is assumed.  The six
-    bins of a triangle are distinct, so each entry is the triangle-order
-    sum and a reassembly is bit-identical.  The band of exact zeros (the
-    stiffness across every cell diagonal) is not stored.
+    The six bins of a triangle are distinct, so each entry is the
+    triangle-order sum and a reassembly is bit-identical.  The binner is
+    made first, so its temporaries are freed before the geometry exists.
     """
-    # np.take keeps (T, 6) C-ordered, so the ravels below copy nothing
-    gi, gj = (np.take(mesh.triangles, k, axis=1) for k in _UPPER)
-    lo = np.minimum(gi, gj)
-    offset = np.abs(np.subtract(gj, gi, out=gj), out=gj)  # gj's buffer: lower peak
-    del gi, gj
-    return SparseSymMatrix._from_pairs(
-        mesh.node_count, lo.ravel(), offset.ravel(), upper.ravel()
-    )
+    # np.take keeps (T, 6) C-ordered, so the ravels copy nothing
+    ends = (np.take(mesh.triangles, k, axis=1).ravel() for k in _UPPER)
+    xy = (np.take(v, mesh.triangles) for v in mesh.nodes.T)  # each (T, 3)
+    return _binner(mesh.node_count, *ends), _geometry(*xy)
 
 
-def assemble_stiffness(mesh: Mesh, geometry: tuple | None = None) -> SparseSymMatrix:
+def assemble_stiffness(mesh: Mesh, triangles: tuple | None = None) -> SparseSymMatrix:
     """Gradient-bracket Gram matrix of the nodal basis.
 
-    geometry is the mesh's _geometry, when the caller already has it.
+    triangles is the mesh's _triangles, when the caller already has it.
     """
-    b, c, area = geometry or _geometry(mesh.nodes[mesh.triangles])
-    ia, ib = _UPPER
-    upper = (b[:, ia] * b[:, ib] + c[:, ia] * c[:, ib]) / (4.0 * area)[:, None]
-    return _accumulate(mesh, upper)
+    binner, (b, c, area) = triangles or _triangles(mesh)
+    area4 = 4.0 * area
+    upper = np.empty((len(area), 6))
+    for col, (i, j) in enumerate(zip(*_UPPER)):  # by column: no (T, 6) gathers
+        upper[:, col] = (b[i] * b[j] + c[i] * c[j]) / area4
+    return SparseSymMatrix._from_pairs(binner, upper.ravel())
 
 
-def assemble_mass(mesh: Mesh, geometry: tuple | None = None) -> SparseSymMatrix:
+def assemble_mass(mesh: Mesh, triangles: tuple | None = None) -> SparseSymMatrix:
     """Square-sum-bracket Gram matrix of the nodal basis.
 
-    geometry is the mesh's _geometry, when the caller already has it.
+    triangles is the mesh's _triangles, when the caller already has it.
     """
-    _, _, area = geometry or _geometry(mesh.nodes[mesh.triangles])
-    return _accumulate(mesh, area[:, None] * _MASS_PATTERN[_UPPER])
+    binner, (_, _, area) = triangles or _triangles(mesh)
+    upper = area[:, None] * _MASS_PATTERN[_UPPER]
+    return SparseSymMatrix._from_pairs(binner, upper.ravel())
 
 
 @dataclass(frozen=True)
@@ -341,9 +337,9 @@ def _sine_inverse(mesh: Mesh) -> Callable:
 
 def assemble_system(mesh: Mesh) -> InteriorSystem:
     """Stiffness, mass and their interior blocks of one mesh."""
-    geometry = _geometry(mesh.nodes[mesh.triangles])
-    A, M = assemble_stiffness(mesh, geometry), assemble_mass(mesh, geometry)
-    del geometry  # free the per-triangle arrays before the restrictions
+    triangles = _triangles(mesh)
+    A, M = assemble_stiffness(mesh, triangles), assemble_mass(mesh, triangles)
+    del triangles  # free the per-triangle arrays before the restrictions
     A_int = A.restrict(mesh.interior_indices, _sine_inverse(mesh))
     M_int = M.restrict(mesh.interior_indices)
     return InteriorSystem(mesh, A, M, A_int, M_int)
@@ -357,17 +353,17 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     same mesh).  f is called once on all midpoints, a scalar result is
     broadcast, and contributions are summed in triangle order.
     """
-    p = mesh.nodes[mesh.triangles]
-    _, _, area = _geometry(p)
-    mids = 0.5 * (p + np.roll(p, -1, axis=1))  # midpoint m[k] of edge (k, k+1)
-    fm = np.broadcast_to(f(mids[..., 0], mids[..., 1]), area.shape + (3,))
+    x, y = (np.take(v, mesh.triangles) for v in mesh.nodes.T)
+    _, _, area = _geometry(x, y)
+    mx, my = (0.5 * (v + v[:, [1, 2, 0]]) for v in (x, y))  # edge (k, k+1)
+    del x, y  # free the gathers before f makes its temporaries
+    fm = np.broadcast_to(f(mx, my), area.shape + (3,))
     finite = np.isfinite(fm)
     if not finite.all():
         k = int(np.argmin(finite))
-        x, y = mids.reshape(-1, 2)[k]
         raise ValueError(
             f"source function returned non-finite value {float(fm.flat[k])!r} "
-            f"at quadrature point ({x}, {y})"
+            f"at quadrature point ({mx.flat[k]}, {my.flat[k]})"
         )
     # phi_a is 1/2 on the two edges touching vertex a, 0 opposite
     contrib = (area / 3.0)[:, None] * 0.5 * (fm + fm[:, [2, 0, 1]])

@@ -21,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-# Above the 35 MB of the import, a CLI solve peaks near 0.75 KB per node
-# (256^2, 512^2) and verify near 1.5 KB (128^2, 256^2), so at this cap
-# either stays under 4 GB.
+# Above the 35 MB of the import, a CLI solve peaks near 0.6 KB per node
+# (512^2, 1024^2) and verify near 1.2 KB (512^2, 1024^2), so at this cap
+# either stays under 2 GB.
 MAX_NODES = 1_500_000
 
 

@@ -27,6 +27,7 @@ one is refused as malformed, naming its line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -185,16 +186,27 @@ def make_data(spec: ProblemSpec, mesh: Mesh) -> ProblemData:
 
 
 _CSV_HEADER = "node_index,x,y,u,is_boundary"
+_CSV_BLOCK = 4096  # rows per write, so memory stays flat on any grid
 
 
 def write_field_csv(stream: IO[str], mesh: Mesh, u: np.ndarray) -> None:
-    """Write one row per node in node order; %.17g keeps values bit-exact."""
+    """Write one row per node in node order; %.17g keeps values bit-exact.
+
+    Each distinct coordinate is formatted once, told apart by its bits
+    so that -0 stays -0, and rows go out _CSV_BLOCK at a time.
+    """
     u = _as_field(u, mesh.node_count)
-    x, y = mesh.nodes.T.tolist()
-    flags = mesh.boundary_mask.astype(int).tolist()
-    rows = zip(range(mesh.node_count), x, y, u.tolist(), flags)
+    bits = np.asarray(mesh.nodes, dtype=float).view(np.int64)
+    bits, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    x, y = text[inverse.reshape(-1, 2)].T
     stream.write(_CSV_HEADER + "\n")
-    stream.writelines(map("%d,%.17g,%.17g,%.17g,%d\n".__mod__, rows))
+    for start in range(0, mesh.node_count, _CSV_BLOCK):
+        rows = slice(start, start + _CSV_BLOCK)
+        index = range(mesh.node_count)[rows]
+        columns = (a[rows].tolist() for a in (x, y, u, mesh.boundary_mask))
+        block = tuple(chain.from_iterable(zip(index, *columns)))
+        stream.write("%d,%s,%s,%.17g,%d\n" * len(index) % block)
 
 
 def read_field_csv(stream: IO[str]) -> np.ndarray:

@@ -80,13 +80,13 @@ def local_stiffness(coords) -> np.ndarray:
     The barycentric gradients are constant, so K[i, j] = area *
     grad(lam_i) . grad(lam_j); the operations are those assembly sums.
     """
-    b, c, area = _geometry(np.asarray(coords, dtype=float))
+    b, c, area = _geometry(*np.asarray(coords, dtype=float).T)
     return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
 
 
 def local_mass(coords) -> np.ndarray:
     """Closed-form 3x3 square-sum-bracket matrix of one triangle: (area/12)(1 + I)."""
-    return _geometry(np.asarray(coords, dtype=float))[2] * (
+    return _geometry(*np.asarray(coords, dtype=float).T)[2] * (
         (np.ones((3, 3)) + np.eye(3)) / 12.0
     )
 

@@ -175,14 +175,49 @@ def test_interior_positive_definite(unit8):
         assert A_int.quad_form(v) > 0.0
 
 
+# anisotropic cells at an offset: hx = 2/9, hy = 0.7
+ANISO9x4 = (-0.3, 0.1, 1.7, 2.9, 9, 4)
+
+
 def test_assembly_is_the_triangle_order_sum_of_local_matrices(skewed6x5):
     # reference: add each triangle's upper local entries into a dict, in
     # triangle order; both triangles of the assembly must match it bit
     # for bit
-    mesh, A, M = skewed6x5.mesh, skewed6x5.A, skewed6x5.M
-    for assembled, local in ((A, local_stiffness), (M, local_mass)):
-        want = triangle_order_sum(mesh, local)
-        assert assembled.toarray().tobytes() == want.tobytes()
+    for system in (skewed6x5, make_system(*ANISO9x4)):
+        mesh, A, M = system.mesh, system.A, system.M
+        for assembled, local in ((A, local_stiffness), (M, local_mass)):
+            want = triangle_order_sum(mesh, local)
+            assert assembled.toarray().tobytes() == want.tobytes()
+
+
+def triangle_order_load(mesh, f) -> np.ndarray:
+    """Load vector added up one triangle and one Python float at a time.
+
+    Midpoint k of edge (k, k+1) is 0.5 (p_k + p_{k+1}); vertex k gets
+    area/3 * 1/2 (f_k + f_{k-1}) from the two midpoints on its edges.
+    The signed area is 1/2 ((y1 - y2)(x0 - x2) - (y2 - y0)(x2 - x1)),
+    the operations the assembly does.
+    """
+    load = [0.0] * mesh.node_count
+    nodes = mesh.nodes.tolist()
+    for tri in mesh.triangles.tolist():
+        (x0, y0), (x1, y1), (x2, y2) = p = [nodes[v] for v in tri]
+        area = 0.5 * ((y1 - y2) * (x0 - x2) - (y2 - y0) * (x2 - x1))
+        mids = [[0.5 * (a + b) for a, b in zip(p[k], p[(k + 1) % 3])] for k in range(3)]
+        fm = [f(x, y) for x, y in mids]
+        for k in range(3):
+            load[tri[k]] += area / 3.0 * 0.5 * (fm[k] + fm[k - 1])
+    return np.array(load)
+
+
+def test_load_is_the_triangle_order_sum(skewed6x5):
+    # only +, -, * and /, so f gives the same bits on arrays and floats
+    def f(x, y):
+        return x * x - 3.0 * x * y + y / (1.0 + x * x) - 0.7
+
+    for mesh in (skewed6x5.mesh, build_rect_mesh(*ANISO9x4)):
+        want = triangle_order_load(mesh, f)
+        assert assemble_load(mesh, f).tobytes() == want.tobytes()
 
 
 def test_assembly_deterministic(unit8):

@@ -127,22 +127,59 @@ def test_csv_round_trip_is_bit_exact():
     assert np.array_equal(table[:, 4], mesh.boundary_mask.astype(float))
 
 
+def row_by_row_csv(mesh, u) -> str:
+    """The reference writer: one %.17g row per node, formatted in turn."""
+    return "node_index,x,y,u,is_boundary\n" + "".join(
+        f"{i},{x:.17g},{y:.17g},{u[i]:.17g},{int(flag)}\n"
+        for i, ((x, y), flag) in enumerate(zip(mesh.nodes, mesh.boundary_mask))
+    )
+
+
 def test_csv_extremes_keep_their_bytes_and_round_trip():
     mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
     u = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                   0.1, -2.5e-310, 1.0, 3.0, -0.0])
     buf = io.StringIO()
     write_field_csv(buf, mesh, u)
-    # reference: the row-by-row writer
-    want = "node_index,x,y,u,is_boundary\n" + "".join(
-        f"{i},{x:.17g},{y:.17g},{u[i]:.17g},{int(flag)}\n"
-        for i, ((x, y), flag) in enumerate(zip(mesh.nodes, mesh.boundary_mask))
-    )
-    assert buf.getvalue() == want
+    assert buf.getvalue() == row_by_row_csv(mesh, u)
     assert buf.getvalue().splitlines()[1] == "0,0,0,-0,1"
     buf.seek(0)
     back = read_field_csv(buf)[:, 3]
     assert back.tobytes() == u.tobytes()
+
+
+def _perturbed(mesh):
+    # every node moved on its own, so no two rows share a coordinate
+    shift = np.random.default_rng(8).uniform(-1e-3, 1e-3, mesh.nodes.shape)
+    return replace(mesh, nodes=mesh.nodes + shift)
+
+
+CSV_MESHES = {
+    "negative37x23": build_rect_mesh(-3.1, -2.2, 1.7, 0.4, 37, 23),
+    # x starts at -0.0 and prints 0; y ends at -0.0 and prints -0
+    "signed-zero": build_rect_mesh(-0.0, -1.0, 1.0, -0.0, 6, 4),
+    "perturbed": _perturbed(build_rect_mesh(0.0, 0.0, 2.0, 1.0, 9, 7)),
+    # 17 x 241 nodes: one full block and a partial block of one row
+    "past-a-block": build_rect_mesh(0.0, 0.0, 1.0, 15.0, 16, 240),
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_MESHES))
+def test_csv_writer_is_the_row_by_row_reference(name):
+    mesh = CSV_MESHES[name]
+    u = np.random.default_rng(mesh.node_count).standard_normal(mesh.node_count)
+    u[::7] = -0.0
+    buf = io.StringIO()
+    write_field_csv(buf, mesh, u)
+    assert buf.getvalue() == row_by_row_csv(mesh, u)
+
+
+def test_csv_meshes_hold_what_their_names_say():
+    zeros = CSV_MESHES["signed-zero"].nodes
+    assert np.signbit(zeros[-1, 1]) and not np.signbit(zeros[0, 0])
+    moved = CSV_MESHES["perturbed"].nodes
+    assert len(np.unique(moved)) == moved.size
+    assert CSV_MESHES["past-a-block"].node_count == problems._CSV_BLOCK + 1
 
 
 def test_csv_header_and_flags():
