@@ -50,7 +50,6 @@ from .problems import (
     make_data,
     make_mesh,
     parse_problem,
-    read_field_csv,
     write_field_csv,
 )
 from .riesz import check_square_identity, energy, riesz_represent
@@ -103,7 +102,6 @@ __all__ = [
     "parse",
     "parse_problem",
     "quotient_solve",
-    "read_field_csv",
     "restrict_interior",
     "riesz_represent",
     "run_checks",

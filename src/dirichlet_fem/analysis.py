@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import InteriorSystem, norm_grad, norm_l2, norm_w12, stiffness_spectrum
+from .assembly import InteriorSystem, _ground_mode, stiffness_spectrum
+from .assembly import norm_grad, norm_l2, norm_w12
 from .dirichlet import ProblemData, build_functional
 from .linsolve import ConvergenceError
 from .riesz import riesz_represent
@@ -50,11 +51,14 @@ def estimate_poincare(system: InteriorSystem) -> PoincareEstimate:
     """Bracket the smallest pencil eigenvalue lambda_1 by Rayleigh-Ritz.
 
     The trial space is the Krylov space of A_int^{-1} M_int (one sine
-    solve a step) from the all-ones vector, which is never orthogonal to
-    the positive ground mode, in an M-orthonormal basis Q (classical
-    Gram-Schmidt, twice).  M_int Q is kept beside Q, so a step applies
-    M_int once, to its new vector.  The lowest Ritz vector v has
-    Rayleigh quotient rho >= lambda_1 and residual r = A v - rho M v.
+    solve a step) from the lowest sine mode s of A_int, in an
+    M-orthonormal basis Q (classical Gram-Schmidt, twice).  s > 0 and
+    the pencil's ground mode is positive, so their M-inner product is
+    positive and the start is never orthogonal to it.  s is close to
+    that mode, so one or two steps are typical.  M_int Q is kept beside
+    Q, so a step applies M_int once, to its new vector.  The lowest
+    Ritz vector v has Rayleigh quotient rho >= lambda_1 and residual
+    r = A v - rho M v.
     hx hy / 4 <= M_int <= hx hy (Wathen, IMA J. Numer. Anal. 1987), so
     with the eigenvalues mu_1 <= mu_2 of A_int from stiffness_spectrum,
     Courant-Fischer gives l_2 = mu_2 / (hx hy) <= lambda_2, and Temple's
@@ -82,7 +86,8 @@ def estimate_poincare(system: InteriorSystem) -> PoincareEstimate:
     eps = np.finfo(float).eps
     apply_error = A_int.apply_error(), M_int.apply_error()
 
-    Q = np.ones((1, n)) / np.sqrt(M_int.quad_form(np.ones(n)))  # M-orthonormal rows
+    s = _ground_mode(mesh)
+    Q = s[None, :] / np.sqrt(M_int.quad_form(s))  # M-orthonormal rows
     MQ = M_int.apply(Q[0])[None, :]  # rows M_int q, kept beside Q
     H = np.array([[A_int.quad_form(Q[0])]])  # Q A_int Q^T
     rho_prev = np.inf

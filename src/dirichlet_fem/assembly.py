@@ -319,6 +319,17 @@ def stiffness_spectrum(mesh: Mesh) -> np.ndarray:
     return ratio * mu_x[:, None] + mu_y[None, :] / ratio
 
 
+def _ground_mode(mesh: Mesh) -> np.ndarray:
+    """The lowest sine mode sin(pi i / nx) sin(pi j / ny) of A_int.
+
+    It is the eigenvector of the smallest entry of stiffness_spectrum,
+    positive at every interior node (i, j), in the interior layout of
+    the sine inverse (x running fastest).
+    """
+    sx, sy = (np.sin(np.arange(1, n) * (np.pi / n)) for n in (mesh.nx, mesh.ny))
+    return np.outer(sy, sx).ravel()
+
+
 def _sine_inverse(mesh: Mesh) -> Callable:
     """The inverse of the five-point interior stiffness of a rectangle mesh.
 

@@ -207,20 +207,3 @@ def write_field_csv(stream: IO[str], mesh: Mesh, u: np.ndarray) -> None:
         columns = (a[rows].tolist() for a in (x, y, u, mesh.boundary_mask))
         block = tuple(chain.from_iterable(zip(index, *columns)))
         stream.write("%d,%s,%s,%.17g,%d\n" * len(index) % block)
-
-
-def read_field_csv(stream: IO[str]) -> np.ndarray:
-    """Read rows written by write_field_csv as an (n, 5) float array."""
-    header = stream.readline().strip()
-    if header != _CSV_HEADER:
-        raise ValueError(f"unexpected field CSV header {header!r}")
-    rows = []
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"bad field CSV row {line!r}")
-        rows.append([float(p) for p in parts])
-    return np.asarray(rows, dtype=float)

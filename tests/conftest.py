@@ -112,3 +112,20 @@ def triangle_order_sum(mesh, local) -> np.ndarray:
 
 def random_field(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n)
+
+
+def read_field_csv(stream) -> np.ndarray:
+    """Read rows written by write_field_csv as an (n, 5) float array."""
+    header = stream.readline().strip()
+    if header != "node_index,x,y,u,is_boundary":
+        raise ValueError(f"unexpected field CSV header {header!r}")
+    rows = []
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise ValueError(f"bad field CSV row {line!r}")
+        rows.append([float(p) for p in parts])
+    return np.asarray(rows, dtype=float)

@@ -22,6 +22,7 @@ from dirichlet_fem import (
     p1_interpolant,
     restrict_interior,
 )
+from dirichlet_fem.assembly import _ground_mode, stiffness_spectrum
 from tests.conftest import (
     SINE_GRIDS,
     as_csr,
@@ -486,6 +487,25 @@ def test_sine_inverse_inverts_the_interior_stiffness(name):
         r = rng.standard_normal(system.mesh.interior_count)
         z = system.A_int.inverse(r)
         assert np.linalg.norm(system.A_int.apply(z) - r) <= 1e-12 * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize("name", ["unit16", "skewed37x23", "unit300x20"])
+def test_ground_mode_is_the_lowest_eigenvector(name):
+    # the start vector of estimate_poincare: positive, the sine product
+    # at the interior nodes, and A_int s = mu_1 s to roundoff
+    system = make_system(*SINE_GRIDS[name])
+    mesh = system.mesh
+    s = _ground_mode(mesh)
+    assert s.shape == (mesh.interior_count,)
+    assert (s > 0.0).all()
+    x0, y0, x1, y1 = mesh.domain
+    x, y = mesh.nodes[mesh.interior_indices].T
+    sx, sy = np.sin(np.pi * (x - x0) / (x1 - x0)), np.sin(np.pi * (y - y0) / (y1 - y0))
+    assert np.abs(s - sx * sy).max() <= 1e-14
+    mu_1 = stiffness_spectrum(mesh).min()
+    defect = system.A_int.apply(s) - mu_1 * s
+    roundoff = 10 * np.finfo(float).eps * system.A_int.norm_inf() * np.linalg.norm(s)
+    assert np.linalg.norm(defect) <= roundoff
 
 
 def test_interior_system_rejects_matrices_of_another_mesh(unit4, unit8):

@@ -43,21 +43,21 @@ EMPTY = sha256(b"")
 GOLDEN = {
     ("solve", "skewed37x23", ()): (
         EMPTY,
-        "038caa428b9d40e2ce19eaabdc9637918d11ea0bcf75f46e46dea0fda1fb1faa",
+        "c7604a73290ee9c4f574607129ae1fd5e62d541ee9e6b87e907766f007dfdf41",
         "a2b26a72ede7e2c13bf1f94266f45ad2974c1ed4710f9f42952feb47bffdcb0d",
     ),
     ("solve", "border16x12", ()): (
         EMPTY,
-        "171320ae934eef5ad3c5c4c2f76f3ad10375549a980b2b8a63189b465524c333",
+        "58541b01e1258a742791d3ae76f11f1975631dfe9ec776809f468790faa49c01",
         "b4164d7f74d7c8d1231d54315a49e3c05e3243f8bd1271afd656f1a9e8c1f1b3",
     ),
     ("poincare", "strip40x4", ()): (
-        "63e7d27fc8ecf697c0f508526c410fe890a331df8823d057a0f4d0451a73cb45",
+        "7b5cf331b69ecac37dc394f2ad26fdaa2ed1174677d8cb7777e135ca598c2848",
         "3f7f2884774eb38ad621044aaacba1105912ff3050b4aa4316821915720c3183",
         None,
     ),
     ("verify", "unit16", ("--seed", "3")): (
-        "81713650cf7c5c4b48504653dba6ca09b034047d0caf8f639cad9659ae0ea496",
+        "ff895fc55b3d86e9dab9c10dc9728d489b0c2a11b154dc7bd1a009533e0e8917",
         EMPTY,
         None,
     ),

@@ -18,9 +18,9 @@ from dirichlet_fem import (
     nodal_values,
     parse,
     parse_problem,
-    read_field_csv,
     write_field_csv,
 )
+from tests.conftest import read_field_csv
 
 FULL = """\
 # a complete file, all keys exercised

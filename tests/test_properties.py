@@ -20,11 +20,11 @@ from dirichlet_fem import (
     build_rect_mesh,
     parse,
     parse_problem,
-    read_field_csv,
     serialize,
     write_field_csv,
 )
 from dirichlet_fem.expr import Binary, Call, Name, Num, Unary
+from tests.conftest import read_field_csv
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
