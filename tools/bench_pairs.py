@@ -3,18 +3,19 @@
 Usage (from the repository root):
 
     python3 tools/bench_pairs.py --base DIR [--change DIR] --out BENCH_N.json \
-        --run WORKLOAD:FIRST-LAST [--run ...] [--seconds S] [--traced-seed N]
+        --run WORKLOAD:FIRST-LAST [--run ...]
 
 Each side is a checkout holding perfbench/ and src/ (make the base with
 ``git archive REV | tar -x -C DIR``); --change defaults to this
 repository.  For every workload and seed, the script runs
 ``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0``
-in each checkout, one after the other, and alternates which side goes
-first from pair to pair, so a drift of the host's speed does not favour
-one side.  With --traced-seed, each workload then gets one --trace 1 run
-per side at that seed, whose per-layer metrics hold the deterministic
-counters.  It only invokes perfbench/run.py and reads the JSON object on
-the last line of its stdout.
+in each checkout, with S the ``run_seconds`` of BENCHMARK.json, one after
+the other, and alternates which side goes first from pair to pair, so a
+drift of the host's speed does not favour one side.  Each workload then
+gets one --trace 1 run per side at seed TRACED_SEED, whose per-layer
+metrics hold the deterministic counters.  It only invokes
+perfbench/run.py and reads the JSON object on the last line of its
+stdout.
 
 The file holds every run and, per workload and end-to-end metric, the
 median and quartiles of each side and the number of pairs in which the
@@ -33,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+TRACED_SEED = 5
 
 
 def src_digest(checkout: Path) -> str:
@@ -80,30 +82,27 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--run", action="append", required=True,
                         metavar="WORKLOAD:FIRST-LAST")
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--traced-seed", type=int, default=None)
     args = parser.parse_args(argv)
     checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     runs = []
     for spec in args.run:
         workload, seeds = spec.split(":")
         first, last = (int(s) for s in seeds.split("-"))
-        jobs = [(seed, 0) for seed in range(first, last + 1)]
-        if args.traced_seed is not None:
-            jobs.append((args.traced_seed, 1))
+        jobs = [(seed, 0) for seed in range(first, last + 1)] + [(TRACED_SEED, 1)]
         for seed, trace in jobs:
             order = SIDES if len(runs) % 2 == 0 else SIDES[::-1]
             run = {"workload": workload, "seed": seed, "trace": trace, "first": order[0]}
             for side in order:
-                run[side] = bench(checkouts[side], workload, seed, args.seconds, trace)
+                run[side] = bench(checkouts[side], workload, seed, seconds, trace)
             runs.append(run)
             print(f"{workload} seed {seed} trace {trace} done", file=sys.stderr)
 
     args.out.write_text(json.dumps({
-        "command": f"python3 perfbench/run.py --seconds {args.seconds:g}",
+        "command": f"python3 perfbench/run.py --seconds {seconds:g}",
         "sides": {s: {"src_sha256": src_digest(c)} for s, c in checkouts.items()},
         "summary": summarise(runs, better),
         "runs": runs,
