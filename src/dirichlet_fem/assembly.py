@@ -11,19 +11,13 @@ and the mass matrix M the square-sum bracket
 for the piecewise-linear nodal basis {phi_i}.  Both are assembled from
 closed-form local matrices (P1 gradients are constant per triangle), so
 the only quadrature in the package is the degree-2 edge-midpoint rule
-used for load vectors.  A bracket is banded and is stored by its
-diagonals: each upper entry (i, j) is binned by its band j - i and its
-lower node i, and one np.bincount sums every bin in triangle-index
-order, so repeated assemblies of the same mesh are bit-identical
-(banded storage: Saad, Iterative Methods for Sparse Linear Systems, 2nd
-ed., section 3.4).  assemble_system gathers the vertex coordinates and
-bins the six upper local entries of every triangle once per mesh, for
-both brackets; the stiffness fills its local entries column by column.
-A SparseSymMatrix holds the main diagonal and the nonzero upper
-diagonals as numpy arrays, checks exact symmetry when it is built from
-outside and compares exactly with ==; no other module reads its
-storage.  assemble_system bundles both brackets with their interior
-blocks, the only restriction to the interior in the package.
+used for load vectors.  Every cell of the grid is cut along the same
+diagonal, so a local entry depends only on the cell's sides: it is
+computed once per cell, as an (ny, nx) array, and added into node
+arrays at shifted slices in triangle order, so reassembly is
+bit-identical.  assemble_system bundles both brackets, each a
+SparseSymMatrix, with their interior blocks, the only restriction to
+the interior in the package.
 
 The stiffness across the cell diagonals is exactly zero, so A_int is
 the five-point operator (hy/hx) I (x) T_nx + (hx/hy) T_ny (x) I with
@@ -53,36 +47,20 @@ class SparseSymMatrix:
 
     ``offsets`` holds the increasing offsets k of the stored diagonals,
     0 first, and ``bands[i]`` the upper diagonal at ``offsets[i]``:
-    entries (r, r + k), r < dimension - k, which mirror (r + k, r).  The
-    main diagonal is always stored; an off-diagonal is stored when it
-    holds a nonzero (symmetric DIA: Saad, Iterative Methods for Sparse
-    Linear Systems, 2nd ed., section 3.4).  The constructor takes a
-    square 2-D array, or any matrix with a ``toarray`` method, and
-    refuses one whose entries differ from their transposes by any bit,
-    so every holder of this type may rely on exact symmetry.  ``apply``
-    is the path of every mat-vec.  ``inverse``, if given, is the map
-    r -> A^{-1} r, exact or close to it, that cg_solve solves and
-    refines with; a matrix without one cannot be solved.
+    entries (r, r + k), r < dimension - k, which mirror (r + k, r), so
+    the matrix is exactly symmetric.  The main diagonal is always
+    stored, an off-diagonal only if it holds a nonzero (symmetric DIA:
+    Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., section
+    3.4).  ``apply`` is the path of every mat-vec.  ``inverse``, if
+    given, is the map r -> A^{-1} r, exact or close to it, that cg_solve
+    solves and refines with; a matrix without one cannot be solved.
     """
 
-    def __init__(self, matrix, inverse: Callable | None = None):
-        a = np.asarray(matrix.toarray() if hasattr(matrix, "toarray") else matrix,
-                       dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {a.shape}")
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix must be symmetric")
-        row, col = np.nonzero(np.triu(a))
-        self.offsets, self.bands = _binner(len(a), row, col)(a[row, col])
+    def __init__(self, offsets, bands, inverse: Callable | None = None):
+        kept = [(k, band) for k, band in zip(offsets, bands) if k == 0 or band.any()]
+        self.offsets = np.array([k for k, _ in kept])
+        self.bands = [band for _, band in kept]
         self.inverse = inverse
-
-    @classmethod
-    def _from_pairs(cls, binner, weights, inverse=None) -> "SparseSymMatrix":
-        """Sum weights with a _binner, in input order; symmetric by construction."""
-        m = object.__new__(cls)
-        m.offsets, m.bands = binner(weights)
-        m.inverse = inverse
-        return m
 
     @property
     def dimension(self) -> int:
@@ -143,22 +121,25 @@ class SparseSymMatrix:
         terms = 2 * len(self.offsets) - 1
         return terms * np.finfo(float).eps * self.norm_inf()
 
-    def restrict(self, indices: np.ndarray, inverse=None) -> "SparseSymMatrix":
-        """Principal submatrix on the given distinct global indices, in order.
+    def restrict(self, mesh: Mesh, inverse=None) -> "SparseSymMatrix":
+        """The block of a bracket of mesh on its interior nodes.
 
-        Each stored pair with both ends kept moves to its new offset; the
-        block is exactly symmetric because self is, so it is not checked.
+        The couplings of node (J, I) to (J, I + 1), (J + 1, I) and
+        (J + 1, I + 1) move from offsets 1, nx + 1 and nx + 2 to 1, nx - 1
+        and nx.  Each band is sliced to the interior rows and columns; its
+        couplings to the right border are zeroed, those to the top one
+        fall past its end, and bands that land on one offset (nx = 2) add.
         """
-        indices = np.asarray(indices)
-        n = self.dimension
-        new = np.full(n, -1)
-        new[indices] = np.arange(len(indices))
-        ends = [(new[: n - k], new[k:]) for k in self.offsets.tolist()]
-        i, j = (np.concatenate(e) for e in zip(*ends))
-        kept = (i >= 0) & (j >= 0)
-        weights = np.concatenate(self.bands)[kept]
-        binner = _binner(len(indices), i[kept], j[kept])
-        return SparseSymMatrix._from_pairs(binner, weights, inverse)
+        nx, ny, size = mesh.nx, mesh.ny, mesh.interior_count
+        moved = {0: 0, 1: 1, nx + 1: nx - 1, nx + 2: nx}
+        bands = {}
+        for k, band in zip(self.offsets.tolist(), self.bands):
+            block = np.append(band, np.zeros(k)).reshape(ny + 1, nx + 1)[1:ny, 1:nx]
+            if k in (1, nx + 2):  # to column I + 1, the border for the last
+                block[:, -1] = 0.0
+            new = moved[k]
+            bands[new] = bands.get(new, 0.0) + block.ravel()[: max(size - new, 0)]
+        return SparseSymMatrix(list(bands), list(bands.values()), inverse)
 
     def toarray(self) -> np.ndarray:
         n = self.dimension
@@ -182,84 +163,69 @@ class SparseSymMatrix:
         )
 
 
-def _binner(n: int, i: np.ndarray, j: np.ndarray) -> Callable:
-    """Map weights at entries (i, j) of an n x n symmetric matrix to its bands.
+# Terms of the bands at offsets 0, 1, nx + 1 and nx + 2, the couplings of
+# node (J, I) to itself, (J, I + 1), (J + 1, I) and (J + 1, I + 1), in
+# triangle order: (j, i, t, a, b) is the local entry (a, b) of triangle t
+# (0 the lower (a, a+1, c), 1 the upper (a, c, d)) of cell (J - j, I - i).
+_BANDS = (
+    ((1, 1, 0, 2, 2), (1, 1, 1, 1, 1), (1, 0, 1, 2, 2),
+     (0, 1, 0, 1, 1), (0, 0, 0, 0, 0), (0, 0, 1, 0, 0)),
+    ((1, 0, 1, 1, 2), (0, 0, 0, 0, 1)),
+    ((0, 1, 0, 1, 2), (0, 0, 1, 0, 2)),
+    ((0, 0, 0, 0, 2), (0, 0, 1, 0, 1)),
+)
 
-    Entry (i, j) goes to band |j - i| at row min(i, j), where the bands
-    are the offsets that occur, so no layout is assumed.  The map returns
-    the offsets and upper diagonals of the input-order sums; diagonals
-    with no nonzero are dropped, except the main one.
+
+def _slice_sum(mesh: Mesh, terms, local: Callable) -> np.ndarray:
+    """(ny + 1, nx + 1) node sums of local(t, a, b) over the given terms:
+    each is an (ny, nx) cell array added at a shifted slice, in turn, so
+    a node adds its terms to 0.0 in the order given, as np.bincount does.
     """
-    offset = np.abs(j - i)
-    present = np.bincount(offset, minlength=1) > 0
-    present[0] = True  # the main diagonal is always stored
-    key = np.take(np.cumsum(present) - 1, offset) * n
-    key += np.minimum(i, j)
-    offsets = np.flatnonzero(present)
-
-    def banded(weights):
-        sums = np.bincount(key, weights=weights, minlength=n * len(offsets))
-        kept = [(k, band[: n - k]) for k, band in zip(offsets, sums.reshape(-1, n))]
-        kept = [(k, band) for k, band in kept if k == 0 or band.any()]
-        return np.array([k for k, _ in kept]), [band for _, band in kept]
-
-    return banded
+    out = np.zeros((mesh.ny + 1, mesh.nx + 1))
+    for j, i, t, a, b in terms:
+        out[j : j + mesh.ny, i : i + mesh.nx] += local(t, a, b)
+    return out
 
 
-# Local index pairs (a, b), a <= b, of the six stored entries of a
-# symmetric 3x3 local matrix, in row-major order.
-_UPPER = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
-_MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
+def _assemble(mesh: Mesh, local: Callable) -> SparseSymMatrix:
+    """The bracket whose triangles have the local entries local(t, a, b)."""
+    n, offsets = mesh.node_count, (0, 1, mesh.nx + 1, mesh.nx + 2)
+    bands = [_slice_sum(mesh, terms, local).ravel()[: n - k]
+             for k, terms in zip(offsets, _BANDS)]
+    return SparseSymMatrix(offsets, bands)
 
 
-def _geometry(x: np.ndarray, y: np.ndarray):
-    """b, c and signed areas of triangles with vertex coordinates x, y, (..., 3).
-
-    grad(lam_k) = (b[k], c[k]) / (2 * area); inverted triangles are refused.
-    """
-    (x0, x1, x2), (y0, y1, y2) = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
-    b = (y1 - y2, y2 - y0, y0 - y1)
-    c = (x2 - x1, x0 - x2, x1 - x0)
-    area = 0.5 * (b[0] * c[1] - b[1] * c[0])
-    if np.any(area <= 0):
-        raise ValueError("triangle is degenerate or clockwise")
-    return b, c, area
+def _cells(mesh: Mesh) -> tuple:
+    """The node x and y lines, and the (ny, nx) cell areas 0.5 (dy dx):
+    the cross products of a cell's lower and upper triangle's edges are
+    dy dx - dy * 0 and 0 * 0 - dy (-dx)."""
+    xs, ys = mesh.nodes[: mesh.nx + 1, 0], mesh.nodes[:: mesh.nx + 1, 1]
+    return xs, ys, 0.5 * np.multiply.outer(np.diff(ys), np.diff(xs))
 
 
-def _triangles(mesh: Mesh) -> tuple:
-    """The _binner of a mesh's (T, 6) upper local entries, and its _geometry.
-
-    The six bins of a triangle are distinct, so each entry is the
-    triangle-order sum and a reassembly is bit-identical.  The binner is
-    made first, so its temporaries are freed before the geometry exists.
-    """
-    # np.take keeps (T, 6) C-ordered, so the ravels copy nothing
-    ends = (np.take(mesh.triangles, k, axis=1).ravel() for k in _UPPER)
-    xy = (np.take(v, mesh.triangles) for v in mesh.nodes.T)  # each (T, 3)
-    return _binner(mesh.node_count, *ends), _geometry(*xy)
-
-
-def assemble_stiffness(mesh: Mesh, triangles: tuple | None = None) -> SparseSymMatrix:
+def assemble_stiffness(mesh: Mesh) -> SparseSymMatrix:
     """Gradient-bracket Gram matrix of the nodal basis.
 
-    triangles is the mesh's _triangles, when the caller already has it.
+    grad(lam_k) = (b[k], c[k]) / (2 area) with b = (y1 - y2, y2 - y0,
+    y0 - y1) and c = (x2 - x1, x0 - x2, x1 - x0): multiples of dy and dx.
     """
-    binner, (b, c, area) = triangles or _triangles(mesh)
+    xs, ys, area = _cells(mesh)
+    dx, dy = np.diff(xs), np.diff(ys)[:, None]
+    bc = (((-dy, dy, 0.0), (0.0, -dx, dx)), ((0.0, dy, -dy), (-dx, 0.0, dx)))
     area4 = 4.0 * area
-    upper = np.empty((len(area), 6))
-    for col, (i, j) in enumerate(zip(*_UPPER)):  # by column: no (T, 6) gathers
-        upper[:, col] = (b[i] * b[j] + c[i] * c[j]) / area4
-    return SparseSymMatrix._from_pairs(binner, upper.ravel())
+
+    def local(t, i, j):
+        b, c = bc[t]
+        return (b[i] * b[j] + c[i] * c[j]) / area4
+
+    return _assemble(mesh, local)
 
 
-def assemble_mass(mesh: Mesh, triangles: tuple | None = None) -> SparseSymMatrix:
-    """Square-sum-bracket Gram matrix of the nodal basis.
-
-    triangles is the mesh's _triangles, when the caller already has it.
-    """
-    binner, (_, _, area) = triangles or _triangles(mesh)
-    upper = area[:, None] * _MASS_PATTERN[_UPPER]
-    return SparseSymMatrix._from_pairs(binner, upper.ravel())
+def assemble_mass(mesh: Mesh) -> SparseSymMatrix:
+    """Square-sum-bracket Gram matrix of the nodal basis; locally (area/12)(1 + I)."""
+    _, _, area = _cells(mesh)
+    off, on = area * (1.0 / 12.0), area * (2.0 / 12.0)
+    return _assemble(mesh, lambda t, a, b: on if a == b else off)
 
 
 @dataclass(frozen=True)
@@ -348,11 +314,9 @@ def _sine_inverse(mesh: Mesh) -> Callable:
 
 def assemble_system(mesh: Mesh) -> InteriorSystem:
     """Stiffness, mass and their interior blocks of one mesh."""
-    triangles = _triangles(mesh)
-    A, M = assemble_stiffness(mesh, triangles), assemble_mass(mesh, triangles)
-    del triangles  # free the per-triangle arrays before the restrictions
-    A_int = A.restrict(mesh.interior_indices, _sine_inverse(mesh))
-    M_int = M.restrict(mesh.interior_indices)
+    A, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    A_int = A.restrict(mesh, _sine_inverse(mesh))
+    M_int = M.restrict(mesh)
     return InteriorSystem(mesh, A, M, A_int, M_int)
 
 
@@ -361,26 +325,42 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
 
     Uses the 3-point edge-midpoint rule per triangle (exact whenever
     f * phi_i is quadratic, in particular for piecewise-linear f on the
-    same mesh).  f is called once on all midpoints, a scalar result is
-    broadcast, and contributions are summed in triangle order.
+    same mesh).  f is called once on the midpoints of all edges, each
+    once (0.5 (p + q) has the same bits from either triangle); a scalar
+    result is broadcast.  Contributions are summed in triangle order.
     """
-    x, y = (np.take(v, mesh.triangles) for v in mesh.nodes.T)
-    _, _, area = _geometry(x, y)
-    mx, my = (0.5 * (v + v[:, [1, 2, 0]]) for v in (x, y))  # edge (k, k+1)
-    del x, y  # free the gathers before f makes its temporaries
-    fm = np.broadcast_to(f(mx, my), area.shape + (3,))
+    xs, ys, area = _cells(mesh)
+    xm, ym = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
+    # horizontal, vertical and diagonal edges; 0.5 (x + x) is x, as
+    # finite squared cell sides keep x + x far from overflow
+    edges = [np.meshgrid(gx, gy, copy=False) for gx, gy in ((xm, ys), (xs, ym), (xm, ym))]
+    x, y = (np.concatenate([g[k].ravel() for g in edges]) for k in (0, 1))
+    ends = np.cumsum([g[0].size for g in edges])[:-1]
+
+    def by_triangle(values):
+        # the values on edge k = (k, k+1) of the lower triangles, (a, a+1),
+        # (a+1, c), (c, a), then of the upper ones, (a, c), (c, d), (d, a)
+        parts = np.split(values, ends)
+        h, v, d = (part.reshape(g[0].shape) for part, g in zip(parts, edges))
+        return (h[:-1], v[:, 1:], d), (d, h[1:], v[:, :-1])
+
+    fm = np.broadcast_to(f(x, y), x.shape)
     finite = np.isfinite(fm)
     if not finite.all():
-        k = int(np.argmin(finite))
+        order = np.stack(sum(by_triangle(np.arange(len(fm))), ()), axis=-1)
+        k = int(order.flat[np.argmin(finite[order])])  # first in triangle order
         raise ValueError(
-            f"source function returned non-finite value {float(fm.flat[k])!r} "
-            f"at quadrature point ({mx.flat[k]}, {my.flat[k]})"
+            f"source function returned non-finite value {float(fm[k])!r} "
+            f"at quadrature point ({x[k]}, {y[k]})"
         )
-    # phi_a is 1/2 on the two edges touching vertex a, 0 opposite
-    contrib = (area / 3.0)[:, None] * 0.5 * (fm + fm[:, [2, 0, 1]])
-    return np.bincount(
-        mesh.triangles.ravel(), weights=contrib.ravel(), minlength=mesh.node_count
-    )
+    del x, y  # free the midpoints before the sums make their temporaries
+    fmid = by_triangle(fm)
+    weight = (area / 3.0) * 0.5
+
+    def local(t, a, b):  # phi_a is 1/2 on the two edges touching vertex a
+        return weight * (fmid[t][a] + fmid[t][a - 1])
+
+    return _slice_sum(mesh, _BANDS[0], local).ravel()
 
 
 def _form_sqrt(x: np.ndarray, *mats: SparseSymMatrix) -> float:

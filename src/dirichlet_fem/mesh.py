@@ -21,9 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-# Above the 35 MB of the import, a CLI solve peaks near 0.6 KB per node
-# (512^2, 1024^2) and verify near 1.2 KB (512^2, 1024^2), so at this cap
-# either stays under 2 GB.
+# Above the 35 MB of the import, a CLI solve peaks near 0.3 KB per node and
+# verify near 0.75 KB (512^2 and 1024^2), so at this cap both stay under 1.2 GB.
 MAX_NODES = 1_500_000
 
 
@@ -33,7 +32,6 @@ class Mesh:
 
     Attributes:
         nodes: (node_count, 2) coordinates.
-        triangles: (2 * nx * ny, 3) node indices, counterclockwise.
         boundary_mask: per-node flag, True on the rectangle border.
         interior_indices: global indices of interior nodes, increasing.
         domain: (x0, y0, x1, y1) rectangle bounds.
@@ -41,7 +39,6 @@ class Mesh:
     """
 
     nodes: np.ndarray
-    triangles: np.ndarray
     boundary_mask: np.ndarray
     interior_indices: np.ndarray
     domain: tuple[float, float, float, float]
@@ -120,12 +117,6 @@ def build_rect_mesh(
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
 
-    # Two triangles per cell, cells visited row-major, split along the
-    # lower-left -> upper-right diagonal.
-    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
-    c = a + nx + 2
-    triangles = np.stack([a, a + 1, c, a, c, a + nx + 1], axis=1).reshape(-1, 3)
-
     ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy")
     on_border = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)
     boundary_mask = on_border.ravel()
@@ -133,7 +124,6 @@ def build_rect_mesh(
 
     return Mesh(
         nodes=nodes,
-        triangles=triangles,
         boundary_mask=boundary_mask,
         interior_indices=interior_indices,
         domain=(float(x0), float(y0), float(x1), float(y1)),

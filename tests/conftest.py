@@ -8,8 +8,7 @@ import pytest
 from scipy.sparse import csr_matrix, diags
 
 import dirichlet_fem
-from dirichlet_fem import assemble_system, build_rect_mesh
-from dirichlet_fem.assembly import _geometry
+from dirichlet_fem import SparseSymMatrix, assemble_system, build_rect_mesh
 
 
 def cli_env() -> dict:
@@ -34,6 +33,31 @@ def as_csr(m) -> csr_matrix:
                  format="csr")
     full.eliminate_zeros()
     return full
+
+
+def dense_sym(matrix, inverse=None) -> SparseSymMatrix:
+    """A SparseSymMatrix of a square 2-D array, or of any matrix with a
+    ``toarray`` method, read by its diagonals; one whose entries differ
+    from their transposes by any bit is refused."""
+    a = np.asarray(matrix.toarray() if hasattr(matrix, "toarray") else matrix,
+                   dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.array_equal(a, a.T):
+        raise ValueError("matrix must be symmetric")
+    # + 0.0 stores a -0.0 entry as 0.0, as a sum from zero would
+    diagonals = [np.diagonal(a, k) + 0.0 for k in range(len(a))]
+    return SparseSymMatrix(range(len(a)), diagonals, inverse)
+
+
+def triangles(mesh) -> np.ndarray:
+    """(2 nx ny, 3) node indices of a mesh's triangles, counterclockwise:
+    cells row-major, the lower (a, a + 1, c) of each before its upper
+    (a, c, d), with a its lower-left and c its upper-right node."""
+    nx, ny = mesh.nx, mesh.ny
+    a = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    c = a + nx + 2
+    return np.stack([a, a + 1, c, a, c, a + nx + 1], axis=1).reshape(-1, 3)
 
 
 def make_system(x0, y0, x1, y1, nx, ny):
@@ -74,19 +98,33 @@ SINE_GRIDS = {
 }
 
 
+def geometry(x: np.ndarray, y: np.ndarray):
+    """b, c and signed area of a triangle with vertex coordinates x, y.
+
+    grad(lam_k) = (b[k], c[k]) / (2 * area); inverted triangles are refused.
+    """
+    (x0, x1, x2), (y0, y1, y2) = x, y
+    b = (y1 - y2, y2 - y0, y0 - y1)
+    c = (x2 - x1, x0 - x2, x1 - x0)
+    area = 0.5 * (b[0] * c[1] - b[1] * c[0])
+    if area <= 0:
+        raise ValueError("triangle is degenerate or clockwise")
+    return b, c, area
+
+
 def local_stiffness(coords) -> np.ndarray:
     """Closed-form 3x3 gradient-bracket matrix of one triangle.
 
     The barycentric gradients are constant, so K[i, j] = area *
     grad(lam_i) . grad(lam_j); the operations are those assembly sums.
     """
-    b, c, area = _geometry(*np.asarray(coords, dtype=float).T)
+    b, c, area = geometry(*np.asarray(coords, dtype=float).T)
     return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
 
 
 def local_mass(coords) -> np.ndarray:
     """Closed-form 3x3 square-sum-bracket matrix of one triangle: (area/12)(1 + I)."""
-    return _geometry(*np.asarray(coords, dtype=float).T)[2] * (
+    return geometry(*np.asarray(coords, dtype=float).T)[2] * (
         (np.ones((3, 3)) + np.eye(3)) / 12.0
     )
 
@@ -98,7 +136,7 @@ def triangle_order_sum(mesh, local) -> np.ndarray:
     order, then are mirrored: the sum assembly must match bit for bit.
     """
     acc = {}
-    for tri in mesh.triangles.tolist():
+    for tri in triangles(mesh).tolist():
         loc = local(mesh.nodes[tri])
         for a in range(3):
             for b in range(a, 3):

@@ -7,8 +7,6 @@ from scipy.sparse import csr_matrix
 
 from dirichlet_fem import (
     InteriorSystem,
-    Mesh,
-    SparseSymMatrix,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -22,14 +20,17 @@ from dirichlet_fem import (
     p1_interpolant,
     restrict_interior,
 )
+from dirichlet_fem import assembly
 from dirichlet_fem.assembly import _ground_mode, stiffness_spectrum
 from tests.conftest import (
     SINE_GRIDS,
     as_csr,
+    dense_sym,
     local_mass,
     local_stiffness,
     make_system,
     triangle_order_sum,
+    triangles,
 )
 
 
@@ -105,19 +106,6 @@ def test_local_rejects_degenerate_and_clockwise():
             local_stiffness(coords)
         with pytest.raises(ValueError):
             local_mass(coords)
-        # and assembly refuses a mesh holding such a triangle
-        mesh = Mesh(
-            nodes=coords,
-            triangles=np.array([[0, 1, 2]]),
-            boundary_mask=np.ones(3, dtype=bool),
-            interior_indices=np.array([], dtype=int),
-            domain=(0.0, 0.0, 2.0, 1.0),
-            nx=1,
-            ny=1,
-        )
-        for assemble in (assemble_stiffness, assemble_mass):
-            with pytest.raises(ValueError, match="degenerate or clockwise"):
-                assemble(mesh)
 
 
 def test_symmetry_is_exact(skewed6x5):
@@ -201,7 +189,7 @@ def triangle_order_load(mesh, f) -> np.ndarray:
     """
     load = [0.0] * mesh.node_count
     nodes = mesh.nodes.tolist()
-    for tri in mesh.triangles.tolist():
+    for tri in triangles(mesh).tolist():
         (x0, y0), (x1, y1), (x2, y2) = p = [nodes[v] for v in tri]
         area = 0.5 * ((y1 - y2) * (x0 - x2) - (y2 - y0) * (x2 - x1))
         mids = [[0.5 * (a + b) for a, b in zip(p[k], p[(k + 1) % 3])] for k in range(3)]
@@ -221,12 +209,43 @@ def test_load_is_the_triangle_order_sum(skewed6x5):
         assert assemble_load(mesh, f).tobytes() == want.tobytes()
 
 
+# reorderings of a node's terms: the first two sit on 0.0, and
+# 0.0 + a + b = 0.0 + b + a, so only the other two can change a sum
+REORDERINGS = {
+    "reversed": (lambda terms: terms[::-1], False),
+    "last-two-swapped": (lambda terms: terms[:-2] + terms[:-3:-1], False),
+    "first-two-swapped": (lambda terms: terms[1::-1] + terms[2:], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REORDERINGS))
+def test_triangle_order_oracles_see_the_summation_order(monkeypatch, skewed6x5, name):
+    # the slice sums, given their terms in another order, must fail both
+    # triangle-order oracles unless the order cannot matter
+    reorder, same = REORDERINGS[name]
+    slice_sum = assembly._slice_sum
+
+    def reordered(mesh, terms, local):
+        return slice_sum(mesh, reorder(list(terms)), local)
+
+    monkeypatch.setattr(assembly, "_slice_sum", reordered)
+    mesh = skewed6x5.mesh
+
+    def f(x, y):
+        return x * x - 3.0 * x * y + y / (1.0 + x * x) - 0.7
+
+    stiffness = assemble_stiffness(mesh).toarray().tobytes()
+    assert (stiffness == triangle_order_sum(mesh, local_stiffness).tobytes()) is same
+    load = assemble_load(mesh, f).tobytes()
+    assert (load == triangle_order_load(mesh, f).tobytes()) is same
+
+
 def test_assembly_deterministic(unit8):
     mesh, A, M = unit8.mesh, unit8.A, unit8.M
     A2 = assemble_stiffness(mesh)
     M2 = assemble_mass(mesh)
     assert A == A2 and M == M2
-    assert A != M and A != A.restrict(mesh.interior_indices)
+    assert A != M
 
 
 def test_load_constant_source():
@@ -368,29 +387,29 @@ def test_products_have_the_bits_of_scipy(name):
 
 def test_equality_is_exact():
     a = np.array([[2.0, 0.1, 0.0], [0.1, 2.0, -1.0], [0.0, -1.0, 2.0]])
-    m = SparseSymMatrix(csr_matrix(a))
-    assert m == SparseSymMatrix(a.copy())
+    m = dense_sym(csr_matrix(a))
+    assert m == dense_sym(a.copy())
     assert m.offsets.tolist() == [0, 1]
     # one ulp off, in both triangles of an off-diagonal
     b = a.copy()
     b[0, 1] = b[1, 0] = np.nextafter(0.1, 1.0)
-    assert m != SparseSymMatrix(b)
+    assert m != dense_sym(b)
     # one ulp off on the main diagonal
     b = a.copy()
     b[2, 2] = np.nextafter(2.0, 3.0)
-    assert m != SparseSymMatrix(b)
+    assert m != dense_sym(b)
     # one more diagonal, holding the smallest subnormal
     c = a.copy()
     c[0, 2] = c[2, 0] = 5e-324
-    assert SparseSymMatrix(c).offsets.tolist() == [0, 1, 2]
-    assert m != SparseSymMatrix(c)
+    assert dense_sym(c).offsets.tolist() == [0, 1, 2]
+    assert m != dense_sym(c)
     # another shape, another object
-    assert m != SparseSymMatrix(np.eye(4))
+    assert m != dense_sym(np.eye(4))
     assert m != object()
 
 
 def test_form_sqrt_rejects_negative_forms():
-    m = SparseSymMatrix(csr_matrix(-np.eye(3)))
+    m = dense_sym(csr_matrix(-np.eye(3)))
     with pytest.raises(ValueError, match="negative"):
         norm_l2(m, np.ones(3))
 
@@ -401,8 +420,8 @@ def test_sparse_matches_dense_oracle():
     a = a + a.T
     a[np.abs(a) < 0.8] = 0.0  # keep it genuinely sparse
     a = (a + a.T) / 2.0
-    m = SparseSymMatrix(csr_matrix(a))
-    assert m == SparseSymMatrix(a)
+    m = dense_sym(csr_matrix(a))
+    assert m == dense_sym(a)
 
     x = rng.standard_normal(12)
     assert np.allclose(m.apply(x), a @ x, rtol=1e-15, atol=1e-15)
@@ -422,19 +441,16 @@ def test_sparse_matches_dense_oracle():
     for i, j in ((0, 0), (3, 7), (7, 3), (11, 2)):
         assert dense[i, j] == dense[j, i] == a[i, j]
 
-    keep = np.array([1, 4, 5, 9])
-    assert np.array_equal(m.restrict(keep).toarray(), a[np.ix_(keep, keep)])
-
 
 def test_constructor_refuses_asymmetric_and_non_square():
     with pytest.raises(ValueError, match="symmetric"):
-        SparseSymMatrix(csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
+        dense_sym(csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
     with pytest.raises(ValueError, match="symmetric"):  # off by one ulp
-        SparseSymMatrix(csr_matrix([[1.0, 0.1], [np.nextafter(0.1, 1.0), 1.0]]))
+        dense_sym(csr_matrix([[1.0, 0.1], [np.nextafter(0.1, 1.0), 1.0]]))
     with pytest.raises(ValueError, match="square"):
-        SparseSymMatrix(csr_matrix(np.ones((2, 3))))
+        dense_sym(csr_matrix(np.ones((2, 3))))
     with pytest.raises(ValueError, match="square"):
-        SparseSymMatrix(np.ones(3))
+        dense_sym(np.ones(3))
 
 
 def test_restrict_extend_round_trip(unit4):
@@ -450,18 +466,23 @@ def test_restrict_extend_round_trip(unit4):
         restrict_interior(mesh, np.zeros(mesh.node_count - 1))
 
 
-def test_interior_system_holds_the_interior_blocks(skewed6x5):
-    mesh = skewed6x5.mesh
-    inner = np.ix_(mesh.interior_indices, mesh.interior_indices)
-    assert np.array_equal(skewed6x5.A_int.toarray(), skewed6x5.A.toarray()[inner])
-    assert np.array_equal(skewed6x5.M_int.toarray(), skewed6x5.M.toarray()[inner])
+@pytest.mark.parametrize("name", sorted(SINE_GRIDS))
+def test_interior_system_holds_the_interior_blocks(name):
+    # the principal block A[inner] of the full bracket, taken by scipy;
+    # unit2x2 and unit2x7 add the bands whose interior offsets coincide
+    system = make_system(*SINE_GRIDS[name])
+    mesh = system.mesh
+    inner = mesh.interior_indices
+    for full, block in ((system.A, system.A_int), (system.M, system.M_int)):
+        want = as_csr(full)[inner][:, inner]
+        assert want.shape == (block.dimension,) * 2
+        assert (want != as_csr(block)).nnz == 0
     # a reassembly gives the same bits
     again = assemble_system(mesh)
-    for name in ("A", "M", "A_int", "M_int"):
-        assert getattr(again, name) == getattr(skewed6x5, name)
-    # the geometry assemble_system shares gives the standalone bits
-    assert skewed6x5.A == assemble_stiffness(mesh)
-    assert skewed6x5.M == assemble_mass(mesh)
+    for key in ("A", "M", "A_int", "M_int"):
+        assert getattr(again, key) == getattr(system, key)
+    assert system.A == assemble_stiffness(mesh)
+    assert system.M == assemble_mass(mesh)
 
 
 def test_interior_blocks_are_exactly_symmetric():
@@ -473,8 +494,8 @@ def test_interior_blocks_are_exactly_symmetric():
         oracle = as_csr(full)[inner][:, inner]
         assert (oracle != oracle.T).nnz == 0
         assert np.array_equal(block.toarray(), oracle.toarray())
-        # the constructor's symmetry check passes and stores the same
-        assert SparseSymMatrix(oracle) == block
+        # dense_sym's symmetry check passes and stores the same
+        assert dense_sym(oracle) == block
     assert system.A_int.inverse is not None
     assert system.M_int.inverse is None
 

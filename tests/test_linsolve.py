@@ -14,7 +14,7 @@ from dirichlet_fem import (
     cg_solve,
     linsolve,
 )
-from tests.conftest import SINE_GRIDS, as_csr, make_system
+from tests.conftest import SINE_GRIDS, as_csr, dense_sym, make_system
 
 
 def spd(rng: np.random.Generator, n: int, cond: float = 10.0) -> np.ndarray:
@@ -24,7 +24,7 @@ def spd(rng: np.random.Generator, n: int, cond: float = 10.0) -> np.ndarray:
 
 
 def as_sparse(a: np.ndarray, inverse) -> SparseSymMatrix:
-    return SparseSymMatrix(csr_matrix((a + a.T) / 2.0), inverse)
+    return dense_sym(csr_matrix((a + a.T) / 2.0), inverse)
 
 
 def single_precision_inverse(a: np.ndarray):
@@ -75,7 +75,7 @@ def test_scaling_invariance(unit16):
     b = np.random.default_rng(4).standard_normal(A.dimension)
     base = cg_solve(A, b)
     for c in (1e-6, 3.0, 1e8):
-        scaled = SparseSymMatrix(c * A.toarray(), lambda r, c=c: A.inverse(r) / c)
+        scaled = dense_sym(c * A.toarray(), lambda r, c=c: A.inverse(r) / c)
         assert np.allclose(cg_solve(scaled, c * b).x, base.x, rtol=1e-8)
 
 
@@ -88,7 +88,7 @@ def test_zero_rhs_short_circuits(unit16):
 
 
 def test_no_inverse_raises(unit16):
-    plain = SparseSymMatrix(unit16.A_int.toarray())
+    plain = dense_sym(unit16.A_int.toarray())
     assert plain == unit16.A_int and plain.inverse is None
     with pytest.raises(ValueError, match="no inverse"):
         cg_solve(plain, np.ones(plain.dimension))
@@ -154,7 +154,7 @@ def test_wrong_inverse_still_meets_the_tolerance():
     csr = as_csr(system.A_int)
     stretched = make_system(-1.0, 2.0, 3.4, 4.5, 37, 23).A_int.inverse
     b = system.M_int.apply(np.ones(system.mesh.interior_count))
-    A = SparseSymMatrix(csr, stretched)
+    A = dense_sym(csr, stretched)
     result = cg_solve(A, b)
     assert 1 < result.iterations <= 12
     assert np.linalg.norm(csr @ result.x - b) <= threshold(A, b, result.x)
@@ -166,7 +166,7 @@ def test_diverging_inverse_raises_fast():
     # r -> 3 r makes every step worse: three steps that fail to halve
     # the best residual end the solve
     system = make_system(*SINE_GRIDS["skewed37x23"])
-    A = SparseSymMatrix(as_csr(system.A_int), lambda r: 3.0 * r)
+    A = dense_sym(as_csr(system.A_int), lambda r: 3.0 * r)
     b = system.M_int.apply(np.ones(system.mesh.interior_count))
     with pytest.raises(ConvergenceError, match="stalled") as info:
         cg_solve(A, b)
@@ -176,7 +176,7 @@ def test_diverging_inverse_raises_fast():
 def test_indefinite_preconditioner_raises():
     # a sign-flipped inverse doubles one residual component a step
     flip = np.array([0.5, -1.0 / 3.0])
-    a = SparseSymMatrix(csr_matrix(np.diag([2.0, 3.0])), inverse=lambda r: flip * r)
+    a = dense_sym(csr_matrix(np.diag([2.0, 3.0])), inverse=lambda r: flip * r)
     with pytest.raises(ConvergenceError, match="stalled"):
         cg_solve(a, np.array([1.0, 2.0]))
 

