@@ -79,8 +79,8 @@ def estimate_poincare(system: InteriorSystem) -> PoincareEstimate:
     n = A_int.dimension
     if n == 0:
         raise ValueError("mesh has no interior nodes")
-    x0, y0, x1, y1 = mesh.domain
-    cell = ((x1 - x0) / mesh.nx) * ((y1 - y0) / mesh.ny)  # hx hy
+    hx, hy = mesh.cell_sides
+    cell = hx * hy
     mu = np.partition(np.append(stiffness_spectrum(mesh), np.inf), 1)
     floor, ell_2 = mu[0] / cell, mu[1] / cell
     eps = np.finfo(float).eps

@@ -199,8 +199,7 @@ def _cells(mesh: Mesh) -> tuple:
     """The node x and y lines, and the (ny, nx) cell areas 0.5 (dy dx):
     the cross products of a cell's lower and upper triangle's edges are
     dy dx - dy * 0 and 0 * 0 - dy (-dx)."""
-    xs, ys = mesh.nodes[: mesh.nx + 1, 0], mesh.nodes[:: mesh.nx + 1, 1]
-    return xs, ys, 0.5 * np.multiply.outer(np.diff(ys), np.diff(xs))
+    return mesh.xs, mesh.ys, 0.5 * np.multiply.outer(np.diff(mesh.ys), np.diff(mesh.xs))
 
 
 def assemble_stiffness(mesh: Mesh) -> SparseSymMatrix:
@@ -277,11 +276,10 @@ def stiffness_spectrum(mesh: Mesh) -> np.ndarray:
     array is indexed (x mode, y mode), the layout between the two
     transform passes of the sine inverse, which divides by it.
     """
-    x0, y0, x1, y1 = mesh.domain
-    nx, ny = mesh.nx, mesh.ny
-    ratio = ((y1 - y0) / ny) / ((x1 - x0) / nx)  # hy / hx
+    hx, hy = mesh.cell_sides
+    ratio = hy / hx
     mu_x, mu_y = (4.0 * np.sin(np.arange(1, n) * (np.pi / (2 * n))) ** 2
-                  for n in (nx, ny))
+                  for n in (mesh.nx, mesh.ny))
     return ratio * mu_x[:, None] + mu_y[None, :] / ratio
 
 
@@ -333,15 +331,17 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     xm, ym = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
     # horizontal, vertical and diagonal edges; 0.5 (x + x) is x, as
     # finite squared cell sides keep x + x far from overflow
-    edges = [np.meshgrid(gx, gy, copy=False) for gx, gy in ((xm, ys), (xs, ym), (xm, ym))]
-    x, y = (np.concatenate([g[k].ravel() for g in edges]) for k in (0, 1))
-    ends = np.cumsum([g[0].size for g in edges])[:-1]
+    lines = ((xm, ys[:, None]), (xs, ym[:, None]), (xm, ym[:, None]))
+    shapes = [(len(gy), len(gx)) for gx, gy in lines]
+    x, y = (np.concatenate([np.broadcast_to(g[k], s) for g, s in zip(lines, shapes)],
+                           axis=None) for k in (0, 1))
+    ends = np.cumsum([r * c for r, c in shapes])[:-1]
 
     def by_triangle(values):
         # the values on edge k = (k, k+1) of the lower triangles, (a, a+1),
         # (a+1, c), (c, a), then of the upper ones, (a, c), (c, d), (d, a)
         parts = np.split(values, ends)
-        h, v, d = (part.reshape(g[0].shape) for part, g in zip(parts, edges))
+        h, v, d = (part.reshape(s) for part, s in zip(parts, shapes))
         return (h[:-1], v[:, 1:], d), (d, h[1:], v[:, :-1])
 
     fm = np.broadcast_to(f(x, y), x.shape)
@@ -394,13 +394,13 @@ def norm_w12(A: SparseSymMatrix, M: SparseSymMatrix, u: np.ndarray) -> float:
 
 def restrict_interior(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Drop boundary components, keeping interior nodes in global order."""
-    return _as_field(u, mesh.node_count)[mesh.interior_indices]
+    grid = _as_field(u, mesh.node_count).reshape(mesh.ny + 1, mesh.nx + 1)
+    return grid[1:-1, 1:-1].ravel()
 
 
 def extend_by_zero(mesh: Mesh, v: np.ndarray) -> np.ndarray:
     """Embed an interior vector as a field vanishing on every boundary node."""
-    out = np.zeros(mesh.node_count)
-    out[mesh.interior_indices] = _as_field(
-        v, mesh.interior_count, "interior node count"
-    )
-    return out
+    out = np.zeros((mesh.ny + 1, mesh.nx + 1))
+    v = _as_field(v, mesh.interior_count, "interior node count")
+    out[1:-1, 1:-1] = v.reshape(mesh.ny - 1, mesh.nx - 1)
+    return out.ravel()

@@ -110,19 +110,18 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     if args.levels < 1:
         raise ValueError(f"--levels must be positive, got {args.levels}")
     u_exact = as_function(spec.u_exact_expr)
-    x0, y0, x1, y1 = spec.domain
 
     rows: list[tuple[int, int, float, float, float]] = []
     print("grid      h            max_error      order   l2_error       order")
     for level in range(args.levels):
         nx = spec.nx << level
         ny = spec.ny << level
-        system = assemble_system(build_rect_mesh(x0, y0, x1, y1, nx, ny))
+        system = assemble_system(build_rect_mesh(*spec.domain, nx, ny))
         u = solve(system, make_data(spec, system.mesh)).u
         diff = u - nodal_values(system.mesh, u_exact)
         max_error = float(np.max(np.abs(diff)))
         l2_error = norm_l2(system.M, diff)
-        h = max((x1 - x0) / nx, (y1 - y0) / ny)
+        h = max(system.mesh.cell_sides)
 
         def order(e_prev: float, e_curr: float, h_prev: float) -> str:
             if e_prev <= 0.0 or e_curr <= 0.0 or h_prev == h:

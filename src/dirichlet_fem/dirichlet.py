@@ -110,7 +110,7 @@ def solve(system: InteriorSystem, data: ProblemData) -> SolveReport:
 
 def trace(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Boundary node values of a full field, in global index order."""
-    return _as_field(u, mesh.node_count)[mesh.boundary_indices]
+    return _as_field(u, mesh.node_count)[mesh.boundary_mask]
 
 
 def extend(mesh: Mesh, boundary_values: np.ndarray) -> np.ndarray:
@@ -122,7 +122,7 @@ def extend(mesh: Mesh, boundary_values: np.ndarray) -> np.ndarray:
     """
     nb = mesh.node_count - mesh.interior_count
     out = np.zeros(mesh.node_count)
-    out[mesh.boundary_indices] = _as_field(boundary_values, nb, "boundary node count")
+    out[mesh.boundary_mask] = _as_field(boundary_values, nb, "boundary node count")
     return out
 
 

@@ -1,15 +1,16 @@
 """Structured triangulations of axis-aligned rectangles.
 
-Nodes are numbered row-major starting at the lower-left corner (x runs
-fastest).  Every grid cell is split along its lower-left to upper-right
-diagonal, so the two triangles of cell (i, j) are
+A mesh is its rectangle and its cell counts; every coordinate and index
+is derived.  Nodes are numbered row-major starting at the lower-left
+corner (x runs fastest).  Every grid cell is split along its lower-left
+to upper-right diagonal, so the two triangles of cell (i, j) are
 
     (a, b, c) and (a, c, d)        c = upper-right, a = lower-left,
 
 both counterclockwise, and every interior node is shared by exactly six
 triangles.  Nodal-value vectors over this mesh ("fields") are plain
-float64 arrays of length ``node_count``; vectors over interior nodes
-only use the ordering of ``interior_indices``.
+float64 arrays of length ``node_count``; a vector over interior nodes
+only is a field's [1:-1, 1:-1] block in its (ny + 1, nx + 1) layout.
 """
 
 from __future__ import annotations
@@ -17,46 +18,88 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 # Above the 35 MB of the import, a CLI solve peaks near 0.3 KB per node and
-# verify near 0.75 KB (512^2 and 1024^2), so at this cap both stay under 1.2 GB.
+# verify near 0.7 KB (512^2 and 1024^2), so at this cap both stay under 1.2 GB.
 MAX_NODES = 1_500_000
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform triangulation of a rectangle.
+    """Uniform triangulation of domain = (x0, y0, x1, y1) on an nx-by-ny grid.
 
-    Attributes:
-        nodes: (node_count, 2) coordinates.
-        boundary_mask: per-node flag, True on the rectangle border.
-        interior_indices: global indices of interior nodes, increasing.
-        domain: (x0, y0, x1, y1) rectangle bounds.
-        nx, ny: cell counts per axis.
+    The rectangle must pass check_domain, and nx >= 2 and ny >= 2: a
+    coarser grid has no interior node to carry a boundary-value problem.
+    Grids with more than MAX_NODES nodes, or whose cells have a squared
+    side or an area that is not a finite normal float (the local
+    matrices would overflow or underflow), are refused.  The node lines
+    xs and ys are built on first use; no node-sized array is kept.
     """
 
-    nodes: np.ndarray
-    boundary_mask: np.ndarray
-    interior_indices: np.ndarray
     domain: tuple[float, float, float, float]
     nx: int
     ny: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "domain", tuple(map(float, self.domain)))
+        check_domain(*self.domain)
+        nx, ny = self.nx, self.ny
+        if nx < 2 or ny < 2:
+            raise ValueError(
+                f"grid {nx}x{ny} leaves no interior degrees of freedom; "
+                "need nx >= 2 and ny >= 2"
+            )
+        if self.node_count > MAX_NODES:
+            raise ValueError(
+                f"grid {nx}x{ny} has {self.node_count} nodes, over the cap of {MAX_NODES}"
+            )
+        w, h = self.cell_sides
+        if not all(sys.float_info.min <= q < math.inf for q in (w * w, h * h, w * h)):
+            raise ValueError(
+                f"grid {nx}x{ny} gives cells of {w} x {h}, whose squared sides "
+                "or area overflow or underflow a float"
+            )
+
     @property
     def node_count(self) -> int:
-        return self.nodes.shape[0]
+        return (self.nx + 1) * (self.ny + 1)
 
     @property
     def interior_count(self) -> int:
-        return self.interior_indices.shape[0]
+        return (self.nx - 1) * (self.ny - 1)
 
     @property
-    def boundary_indices(self) -> np.ndarray:
-        """Global indices of boundary nodes, increasing."""
-        return np.nonzero(self.boundary_mask)[0]
+    def cell_sides(self) -> tuple[float, float]:
+        """(hx, hy), the nominal sides of a cell."""
+        x0, y0, x1, y1 = self.domain
+        return (x1 - x0) / self.nx, (y1 - y0) / self.ny
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        """The nx + 1 node abscissae, increasing."""
+        return np.linspace(self.domain[0], self.domain[2], self.nx + 1)
+
+    @cached_property
+    def ys(self) -> np.ndarray:
+        """The ny + 1 node ordinates, increasing."""
+        return np.linspace(self.domain[1], self.domain[3], self.ny + 1)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """(node_count, 2) coordinates."""
+        x, y = np.tile(self.xs, self.ny + 1), np.repeat(self.ys, self.nx + 1)
+        return np.column_stack([x, y])
+
+    @property
+    def boundary_mask(self) -> np.ndarray:
+        """Per-node flag, True on the rectangle border."""
+        mask = np.ones((self.ny + 1, self.nx + 1), dtype=bool)
+        mask[1:-1, 1:-1] = False
+        return mask.ravel()
 
 
 def _as_field(values, count: int, what: str = "node count") -> np.ndarray:
@@ -81,64 +124,20 @@ def check_domain(x0: float, y0: float, x1: float, y1: float) -> None:
         )
 
 
-def build_rect_mesh(
-    x0: float, y0: float, x1: float, y1: float, nx: int, ny: int
-) -> Mesh:
-    """Triangulate [x0, x1] x [y0, y1] on an nx-by-ny cell grid.
-
-    The rectangle must pass check_domain.  Requires nx >= 2 and ny >= 2
-    so the triangulation has at least one interior node; a coarser grid
-    has no interior degrees of freedom and cannot carry a boundary-value
-    problem.  Grids with more than MAX_NODES nodes, or whose cells have a
-    squared side or an area that is not a finite normal float (the local
-    matrices would overflow or underflow), are refused before anything
-    is allocated.
-    """
-    check_domain(x0, y0, x1, y1)
-    if nx < 2 or ny < 2:
-        raise ValueError(
-            f"grid {nx}x{ny} leaves no interior degrees of freedom; "
-            "need nx >= 2 and ny >= 2"
-        )
-    count = (nx + 1) * (ny + 1)
-    if count > MAX_NODES:
-        raise ValueError(
-            f"grid {nx}x{ny} has {count} nodes, over the cap of {MAX_NODES}"
-        )
-    w, h = (x1 - x0) / nx, (y1 - y0) / ny
-    if not all(sys.float_info.min <= q < math.inf for q in (w * w, h * h, w * h)):
-        raise ValueError(
-            f"grid {nx}x{ny} gives cells of {w} x {h}, whose squared sides "
-            "or area overflow or underflow a float"
-        )
-
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-
-    ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy")
-    on_border = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)
-    boundary_mask = on_border.ravel()
-    interior_indices = np.nonzero(~boundary_mask)[0]
-
-    return Mesh(
-        nodes=nodes,
-        boundary_mask=boundary_mask,
-        interior_indices=interior_indices,
-        domain=(float(x0), float(y0), float(x1), float(y1)),
-        nx=nx,
-        ny=ny,
-    )
+def build_rect_mesh(x0: float, y0: float, x1: float, y1: float, nx: int, ny: int) -> Mesh:
+    """Triangulate [x0, x1] x [y0, y1] on an nx-by-ny cell grid; see Mesh."""
+    return Mesh((x0, y0, x1, y1), nx, ny)
 
 
 def nodal_values(mesh: Mesh, f: Callable) -> np.ndarray:
     """Sample f at every node: the coefficient vector of its interpolant.
 
-    f is called once on the coordinate arrays; a scalar result is broadcast.
+    f is called once on the coordinate arrays, (ny + 1, nx + 1) read-only
+    views of the node lines; a scalar result is broadcast.
     """
-    x, y = mesh.nodes.T
-    return np.array(np.broadcast_to(f(x, y), x.shape), dtype=float)
+    shape = (mesh.ny + 1, mesh.nx + 1)
+    x, y = np.broadcast_to(mesh.xs, shape), np.broadcast_to(mesh.ys[:, None], shape)
+    return np.array(np.broadcast_to(f(x, y), x.shape), dtype=float).ravel()
 
 
 def eval_p1(mesh: Mesh, values: np.ndarray, x, y):

@@ -180,7 +180,7 @@ def make_data(spec: ProblemSpec, mesh: Mesh) -> ProblemData:
     load = assemble_load(mesh, as_function(spec.f_expr))
     g = as_function(spec.g_expr)
     if spec.mode == "border":
-        x, y = mesh.nodes[mesh.boundary_indices].T
+        x, y = mesh.nodes[mesh.boundary_mask].T
         return ProblemData(load=load, g=extend(mesh, g(x, y)))
     return ProblemData(load=load, g=nodal_values(mesh, g))
 
@@ -192,18 +192,17 @@ _CSV_BLOCK = 4096  # rows per write, so memory stays flat on any grid
 def write_field_csv(stream: IO[str], mesh: Mesh, u: np.ndarray) -> None:
     """Write one row per node in node order; %.17g keeps values bit-exact.
 
-    Each distinct coordinate is formatted once, told apart by its bits
-    so that -0 stays -0, and rows go out _CSV_BLOCK at a time.
+    Each node line's abscissa and ordinate is formatted once, from its
+    own float so that -0 stays -0, and rows go out _CSV_BLOCK at a time.
     """
-    u = _as_field(u, mesh.node_count)
-    bits = np.asarray(mesh.nodes, dtype=float).view(np.int64)
-    bits, inverse = np.unique(bits, return_inverse=True)
-    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
-    x, y = text[inverse.reshape(-1, 2)].T
+    u, flags = _as_field(u, mesh.node_count), mesh.boundary_mask
+    x, y = (np.array(["%.17g" % v for v in line.tolist()], dtype=object)
+            for line in (mesh.xs, mesh.ys))
+    x, y = (a.ravel() for a in np.broadcast_arrays(x, y[:, None]))
     stream.write(_CSV_HEADER + "\n")
     for start in range(0, mesh.node_count, _CSV_BLOCK):
         rows = slice(start, start + _CSV_BLOCK)
         index = range(mesh.node_count)[rows]
-        columns = (a[rows].tolist() for a in (x, y, u, mesh.boundary_mask))
+        columns = (a[rows].tolist() for a in (x, y, u, flags))
         block = tuple(chain.from_iterable(zip(index, *columns)))
         stream.write("%d,%s,%s,%.17g,%d\n" * len(index) % block)

@@ -60,6 +60,16 @@ def triangles(mesh) -> np.ndarray:
     return np.stack([a, a + 1, c, a, c, a + nx + 1], axis=1).reshape(-1, 3)
 
 
+def interior_indices(mesh) -> np.ndarray:
+    """Global indices of a mesh's interior nodes, increasing."""
+    return np.flatnonzero(~mesh.boundary_mask)
+
+
+def boundary_indices(mesh) -> np.ndarray:
+    """Global indices of a mesh's boundary nodes, increasing."""
+    return np.flatnonzero(mesh.boundary_mask)
+
+
 def make_system(x0, y0, x1, y1, nx, ny):
     return assemble_system(build_rect_mesh(x0, y0, x1, y1, nx, ny))
 
@@ -136,8 +146,9 @@ def triangle_order_sum(mesh, local) -> np.ndarray:
     order, then are mirrored: the sum assembly must match bit for bit.
     """
     acc = {}
+    nodes = mesh.nodes
     for tri in triangles(mesh).tolist():
-        loc = local(mesh.nodes[tri])
+        loc = local(nodes[tri])
         for a in range(3):
             for b in range(a, 3):
                 key = (min(tri[a], tri[b]), max(tri[a], tri[b]))

@@ -28,7 +28,7 @@ from dirichlet_fem import (
     weak_residual,
     write_field_csv,
 )
-from tests.conftest import SINE_GRIDS, make_system
+from tests.conftest import SINE_GRIDS, boundary_indices, interior_indices, make_system
 
 
 def test_hand_oracle_center_value():
@@ -85,7 +85,7 @@ def test_report_fields_are_consistent(unit16):
     bounds = check_stability(unit16, report.u, data.g, f_vals, a_hi)
     assert bounds.lhs <= bounds.rhs * (1.0 + 1e-8)
     # the boundary rows of u are g's, the interior rows are g + p
-    assert np.array_equal(report.u[mesh.boundary_indices], g[mesh.boundary_indices])
+    assert np.array_equal(report.u[boundary_indices(mesh)], g[boundary_indices(mesh)])
     assert np.allclose(
         report.u, g + extend_by_zero(mesh, report.p), rtol=0.0, atol=1e-14
     )
@@ -129,7 +129,7 @@ def test_weak_residual_flags_non_solutions(unit8):
     report = solve(unit8, ProblemData(load=load, g=g))
     assert weak_residual(unit8, report.u, load) <= 1e-9
     off = report.u.copy()
-    off[mesh.interior_indices[0]] += 0.1
+    off[interior_indices(mesh)[0]] += 0.1
     assert weak_residual(unit8, off, load) > 1e-4
 
 
@@ -151,7 +151,7 @@ def test_verify_uniqueness_rejects_boundary_mismatch(unit8):
     mesh = unit8.mesh
     u1 = np.zeros(mesh.node_count)
     u2 = np.zeros(mesh.node_count)
-    u2[mesh.boundary_indices[0]] = 1e-6
+    u2[boundary_indices(mesh)[0]] = 1e-6
     with pytest.raises(ValueError, match="boundary"):
         verify_uniqueness(unit8, u1, u2)
 
@@ -159,10 +159,10 @@ def test_verify_uniqueness_rejects_boundary_mismatch(unit8):
 def test_trace_extend_round_trip(unit8):
     mesh = unit8.mesh
     rng = np.random.default_rng(35)
-    b = rng.standard_normal(len(mesh.boundary_indices))
+    b = rng.standard_normal(len(boundary_indices(mesh)))
     field = extend(mesh, b)
     assert np.array_equal(trace(mesh, field), b)
-    assert np.all(field[mesh.interior_indices] == 0.0)
+    assert np.all(field[interior_indices(mesh)] == 0.0)
     with pytest.raises(ValueError):
         extend(mesh, b[:-1])
 
@@ -266,7 +266,7 @@ def test_point_loads_are_reciprocal():
     mesh = system.mesh
     g = np.zeros(mesh.node_count)
     rng = np.random.default_rng(40)
-    pairs = rng.choice(mesh.interior_indices, size=(8, 2), replace=False)
+    pairs = rng.choice(interior_indices(mesh), size=(8, 2), replace=False)
     for i, j in pairs:
         u_i = solve(system, ProblemData(load=np.eye(1, mesh.node_count, i)[0], g=g)).u
         u_j = solve(system, ProblemData(load=np.eye(1, mesh.node_count, j)[0], g=g)).u

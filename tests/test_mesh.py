@@ -1,10 +1,22 @@
 """Grid construction: orderings, counts, areas, point evaluation."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
-from dirichlet_fem import build_rect_mesh, eval_p1, nodal_values, p1_interpolant
-from tests.conftest import triangles
+from dirichlet_fem import (
+    Mesh,
+    ProblemData,
+    assemble_system,
+    build_rect_mesh,
+    eval_p1,
+    nodal_values,
+    p1_interpolant,
+    solve,
+)
+from tests.conftest import boundary_indices, interior_indices, triangles
 
 
 @pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (8, 8), (16, 4)])
@@ -14,7 +26,7 @@ def test_counts(nx, ny):
     assert triangles(mesh).shape == (2 * nx * ny, 3)
     assert int(np.sum(mesh.boundary_mask)) == 2 * (nx + ny)
     assert mesh.interior_count == (nx - 1) * (ny - 1)
-    assert len(mesh.boundary_indices) + len(mesh.interior_indices) == (
+    assert len(boundary_indices(mesh)) + len(interior_indices(mesh)) == (
         mesh.node_count
     )
 
@@ -51,7 +63,7 @@ def test_triangles_follow_cell_order():
 def test_interior_star_size():
     # each interior node touches 6 triangles under the fixed split
     mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, 4, 4)
-    for node in mesh.interior_indices:
+    for node in interior_indices(mesh):
         star = np.sum(np.any(triangles(mesh) == node, axis=1))
         assert star == 6
 
@@ -84,7 +96,7 @@ def test_rebuild_is_bit_identical():
     b = build_rect_mesh(0.1, -0.3, 2.7, 1.9, 7, 3)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.boundary_mask, b.boundary_mask)
-    assert np.array_equal(a.interior_indices, b.interior_indices)
+    assert np.array_equal(interior_indices(a), interior_indices(b))
 
 
 @pytest.mark.parametrize(
@@ -123,6 +135,38 @@ def test_node_count_cap_is_checked_before_allocating():
     # 10^10 nodes: the check must fire before any array is built
     with pytest.raises(ValueError, match="10000200001 nodes, over the cap"):
         build_rect_mesh(0.0, 0.0, 1.0, 1.0, 100000, 100000)
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: Mesh((0, 0, 1, 1), 1, 4), "grid 1x4 leaves no interior"),
+        (lambda: Mesh((0, 0, 1, 1), 2000, 2000), "4004001 nodes, over the cap"),
+        (lambda: Mesh((0, 0, 1e200, 1e200), 4, 4),
+         "grid 4x4 gives cells of 2.5e+199 x 2.5e+199, whose squared sides"),
+        (lambda: dataclasses.replace(build_rect_mesh(0, 0, 1, 1, 4, 4), nx=1),
+         "grid 1x4 leaves no interior"),
+    ],
+    ids=["nx-1", "over-the-cap", "huge-cells", "replace"],
+)
+def test_every_construction_path_refuses_as_build_rect_mesh(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_mesh_is_its_grid():
+    # three fields; after a solve only the two node lines are cached
+    assert [f.name for f in dataclasses.fields(Mesh)] == ["domain", "nx", "ny"]
+    mesh = Mesh((0, -1, 2, 1), 6, 5)
+    assert mesh.domain == (0.0, -1.0, 2.0, 1.0)
+    assert all(type(v) is float for v in mesh.domain)
+    assert mesh == build_rect_mesh(0.0, -1.0, 2.0, 1.0, 6, 5)
+    system = assemble_system(mesh)
+    g = nodal_values(mesh, lambda x, y: x * y)
+    solve(system, ProblemData(load=np.ones(mesh.node_count), g=g))
+    assert sorted(vars(mesh)) == ["domain", "nx", "ny", "xs", "ys"]
+    assert (len(mesh.xs), len(mesh.ys)) == (7, 6)
+    assert mesh.cell_sides == (2.0 / 6, 2.0 / 5)
 
 
 def test_nodal_values_order(unit4):

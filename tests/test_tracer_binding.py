@@ -16,7 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirichlet_fem import assemble_mass, assemble_stiffness, cg_solve, estimate_poincare
+from dirichlet_fem import (
+    assemble_mass,
+    assemble_stiffness,
+    build_rect_mesh,
+    cg_solve,
+    estimate_poincare,
+)
 from tests.conftest import make_system
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -51,3 +57,19 @@ def test_results_carry_the_counted_fields(tracer):
     assert type(estimate_poincare(system).iterations) is int
     for assemble in (assemble_stiffness, assemble_mass):
         assert type(assemble(system.mesh).nnz) is int
+
+
+def test_mesh_keeps_what_the_reference_check_reads():
+    # perfbench/test_benchmark.py compares mesh.nodes[:, 0] and
+    # mesh.boundary_mask with its own reference grid
+    domain, (nx, ny) = (-1.0, 2.0, 3.0, 4.5), (6, 5)
+    mesh = build_rect_mesh(*domain, nx, ny)
+    n = (nx + 1) * (ny + 1)
+    nodes, mask = mesh.nodes, mesh.boundary_mask
+    assert (nodes.shape, nodes.dtype) == ((n, 2), np.float64)
+    assert (mask.shape, mask.dtype) == ((n,), np.bool_)
+    gx, gy = np.meshgrid(np.linspace(domain[0], domain[2], nx + 1),
+                         np.linspace(domain[1], domain[3], ny + 1))
+    want = np.column_stack([gx.ravel(), gy.ravel()])
+    assert nodes.tobytes() == want.tobytes()
+    assert int(mask.sum()) == 2 * (nx + ny)
