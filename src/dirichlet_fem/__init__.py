@@ -40,15 +40,14 @@ from .dirichlet import (
     verify_uniqueness,
     weak_residual,
 )
-from .expr import EvalError, ParseError, as_function, evaluate, parse, serialize
+from .expr import EvalError, ParseError, as_function, evaluate, parse
 from .linsolve import CGResult, ConvergenceError, cg_solve
-from .mesh import Mesh, build_rect_mesh, eval_p1, nodal_values, p1_interpolant
+from .mesh import Mesh, build_rect_mesh, eval_p1, nodal_values
 from .problems import (
     ProblemFormatError,
     ProblemSpec,
     load_problem,
     make_data,
-    make_mesh,
     parse_problem,
     write_field_csv,
 )
@@ -93,19 +92,16 @@ __all__ = [
     "extend_by_zero",
     "load_problem",
     "make_data",
-    "make_mesh",
     "nodal_values",
     "norm_grad",
     "norm_l2",
     "norm_w12",
-    "p1_interpolant",
     "parse",
     "parse_problem",
     "quotient_solve",
     "restrict_interior",
     "riesz_represent",
     "run_checks",
-    "serialize",
     "solve",
     "trace",
     "verify_uniqueness",

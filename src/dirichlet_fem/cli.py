@@ -25,7 +25,7 @@ from .dirichlet import ProblemData, SolveReport, solve, weak_residual
 from .expr import EvalError, as_function
 from .linsolve import ConvergenceError
 from .mesh import Mesh, build_rect_mesh, nodal_values
-from .problems import load_problem, make_data, make_mesh, write_field_csv
+from .problems import load_problem, make_data, write_field_csv
 from .riesz import energy
 from .verify import all_passed, run_checks
 
@@ -63,7 +63,7 @@ def _print_report(
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
-    system = assemble_system(make_mesh(spec))
+    system = assemble_system(spec.mesh)
     data = make_data(spec, system.mesh)
     report = solve(system, data)
     f_vals = nodal_values(system.mesh, as_function(spec.f_expr))
@@ -78,7 +78,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")
     results = run_checks(
-        assemble_system(make_mesh(spec)),
+        assemble_system(spec.mesh),
         as_function(spec.f_expr),
         as_function(spec.g_expr),
         seed,
@@ -90,7 +90,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_poincare(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
-    est = estimate_poincare(assemble_system(make_mesh(spec)))
+    est = estimate_poincare(assemble_system(spec.mesh))
     print(
         f"lambda_min={est.lambda_min:.12g} a={est.a:.12g} "
         f"iterations={est.iterations}"
@@ -113,15 +113,17 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 
     rows: list[tuple[int, int, float, float, float]] = []
     print("grid      h            max_error      order   l2_error       order")
+    mesh = spec.mesh
     for level in range(args.levels):
-        nx = spec.nx << level
-        ny = spec.ny << level
-        system = assemble_system(build_rect_mesh(*spec.domain, nx, ny))
-        u = solve(system, make_data(spec, system.mesh)).u
-        diff = u - nodal_values(system.mesh, u_exact)
+        if level:
+            mesh = build_rect_mesh(*mesh.domain, 2 * mesh.nx, 2 * mesh.ny)
+        nx, ny = mesh.nx, mesh.ny
+        system = assemble_system(mesh)
+        u = solve(system, make_data(spec, mesh)).u
+        diff = u - nodal_values(mesh, u_exact)
         max_error = float(np.max(np.abs(diff)))
         l2_error = norm_l2(system.M, diff)
-        h = max(system.mesh.cell_sides)
+        h = max(mesh.cell_sides)
 
         def order(e_prev: float, e_curr: float, h_prev: float) -> str:
             if e_prev <= 0.0 or e_curr <= 0.0 or h_prev == h:

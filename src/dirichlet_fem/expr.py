@@ -12,8 +12,8 @@ text from a problem file is ever handed to Python's own eval.  One walk
 evaluates at a point or, with numpy ufuncs, over arrays of points.
 
 Nesting is capped at MAX_DEPTH levels of parentheses, operators and
-function calls, so parsing, evaluation and serialization stay far
-inside Python's recursion limit; deeper text is a ParseError.
+function calls, so parsing and evaluation stay far inside Python's
+recursion limit; deeper text is a ParseError.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "MAX_DEPTH",
     "parse",
     "evaluate",
-    "serialize",
     "as_function",
 ]
 
@@ -289,51 +288,6 @@ def _eval(expr: Expr, x: np.ndarray, y: np.ndarray, failures: list):
     mask = (np.isnan(r) & ~np.isnan(a)) | (np.isinf(r) & np.isfinite(a))
     _record(failures, mask, expr.func + "({!r}) is undefined", a)
     return r
-
-
-def _node_precedence(expr: Expr) -> int:
-    t = type(expr)
-    if t is Binary:
-        return _PRECEDENCE[expr.op]
-    if t is Unary:
-        return _UNARY_PRECEDENCE
-    if t is Num and expr.value < 0:
-        return _UNARY_PRECEDENCE  # prints with a leading minus
-    return 100
-
-
-def serialize(expr: Expr) -> str:
-    """Render with the fewest parentheses that preserve the parse.
-
-    For ASTs produced by parse (literals are nonnegative there) the
-    round trip parse(serialize(e)) == e is exact.
-    """
-    t = type(expr)
-    if t is Num:
-        if not math.isfinite(expr.value):
-            raise ValueError(f"cannot serialize non-finite literal {expr.value!r}")
-        return repr(expr.value)
-    if t is Name:
-        return expr.ident
-    if t is Call:
-        return f"{expr.func}({serialize(expr.arg)})"
-    if t is Unary:
-        return "-" + _child(expr.operand, _UNARY_PRECEDENCE)
-    prec = _PRECEDENCE[expr.op]
-    if expr.op in _RIGHT_ASSOC:
-        left = _child(expr.left, prec + 1)
-        right = _child(expr.right, prec)
-    else:
-        left = _child(expr.left, prec)
-        right = _child(expr.right, prec + 1)
-    return f"{left}{expr.op}{right}"
-
-
-def _child(expr: Expr, min_prec: int) -> str:
-    text = serialize(expr)
-    if _node_precedence(expr) < min_prec:
-        return f"({text})"
-    return text
 
 
 def as_function(expr: Expr) -> Callable:

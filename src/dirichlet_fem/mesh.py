@@ -173,13 +173,3 @@ def eval_p1(mesh: Mesh, values: np.ndarray, x, y):
         values[a] * (1.0 - eta) + values[c] * xi + values[c - 1] * (eta - xi),
     )
     return float(out) if out.ndim == 0 else out
-
-
-def p1_interpolant(mesh: Mesh, values: np.ndarray) -> Callable:
-    """Wrap nodal values as a callable piecewise-linear function of (x, y)."""
-    frozen = _as_field(values, mesh.node_count).copy()
-
-    def fn(x, y):
-        return eval_p1(mesh, frozen, x, y)
-
-    return fn

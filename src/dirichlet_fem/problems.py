@@ -16,12 +16,13 @@ Fields are written as CSV with one `node_index,x,y,u,is_boundary` row
 per node in global node order; values use %.17g so every one reads
 back bit-identically.
 
+A parsed file holds its Mesh, built as soon as the grid line is read.
 A grid may have at most mesh.MAX_NODES (1,500,000) nodes; a file asking
-for more, or for cells whose squared sides or area overflow or
-underflow a float, is refused as malformed before any array is
-allocated.  An
-expression may nest at most expr.MAX_DEPTH (100) levels deep; a deeper
-one is refused as malformed, naming its line.
+for more, for fewer than 2 cells a side, or for cells whose squared
+sides or area overflow or underflow a float, is refused as malformed
+before any array is allocated, naming the grid line.  An expression
+may nest at most expr.MAX_DEPTH (100) levels deep; a deeper one is
+refused as malformed, naming its line.
 """
 
 from __future__ import annotations
@@ -60,11 +61,9 @@ class ProblemFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One parsed problem file."""
+    """One parsed problem file: its mesh, expressions and settings."""
 
-    domain: tuple[float, float, float, float]
-    nx: int
-    ny: int
+    mesh: Mesh
     f_expr: Expr
     g_expr: Expr
     mode: str = "extension"
@@ -124,6 +123,10 @@ def parse_problem(text: str) -> ProblemSpec:
         nx, ny = (int(p) for p in parts)
     except ValueError:
         fail("grid", f"bad integer in {values['grid']!r}")
+    try:
+        mesh = build_rect_mesh(x0, y0, x1, y1, nx, ny)
+    except ValueError as exc:
+        fail("grid", str(exc))
 
     def parse_expr(key: str) -> Expr:
         try:
@@ -149,9 +152,7 @@ def parse_problem(text: str) -> ProblemSpec:
             fail("seed", f"must be non-negative, got {seed}")
 
     return ProblemSpec(
-        domain=(x0, y0, x1, y1),
-        nx=nx,
-        ny=ny,
+        mesh=mesh,
         f_expr=f_expr,
         g_expr=g_expr,
         mode=mode,
@@ -166,11 +167,6 @@ def load_problem(path: str) -> ProblemSpec:
         return parse_problem(handle.read())
 
 
-def make_mesh(spec: ProblemSpec) -> Mesh:
-    x0, y0, x1, y1 = spec.domain
-    return build_rect_mesh(x0, y0, x1, y1, spec.nx, spec.ny)
-
-
 def make_data(spec: ProblemSpec, mesh: Mesh) -> ProblemData:
     """Build solver inputs: f's assembled load and an extension of g.
 
@@ -180,8 +176,9 @@ def make_data(spec: ProblemSpec, mesh: Mesh) -> ProblemData:
     load = assemble_load(mesh, as_function(spec.f_expr))
     g = as_function(spec.g_expr)
     if spec.mode == "border":
-        x, y = mesh.nodes[mesh.boundary_mask].T
-        return ProblemData(load=load, g=extend(mesh, g(x, y)))
+        mask = mesh.boundary_mask.reshape(mesh.ny + 1, mesh.nx + 1)
+        x, y = np.broadcast_arrays(mesh.xs, mesh.ys[:, None])
+        return ProblemData(load=load, g=extend(mesh, g(x[mask], y[mask])))
     return ProblemData(load=load, g=nodal_values(mesh, g))
 
 

@@ -37,7 +37,7 @@ from .dirichlet import (
     weak_residual,
 )
 from .linsolve import TOLERANCE
-from .mesh import nodal_values, p1_interpolant
+from .mesh import eval_p1, nodal_values
 from .riesz import check_square_identity, energy
 
 
@@ -234,7 +234,11 @@ def run_checks(
     )
 
     # Two loads integrated from one callable, not M f_vals against itself.
-    f_h = p1_interpolant(mesh, f_vals)
+    # f_h looks eval_p1 up in this module at each call and passes it no
+    # keywords, so the benchmark tracer's rebound, *args-only leaf sees it.
+    def f_h(x, y):
+        return eval_p1(mesh, f_vals, x, y)
+
     identical = (
         assemble_stiffness(mesh) == A
         and assemble_mass(mesh) == M

@@ -1,5 +1,8 @@
-"""Shared meshes and their interior systems, built once per session."""
+"""Shared meshes and their interior systems, built once per session,
+and the helpers tests share: oracles, field readers and an expression
+printer."""
 
+import math
 import os
 from pathlib import Path
 
@@ -8,7 +11,17 @@ import pytest
 from scipy.sparse import csr_matrix, diags
 
 import dirichlet_fem
-from dirichlet_fem import SparseSymMatrix, assemble_system, build_rect_mesh
+from dirichlet_fem import SparseSymMatrix, assemble_system, build_rect_mesh, eval_p1
+from dirichlet_fem.expr import (
+    _PRECEDENCE,
+    _RIGHT_ASSOC,
+    _UNARY_PRECEDENCE,
+    Binary,
+    Call,
+    Name,
+    Num,
+    Unary,
+)
 
 
 def cli_env() -> dict:
@@ -178,3 +191,58 @@ def read_field_csv(stream) -> np.ndarray:
             raise ValueError(f"bad field CSV row {line!r}")
         rows.append([float(p) for p in parts])
     return np.asarray(rows, dtype=float)
+
+
+def p1_field(mesh, values):
+    """The piecewise-linear field of nodal values, as an (x, y) callable."""
+    values = np.array(values, dtype=float)
+
+    def fn(x, y):
+        return eval_p1(mesh, values, x, y)
+
+    return fn
+
+
+def _node_precedence(expr) -> int:
+    t = type(expr)
+    if t is Binary:
+        return _PRECEDENCE[expr.op]
+    if t is Unary:
+        return _UNARY_PRECEDENCE
+    if t is Num and expr.value < 0:
+        return _UNARY_PRECEDENCE  # prints with a leading minus
+    return 100
+
+
+def serialize(expr) -> str:
+    """Render with the fewest parentheses that preserve the parse.
+
+    For ASTs produced by parse (literals are nonnegative there) the
+    round trip parse(serialize(e)) == e is exact.
+    """
+    t = type(expr)
+    if t is Num:
+        if not math.isfinite(expr.value):
+            raise ValueError(f"cannot serialize non-finite literal {expr.value!r}")
+        return repr(expr.value)
+    if t is Name:
+        return expr.ident
+    if t is Call:
+        return f"{expr.func}({serialize(expr.arg)})"
+    if t is Unary:
+        return "-" + _child(expr.operand, _UNARY_PRECEDENCE)
+    prec = _PRECEDENCE[expr.op]
+    if expr.op in _RIGHT_ASSOC:
+        left = _child(expr.left, prec + 1)
+        right = _child(expr.right, prec)
+    else:
+        left = _child(expr.left, prec)
+        right = _child(expr.right, prec + 1)
+    return f"{left}{expr.op}{right}"
+
+
+def _child(expr, min_prec: int) -> str:
+    text = serialize(expr)
+    if _node_precedence(expr) < min_prec:
+        return f"({text})"
+    return text

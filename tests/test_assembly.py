@@ -17,7 +17,6 @@ from dirichlet_fem import (
     norm_grad,
     norm_l2,
     norm_w12,
-    p1_interpolant,
     restrict_interior,
 )
 from dirichlet_fem import assembly
@@ -31,6 +30,7 @@ from tests.conftest import (
     local_mass,
     local_stiffness,
     make_system,
+    p1_field,
     triangle_order_sum,
     triangles,
 )
@@ -282,7 +282,7 @@ def test_load_of_interpolant_is_mass_apply(unit8):
     mesh, M = unit8.mesh, unit8.M
     rng = np.random.default_rng(7)
     f_vals = rng.standard_normal(mesh.node_count)
-    load = assemble_load(mesh, p1_interpolant(mesh, f_vals))
+    load = assemble_load(mesh, p1_field(mesh, f_vals))
     want = M.apply(f_vals)
     assert np.allclose(load, want, rtol=0.0, atol=1e-15 * np.max(np.abs(want)))
 

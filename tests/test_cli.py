@@ -59,7 +59,7 @@ def test_solve_report_contents(tmp_path):
     # every report line is the library's own number on the same file
     from dirichlet_fem import (
         as_function, assemble_system, check_stability, energy, estimate_poincare,
-        load_problem, make_data, make_mesh, nodal_values, norm_grad, norm_l2,
+        load_problem, make_data, nodal_values, norm_grad, norm_l2,
         norm_w12, solve, weak_residual,
     )
 
@@ -72,7 +72,7 @@ def test_solve_report_contents(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     problem = load_problem(spec)
-    system = assemble_system(make_mesh(problem))
+    system = assemble_system(problem.mesh)
     A, M, mesh = system.A, system.M, system.mesh
     data = make_data(problem, mesh)
     report = solve(system, data)
@@ -247,6 +247,22 @@ def test_convergence_writes_csv(tmp_path):
             "domain = 0 0 1e-200 1e-200\ngrid = 4 4\nf = 1\ng = 0\n",
             1,
             "grid 4x4 gives cells of 2.5e-201 x 2.5e-201, whose squared sides",
+        ),
+        # grid refusals name the grid line
+        (
+            "domain = 0 0 1 1\ngrid = 1 4\nf = 1\ng = 0\n",
+            1,
+            "error: line 2: grid: grid 1x4 leaves no interior degrees of freedom",
+        ),
+        (
+            "domain = 0 0 1 1\ngrid = 2000 2000\nf = 1\ng = 0\n",
+            1,
+            "error: line 2: grid: grid 2000x2000 has 4004001 nodes, over the cap",
+        ),
+        (
+            "domain = 0 0 1e200 1e200\ngrid = 4 4\nf = 1\ng = 0\n",
+            1,
+            "error: line 2: grid: grid 4x4 gives cells of 2.5e+199 x 2.5e+199",
         ),
     ],
 )

@@ -19,7 +19,6 @@ from dirichlet_fem import (
     norm_grad,
     norm_l2,
     norm_w12,
-    p1_interpolant,
     quotient_solve,
     restrict_interior,
     solve,
@@ -28,7 +27,13 @@ from dirichlet_fem import (
     weak_residual,
     write_field_csv,
 )
-from tests.conftest import SINE_GRIDS, boundary_indices, interior_indices, make_system
+from tests.conftest import (
+    SINE_GRIDS,
+    boundary_indices,
+    interior_indices,
+    make_system,
+    p1_field,
+)
 
 
 def test_hand_oracle_center_value():
@@ -111,7 +116,7 @@ def test_shift_identity(unit8):
     mesh, A = unit8.mesh, unit8.A
     rng = np.random.default_rng(33)
     g = rng.standard_normal(mesh.node_count)
-    f = p1_interpolant(mesh, rng.standard_normal(mesh.node_count))
+    f = p1_field(mesh, rng.standard_normal(mesh.node_count))
     load = assemble_load(mesh, f)
     lam = build_functional(unit8, load, g)
     for _ in range(20):
@@ -179,7 +184,6 @@ FIELD_TAKERS = {
     "trace": (lambda s, u: trace(s.mesh, u), "nodes"),
     "extend": (lambda s, b: extend(s.mesh, b), "boundary"),
     "eval_p1": (lambda s, u: eval_p1(s.mesh, u, 0.5, 0.5), "nodes"),
-    "p1_interpolant": (lambda s, u: p1_interpolant(s.mesh, u), "nodes"),
     "write_field_csv": (
         lambda s, u: write_field_csv(io.StringIO(), s.mesh, u), "nodes"
     ),

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_fem import EvalError, ParseError, as_function, evaluate, parse, serialize
+from dirichlet_fem import EvalError, ParseError, as_function, evaluate, parse
 from dirichlet_fem.expr import MAX_DEPTH, Binary, Call, Name, Num, Unary
+from tests.conftest import serialize
 
 # (text, reference implementation); evaluated at the sample points below
 CORPUS = [

@@ -1,4 +1,5 @@
-"""The package's modules import each other without a cycle.
+"""The package's modules import each other without a cycle, and every
+public name serves a command.
 
 Imports are read from the source with ast, so nothing is imported and
 an import inside a function counts like one at the top.  The solution
@@ -10,7 +11,10 @@ nothing that samples or integrates a callable.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dirichlet_fem"
+import dirichlet_fem
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dirichlet_fem"
 
 
 def internal_imports() -> dict[str, set[str]]:
@@ -93,3 +97,48 @@ def test_dirichlet_names_no_sampler_or_quadrature():
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert not names & {"assemble_load", "nodal_values", "eval_p1", "p1_interpolant"}
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every identifier a tree uses as a name or an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_reached_from_a_command():
+    # Code only tests use is a candidate for deletion.  The roots are
+    # cli.main and every name or string in the benchmark and the tools
+    # (the tracer binds functions by string); from them, follow what
+    # each top-level definition in the package names.  Definitions are
+    # keyed by bare name, so a name defined twice is reached through both.
+    defines: dict[str, set[str]] = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                sides = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in sides if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in targets:
+                defines.setdefault(name, set()).update(referenced_names(node))
+    roots = {"main"}
+    for path in [*ROOT.glob("perfbench/*.py"), *ROOT.glob("tools/*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        roots |= referenced_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                roots.update(node.value.split("."))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(defines.get(name, ()))
+    assert sorted(set(dirichlet_fem.__all__) - reached) == []

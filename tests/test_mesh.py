@@ -13,7 +13,6 @@ from dirichlet_fem import (
     build_rect_mesh,
     eval_p1,
     nodal_values,
-    p1_interpolant,
     solve,
 )
 from tests.conftest import boundary_indices, interior_indices, triangles
@@ -217,12 +216,3 @@ def test_eval_p1_at_nodes(unit4):
         assert eval_p1(mesh, vals, float(x), float(y)) == pytest.approx(
             vals[i], abs=1e-14
         )
-
-
-def test_p1_interpolant_wraps_eval(unit4):
-    mesh = unit4.mesh
-    rng = np.random.default_rng(6)
-    vals = rng.standard_normal(mesh.node_count)
-    fn = p1_interpolant(mesh, vals)
-    assert fn(0.3, 0.7) == eval_p1(mesh, vals, 0.3, 0.7)
-    assert type(fn(0.3, 0.7)) is float

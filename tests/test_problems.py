@@ -1,5 +1,6 @@
 """Problem files: parsing, defaults, diagnostics, CSV round trips."""
 
+import dataclasses
 import io
 import re
 from dataclasses import replace
@@ -10,14 +11,18 @@ import pytest
 
 from dirichlet_fem import problems
 from dirichlet_fem import (
+    Mesh,
     ProblemFormatError,
+    ProblemSpec,
+    as_function,
     assemble_load,
     build_rect_mesh,
+    extend,
     make_data,
-    make_mesh,
     nodal_values,
     parse,
     parse_problem,
+    trace,
     write_field_csv,
 )
 from tests.conftest import read_field_csv
@@ -37,8 +42,7 @@ seed = 7
 
 def test_parse_full_file():
     spec = parse_problem(FULL)
-    assert spec.domain == (0.0, 0.0, 2.0, 1.0)
-    assert (spec.nx, spec.ny) == (8, 4)
+    assert spec.mesh == Mesh((0.0, 0.0, 2.0, 1.0), 8, 4)
     assert spec.f_expr == parse("x*y")
     assert spec.g_expr == parse("sin(pi*x)")
     assert spec.mode == "border"
@@ -83,19 +87,23 @@ def test_comments_and_blanks_ignored():
     spec = parse_problem(
         "\n# leading comment\ndomain = 0 0 1 1\n\ngrid = 4 4\nf = 1\n# mid\ng = 0\n\n"
     )
-    assert spec.domain == (0.0, 0.0, 1.0, 1.0)
+    assert spec.mesh.domain == (0.0, 0.0, 1.0, 1.0)
 
 
 def test_spacing_is_free():
     spec = parse_problem("domain=0 0 1 1\ngrid   =  4 4\nf=1\ng =0\n")
-    assert (spec.nx, spec.ny) == (4, 4)
+    assert (spec.mesh.nx, spec.mesh.ny) == (4, 4)
+
+
+def test_spec_holds_its_mesh_in_place_of_the_grid_numbers():
+    assert [f.name for f in dataclasses.fields(ProblemSpec)] == [
+        "mesh", "f_expr", "g_expr", "mode", "u_exact_expr", "seed",
+    ]
 
 
 def test_make_helpers():
     spec = parse_problem(FULL)
-    mesh = make_mesh(spec)
-    assert mesh.domain == (0.0, 0.0, 2.0, 1.0)
-    assert (mesh.nx, mesh.ny) == (8, 4)
+    mesh = spec.mesh
 
     data = make_data(spec, mesh)
     assert np.array_equal(data.load, assemble_load(mesh, lambda x, y: x * y))
@@ -107,6 +115,26 @@ def test_make_helpers():
     extension = make_data(replace(spec, mode="extension"), mesh)
     assert np.array_equal(extension.load, data.load)
     assert np.allclose(extension.g, want, rtol=1e-15, atol=1e-18)
+
+
+@pytest.mark.parametrize("domain,grid", [
+    ("0 0 2 1", "8 4"), ("-1 2 3 4.5", "37 23"), ("-0.0 0 1 1", "2 7"),
+])
+def test_border_mode_samples_g_on_the_border_only(monkeypatch, domain, grid):
+    # g's border values are the nodal values' trace, bit for bit, and
+    # no (N, 2) node array is built for them
+    spec = parse_problem(
+        f"domain = {domain}\ngrid = {grid}\nf = 1\n"
+        "g = sin(pi*x)*exp(y) + x*y\nmode = border\n"
+    )
+    mesh = spec.mesh
+    want = extend(mesh, trace(mesh, nodal_values(mesh, as_function(spec.g_expr))))
+
+    def refuse(self):
+        raise AssertionError("make_data built mesh.nodes")
+
+    monkeypatch.setattr(Mesh, "nodes", property(refuse))
+    assert make_data(spec, mesh).g.tobytes() == want.tobytes()
 
 
 def test_csv_round_trip_is_bit_exact():

@@ -73,3 +73,22 @@ def test_mesh_keeps_what_the_reference_check_reads():
     want = np.column_stack([gx.ravel(), gy.ravel()])
     assert nodes.tobytes() == want.tobytes()
     assert int(mask.sum()) == 2 * (nx + ny)
+
+
+def test_verify_calls_eval_p1_through_its_module_binding(monkeypatch):
+    # the tracer rebinds verify.eval_p1 with a leaf that takes *args only
+    # and counts mesh.eval_p1_calls: 2 on a verify run, one per load
+    from dirichlet_fem import verify
+
+    calls = []
+    original = verify.eval_p1
+
+    def leaf(*args):
+        calls.append(len(args))
+        return original(*args)
+
+    monkeypatch.setattr(verify, "eval_p1", leaf)
+    system = make_system(0.0, 0.0, 1.0, 1.0, 6, 5)
+    results = verify.run_checks(system, lambda x, y: 1.0 + x * y, lambda x, y: x - y, 3)
+    assert verify.all_passed(results)
+    assert calls == [4, 4]
