@@ -28,7 +28,6 @@ import numpy as np
 
 from .assembly import InteriorSystem, _ground_mode, stiffness_spectrum
 from .assembly import norm_grad, norm_l2, norm_w12
-from .dirichlet import ProblemData, build_functional
 from .linsolve import ConvergenceError
 from .riesz import riesz_represent
 
@@ -77,8 +76,6 @@ def estimate_poincare(system: InteriorSystem) -> PoincareEstimate:
     """
     A_int, M_int, mesh = system.A_int, system.M_int, system.mesh
     n = A_int.dimension
-    if n == 0:
-        raise ValueError("mesh has no interior nodes")
     hx, hy = mesh.cell_sides
     cell = hx * hy
     mu = np.partition(np.append(stiffness_spectrum(mesh), np.inf), 1)
@@ -159,21 +156,21 @@ class FunctionalBound(NamedTuple):
 
 def check_functional_bound(
     system: InteriorSystem,
-    data: ProblemData,
+    lam: np.ndarray,
+    g: np.ndarray,
     f_vals: np.ndarray,
     a: float,
 ) -> FunctionalBound:
     """Evaluate ||lam|| <= a ||f_h||_2 + ||g||_grad on the given mesh.
 
-    The left side is the gradient norm of the functional's representer;
-    f_h is the P1 field with nodal values f_vals, the source whose load
-    is data.load.
+    lam is the reduced functional (load - A g)_interior of the problem
+    with extension g, as SolveReport.lam holds it, and f_h is the P1
+    field with nodal values f_vals, the source whose load is M f_vals.
+    The left side is the gradient norm of lam's representer.
     """
     A, M, A_int = system.A, system.M, system.A_int
-    g_field = np.asarray(data.g, dtype=float)
-    lam = build_functional(system, data.load, g_field)
     lhs = norm_grad(A_int, riesz_represent(A_int, lam))
-    rhs = a * norm_l2(M, f_vals) + norm_grad(A, g_field)
+    rhs = a * norm_l2(M, f_vals) + norm_grad(A, g)
     return FunctionalBound(lhs=lhs, rhs=rhs)
 
 

@@ -326,6 +326,9 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     same mesh).  f is called once on the midpoints of all edges, each
     once (0.5 (p + q) has the same bits from either triangle); a scalar
     result is broadcast.  Contributions are summed in triangle order.
+    A non-finite value raises ValueError naming the first bad midpoint
+    in the order f was called on, as a parsed source's EvalError does:
+    horizontal, then vertical, then diagonal edges, each row-major.
     """
     xs, ys, area = _cells(mesh)
     xm, ym = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
@@ -336,25 +339,19 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     x, y = (np.concatenate([np.broadcast_to(g[k], s) for g, s in zip(lines, shapes)],
                            axis=None) for k in (0, 1))
     ends = np.cumsum([r * c for r, c in shapes])[:-1]
-
-    def by_triangle(values):
-        # the values on edge k = (k, k+1) of the lower triangles, (a, a+1),
-        # (a+1, c), (c, a), then of the upper ones, (a, c), (c, d), (d, a)
-        parts = np.split(values, ends)
-        h, v, d = (part.reshape(s) for part, s in zip(parts, shapes))
-        return (h[:-1], v[:, 1:], d), (d, h[1:], v[:, :-1])
-
     fm = np.broadcast_to(f(x, y), x.shape)
     finite = np.isfinite(fm)
     if not finite.all():
-        order = np.stack(sum(by_triangle(np.arange(len(fm))), ()), axis=-1)
-        k = int(order.flat[np.argmin(finite[order])])  # first in triangle order
+        k = int(np.argmin(finite))  # first in the order f was called on
         raise ValueError(
             f"source function returned non-finite value {float(fm[k])!r} "
             f"at quadrature point ({x[k]}, {y[k]})"
         )
     del x, y  # free the midpoints before the sums make their temporaries
-    fmid = by_triangle(fm)
+    h, v, d = (part.reshape(s) for part, s in zip(np.split(fm, ends), shapes))
+    # the values on edge k = (k, k+1) of the lower triangles, (a, a+1),
+    # (a+1, c), (c, a), then of the upper ones, (a, c), (c, d), (d, a)
+    fmid = (h[:-1], v[:, 1:], d), (d, h[1:], v[:, :-1])
     weight = (area / 3.0) * 0.5
 
     def local(t, a, b):  # phi_a is 1/2 on the two edges touching vertex a

@@ -25,22 +25,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-__all__ = [
-    "Num",
-    "Name",
-    "Unary",
-    "Binary",
-    "Call",
-    "Expr",
-    "ParseError",
-    "EvalError",
-    "MAX_DEPTH",
-    "parse",
-    "evaluate",
-    "as_function",
-]
-
-
 @dataclass(frozen=True)
 class Num:
     value: float

@@ -1,7 +1,8 @@
 """Problem files and field output.
 
-A problem file is flat text, one `key = value` pair per line, with
-blank lines and lines starting with `#` ignored.  Recognized keys, and
+A problem file is flat UTF-8 text (a leading byte-order mark is
+skipped), one `key = value` pair per line, with blank lines and lines
+starting with `#` ignored.  Recognized keys, and
 no others:
 
     domain   = x0 y0 x1 y1      rectangle corners, finite, x0 < x1, y0 < y1 (required)
@@ -61,14 +62,17 @@ class ProblemFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One parsed problem file: its mesh, expressions and settings."""
+    """One parsed problem file: its mesh, expressions and settings.
+
+    parse_problem, its one constructor, applies the format's defaults.
+    """
 
     mesh: Mesh
     f_expr: Expr
     g_expr: Expr
-    mode: str = "extension"
-    u_exact_expr: Expr | None = None
-    seed: int = 42
+    mode: str
+    u_exact_expr: Expr | None
+    seed: int
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -162,8 +166,11 @@ def parse_problem(text: str) -> ProblemSpec:
 
 
 def load_problem(path: str) -> ProblemSpec:
-    """Read and parse a problem file; I/O errors propagate as OSError."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Read and parse a problem file; I/O errors propagate as OSError.
+
+    The file is UTF-8, with or without a leading byte-order mark.
+    """
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_problem(handle.read())
 
 

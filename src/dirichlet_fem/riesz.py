@@ -48,8 +48,4 @@ def check_square_identity(
     is (x - p) . (A p - lam), so it stays at solver-residual scale.
     """
     d = np.asarray(x, dtype=float) - p
-    return abs(
-        energy(A, lam, x)
-        + 0.5 * A.quad_form(p)
-        - 0.5 * float(np.dot(d, A.apply(d)))
-    )
+    return abs(energy(A, lam, x) + 0.5 * A.quad_form(p) - 0.5 * A.quad_form(d))

@@ -190,9 +190,9 @@ def test_criterion_07_continuity_bounds_hold(grid16):
         f_vals = rng.standard_normal(mesh.node_count)
         g = rng.standard_normal(mesh.node_count)
         data = ProblemData(load=grid16.M.apply(f_vals), g=g)
-        u = solve(grid16, data).u
-        functional = check_functional_bound(grid16, data, f_vals, est.a)
-        bounds = check_stability(grid16, u, data.g, f_vals, est.a)
+        solved = solve(grid16, data)
+        functional = check_functional_bound(grid16, solved.lam, g, f_vals, est.a)
+        bounds = check_stability(grid16, solved.u, data.g, f_vals, est.a)
         assert functional.lhs <= functional.rhs * slack
         assert bounds.riesz_lhs <= bounds.riesz_rhs * slack
         assert bounds.lhs <= bounds.rhs * slack

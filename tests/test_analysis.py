@@ -11,6 +11,7 @@ import dirichlet_fem.analysis
 from dirichlet_fem import (
     ConvergenceError,
     ProblemData,
+    build_functional,
     check_functional_bound,
     check_stability,
     estimate_poincare,
@@ -123,8 +124,8 @@ def test_functional_bound_holds_for_nodal_data(unit16):
     for _ in range(25):
         f_vals = rng.standard_normal(mesh.node_count)
         g = rng.standard_normal(mesh.node_count)
-        data = ProblemData(load=unit16.M.apply(f_vals), g=g)
-        bound = check_functional_bound(unit16, data, f_vals, est.a)
+        lam = build_functional(unit16, unit16.M.apply(f_vals), g)
+        bound = check_functional_bound(unit16, lam, g, f_vals, est.a)
         assert bound.lhs <= bound.rhs * (1.0 + 1e-8)
 
 
@@ -150,9 +151,21 @@ def test_bounds_are_tight_for_the_ground_mode(unit16):
     mesh = unit16.mesh
     est = estimate_poincare(unit16)
     v = extend_by_zero(mesh, est.eigenvector)
-    data = ProblemData(load=unit16.M.apply(v), g=np.zeros(mesh.node_count))
-    bound = check_functional_bound(unit16, data, v, est.a)
+    g = np.zeros(mesh.node_count)
+    lam = build_functional(unit16, unit16.M.apply(v), g)
+    bound = check_functional_bound(unit16, lam, g, v, est.a)
     assert bound.lhs == pytest.approx(bound.rhs, rel=1e-5)
+
+
+@pytest.mark.parametrize("name", SINE_GRIDS)
+def test_functional_bound_of_a_solve_is_its_energy_norm(name):
+    # lam's representer is the solve's minimizer p, bit for bit
+    system = make_system(*SINE_GRIDS[name])
+    rng = np.random.default_rng(11)
+    f_vals, g = rng.standard_normal((2, system.mesh.node_count))
+    report = solve(system, ProblemData(load=system.M.apply(f_vals), g=g))
+    bound = check_functional_bound(system, report.lam, g, f_vals, 1.0)
+    assert bound.lhs == norm_grad(system.A_int, report.p)
 
 
 @pytest.mark.parametrize("name", CERTIFIED_GRIDS)

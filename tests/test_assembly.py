@@ -6,7 +6,9 @@ import sympy as sp
 from scipy.sparse import csr_matrix
 
 from dirichlet_fem import (
+    EvalError,
     InteriorSystem,
+    as_function,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -17,6 +19,7 @@ from dirichlet_fem import (
     norm_grad,
     norm_l2,
     norm_w12,
+    parse,
     restrict_interior,
 )
 from dirichlet_fem import assembly
@@ -289,11 +292,24 @@ def test_load_of_interpolant_is_mass_apply(unit8):
 
 def test_load_rejects_nonfinite_source(unit4):
     mesh = unit4.mesh
-    # the first quadrature point: the midpoint of triangle 0's first edge
+    # the first point f is called on: the midpoint of the first horizontal edge
     with pytest.raises(ValueError, match=r"nan at quadrature point \(0.125, 0.0\)"):
         assemble_load(mesh, lambda x, y: float("nan"))
-    with pytest.raises(ValueError, match=r"inf at quadrature point \(1.0, 0.875\)"):
+    # horizontal edges come before vertical ones, so not (1.0, 0.875)
+    with pytest.raises(ValueError, match=r"inf at quadrature point \(0.875, 1.0\)"):
         assemble_load(mesh, lambda x, y: np.where(x + y > 1.7, np.inf, 1.0))
+
+
+def test_load_names_the_bad_point_a_parsed_source_names(unit4):
+    # A parsed source raises EvalError at its first bad point; a numpy
+    # callable returns nan there and assemble_load names the same point.
+    with pytest.raises(EvalError) as parsed:
+        assemble_load(unit4.mesh, as_function(parse("sqrt(1.7 - x - y)")))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError) as numeric:
+        assemble_load(unit4.mesh, lambda x, y: np.sqrt(1.7 - x - y))
+    assert type(numeric.value) is ValueError
+    assert parsed.value.point == (0.875, 1.0)
+    assert str(numeric.value).endswith(f"at quadrature point {parsed.value.point}")
 
 
 def test_norms_of_affine_field(skewed6x5):

@@ -153,6 +153,17 @@ def test_verify_seed_flag_overrides(tmp_path):
     assert with_flag.stdout == from_file.stdout
 
 
+def test_poincare_ignores_a_byte_order_mark(tmp_path):
+    text = "domain = 0 0 2 1\ngrid = 8 4\nf = 0\ng = 0\n"
+    plain = write(tmp_path, "plain.txt", text)
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    want = run_cli("poincare", "--spec", plain, binary=True)
+    got = run_cli("poincare", "--spec", str(marked), binary=True)
+    assert want.returncode == got.returncode == 0
+    assert (got.stdout, got.stderr) == (want.stdout, want.stderr)
+
+
 def test_poincare_hand_value(tmp_path):
     spec = write(tmp_path, "p.txt", "domain = 0 0 1 1\ngrid = 2 2\nf = 0\ng = 0\n")
     proc = run_cli("poincare", "--spec", spec)

@@ -4,8 +4,10 @@ public name serves a command.
 Imports are read from the source with ast, so nothing is imported and
 an import inside a function counts like one at the top.  The solution
 map sits below everything that judges it: dirichlet imports nothing
-from analysis, verify or cli.  It takes a load, not a source: it names
-nothing that samples or integrates a callable.
+from analysis, verify or cli, and analysis, which judges the arrays a
+solve returned, imports nothing from dirichlet.  The solve takes a
+load, not a source: it names nothing that samples or integrates a
+callable.
 """
 
 import ast
@@ -84,6 +86,10 @@ def test_internal_imports_form_a_dag():
 def test_dirichlet_imports_none_of_its_judges():
     assert not internal_imports()["dirichlet"] & {"analysis", "verify", "cli"}
 
+
+def test_analysis_imports_nothing_from_dirichlet():
+    # the bounds judge the arrays a solve returned; they rebuild none
+    assert "dirichlet" not in internal_imports()["analysis"]
 
 
 def test_dirichlet_names_no_sampler_or_quadrature():

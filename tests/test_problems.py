@@ -18,6 +18,7 @@ from dirichlet_fem import (
     assemble_load,
     build_rect_mesh,
     extend,
+    load_problem,
     make_data,
     nodal_values,
     parse,
@@ -88,6 +89,13 @@ def test_comments_and_blanks_ignored():
         "\n# leading comment\ndomain = 0 0 1 1\n\ngrid = 4 4\nf = 1\n# mid\ng = 0\n\n"
     )
     assert spec.mesh.domain == (0.0, 0.0, 1.0, 1.0)
+
+
+def test_load_problem_skips_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(FULL, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + FULL.encode())
+    assert load_problem(str(marked)) == load_problem(str(plain)) == parse_problem(FULL)
 
 
 def test_spacing_is_free():

@@ -18,8 +18,11 @@ perfbench/run.py and reads the JSON object on the last line of its
 stdout.
 
 The file holds every run and, per workload and end-to-end metric, the
-median and quartiles of each side and the number of pairs in which the
-change was better, with the direction taken from BENCHMARK.json.
+median and quartiles of each side, the number of pairs in which the
+change was better, with the direction taken from BENCHMARK.json, and
+worse_beyond_bound: whether the change's median is worse than the
+base's by more than the metric's bound times |base median|.  The
+script lists those flagged metrics on stderr.
 """
 
 from __future__ import annotations
@@ -58,19 +61,23 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     return result
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
+def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload and metric of BENCHMARK.json's end_to_end list."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = [r for r in runs if r["workload"] == workload and r["trace"] == 0]
         summary[workload] = {}
-        for name, direction in better.items():
+        for metric in end_to_end:
+            name = metric["name"]
             values = {s: [p[s]["metrics"][name] for p in pairs] for s in SIDES}
-            sign = 1.0 if direction == "lower" else -1.0
+            sign = 1.0 if metric["better"] == "lower" else -1.0
             wins = sum(sign * (c - b) < 0 for b, c in zip(values["base"], values["change"]))
             entry = {"pairs": len(pairs), "change_better": wins}
             for side, vals in values.items():
                 q1, median, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
                 entry[side] = {"median": median, "q1": q1, "q3": q3}
+            base, change = entry["base"]["median"], entry["change"]["median"]
+            entry["worse_beyond_bound"] = sign * (change - base) > metric["bound"] * abs(base)
             summary[workload][name] = entry
     return summary
 
@@ -86,7 +93,6 @@ def main(argv=None) -> int:
     checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     runs = []
     for spec in args.run:
@@ -101,10 +107,17 @@ def main(argv=None) -> int:
             runs.append(run)
             print(f"{workload} seed {seed} trace {trace} done", file=sys.stderr)
 
+    summary = summarise(runs, benchmark["end_to_end"])
+    for workload, metrics in summary.items():
+        for name, entry in metrics.items():
+            if entry["worse_beyond_bound"]:
+                print(f"worse beyond bound: {workload} {name} median "
+                      f"{entry['base']['median']:.6g} -> {entry['change']['median']:.6g}",
+                      file=sys.stderr)
     args.out.write_text(json.dumps({
         "command": f"python3 perfbench/run.py --seconds {seconds:g}",
         "sides": {s: {"src_sha256": src_digest(c)} for s, c in checkouts.items()},
-        "summary": summarise(runs, better),
+        "summary": summary,
         "runs": runs,
     }, indent=1) + "\n")
     return 0
