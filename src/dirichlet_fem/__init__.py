@@ -24,9 +24,7 @@ from .assembly import (
     assemble_mass,
     assemble_stiffness,
     extend_by_zero,
-    norm_grad,
-    norm_l2,
-    norm_w12,
+    norm,
     restrict_interior,
 )
 from .dirichlet import (
@@ -52,7 +50,7 @@ from .problems import (
     write_field_csv,
 )
 from .riesz import check_square_identity, energy, riesz_represent
-from .verify import CheckResult, all_passed, run_checks
+from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
 
@@ -72,7 +70,6 @@ __all__ = [
     "SolveReport",
     "SparseSymMatrix",
     "StabilityBounds",
-    "all_passed",
     "as_function",
     "assemble_load",
     "assemble_mass",
@@ -93,9 +90,7 @@ __all__ = [
     "load_problem",
     "make_data",
     "nodal_values",
-    "norm_grad",
-    "norm_l2",
-    "norm_w12",
+    "norm",
     "parse",
     "parse_problem",
     "quotient_solve",

@@ -26,8 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import InteriorSystem, _ground_mode, stiffness_spectrum
-from .assembly import norm_grad, norm_l2, norm_w12
+from .assembly import InteriorSystem, _ground_mode, norm, stiffness_spectrum
 from .linsolve import ConvergenceError
 from .riesz import riesz_represent
 
@@ -93,11 +92,11 @@ def estimate_poincare(system: InteriorSystem) -> PoincareEstimate:
         for _ in range(2):
             w -= (MQ @ w) @ Q
         Mw = M_int.apply(w)
-        norm = np.sqrt(w @ Mw)
-        full = len(Q) == n or not norm > 0.0  # no new direction
+        w_norm = np.sqrt(w @ Mw)
+        full = len(Q) == n or not w_norm > 0.0  # no new direction
         if not full:
-            q = w / norm
-            Q, MQ = np.vstack([Q, q]), np.vstack([MQ, Mw / norm])
+            q = w / w_norm
+            Q, MQ = np.vstack([Q, q]), np.vstack([MQ, Mw / w_norm])
             h = Q @ A_int.apply(q)
             H = np.block([[H, h[:-1, None]], [h[None, :]]])
         v = np.linalg.eigh(H)[1][:, 0] @ Q
@@ -169,8 +168,8 @@ def check_functional_bound(
     The left side is the gradient norm of lam's representer.
     """
     A, M, A_int = system.A, system.M, system.A_int
-    lhs = norm_grad(A_int, riesz_represent(A_int, lam))
-    rhs = a * norm_l2(M, f_vals) + norm_grad(A, g)
+    lhs = norm(riesz_represent(A_int, lam), A_int)
+    rhs = a * norm(f_vals, M) + norm(g, A)
     return FunctionalBound(lhs=lhs, rhs=rhs)
 
 
@@ -204,13 +203,13 @@ def check_stability(
     A, M = system.A, system.M
     u = np.asarray(u, dtype=float)
     g_field = np.asarray(g, dtype=float)
-    f_norm = norm_l2(M, f_vals)
+    f_norm = norm(f_vals, M)
     w = u - g_field
     factor = np.sqrt(a * a + 1.0)
-    riesz_lhs = norm_w12(A, M, w)
-    riesz_rhs = factor * (a * f_norm + norm_grad(A, g_field))
-    lhs = norm_w12(A, M, u)
-    rhs = riesz_rhs + norm_w12(A, M, g_field)
+    riesz_lhs = norm(w, A, M)
+    riesz_rhs = factor * (a * f_norm + norm(g_field, A))
+    lhs = norm(u, A, M)
+    rhs = riesz_rhs + norm(g_field, A, M)
     return StabilityBounds(
         lhs=lhs, rhs=rhs, riesz_lhs=riesz_lhs, riesz_rhs=riesz_rhs
     )

@@ -360,33 +360,20 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     return _slice_sum(mesh, _BANDS[0], local).ravel()
 
 
-def _form_sqrt(x: np.ndarray, *mats: SparseSymMatrix) -> float:
-    """sqrt of the summed quadratic forms, clamping roundoff below zero."""
-    q = sum(m.quad_form(x) for m in mats)
+def norm(u: np.ndarray, *brackets: SparseSymMatrix) -> float:
+    """sqrt of the summed forms u' B u, clamping roundoff below zero:
+    norm(u, A) is the gradient seminorm, norm(u, M) the square-sum norm
+    and norm(u, A, M) the full W^{1,2} norm."""
+    q = sum(b.quad_form(u) for b in brackets)
     if q >= 0.0:
         return float(np.sqrt(q))
-    scale = max(1.0, sum(m.abs_quad_form(x) for m in mats))
+    scale = max(1.0, sum(b.abs_quad_form(u) for b in brackets))
     if q > -_FORM_CLAMP * scale:
         return 0.0
     raise ValueError(
         f"quadratic form {q} is negative beyond roundoff (scale {scale}); "
         "assembly is broken"
     )
-
-
-def norm_grad(A: SparseSymMatrix, u: np.ndarray) -> float:
-    """Gradient seminorm sqrt(u' A u); zero on constants."""
-    return _form_sqrt(u, A)
-
-
-def norm_l2(M: SparseSymMatrix, u: np.ndarray) -> float:
-    """Square-sum norm sqrt(u' M u)."""
-    return _form_sqrt(u, M)
-
-
-def norm_w12(A: SparseSymMatrix, M: SparseSymMatrix, u: np.ndarray) -> float:
-    """Full norm sqrt(u' A u + u' M u)."""
-    return _form_sqrt(u, A, M)
 
 
 def restrict_interior(mesh: Mesh, u: np.ndarray) -> np.ndarray:

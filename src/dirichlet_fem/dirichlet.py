@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import InteriorSystem, extend_by_zero, norm_grad, restrict_interior
+from .assembly import InteriorSystem, extend_by_zero, norm, restrict_interior
 from .linsolve import cg_solve
 from .mesh import Mesh, _as_field
 
@@ -160,4 +160,4 @@ def verify_uniqueness(
             f"fields carry different boundary values (max gap {gap:.3e}); "
             "they are not solutions of the same problem"
         )
-    return norm_grad(system.A, u1 - u2)
+    return norm(u1 - u2, system.A)

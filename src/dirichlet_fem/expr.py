@@ -36,8 +36,7 @@ class Name:
 
 
 @dataclass(frozen=True)
-class Unary:
-    op: str  # only "-"
+class Unary:  # unary minus
     operand: "Expr"
 
 
@@ -187,7 +186,7 @@ class _Parser:
                 return inner
             if text == "-":
                 operand, height = self.expression(_UNARY_PRECEDENCE)
-                return Unary("-", operand), self.nested(height + 1, offset)
+                return Unary(operand), self.nested(height + 1, offset)
         if kind == "end":
             raise ParseError("unexpected end of expression", offset)
         raise ParseError(f"unexpected token {text!r}", offset)

@@ -39,7 +39,11 @@ class CGResult:
 
 
 class ConvergenceError(RuntimeError):
-    """Solve failed: the residual stopped shrinking, or its threshold overflowed."""
+    """Raised when cg_solve's residual stops shrinking or its threshold
+    overflows, when estimate_poincare's Ritz vector has no finite positive
+    M-norm, and when its bracket stays wider than RQ_TOLERANCE through
+    MAX_STEPS Krylov steps or until the space stops growing.
+    """
 
     def __init__(self, message: str, iterations: int, residual: float):
         super().__init__(message)

@@ -11,7 +11,6 @@ no others:
     g        = <expression>     boundary data (required)
     mode     = extension|border how g enters the solve (default extension)
     u_exact  = <expression>     reference field for convergence studies
-    seed     = <int>            seed for randomized verification, >= 0 (default 42)
 
 Fields are written as CSV with one `node_index,x,y,u,is_boundary` row
 per node in global node order; values use %.17g so every one reads
@@ -46,7 +45,6 @@ _VALID_KEYS = (
     "g",
     "mode",
     "u_exact",
-    "seed",
 )
 _REQUIRED_KEYS = ("domain", "grid", "f", "g")
 _MODES = ("extension", "border")
@@ -62,7 +60,7 @@ class ProblemFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One parsed problem file: its mesh, expressions and settings.
+    """One parsed problem file: its mesh, expressions and mode.
 
     parse_problem, its one constructor, applies the format's defaults.
     """
@@ -72,7 +70,6 @@ class ProblemSpec:
     g_expr: Expr
     mode: str
     u_exact_expr: Expr | None
-    seed: int
 
 
 def parse_problem(text: str) -> ProblemSpec:
@@ -146,22 +143,12 @@ def parse_problem(text: str) -> ProblemSpec:
     if mode not in _MODES:
         fail("mode", f"must be one of {', '.join(_MODES)}, got {mode!r}")
 
-    seed = 42
-    if "seed" in values:
-        try:
-            seed = int(values["seed"])
-        except ValueError:
-            fail("seed", f"bad integer {values['seed']!r}")
-        if seed < 0:
-            fail("seed", f"must be non-negative, got {seed}")
-
     return ProblemSpec(
         mesh=mesh,
         f_expr=f_expr,
         g_expr=g_expr,
         mode=mode,
         u_exact_expr=u_exact_expr,
-        seed=seed,
     )
 
 

@@ -25,8 +25,7 @@ from .assembly import (
     assemble_mass,
     assemble_stiffness,
     extend_by_zero,
-    norm_grad,
-    norm_l2,
+    norm,
 )
 from .dirichlet import (
     ProblemData,
@@ -69,7 +68,7 @@ def run_checks(
 
     # Normalize the reduced problem so the minimizer has unit energy
     # norm; identities are then checked against absolute tolerances.
-    p_norm = norm_grad(A_int, report.p)
+    p_norm = norm(report.p, A_int)
     if p_norm > 0.0:
         lam1 = report.lam / p_norm
         p1 = report.p / p_norm
@@ -133,7 +132,7 @@ def run_checks(
     # The dual norm of lam is the energy norm of its representer p.
     worst_overshoot = -np.inf
     for d in directions:
-        bound = p_norm * norm_grad(A_int, d) * (1.0 + 1e-8) + 1e-13
+        bound = p_norm * norm(d, A_int) * (1.0 + 1e-8) + 1e-13
         worst_overshoot = max(
             worst_overshoot, abs(float(np.dot(report.lam, d))) - bound
         )
@@ -146,7 +145,7 @@ def run_checks(
     )
 
     distance = verify_uniqueness(system, u_bumped, report.u)
-    uniq_tol = 1e-9 * (1.0 + norm_grad(A, report.u))
+    uniq_tol = 1e-9 * (1.0 + norm(report.u, A))
     results.append(
         CheckResult(
             "uniqueness",
@@ -157,9 +156,9 @@ def run_checks(
 
     worst_ratio = 0.0
     for v in list(directions) + [est.eigenvector]:
-        denom = norm_grad(A_int, v)
+        denom = norm(v, A_int)
         if denom > 0.0:
-            worst_ratio = max(worst_ratio, norm_l2(system.M_int, v) / denom)
+            worst_ratio = max(worst_ratio, norm(v, system.M_int) / denom)
     results.append(
         CheckResult(
             "poincare-bound",
@@ -252,7 +251,3 @@ def run_checks(
     )
 
     return results
-
-
-def all_passed(results: list[CheckResult]) -> bool:
-    return all(r.passed for r in results)

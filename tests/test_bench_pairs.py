@@ -1,4 +1,5 @@
-"""The paired-run summary of tools/bench_pairs.py on hand-made runs."""
+"""tools/bench_pairs.py: its paired-run summary on hand-made runs, and
+what it records of each side's sources."""
 
 import importlib.util
 from pathlib import Path
@@ -38,3 +39,11 @@ def test_summary_flags_a_median_worse_beyond_its_bound():
     assert (entry["pairs"], entry["change_better"]) == (3, 0)
     assert (entry["base"]["median"], entry["change"]["median"]) == (1.0, 1.2)
     assert summary["faster"]["ok_ratio"]["change_better"] == 3
+
+
+def test_src_lines_is_the_sum_of_the_package_file_lengths():
+    root = TOOL.parents[1]
+    files = list((root / "src").rglob("*.py"))
+    assert len(files) > 1
+    want = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
+    assert bench_pairs.describe_src(root)["src_lines"] == want

@@ -59,8 +59,7 @@ def test_solve_report_contents(tmp_path):
     # every report line is the library's own number on the same file
     from dirichlet_fem import (
         as_function, assemble_system, check_stability, energy, estimate_poincare,
-        load_problem, make_data, nodal_values, norm_grad, norm_l2,
-        norm_w12, solve, weak_residual,
+        load_problem, make_data, nodal_values, norm, solve, weak_residual,
     )
 
     # a grid whose bracket ends differ in the printed digits, so a line
@@ -84,9 +83,9 @@ def test_solve_report_contents(tmp_path):
         "nodes": f"{mesh.node_count} ({mesh.interior_count} interior)",
         "energy": f"{energy(A, data.load, u):.17g}",
         "weak_residual": f"{weak_residual(system, u, data.load):.6e}",
-        "norm_l2": f"{norm_l2(M, u):.12g}",
-        "norm_grad": f"{norm_grad(A, u):.12g}",
-        "norm_w12": f"{norm_w12(A, M, u):.12g}",
+        "norm_l2": f"{norm(u, M):.12g}",
+        "norm_grad": f"{norm(u, A):.12g}",
+        "norm_w12": f"{norm(u, A, M):.12g}",
         "poincare_a": f"{est.a:.12g}",
         "poincare_a_hi": f"{est.a_hi:.12g}",
         "stability_lhs": f"{bounds.lhs:.12g}",
@@ -133,9 +132,7 @@ def test_border_mode_matches_extension(tmp_path):
 
 
 def test_verify_passes_and_is_deterministic(tmp_path):
-    spec = write(
-        tmp_path, "p.txt", BASE + "f = sin(pi*x)*sin(pi*y)\ng = 0.5*x\nseed = 11\n"
-    )
+    spec = write(tmp_path, "p.txt", BASE + "f = sin(pi*x)*sin(pi*y)\ng = 0.5*x\n")
     first = run_cli("verify", "--spec", spec, binary=True)
     second = run_cli("verify", "--spec", spec, binary=True)
     assert first.returncode == 0
@@ -146,11 +143,41 @@ def test_verify_passes_and_is_deterministic(tmp_path):
 
 
 def test_verify_seed_flag_overrides(tmp_path):
-    spec = write(tmp_path, "p.txt", BASE + "f = 1\ng = 0\nseed = 1\n")
-    with_flag = run_cli("verify", "--spec", spec, "--seed", "1", binary=True)
-    from_file = run_cli("verify", "--spec", spec, binary=True)
-    assert with_flag.returncode == from_file.returncode == 0
-    assert with_flag.stdout == from_file.stdout
+    spec = write(tmp_path, "p.txt", BASE + "f = 1\ng = 0\n")
+    with_flag = run_cli("verify", "--spec", spec, "--seed", "42", binary=True)
+    default = run_cli("verify", "--spec", spec, binary=True)
+    assert with_flag.returncode == default.returncode == 0
+    assert with_flag.stdout == default.stdout
+
+
+def test_verify_exits_2_when_any_check_fails(tmp_path, monkeypatch, capsys):
+    from dirichlet_fem import CheckResult, cli
+
+    spec = write(tmp_path, "p.txt", BASE + "f = 1\ng = 0\n")
+    good, bad = CheckResult("x", True, "fine"), CheckResult("y", False, "broke")
+    for results, code in (([good, good], 0), ([good, bad], 2), ([], 0)):
+        monkeypatch.setattr(cli, "run_checks", lambda *args: results)
+        assert cli.main(["verify", "--spec", spec]) == code
+    assert capsys.readouterr().out.splitlines()[2:4] == ["PASS x: fine", "FAIL y: broke"]
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # main builds its parser once; no call's options reach the next one
+    from dirichlet_fem import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    spec = write(tmp_path, "p.txt", BASE + "f = 1\ng = x*y\n")
+    field = tmp_path / "field.csv"
+    assert cli.main(["solve", "--spec", spec, "--out", str(field)]) == 0
+    written = field.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["solve", "--spec", spec]) == 0
+    assert capsys.readouterr().out.encode() == written == field.read_bytes()
+    assert cli.main(["verify", "--spec", spec, "--seed", "3"]) == 0
+    seed_3 = capsys.readouterr().out
+    assert cli.main(["verify", "--spec", spec]) == 0
+    fresh = run_cli("verify", "--spec", spec, "--seed", "42")
+    assert capsys.readouterr().out == fresh.stdout != seed_3
 
 
 def test_poincare_ignores_a_byte_order_mark(tmp_path):
@@ -248,7 +275,7 @@ def test_convergence_writes_csv(tmp_path):
             1,
             "line 1: domain: rectangle corners and extents must be finite",
         ),
-        (BASE + "f = 1\ng = 0\nseed = -1\n", 1, "line 5: seed: must be non-negative"),
+        (BASE + "f = 1\ng = 0\nseed = -1\n", 1, "line 5: unknown key 'seed'"),
         (
             "domain = 0 0 1e200 1e200\ngrid = 4 4\nf = 1\ng = 0\n",
             1,

@@ -16,9 +16,7 @@ from dirichlet_fem import (
     extend,
     extend_by_zero,
     nodal_values,
-    norm_grad,
-    norm_l2,
-    norm_w12,
+    norm,
     quotient_solve,
     restrict_interior,
     solve,
@@ -81,8 +79,8 @@ def test_report_fields_are_consistent(unit16):
     )
     assert reduced <= 0.0
     assert report.iterations == 1
-    l2, grad = norm_l2(unit16.M, report.u), norm_grad(A, report.u)
-    assert norm_w12(A, unit16.M, report.u) == pytest.approx(
+    l2, grad = norm(report.u, unit16.M), norm(report.u, A)
+    assert norm(report.u, A, unit16.M) == pytest.approx(
         np.hypot(l2, grad), rel=1e-12
     )
     assert weak_residual(unit16, report.u, load) <= 1e-9
@@ -149,7 +147,7 @@ def test_two_solves_agree(unit16):
     u1 = solve(unit16, ProblemData(load=load, g=g)).u
     u2 = solve(unit16, ProblemData(load=load, g=g + bump)).u
     dist = verify_uniqueness(unit16, u1, u2)
-    assert dist <= 1e-9 * (1.0 + norm_grad(unit16.A, u1))
+    assert dist <= 1e-9 * (1.0 + norm(u1, unit16.A))
 
 
 def test_verify_uniqueness_rejects_boundary_mismatch(unit8):
@@ -213,8 +211,8 @@ def test_quotient_solve_matches_direct(unit16):
     g = rng.standard_normal(mesh.node_count)  # random interior extension
     direct = solve(unit16, ProblemData(load=load, g=g))
     quotient = quotient_solve(unit16, load, trace(mesh, g))
-    dist = norm_w12(A, M, direct.u - quotient.u)
-    assert dist <= 1e-8 * (1.0 + norm_w12(A, M, direct.u))
+    dist = norm(direct.u - quotient.u, A, M)
+    assert dist <= 1e-8 * (1.0 + norm(direct.u, A, M))
 
 
 def test_solution_map_is_linear(unit16):
@@ -230,8 +228,8 @@ def test_solution_map_is_linear(unit16):
     combo_load = M.apply(alpha * f1_vals + beta * f2_vals)
     u12 = solve(unit16, ProblemData(combo_load, alpha * g1 + beta * g2)).u
 
-    deviation = norm_w12(A, M, u12 - alpha * u1 - beta * u2)
-    scale = 1.0 + max(norm_w12(A, M, u1), norm_w12(A, M, u2))
+    deviation = norm(u12 - alpha * u1 - beta * u2, A, M)
+    scale = 1.0 + max(norm(u1, A, M), norm(u2, A, M))
     assert deviation <= 1e-8 * scale
 
 
@@ -245,12 +243,12 @@ def test_class_invariance(unit16):
 
     base = solve(unit16, ProblemData(load, g))
     bumped = solve(unit16, ProblemData(load, g + extend_by_zero(mesh, psi)))
-    dist = norm_w12(A, M, bumped.u - base.u)
-    assert dist <= 1e-8 * (1.0 + norm_w12(A, M, base.u))
+    dist = norm(bumped.u - base.u, A, M)
+    assert dist <= 1e-8 * (1.0 + norm(base.u, A, M))
 
     # zero data with a boundary-vanishing extension solves to zero
     null = solve(unit16, ProblemData(np.zeros(mesh.node_count), extend_by_zero(mesh, psi)))
-    assert norm_w12(A, M, null.u) <= 1e-8
+    assert norm(null.u, A, M) <= 1e-8
 
 
 def test_build_functional_hand_value():

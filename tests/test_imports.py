@@ -148,3 +148,21 @@ def test_every_public_name_is_reached_from_a_command():
             reached.add(name)
             todo.extend(defines.get(name, ()))
     assert sorted(set(dirichlet_fem.__all__) - reached) == []
+
+
+def test_public_names_are_one_per_concept():
+    # one bracket norm, norm(u, *brackets), in place of norm_grad, norm_l2
+    # and norm_w12; run_checks' results are judged by all() at the caller
+    assert dirichlet_fem.__all__ == [
+        "CGResult", "CheckResult", "ConvergenceError", "EvalError",
+        "FunctionalBound", "InteriorSystem", "Mesh", "ParseError",
+        "PoincareEstimate", "ProblemData", "ProblemFormatError", "ProblemSpec",
+        "SolveReport", "SparseSymMatrix", "StabilityBounds", "as_function",
+        "assemble_load", "assemble_mass", "assemble_stiffness", "assemble_system",
+        "build_functional", "build_rect_mesh", "cg_solve", "check_functional_bound",
+        "check_square_identity", "check_stability", "energy", "estimate_poincare",
+        "eval_p1", "evaluate", "extend", "extend_by_zero", "load_problem",
+        "make_data", "nodal_values", "norm", "parse", "parse_problem",
+        "quotient_solve", "restrict_interior", "riesz_represent", "run_checks",
+        "solve", "trace", "verify_uniqueness", "weak_residual", "write_field_csv",
+    ]

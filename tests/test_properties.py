@@ -35,7 +35,7 @@ leaves = st.one_of(
 trees = st.recursive(
     leaves,
     lambda sub: st.one_of(
-        sub.map(lambda a: Unary("-", a)),
+        sub.map(Unary),
         st.builds(Binary, st.sampled_from("+-*/^"), sub, sub),
         st.builds(Call, st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "abs"]), sub),
     ),
@@ -123,7 +123,7 @@ cli_edit = st.one_of(
             "1 1 0 0", "0 0 1", "nan 0 1 1", "0 0 1e-150 1e-150", "0 0 1e154 1e154",
         ]),
     ),
-    # tol and max_iter are not keys: the file is malformed and must exit 1
+    # tol, max_iter and seed are not keys: the file is malformed and must exit 1
     st.tuples(st.just("tol"), st.sampled_from(["0.5", "1e-300", "0", "1", "nan", "t"])),
     st.tuples(st.just("max_iter"), st.sampled_from(["1", "3", "0", "-2", "2.5"])),
     st.tuples(st.just("seed"), st.sampled_from(["0", "7", "-1", "9" * 20, "s"])),

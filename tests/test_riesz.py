@@ -7,7 +7,7 @@ from scipy.sparse import csr_matrix
 from dirichlet_fem import (
     check_square_identity,
     energy,
-    norm_grad,
+    norm,
     riesz_represent,
 )
 from tests.conftest import dense_sym
@@ -36,7 +36,7 @@ def test_one_dof_hand_oracle():
     p = riesz_represent(A_int, lam)
     assert p[0] == pytest.approx(0.0625, rel=1e-12)
     assert energy(A_int, lam, p) == pytest.approx(-0.0078125, rel=1e-12)
-    assert norm_grad(A_int, p) == pytest.approx(0.125, rel=1e-12)
+    assert norm(p, A_int) == pytest.approx(0.125, rel=1e-12)
 
 
 def test_minimality_over_random_directions(interior_system):
@@ -62,7 +62,7 @@ def test_strict_quadratic_excess(interior_system):
         d /= np.linalg.norm(d)
         for eps in (0.1, -0.1, 0.01, -0.01):
             excess = energy(A_int, lam, p + eps * d) - base
-            want = 0.5 * eps * eps * norm_grad(A_int, d) ** 2
+            want = 0.5 * eps * eps * norm(d, A_int) ** 2
             assert excess == pytest.approx(want, rel=1e-9)
 
 
@@ -83,16 +83,16 @@ def test_norm_preservation(interior_system):
     A_int, lam = interior_system
     p = riesz_represent(A_int, lam)
     independent = float(np.sqrt(lam @ np.linalg.solve(A_int.toarray(), lam)))
-    assert norm_grad(A_int, p) == pytest.approx(independent, rel=1e-9)
+    assert norm(p, A_int) == pytest.approx(independent, rel=1e-9)
 
 
 def test_dual_value_bounded_by_dual_norm(interior_system):
     A_int, lam = interior_system
-    nrm = norm_grad(A_int, riesz_represent(A_int, lam))
+    nrm = norm(riesz_represent(A_int, lam), A_int)
     rng = np.random.default_rng(25)
     for _ in range(50):
         v = rng.standard_normal(len(lam))
-        assert abs(float(lam @ v)) <= nrm * norm_grad(A_int, v) * (
+        assert abs(float(lam @ v)) <= nrm * norm(v, A_int) * (
             1.0 + 1e-8
         ) + 1e-13
 

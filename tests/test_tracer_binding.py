@@ -90,5 +90,5 @@ def test_verify_calls_eval_p1_through_its_module_binding(monkeypatch):
     monkeypatch.setattr(verify, "eval_p1", leaf)
     system = make_system(0.0, 0.0, 1.0, 1.0, 6, 5)
     results = verify.run_checks(system, lambda x, y: 1.0 + x * y, lambda x, y: x - y, 3)
-    assert verify.all_passed(results)
+    assert all(r.passed for r in results)
     assert calls == [4, 4]

@@ -3,7 +3,7 @@
 import numpy as np
 
 import dirichlet_fem.verify
-from dirichlet_fem import CheckResult, all_passed, run_checks
+from dirichlet_fem import run_checks
 
 EXPECTED_CHECKS = [
     "square-identity",
@@ -34,7 +34,6 @@ def test_all_checks_pass(unit8):
     assert [r.name for r in results] == EXPECTED_CHECKS
     failures = [r for r in results if not r.passed]
     assert not failures, [f"{r.name}: {r.detail}" for r in failures]
-    assert all_passed(results)
 
 
 def test_same_seed_same_details(unit8):
@@ -45,18 +44,10 @@ def test_same_seed_same_details(unit8):
     ]
 
 
-def test_all_passed_helper():
-    good = CheckResult("x", True, "")
-    bad = CheckResult("y", False, "broke")
-    assert all_passed([good, good])
-    assert not all_passed([good, bad])
-    assert all_passed([])
-
-
 def test_passes_on_skewed_domain(skewed6x5):
     # nothing in the identities depends on the unit square
     results = run_checks(skewed6x5, smooth_f, smooth_g, seed=3)
-    assert all_passed(results), [
+    assert all(r.passed for r in results), [
         f"{r.name}: {r.detail}" for r in results if not r.passed
     ]
 

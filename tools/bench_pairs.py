@@ -17,12 +17,13 @@ metrics hold the deterministic counters.  It only invokes
 perfbench/run.py and reads the JSON object on the last line of its
 stdout.
 
-The file holds every run and, per workload and end-to-end metric, the
-median and quartiles of each side, the number of pairs in which the
-change was better, with the direction taken from BENCHMARK.json, and
-worse_beyond_bound: whether the change's median is worse than the
-base's by more than the metric's bound times |base median|.  The
-script lists those flagged metrics on stderr.
+The file holds each side's src/ digest and line count, every run and,
+per workload and end-to-end metric, the median and quartiles of each
+side, the number of pairs in which the change was better, with the
+direction taken from BENCHMARK.json, and worse_beyond_bound: whether
+the change's median is worse than the base's by more than the metric's
+bound times |base median|.  The script lists those flagged metrics on
+stderr.
 """
 
 from __future__ import annotations
@@ -40,13 +41,16 @@ SIDES = ("base", "change")
 TRACED_SEED = 5
 
 
-def src_digest(checkout: Path) -> str:
-    """SHA-256 over the package sources, naming what a side ran."""
-    digest = hashlib.sha256()
+def describe_src(checkout: Path) -> dict:
+    """SHA-256 over the package sources, naming what a side ran, and
+    their total line count, as wc -l counts lines."""
+    digest, lines = hashlib.sha256(), 0
     for path in sorted((checkout / "src").rglob("*.py")):
+        text = path.read_bytes()
         digest.update(path.relative_to(checkout).as_posix().encode() + b"\0")
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
+        digest.update(text)
+        lines += text.count(b"\n")
+    return {"src_sha256": digest.hexdigest(), "src_lines": lines}
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -116,7 +120,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
     args.out.write_text(json.dumps({
         "command": f"python3 perfbench/run.py --seconds {seconds:g}",
-        "sides": {s: {"src_sha256": src_digest(c)} for s, c in checkouts.items()},
+        "sides": {s: describe_src(c) for s, c in checkouts.items()},
         "summary": summary,
         "runs": runs,
     }, indent=1) + "\n")
