@@ -69,9 +69,11 @@ def estimate_poincare(system: InteriorSystem) -> PoincareEstimate:
     lambda_lo is a lower bound in floating point.  The steps stop once
     (rho - lambda_lo) / rho <= RQ_TOLERANCE.  While rho >= l_2 the
     bracket is [mu_1 / (hx hy), rho]; it is returned, wide, once rho
-    settles to RQ_TOLERANCE or the space fills.  A Ritz vector whose
-    M-norm is not a finite positive number (the squares overflowed or
-    underflowed) raises ConvergenceError.
+    settles to RQ_TOLERANCE or the space fills.  ConvergenceError is
+    raised if the bracket is still wider than RQ_TOLERANCE when the
+    space fills under Temple's bound or after MAX_STEPS steps, or if a
+    Ritz vector's M-norm is not a finite positive number (the squares
+    overflowed or underflowed).
     """
     A_int, M_int, mesh = system.A_int, system.M_int, system.mesh
     n = A_int.dimension

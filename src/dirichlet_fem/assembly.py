@@ -323,32 +323,29 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
 
     Uses the 3-point edge-midpoint rule per triangle (exact whenever
     f * phi_i is quadratic, in particular for piecewise-linear f on the
-    same mesh).  f is called once on the midpoints of all edges, each
-    once (0.5 (p + q) has the same bits from either triangle); a scalar
-    result is broadcast.  Contributions are summed in triangle order.
-    A non-finite value raises ValueError naming the first bad midpoint
-    in the order f was called on, as a parsed source's EvalError does:
-    horizontal, then vertical, then diagonal edges, each row-major.
+    same mesh).  f is called on each edge family in turn, horizontal,
+    vertical, diagonal, with read-only broadcast views of its midpoint
+    lines, so each edge is sampled once (0.5 (p + q) has the same bits
+    from either triangle); a scalar result is broadcast.  Contributions
+    are summed in triangle order.  A non-finite value raises ValueError
+    naming the first bad midpoint in the order f was called on, as a
+    parsed source's EvalError does: family by family, each row-major.
     """
     xs, ys, area = _cells(mesh)
     xm, ym = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
     # horizontal, vertical and diagonal edges; 0.5 (x + x) is x, as
     # finite squared cell sides keep x + x far from overflow
-    lines = ((xm, ys[:, None]), (xs, ym[:, None]), (xm, ym[:, None]))
-    shapes = [(len(gy), len(gx)) for gx, gy in lines]
-    x, y = (np.concatenate([np.broadcast_to(g[k], s) for g, s in zip(lines, shapes)],
-                           axis=None) for k in (0, 1))
-    ends = np.cumsum([r * c for r, c in shapes])[:-1]
-    fm = np.broadcast_to(f(x, y), x.shape)
-    finite = np.isfinite(fm)
-    if not finite.all():
-        k = int(np.argmin(finite))  # first in the order f was called on
-        raise ValueError(
-            f"source function returned non-finite value {float(fm[k])!r} "
-            f"at quadrature point ({x[k]}, {y[k]})"
-        )
-    del x, y  # free the midpoints before the sums make their temporaries
-    h, v, d = (part.reshape(s) for part, s in zip(np.split(fm, ends), shapes))
+    fm = []
+    for gx, gy in ((xm, ys[:, None]), (xs, ym[:, None]), (xm, ym[:, None])):
+        x, y = (np.broadcast_to(g, (len(gy), len(gx))) for g in (gx, gy))
+        fm.append(np.broadcast_to(f(x, y), x.shape))
+        if not np.isfinite(fm[-1]).all():
+            k = int(np.argmin(np.isfinite(fm[-1])))  # first in the order f was called on
+            raise ValueError(
+                f"source function returned non-finite value {float(fm[-1].flat[k])!r} "
+                f"at quadrature point ({x.flat[k]}, {y.flat[k]})"
+            )
+    h, v, d = fm
     # the values on edge k = (k, k+1) of the lower triangles, (a, a+1),
     # (a+1, c), (c, a), then of the upper ones, (a, c), (c, d), (d, a)
     fmid = (h[:-1], v[:, 1:], d), (d, h[1:], v[:, :-1])

@@ -210,18 +210,23 @@ def parse(source: str) -> Expr:
 def evaluate(expr: Expr, x, y):
     """Evaluate at a point (floats give a float) or elementwise over arrays.
 
-    A domain error or a non-finite result raises EvalError at the first
-    offending point in row-major order, naming the first operation that
-    fails there, as a point-by-point walk would.
+    The walk sees each input with every axis it is broadcast along
+    (stride 0) taken once, so data on node lines costs one call per line
+    entry.  A domain error or a non-finite result raises EvalError at the
+    first offending point in row-major order, naming the first operation
+    that fails there, as a point-by-point walk would.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    compact = (v[tuple(slice(None, 1) if s == 0 else slice(None) for s in v.strides)]
+               for v in (x, y))
     failures: list = []  # (mask, message, operands) in walk order
     with np.errstate(all="ignore"):
-        value = np.array(np.broadcast_to(_eval(expr, x, y, failures), x.shape))
-    failures.append((~np.isfinite(value), "expression value is {!r}", (value,)))
+        value = _eval(expr, *compact, failures)
+    _record(failures, value, lambda: ~np.isfinite(value), "expression value is {!r}", value)
     bad = np.logical_or.reduce([np.broadcast_to(m, x.shape) for m, _, _ in failures])
-    if not bad.any():
-        return float(value) if value.ndim == 0 else value
+    if not bad.any():  # False for no failures, and on an empty grid
+        np.copyto(out := np.empty(x.shape), value)
+        return float(value) if x.ndim == 0 else out
     k = int(np.argmax(bad))
 
     def at(v) -> float:
@@ -231,9 +236,11 @@ def evaluate(expr: Expr, x, y):
     raise EvalError(message.format(*map(at, operands)), (at(x), at(y)))
 
 
-def _record(failures: list, mask, message: str, *operands) -> None:
-    if np.any(mask):  # only failures keep their operands alive
-        failures.append((mask, message, operands))
+def _record(failures: list, r, failed: Callable, message: str, *operands):
+    """Return r, keeping the mask failed() if r is not finite and it marks a point."""
+    if not np.isfinite(r).all() and np.any(mask := failed()):
+        failures.append((mask, message, operands))  # only failures keep their operands alive
+    return r
 
 
 def _eval(expr: Expr, x: np.ndarray, y: np.ndarray, failures: list):
@@ -259,18 +266,15 @@ def _eval(expr: Expr, x: np.ndarray, y: np.ndarray, failures: list):
         if op == "*":
             return a * b
         if op == "/":
-            _record(failures, np.equal(b, 0.0), "division by zero")
-            return np.divide(a, b)
+            return _record(failures, np.divide(a, b), lambda: np.equal(b, 0.0), "division by zero")
         r = np.power(a, b)  # as math.pow: finite operands, non-finite power
-        mask = np.isfinite(a) & np.isfinite(b) & ~np.isfinite(r)
-        _record(failures, mask, "cannot raise {!r} to power {!r}", a, b)
-        return r
+        return _record(failures, r, lambda: np.isfinite(a) & np.isfinite(b) & ~np.isfinite(r),
+                       "cannot raise {!r} to power {!r}", a, b)
     # Call; as the math module: NaN from non-NaN, or infinity from finite
     a = _eval(expr.arg, x, y, failures)
     r = _FUNCTIONS[expr.func](a)
-    mask = (np.isnan(r) & ~np.isnan(a)) | (np.isinf(r) & np.isfinite(a))
-    _record(failures, mask, expr.func + "({!r}) is undefined", a)
-    return r
+    return _record(failures, r, lambda: np.isnan(r) & ~np.isnan(a) | np.isinf(r) & np.isfinite(a),
+                   expr.func + "({!r}) is undefined", a)
 
 
 def as_function(expr: Expr) -> Callable:

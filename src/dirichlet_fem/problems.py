@@ -13,8 +13,8 @@ no others:
     u_exact  = <expression>     reference field for convergence studies
 
 Fields are written as CSV with one `node_index,x,y,u,is_boundary` row
-per node in global node order; values use %.17g so every one reads
-back bit-identically.
+per node in global node order, at most _CSV_BLOCK (4096) a write;
+values use %.17g so every one reads back bit-identically.
 
 A parsed file holds its Mesh, built as soon as the grid line is read.
 A grid may have at most mesh.MAX_NODES (1,500,000) nodes; a file asking
@@ -28,7 +28,6 @@ refused as malformed, naming its line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -177,23 +176,30 @@ def make_data(spec: ProblemSpec, mesh: Mesh) -> ProblemData:
 
 
 _CSV_HEADER = "node_index,x,y,u,is_boundary"
-_CSV_BLOCK = 4096  # rows per write, so memory stays flat on any grid
+_CSV_BLOCK = 4096  # nodes per write, so memory stays flat on any grid
 
 
 def write_field_csv(stream: IO[str], mesh: Mesh, u: np.ndarray) -> None:
     """Write one row per node in node order; %.17g keeps values bit-exact.
 
-    Each node line's abscissa and ordinate is formatted once, from its
-    own float so that -0 stays -0, and rows go out _CSV_BLOCK at a time.
+    Each node line is formatted once, from its own floats so that -0
+    stays -0, into two row templates, border and interior, that hold x,
+    the commas and the flag; a row's y goes in once, leaving one %d and
+    one %.17g per node.  Writes cover _CSV_BLOCK nodes, cutting wide rows.
     """
-    u, flags = _as_field(u, mesh.node_count), mesh.boundary_mask
-    x, y = (np.array(["%.17g" % v for v in line.tolist()], dtype=object)
-            for line in (mesh.xs, mesh.ys))
-    x, y = (a.ravel() for a in np.broadcast_arrays(x, y[:, None]))
+    u, width = _as_field(u, mesh.node_count), mesh.nx + 1
+    xs, ys = (["%.17g" % v for v in line.tolist()] for line in (mesh.xs, mesh.ys))
+    close = ",\0,%.17g,{}\n%d,".format  # y, u and the flag of a node, then the next index
+    border = "%d," + close(1).join(xs) + close(1)
+    interior = "%d," + xs[0] + close(1) + close(0).join(xs[1:-1]) + close(0) + xs[-1] + close(1)
+    templates = [border, *[interior] * (mesh.ny - 1), border]  # one per grid row
+    cuts = np.cumsum([0] + [len(x) + len(close(0)) for x in xs])  # where each node starts
     stream.write(_CSV_HEADER + "\n")
     for start in range(0, mesh.node_count, _CSV_BLOCK):
-        rows = slice(start, start + _CSV_BLOCK)
-        index = range(mesh.node_count)[rows]
-        columns = (a[rows].tolist() for a in (x, y, u, flags))
-        block = tuple(chain.from_iterable(zip(index, *columns)))
-        stream.write("%d,%s,%s,%.17g,%d\n" * len(index) % block)
+        stop = min(start + _CSV_BLOCK, mesh.node_count)
+        block = "".join(
+            templates[j][cuts[max(start - j * width, 0)] : cuts[min(stop - j * width, width)]]
+            .replace("\0", ys[j]) for j in range(start // width, (stop - 1) // width + 1))
+        values = [0] * (2 * (stop - start))
+        values[::2], values[1::2] = range(start, stop), u[start:stop].tolist()
+        stream.write(block % tuple(values))

@@ -41,6 +41,32 @@ def test_summary_flags_a_median_worse_beyond_its_bound():
     assert summary["faster"]["ok_ratio"]["change_better"] == 3
 
 
+def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_base_spread():
+    base = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]  # quartiles 1.075, 1.325
+
+    def pairs(workload, change):
+        return [{"workload": workload, "seed": seed, "trace": 0,
+                 "base": {"metrics": {"wall_s": b, "ok_ratio": 1.0}},
+                 "change": {"metrics": {"wall_s": c, "ok_ratio": 1.0}}}
+                for seed, (b, c) in enumerate(zip(base, change))]
+
+    faster = [b - 0.5 for b in base]
+    summary = bench_pairs.summarise(
+        pairs("ten-wins", faster)
+        + pairs("nine-wins-one-tie", faster[:9] + base[9:])
+        + pairs("eight-wins-two-ties", faster[:8] + base[8:])
+        + pairs("nine-wins-one-loss", faster[:9] + [base[9] + 5.0])
+        + pairs("gap-inside-the-spread", [b - 0.2 for b in base]),
+        END_TO_END,
+    )
+    shown = {w: m["wall_s"]["gain_shown"] for w, m in summary.items()}
+    assert shown == {"ten-wins": True, "nine-wins-one-tie": True,
+                     "eight-wins-two-ties": False, "nine-wins-one-loss": True,
+                     "gap-inside-the-spread": False}
+    assert summary["eight-wins-two-ties"]["wall_s"]["change_better"] == 8
+    assert not any(m["ok_ratio"]["gain_shown"] for m in summary.values())  # all ties
+
+
 def test_src_lines_is_the_sum_of_the_package_file_lengths():
     root = TOOL.parents[1]
     files = list((root / "src").rglob("*.py"))

@@ -2,7 +2,9 @@
 
 import dataclasses
 import io
+import os
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -187,6 +189,8 @@ CSV_MESHES = {
     "signed-zero": build_rect_mesh(-0.0, -1.0, 1.0, -0.0, 6, 4),
     # 17 x 241 nodes: one full block and a partial block of one row
     "past-a-block": build_rect_mesh(0.0, 0.0, 1.0, 15.0, 16, 240),
+    # 4501 nodes a row, more than a block: writes cut rows
+    "wide-row": build_rect_mesh(0.0, 0.0, 1.0, 1.0, 4500, 2),
 }
 
 
@@ -204,6 +208,25 @@ def test_csv_meshes_hold_what_their_names_say():
     zeros = CSV_MESHES["signed-zero"].nodes
     assert np.signbit(zeros[-1, 1]) and not np.signbit(zeros[0, 0])
     assert CSV_MESHES["past-a-block"].node_count == problems._CSV_BLOCK + 1
+    assert CSV_MESHES["wide-row"].nx + 1 > problems._CSV_BLOCK
+
+
+def test_csv_writer_memory_does_not_grow_with_the_grid():
+    # tracemalloc's peak over the writer alone, writing to a sink that
+    # keeps nothing: 256x1024 within 2x of 256x256, 1024^2 under 2 MB
+    peaks = {}
+    for nx, ny in ((256, 256), (256, 1024), (1024, 1024)):
+        mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, nx, ny)
+        u = np.random.default_rng(nx * ny).standard_normal(mesh.node_count)
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            tracemalloc.start()
+            try:
+                write_field_csv(sink, mesh, u)
+                peaks[nx, ny] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[256, 1024] <= 2 * peaks[256, 256]
+    assert peaks[1024, 1024] < 2e6
 
 
 def test_csv_header_and_flags():

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichlet_fem import (
+    EvalError,
     ProblemFormatError,
     cli,
     build_rect_mesh,
+    evaluate,
     parse,
     parse_problem,
     write_field_csv,
@@ -47,6 +49,21 @@ trees = st.recursive(
 @given(trees)
 def test_parse_inverts_serialize(tree):
     assert parse(serialize(tree)) == tree
+
+
+@PROPERTY
+@given(trees)
+def test_evaluate_on_broadcast_lines_matches_contiguous_copies(tree):
+    # node lines holding zeros and negative values, so that walks fail
+    xs, ys = np.array([-2.5, -0.0, 0.0, 0.5, 3.0]), np.array([1.5, 0.0, -1.0, -4.0])
+    views = np.broadcast_to(xs, (4, 5)), np.broadcast_to(ys[:, None], (4, 5))
+    outcomes = []
+    for x, y in (views, [np.ascontiguousarray(v) for v in views]):
+        try:
+            outcomes.append(evaluate(tree, x, y).tobytes())
+        except EvalError as exc:
+            outcomes.append((str(exc), exc.point))
+    assert outcomes[0] == outcomes[1]
 
 
 VALID = {"domain": "0 0 1 1", "grid": "4 4", "f": "1", "g": "0"}

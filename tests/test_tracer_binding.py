@@ -77,7 +77,8 @@ def test_mesh_keeps_what_the_reference_check_reads():
 
 def test_verify_calls_eval_p1_through_its_module_binding(monkeypatch):
     # the tracer rebinds verify.eval_p1 with a leaf that takes *args only
-    # and counts mesh.eval_p1_calls: 2 on a verify run, one per load
+    # and counts mesh.eval_p1_calls: 6 on a verify run, two loads of one
+    # call per edge family
     from dirichlet_fem import verify
 
     calls = []
@@ -91,4 +92,4 @@ def test_verify_calls_eval_p1_through_its_module_binding(monkeypatch):
     system = make_system(0.0, 0.0, 1.0, 1.0, 6, 5)
     results = verify.run_checks(system, lambda x, y: 1.0 + x * y, lambda x, y: x - y, 3)
     assert all(r.passed for r in results)
-    assert calls == [4, 4]
+    assert calls == [4] * 6

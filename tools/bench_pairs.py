@@ -20,10 +20,13 @@ stdout.
 The file holds each side's src/ digest and line count, every run and,
 per workload and end-to-end metric, the median and quartiles of each
 side, the number of pairs in which the change was better, with the
-direction taken from BENCHMARK.json, and worse_beyond_bound: whether
+direction taken from BENCHMARK.json, worse_beyond_bound: whether
 the change's median is worse than the base's by more than the metric's
-bound times |base median|.  The script lists those flagged metrics on
-stderr.
+bound times |base median|, and gain_shown: whether the change was
+better in at least nine tenths of the pairs (a tie counts for neither
+side) and its median better than the base's by more than the base's
+quartile distance q3 - q1.  The script lists the metrics flagged worse
+on stderr.
 """
 
 from __future__ import annotations
@@ -82,6 +85,8 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
                 entry[side] = {"median": median, "q1": q1, "q3": q3}
             base, change = entry["base"]["median"], entry["change"]["median"]
             entry["worse_beyond_bound"] = sign * (change - base) > metric["bound"] * abs(base)
+            spread = entry["base"]["q3"] - entry["base"]["q1"]
+            entry["gain_shown"] = 10 * wins >= 9 * len(pairs) and sign * (base - change) > spread
             summary[workload][name] = entry
     return summary
 
