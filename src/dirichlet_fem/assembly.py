@@ -11,13 +11,13 @@ and the mass matrix M the square-sum bracket
 for the piecewise-linear nodal basis {phi_i}.  Both are assembled from
 closed-form local matrices (P1 gradients are constant per triangle), so
 the only quadrature in the package is the degree-2 edge-midpoint rule
-used for load vectors.  Every cell of the grid is cut along the same
-diagonal, so a local entry depends only on the cell's sides: it is
-computed once per cell, as an (ny, nx) array, and added into node
-arrays at shifted slices in triangle order, so reassembly is
-bit-identical.  assemble_system bundles both brackets, each a
-SparseSymMatrix, with their interior blocks, the only restriction to
-the interior in the package.
+used for load vectors.  Every cell has the sides (hx, hy) and the same
+diagonal, so a local entry is one scalar, summed in triangle order over
+a node's class (corner, edge or interior) on 2 x 2 cells and stretched
+to the grid; the load's vary, so they are (ny, nx) arrays added at
+shifted slices.  Reassembly is bit-identical.  assemble_system bundles
+both brackets, each a SparseSymMatrix, with their interior blocks, the
+only restriction to the interior in the package.
 
 The stiffness across the cell diagonals is exactly zero, so A_int is
 the five-point operator (hy/hx) I (x) T_nx + (hx/hy) T_ny (x) I with
@@ -61,6 +61,7 @@ class SparseSymMatrix:
         self.offsets = np.array([k for k, _ in kept])
         self.bands = [band for _, band in kept]
         self.inverse = inverse
+        self._norm_inf = None
 
     @property
     def dimension(self) -> int:
@@ -107,8 +108,10 @@ class SparseSymMatrix:
 
     def norm_inf(self) -> float:
         """Largest row sum of |A|, which bounds ||A||_2 and ||(|A|)||_2 by symmetry."""
-        ones = np.ones(self.dimension)
-        return float(self._product([np.abs(b) for b in self.bands], ones).max())
+        if self._norm_inf is None:  # once per matrix
+            ones = np.ones(self.dimension)
+            self._norm_inf = float(self._product([np.abs(b) for b in self.bands], ones).max())
+        return self._norm_inf
 
     def apply_error(self) -> float:
         """A bound c with ||fl(apply(x)) - A x|| <= c ||x|| for every x.
@@ -126,19 +129,22 @@ class SparseSymMatrix:
 
         The couplings of node (J, I) to (J, I + 1), (J + 1, I) and
         (J + 1, I + 1) move from offsets 1, nx + 1 and nx + 2 to 1, nx - 1
-        and nx.  Each band is sliced to the interior rows and columns; its
-        couplings to the right border are zeroed, those to the top one
-        fall past its end, and bands that land on one offset (nx = 2) add.
+        and nx.  Each band's interior rows, nx - 1 nodes from (J, 1), are
+        copied once, unpadded; couplings to the right border are zeroed,
+        those to the top one fall past the end, and bands that land on one
+        offset (nx = 2) add.
         """
         nx, ny, size = mesh.nx, mesh.ny, mesh.interior_count
         moved = {0: 0, 1: 1, nx + 1: nx - 1, nx + 2: nx}
         bands = {}
         for k, band in zip(self.offsets.tolist(), self.bands):
-            block = np.append(band, np.zeros(k)).reshape(ny + 1, nx + 1)[1:ny, 1:nx]
+            block = np.ndarray((ny - 1, nx - 1), float, buffer=band, offset=(nx + 2) * 8,
+                               strides=((nx + 1) * 8, 8)).copy()  # float64 bands, unpadded
             if k in (1, nx + 2):  # to column I + 1, the border for the last
                 block[:, -1] = 0.0
             new = moved[k]
-            bands[new] = bands.get(new, 0.0) + block.ravel()[: max(size - new, 0)]
+            block = block.ravel()[: max(size - new, 0)]
+            bands[new] = bands[new] + block if new in bands else block
         return SparseSymMatrix(list(bands), list(bands.values()), inverse)
 
     def toarray(self) -> np.ndarray:
@@ -163,6 +169,18 @@ class SparseSymMatrix:
         )
 
 
+class _Kept(SparseSymMatrix):
+    """matrix, reusing its product with each given vector object, which must not change."""
+
+    def __init__(self, matrix: SparseSymMatrix, *vectors: np.ndarray):
+        super().__init__(matrix.offsets, matrix.bands, matrix.inverse)
+        self._matrix = matrix  # which may keep products of its own
+        self._products = {id(x): (x, matrix.apply(x)) for x in vectors}
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._products[id(x)][1] if id(x) in self._products else self._matrix.apply(x)
+
+
 # Terms of the bands at offsets 0, 1, nx + 1 and nx + 2, the couplings of
 # node (J, I) to itself, (J, I + 1), (J + 1, I) and (J + 1, I + 1), in
 # triangle order: (j, i, t, a, b) is the local entry (a, b) of triangle t
@@ -176,30 +194,23 @@ _BANDS = (
 )
 
 
-def _slice_sum(mesh: Mesh, terms, local: Callable) -> np.ndarray:
-    """(ny + 1, nx + 1) node sums of local(t, a, b) over the given terms:
-    each is an (ny, nx) cell array added at a shifted slice, in turn, so
-    a node adds its terms to 0.0 in the order given, as np.bincount does.
-    """
-    out = np.zeros((mesh.ny + 1, mesh.nx + 1))
+def _slice_sum(ny: int, nx: int, terms, local: Callable) -> np.ndarray:
+    """(ny + 1, nx + 1) node sums of local(t, a, b) over the given terms,
+    on ny x nx cells: each is added at a shifted slice, in turn, so a
+    node adds its terms to 0.0 in the order given, as np.bincount does."""
+    out = np.zeros((ny + 1, nx + 1))
     for j, i, t, a, b in terms:
-        out[j : j + mesh.ny, i : i + mesh.nx] += local(t, a, b)
+        out[j : j + ny, i : i + nx] += local(t, a, b)
     return out
 
 
 def _assemble(mesh: Mesh, local: Callable) -> SparseSymMatrix:
-    """The bracket whose triangles have the local entries local(t, a, b)."""
+    """The bracket whose triangles have the scalar local entries local(t, a, b)."""
     n, offsets = mesh.node_count, (0, 1, mesh.nx + 1, mesh.nx + 2)
-    bands = [_slice_sum(mesh, terms, local).ravel()[: n - k]
+    bands = [np.repeat(np.repeat(_slice_sum(2, 2, terms, local), (1, mesh.ny - 1, 1), 0),
+                       (1, mesh.nx - 1, 1), 1).ravel()[: n - k]
              for k, terms in zip(offsets, _BANDS)]
     return SparseSymMatrix(offsets, bands)
-
-
-def _cells(mesh: Mesh) -> tuple:
-    """The node x and y lines, and the (ny, nx) cell areas 0.5 (dy dx):
-    the cross products of a cell's lower and upper triangle's edges are
-    dy dx - dy * 0 and 0 * 0 - dy (-dx)."""
-    return mesh.xs, mesh.ys, 0.5 * np.multiply.outer(np.diff(mesh.ys), np.diff(mesh.xs))
 
 
 def assemble_stiffness(mesh: Mesh) -> SparseSymMatrix:
@@ -208,10 +219,9 @@ def assemble_stiffness(mesh: Mesh) -> SparseSymMatrix:
     grad(lam_k) = (b[k], c[k]) / (2 area) with b = (y1 - y2, y2 - y0,
     y0 - y1) and c = (x2 - x1, x0 - x2, x1 - x0): multiples of dy and dx.
     """
-    xs, ys, area = _cells(mesh)
-    dx, dy = np.diff(xs), np.diff(ys)[:, None]
+    dx, dy = mesh.cell_sides
     bc = (((-dy, dy, 0.0), (0.0, -dx, dx)), ((0.0, dy, -dy), (-dx, 0.0, dx)))
-    area4 = 4.0 * area
+    area4 = 4.0 * (0.5 * (dy * dx))  # as in assemble_mass
 
     def local(t, i, j):
         b, c = bc[t]
@@ -222,7 +232,8 @@ def assemble_stiffness(mesh: Mesh) -> SparseSymMatrix:
 
 def assemble_mass(mesh: Mesh) -> SparseSymMatrix:
     """Square-sum-bracket Gram matrix of the nodal basis; locally (area/12)(1 + I)."""
-    _, _, area = _cells(mesh)
+    dx, dy = mesh.cell_sides
+    area = 0.5 * (dy * dx)  # from the cross product dy dx - dy * 0 of the edges
     off, on = area * (1.0 / 12.0), area * (2.0 / 12.0)
     return _assemble(mesh, lambda t, a, b: on if a == b else off)
 
@@ -331,14 +342,15 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     naming the first bad midpoint in the order f was called on, as a
     parsed source's EvalError does: family by family, each row-major.
     """
-    xs, ys, area = _cells(mesh)
+    xs, ys = mesh.xs, mesh.ys
     xm, ym = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
     # horizontal, vertical and diagonal edges; 0.5 (x + x) is x, as
     # finite squared cell sides keep x + x far from overflow
     fm = []
     for gx, gy in ((xm, ys[:, None]), (xs, ym[:, None]), (xm, ym[:, None])):
-        x, y = (np.broadcast_to(g, (len(gy), len(gx))) for g in (gx, gy))
-        fm.append(np.broadcast_to(f(x, y), x.shape))
+        x, y = np.broadcast_to(gx, shape := (len(gy), len(gx))), np.broadcast_to(gy, shape)
+        fx = f(x, y)  # a scalar or a partial result is broadcast
+        fm.append(fx if getattr(fx, "shape", None) == shape else np.broadcast_to(fx, shape))
         if not np.isfinite(fm[-1]).all():
             k = int(np.argmin(np.isfinite(fm[-1])))  # first in the order f was called on
             raise ValueError(
@@ -349,12 +361,12 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     # the values on edge k = (k, k+1) of the lower triangles, (a, a+1),
     # (a+1, c), (c, a), then of the upper ones, (a, c), (c, d), (d, a)
     fmid = (h[:-1], v[:, 1:], d), (d, h[1:], v[:, :-1])
-    weight = (area / 3.0) * 0.5
+    weight = (0.5 * np.multiply.outer(np.diff(ys), np.diff(xs)) / 3.0) * 0.5  # cell area, as in M
 
     def local(t, a, b):  # phi_a is 1/2 on the two edges touching vertex a
         return weight * (fmid[t][a] + fmid[t][a - 1])
 
-    return _slice_sum(mesh, _BANDS[0], local).ravel()
+    return _slice_sum(*weight.shape, _BANDS[0], local).ravel()
 
 
 def norm(u: np.ndarray, *brackets: SparseSymMatrix) -> float:

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .analysis import check_stability, estimate_poincare
-from .assembly import InteriorSystem, assemble_system, norm
+from .assembly import InteriorSystem, _Kept, assemble_system, norm
 from .dirichlet import ProblemData, SolveReport, solve, weak_residual
 from .expr import EvalError, as_function
 from .linsolve import ConvergenceError
@@ -43,9 +43,11 @@ def _write_field(out_path: str | None, mesh: Mesh, u: np.ndarray) -> None:
 def _print_report(
     system: InteriorSystem, data: ProblemData, report: SolveReport, f_vals: np.ndarray
 ) -> None:
-    mesh, A, M, u = system.mesh, system.A, system.M, report.u
     est = estimate_poincare(system)
-    bounds = check_stability(system, u, data.g, f_vals, est.a_hi)
+    mesh, u, g = system.mesh, report.u, data.g  # A u, A g and M u serve several lines
+    A, M = _Kept(system.A, u, g), _Kept(system.M, u)
+    system = InteriorSystem(mesh, A, M, system.A_int, system.M_int)
+    bounds = check_stability(system, u, g, f_vals, est.a_hi)
     lines = (
         f"nodes          = {mesh.node_count} "
         f"({mesh.interior_count} interior)",

@@ -21,6 +21,7 @@ import numpy.random  # numpy loads it lazily; load it with the package
 from .analysis import check_functional_bound, check_stability, estimate_poincare
 from .assembly import (
     InteriorSystem,
+    _Kept,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
@@ -69,12 +70,8 @@ def run_checks(
     # Normalize the reduced problem so the minimizer has unit energy
     # norm; identities are then checked against absolute tolerances.
     p_norm = norm(report.p, A_int)
-    if p_norm > 0.0:
-        lam1 = report.lam / p_norm
-        p1 = report.p / p_norm
-    else:
-        lam1 = report.lam
-        p1 = report.p
+    unit = p_norm if p_norm > 0.0 else 1.0
+    lam1, p1 = report.lam / unit, report.p / unit
 
     directions = rng.standard_normal((8, n))
     directions /= np.linalg.norm(directions, axis=1)[:, None]
@@ -86,9 +83,16 @@ def run_checks(
     # The same problem through another extension of g, so another lam.
     u_bumped = solve(system, ProblemData(load=load, g=g_field + bump)).u
 
-    defect = max(
-        check_square_identity(A_int, lam1, p1 + d, p=p1) for d in directions
-    )
+    # A_int meets p1 and each point p1 + d once: strict-minimum's points at
+    # scale 1.0 are square-identity's, as p1 + 1.0 d is p1 + d.
+    A1 = _Kept(A_int, p1)
+    e_p = energy(A1, lam1, p1)
+    defect, excess = 0.0, np.inf
+    for d in directions:
+        Ax = _Kept(A1, x := p1 + d)
+        defect = max(defect, check_square_identity(Ax, lam1, x, p=p1))
+        excess = min(excess, energy(Ax, lam1, x) - e_p, energy(A1, lam1, p1 + 1e-3 * d) - e_p)
+    del A1, Ax, x  # p1 and the last point, and their products
     results.append(
         CheckResult(
             "square-identity",
@@ -97,12 +101,6 @@ def run_checks(
         )
     )
 
-    e_p = energy(A_int, lam1, p1)
-    excess = min(
-        energy(A_int, lam1, p1 + scale * d) - e_p
-        for d in directions
-        for scale in (1.0, 1e-3)
-    )
     results.append(
         CheckResult(
             "strict-minimum",
@@ -130,12 +128,11 @@ def run_checks(
     )
 
     # The dual norm of lam is the energy norm of its representer p.
-    worst_overshoot = -np.inf
-    for d in directions:
-        bound = p_norm * norm(d, A_int) * (1.0 + 1e-8) + 1e-13
-        worst_overshoot = max(
-            worst_overshoot, abs(float(np.dot(report.lam, d))) - bound
-        )
+    d_norms = [norm(d, A_int) for d in directions]  # poincare-bound's too
+    worst_overshoot = max(
+        abs(float(np.dot(report.lam, d))) - (p_norm * d_norm * (1.0 + 1e-8) + 1e-13)
+        for d, d_norm in zip(directions, d_norms)
+    )
     results.append(
         CheckResult(
             "dual-bound",
@@ -155,8 +152,7 @@ def run_checks(
     )
 
     worst_ratio = 0.0
-    for v in list(directions) + [est.eigenvector]:
-        denom = norm(v, A_int)
+    for v, denom in zip([*directions, est.eigenvector], d_norms + [norm(est.eigenvector, A_int)]):
         if denom > 0.0:
             worst_ratio = max(worst_ratio, norm(v, system.M_int) / denom)
     results.append(

@@ -155,13 +155,17 @@ def local_mass(coords) -> np.ndarray:
 def triangle_order_sum(mesh, local) -> np.ndarray:
     """Dense matrix of a bracket, added up one Python float at a time.
 
-    Each triangle's upper local entries go into a dict in triangle
-    order, then are mirrored: the sum assembly must match bit for bit.
+    Every lower and every upper triangle has the local matrix of its
+    nominal shape, with the cell sides (hx, hy) of mesh.cell_sides; each
+    triangle's upper local entries go into a dict in triangle order, then
+    are mirrored: the sum assembly must match bit for bit.
     """
+    hx, hy = mesh.cell_sides
+    shapes = [local(np.array(corners)) for corners in (
+        ((0.0, 0.0), (hx, 0.0), (hx, hy)), ((0.0, 0.0), (hx, hy), (0.0, hy)))]
     acc = {}
-    nodes = mesh.nodes
-    for tri in triangles(mesh).tolist():
-        loc = local(nodes[tri])
+    for k, tri in enumerate(triangles(mesh).tolist()):
+        loc = shapes[k % 2]  # triangles alternate lower, upper
         for a in range(3):
             for b in range(a, 3):
                 key = (min(tri[a], tri[b]), max(tri[a], tri[b]))

@@ -1,5 +1,7 @@
 """Matrix assembly against symbolic and closed-form integral oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -14,6 +16,7 @@ from dirichlet_fem import (
     assemble_stiffness,
     assemble_system,
     build_rect_mesh,
+    cg_solve,
     extend_by_zero,
     nodal_values,
     norm,
@@ -172,9 +175,10 @@ ANISO9x4 = (-0.3, 0.1, 1.7, 2.9, 9, 4)
 
 
 def test_assembly_is_the_triangle_order_sum_of_local_matrices(skewed6x5):
-    # reference: add each triangle's upper local entries into a dict, in
-    # triangle order; both triangles of the assembly must match it bit
-    # for bit
+    # reference: add each triangle's upper nominal local entries, from the
+    # cell sides, into a dict, in triangle order; both triangles of the
+    # assembly must match it bit for bit, on grids whose node lines are
+    # not dyadic too
     for system in (skewed6x5, make_system(*ANISO9x4)):
         mesh, A, M = system.mesh, system.A, system.M
         for assembled, local in ((A, local_stiffness), (M, local_mass)):
@@ -224,12 +228,14 @@ REORDERINGS = {
 @pytest.mark.parametrize("name", sorted(REORDERINGS))
 def test_triangle_order_oracles_see_the_summation_order(monkeypatch, skewed6x5, name):
     # the slice sums, given their terms in another order, must fail both
-    # triangle-order oracles unless the order cannot matter
+    # triangle-order oracles unless the order cannot matter; on skewed6x5
+    # both reorderings that can matter move stiffness bits, though every
+    # cell has the same local entries
     reorder, same = REORDERINGS[name]
     slice_sum = assembly._slice_sum
 
-    def reordered(mesh, terms, local):
-        return slice_sum(mesh, reorder(list(terms)), local)
+    def reordered(ny, nx, terms, local):
+        return slice_sum(ny, nx, reorder(list(terms)), local)
 
     monkeypatch.setattr(assembly, "_slice_sum", reordered)
     mesh = skewed6x5.mesh
@@ -514,6 +520,73 @@ def test_interior_blocks_are_exactly_symmetric():
         assert dense_sym(oracle) == block
     assert system.A_int.inverse is not None
     assert system.M_int.inverse is None
+
+
+# SHA-256 of each bracket's offsets (int64) and bands, as assembled from
+# per-cell np.diff arrays before the brackets were built from the two cell
+# sides.  The node lines of these grids are dyadic, so np.diff(xs) is hx
+# and no bit may move.
+DYADIC_BANDS = {
+    "unit16": {
+        "A": "ac195519b3c5a8a133065ee081293bb08cd33eaa6cbd75d21c5c2eacfbf14afc",
+        "M": "17a7c211d6cf2e4aa3fbf1915fdf83b8ba8cff60ce0c7ad4e11f1eca9ca01ae7",
+        "A_int": "6811f208ab4107a1800542d81aa862651561c0854249ac098ea41c334cd8e90c",
+        "M_int": "846e2c13fee47ac16ac1f0734b7c9a8338ed672b145dc170ab4918d29d6d0b74",
+    },
+    "strip40x4": {
+        "A": "5cc6b4b531ce4a0f77e39c910f4323e521f58f996f6b1a33e2267b0082469672",
+        "M": "e828683efa2d0e7a76c963ae32a58a118e0150f71dbad37c1fa84e995cd661c9",
+        "A_int": "432413eff07bf4c090c7b6c9c0edf3b68d7d99552dd92a0b1c2688c758c2d3f2",
+        "M_int": "46ddfd882fa8a8d24763c4c9e2cdf78260590e8940f4e7c0c9347f60e8e75825",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DYADIC_BANDS))
+def test_dyadic_grids_keep_every_band_bit(name):
+    system = make_system(*SINE_GRIDS[name])
+    for key, want in DYADIC_BANDS[name].items():
+        m = getattr(system, key)
+        digest = hashlib.sha256(np.asarray(m.offsets, dtype=np.int64).tobytes())
+        for band in m.bands:
+            digest.update(band.tobytes())
+        assert digest.hexdigest() == want, key
+
+
+# node lines that are not dyadic: np.diff(xs) varies by ulps around hx
+OFF_DYADIC = {
+    "skewed37x23": SINE_GRIDS["skewed37x23"],
+    "shifted63x41": (0.1, -0.3, 0.7, 0.2, 63, 41),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_DYADIC))
+def test_interior_brackets_are_exact_stencils_off_dyadic_grids(name):
+    # every interior coupling of one kind is one float, so A_int is the
+    # five-point operator of (hx, hy) that the sine inverse inverts
+    system = make_system(*OFF_DYADIC[name])
+    for m in (system.A_int, system.M_int):
+        for band in m.bands:
+            assert len(np.unique(band[band != 0.0])) == 1
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        b = rng.standard_normal(system.A_int.dimension)
+        assert cg_solve(system.A_int, b).iterations == 1
+
+
+def test_norm_inf_is_the_largest_product_with_ones_computed_once():
+    # the bits of |A| times ones, as scipy's CSR product adds them; the
+    # product is formed on the first call and never again
+    system = make_system(*ANISO9x4)
+    for key in ("A", "M", "A_int", "M_int"):
+        m = getattr(system, key)
+        want = float((abs(as_csr(m)) @ np.ones(m.dimension)).max())
+        calls = []
+        product = m._product
+        m._product = lambda bands, x: calls.append(1) or product(bands, x)
+        assert m.norm_inf() == want and m.norm_inf() == want, key
+        assert m.apply_error() == (2 * len(m.offsets) - 1) * np.finfo(float).eps * want
+        assert len(calls) == 1, key
 
 
 @pytest.mark.parametrize("name", sorted(SINE_GRIDS))

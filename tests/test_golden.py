@@ -43,13 +43,13 @@ EMPTY = sha256(b"")
 GOLDEN = {
     ("solve", "skewed37x23", ()): (
         EMPTY,
-        "c7604a73290ee9c4f574607129ae1fd5e62d541ee9e6b87e907766f007dfdf41",
-        "a2b26a72ede7e2c13bf1f94266f45ad2974c1ed4710f9f42952feb47bffdcb0d",
+        "d371b749f6007642519103306428600acc6a050c7b42793cf42b50d1c3a604f2",
+        "eac227c4f1d331d0f4df9e1a603ee39d887de017aee946469ad84b4e190e3196",
     ),
     ("solve", "border16x12", ()): (
         EMPTY,
-        "58541b01e1258a742791d3ae76f11f1975631dfe9ec776809f468790faa49c01",
-        "b4164d7f74d7c8d1231d54315a49e3c05e3243f8bd1271afd656f1a9e8c1f1b3",
+        "ba30f9193e666358d1c6116077227e524e798dd58975f59e7a780de04ffb33cc",
+        "c4c89bf78f59293ac1a677fab5dbc954d07933d312a9467157bee4782d6d69f2",
     ),
     ("poincare", "strip40x4", ()): (
         "7b5cf331b69ecac37dc394f2ad26fdaa2ed1174677d8cb7777e135ca598c2848",
