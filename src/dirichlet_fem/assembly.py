@@ -361,7 +361,10 @@ def assemble_load(mesh: Mesh, f: Callable) -> np.ndarray:
     # the values on edge k = (k, k+1) of the lower triangles, (a, a+1),
     # (a+1, c), (c, a), then of the upper ones, (a, c), (c, d), (d, a)
     fmid = (h[:-1], v[:, 1:], d), (d, h[1:], v[:, :-1])
-    weight = (0.5 * np.multiply.outer(np.diff(ys), np.diff(xs)) / 3.0) * 0.5  # cell area, as in M
+    # each cell's own area, from np.diff of its node lines; M takes the nominal
+    # (hx, hy), so the two agree bit for bit only where np.diff gives exactly
+    # hx and hy, as on dyadic grids
+    weight = (0.5 * np.multiply.outer(np.diff(ys), np.diff(xs)) / 3.0) * 0.5
 
     def local(t, a, b):  # phi_a is 1/2 on the two edges touching vertex a
         return weight * (fmid[t][a] + fmid[t][a - 1])

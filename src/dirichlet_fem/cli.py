@@ -106,6 +106,13 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _order(prev: tuple, row: tuple, col: int) -> str:
+    """Observed order of the error in column col from row prev to row."""
+    if prev[col] <= 0.0 or row[col] <= 0.0 or prev[2] == row[2]:
+        return "-"
+    return f"{np.log(prev[col] / row[col]) / np.log(prev[2] / row[2]):.3f}"
+
+
 def _cmd_convergence(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
     if spec.u_exact_expr is None:
@@ -114,45 +121,25 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         raise ValueError(f"--levels must be positive, got {args.levels}")
     u_exact = as_function(spec.u_exact_expr)
 
-    rows: list[tuple[int, int, float, float, float]] = []
+    rows: list[tuple[int, int, float, float, float]] = []  # nx, ny, h, max_error, l2_error
     print("grid      h            max_error      order   l2_error       order")
     mesh = spec.mesh
     for level in range(args.levels):
         if level:
             mesh = build_rect_mesh(*mesh.domain, 2 * mesh.nx, 2 * mesh.ny)
-        nx, ny = mesh.nx, mesh.ny
         system = assemble_system(mesh)
-        u = solve(system, make_data(spec, mesh)).u
-        diff = u - nodal_values(mesh, u_exact)
-        max_error = float(np.max(np.abs(diff)))
-        l2_error = norm(diff, system.M)
-        h = max(mesh.cell_sides)
-
-        def order(e_prev: float, e_curr: float, h_prev: float) -> str:
-            if e_prev <= 0.0 or e_curr <= 0.0 or h_prev == h:
-                return "-"
-            return f"{np.log(e_prev / e_curr) / np.log(h_prev / h):.3f}"
-
-        if rows:
-            _, _, h_prev, max_prev, l2_prev = rows[-1]
-            max_order = order(max_prev, max_error, h_prev)
-            l2_order = order(l2_prev, l2_error, h_prev)
-        else:
-            max_order = l2_order = "-"
-        rows.append((nx, ny, h, max_error, l2_error))
-        print(
-            f"{nx}x{ny}".ljust(10)
-            + f"{h:<13.6g}{max_error:<15.6e}{max_order:<8}"
-            + f"{l2_error:<15.6e}{l2_order}"
-        )
+        diff = solve(system, make_data(spec, mesh)).u - nodal_values(mesh, u_exact)
+        rows.append((mesh.nx, mesh.ny, max(mesh.cell_sides),
+                     float(np.max(np.abs(diff))), norm(diff, system.M)))
+        nx, ny, h, max_error, l2_error = row = rows[-1]
+        prev = rows[-2] if level else row  # a row against itself has no order
+        print(f"{nx}x{ny}".ljust(10) + f"{h:<13.6g}{max_error:<15.6e}{_order(prev, row, 3):<8}"
+              f"{l2_error:<15.6e}{_order(prev, row, 4)}")
 
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write("nx,ny,h,max_error,l2_error\n")
-            for nx, ny, h, max_error, l2_error in rows:
-                handle.write(
-                    f"{nx},{ny},{h:.17g},{max_error:.17g},{l2_error:.17g}\n"
-                )
+            handle.writelines("%d,%d,%.17g,%.17g,%.17g\n" % row for row in rows)
     return 0
 
 

@@ -57,7 +57,7 @@ Expr = Union[Num, Name, Unary, Binary, Call]
 
 
 class ParseError(ValueError):
-    """Bad expression text; offsets count bytes from the start."""
+    """Bad expression text; offsets count characters from the start."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
@@ -95,25 +95,19 @@ _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
+    r"|\s+"  # as str.isspace, so non-ASCII spaces are skipped too
+    r"|(?P<bad>.)"  # any other character; "\n" is whitespace
 )
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(source):
-        if source[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", pos)
-        pos = m.end()
-        for kind in ("num", "ident", "op"):
-            text = m.group(kind)
-            if text is not None:
-                tokens.append((kind, text, m.start(kind)))
-                break
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup  # None for whitespace
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if kind is not None:
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(source)))
     return tokens
 
@@ -198,7 +192,7 @@ class _Parser:
 
 
 def parse(source: str) -> Expr:
-    """Parse expression text, raising ParseError with a byte offset."""
+    """Parse expression text, raising ParseError with a character offset."""
     parser = _Parser(_tokenize(source))
     expr, _ = parser.expression(0)
     kind, text, offset = parser.peek()

@@ -28,7 +28,7 @@ refused as malformed, naming its line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
@@ -104,29 +104,24 @@ def parse_problem(text: str) -> ProblemSpec:
     def fail(key: str, message: str):
         raise ProblemFormatError(f"{key}: {message}", lines[key])
 
-    parts = values["domain"].split()
-    if len(parts) != 4:
-        fail("domain", "expected four numbers 'x0 y0 x1 y1'")
-    try:
-        x0, y0, x1, y1 = (float(p) for p in parts)
-    except ValueError:
-        fail("domain", f"bad number in {values['domain']!r}")
-    try:
-        check_domain(x0, y0, x1, y1)
-    except ValueError as exc:
-        fail("domain", str(exc))
+    def numbers(key: str, convert: type, count: int, expected: str, bad: str, check: Callable):
+        """Split key's value into count numbers and return check(*numbers)."""
+        parts = values[key].split()
+        if len(parts) != count:
+            fail(key, expected)
+        try:
+            converted = [convert(p) for p in parts]
+        except ValueError:
+            fail(key, f"{bad} in {values[key]!r}")
+        try:
+            return check(*converted)
+        except ValueError as exc:
+            fail(key, str(exc))
 
-    parts = values["grid"].split()
-    if len(parts) != 2:
-        fail("grid", "expected two integers 'nx ny'")
-    try:
-        nx, ny = (int(p) for p in parts)
-    except ValueError:
-        fail("grid", f"bad integer in {values['grid']!r}")
-    try:
-        mesh = build_rect_mesh(x0, y0, x1, y1, nx, ny)
-    except ValueError as exc:
-        fail("grid", str(exc))
+    domain = numbers("domain", float, 4, "expected four numbers 'x0 y0 x1 y1'", "bad number",
+                     lambda *corners: check_domain(*corners) or corners)
+    mesh = numbers("grid", int, 2, "expected two integers 'nx ny'", "bad integer",
+                   lambda nx, ny: build_rect_mesh(*domain, nx, ny))
 
     def parse_expr(key: str) -> Expr:
         try:

@@ -1,7 +1,8 @@
-"""tools/bench_pairs.py: its paired-run summary on hand-made runs, and
-what it records of each side's sources."""
+"""tools/bench_pairs.py: its paired-run summary and moved counters on
+hand-made runs, and what it records of each side's sources."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -73,3 +74,49 @@ def test_src_lines_is_the_sum_of_the_package_file_lengths():
     assert len(files) > 1
     want = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
     assert bench_pairs.describe_src(root)["src_lines"] == want
+
+
+def test_counters_moved_lists_the_traced_counts_and_bytes_that_differ():
+    per_layer = [{"name": "expr.eval_calls", "unit": "count"},
+                 {"name": "problems.csv_bytes", "unit": "B"},
+                 {"name": "assembly.nnz", "unit": "count"},
+                 {"name": "linsolve.cg_s", "unit": "s"},
+                 {"name": "mesh.repeat_share", "unit": "ratio"}]
+    base = {"expr.eval_calls": 5, "problems.csv_bytes": 100, "assembly.nnz": 7,
+            "linsolve.cg_s": 0.1, "mesh.repeat_share": 0.5}
+
+    def traced(workload, change):
+        return {"workload": workload, "seed": 5, "trace": 1,
+                "base": {"metrics": base}, "change": {"metrics": {**base, **change}}}
+
+    untraced = {"workload": "moved", "seed": 1, "trace": 0,
+                "base": {"metrics": base}, "change": {"metrics": {"assembly.nnz": 8}}}
+    moved = bench_pairs.counters_moved(
+        [untraced, traced("moved", {"expr.eval_calls": 6, "problems.csv_bytes": 99,
+                                    "linsolve.cg_s": 0.2, "mesh.repeat_share": 0.4}),
+         traced("flat", {"linsolve.cg_s": 0.3})],
+        per_layer,
+    )
+    assert moved == {
+        "moved": {"expr.eval_calls": {"base": 5, "change": 6},
+                  "problems.csv_bytes": {"base": 100, "change": 99}},
+        "flat": {},
+    }
+
+
+def test_main_writes_the_moved_counters_and_prints_them(tmp_path, monkeypatch, capsys):
+    benchmark = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    base_dir = tmp_path / "base"
+    (base_dir / "src").mkdir(parents=True)
+
+    def bench(checkout, workload, seed, seconds, trace):
+        metrics = {m["name"]: 1.0 for m in benchmark["end_to_end"]}
+        metrics["expr.eval_calls"] = 3 if checkout == base_dir or not trace else 4
+        return {"metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--base", str(base_dir), "--out", str(out), "--run", "w:1-2"]) == 0
+    written = json.loads(out.read_text())
+    assert written["counters_moved"] == {"w": {"expr.eval_calls": {"base": 3, "change": 4}}}
+    assert "counter moved: w expr.eval_calls 3 -> 4" in capsys.readouterr().err

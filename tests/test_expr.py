@@ -149,6 +149,15 @@ def test_parse_errors_carry_offsets(text, offset):
     assert "offset" in str(info.value)
 
 
+def test_parse_error_offsets_count_characters_not_bytes():
+    text = "\u00a0x ?"  # the no-break space is two bytes of UTF-8
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.offset == 3
+    assert text[info.value.offset] == "?"
+    assert text.encode("utf-8").index(b"?") == 4
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

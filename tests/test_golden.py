@@ -3,10 +3,11 @@
 A change that only makes the program faster must not move a byte of
 what it prints or writes, and verify output is byte-identical for one
 file and seed.  Each case runs one command in process and compares the
-digests of its stdout, its stderr and, for solve, the written CSV with
-recorded ones.  The bytes also depend on numpy's FFT and transcendental
-kernels, so a numpy upgrade may move them; otherwise a failing case
-means an output changed, which a change must explain or undo.
+digests of its stdout, its stderr and, for solve and convergence, the
+written CSV with recorded ones.  The bytes also depend on numpy's FFT
+and transcendental kernels, so a numpy upgrade may move them; otherwise
+a failing case means an output changed, which a change must explain or
+undo.
 """
 
 import hashlib
@@ -30,6 +31,11 @@ PROBLEMS = {
         "f = 2*pi^2*sin(pi*x)*sin(pi*y)\ng = 1 + x*y\n"
     ),
 }
+PROBLEMS |= {
+    # unit16's exact solution, and border16x12's g on its non-dyadic grid
+    "unit16-exact": PROBLEMS["unit16"] + "u_exact = sin(pi*x)*sin(pi*y) + 1 + x*y\n",
+    "border16x12-exact": PROBLEMS["border16x12"] + "u_exact = x^2 - y^2 + sin(y)\n",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -39,7 +45,7 @@ def sha256(data: bytes) -> str:
 EMPTY = sha256(b"")
 
 # (command, problem, extra arguments) -> digests of stdout, stderr and
-# the solve's CSV (None for commands that write none)
+# the CSV that solve or convergence writes (None for commands that write none)
 GOLDEN = {
     ("solve", "skewed37x23", ()): (
         EMPTY,
@@ -61,7 +67,18 @@ GOLDEN = {
         EMPTY,
         None,
     ),
+    ("convergence", "unit16-exact", ("--levels", "3")): (
+        "e49990c44ff39a2001449792f3f058bc99882930e3cace7558a25d103dcd4dfb",
+        EMPTY,
+        "3da097ca74cb238b9de49dc69eea0fe6b4a219331a4916ae219d5447f05610fa",
+    ),
+    ("convergence", "border16x12-exact", ("--levels", "3")): (
+        "b97e3cd7a7fd137afdd1b8f6315aca99acc9c718aa6269370e5110d50727e393",
+        EMPTY,
+        "afb5fce67cd756e44e7578758e52d95c2f3a592fd12ce36def1c5d71169716d6",
+    ),
 }
+WRITES_CSV = ("solve", "convergence")
 
 
 @pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: f"{c[0]}-{c[1]}")
@@ -71,9 +88,9 @@ def test_outputs_keep_their_bytes(case, tmp_path, capsysbinary):
     spec.write_text(PROBLEMS[problem], encoding="utf-8")
     argv = [command, "--spec", str(spec), *extra]
     csv = tmp_path / "field.csv"
-    if command == "solve":
+    if command in WRITES_CSV:
         argv += ["--out", str(csv)]
     assert main(argv) == 0
     out, err = capsysbinary.readouterr()
-    written = sha256(csv.read_bytes()) if command == "solve" else None
+    written = sha256(csv.read_bytes()) if command in WRITES_CSV else None
     assert (sha256(out), sha256(err), written) == GOLDEN[case]

@@ -24,7 +24,7 @@ from dirichlet_fem import (
     parse_problem,
     write_field_csv,
 )
-from dirichlet_fem.expr import Binary, Call, Name, Num, Unary
+from dirichlet_fem.expr import Binary, Call, Name, Num, ParseError, Unary, _tokenize
 from tests.conftest import read_field_csv, serialize
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -64,6 +64,27 @@ def test_evaluate_on_broadcast_lines_matches_contiguous_copies(tree):
         except EvalError as exc:
             outcomes.append((str(exc), exc.point))
     assert outcomes[0] == outcomes[1]
+
+
+# expression pieces, characters no token starts with, and three kinds of space
+pieces = st.sampled_from(
+    [*"0123456789.eExy", "pi", "sin", *"()+-*/^", "?", "\u00e9", "\t", "\u00a0", "\u2003"]
+)
+
+
+@PROPERTY
+@given(st.lists(pieces, max_size=20).map("".join))
+def test_tokens_sit_at_their_offsets_or_the_error_names_its_character(text):
+    try:
+        tokens = _tokenize(text)
+    except ParseError as exc:
+        assert f"unexpected character {text[exc.offset]!r}" in str(exc)
+        _tokenize(text[: exc.offset])
+        return
+    assert tokens[-1] == ("end", "", len(text))
+    for _, token, offset in tokens:
+        assert text[offset : offset + len(token)] == token
+    assert "".join(t for _, t, _ in tokens) == "".join(c for c in text if not c.isspace())
 
 
 VALID = {"domain": "0 0 1 1", "grid": "4 4", "f": "1", "g": "0"}

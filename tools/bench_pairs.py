@@ -25,8 +25,10 @@ the change's median is worse than the base's by more than the metric's
 bound times |base median|, and gain_shown: whether the change was
 better in at least nine tenths of the pairs (a tie counts for neither
 side) and its median better than the base's by more than the base's
-quartile distance q3 - q1.  The script lists the metrics flagged worse
-on stderr.
+quartile distance q3 - q1.  Under counters_moved it lists, per workload,
+each per-layer metric of BENCHMARK.json with unit count or B whose
+traced values differ between the sides, with both values.  The script
+lists the metrics flagged worse and the moved counters on stderr.
 """
 
 from __future__ import annotations
@@ -91,6 +93,18 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
+def counters_moved(runs: list[dict], per_layer: list[dict]) -> dict:
+    """Per workload, the count and byte metrics whose traced values differ."""
+    counters = [m["name"] for m in per_layer if m["unit"] in ("count", "B")]
+    moved = {}
+    for run in runs:
+        if run["trace"] == 1:
+            base, change = run["base"]["metrics"], run["change"]["metrics"]
+            moved[run["workload"]] = {name: {"base": base.get(name), "change": change.get(name)}
+                                      for name in counters if base.get(name) != change.get(name)}
+    return moved
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True)
@@ -123,10 +137,16 @@ def main(argv=None) -> int:
                 print(f"worse beyond bound: {workload} {name} median "
                       f"{entry['base']['median']:.6g} -> {entry['change']['median']:.6g}",
                       file=sys.stderr)
+    moved = counters_moved(runs, benchmark["per_layer"])
+    for workload, counters in moved.items():
+        for name, values in counters.items():
+            print(f"counter moved: {workload} {name} {values['base']} -> {values['change']}",
+                  file=sys.stderr)
     args.out.write_text(json.dumps({
         "command": f"python3 perfbench/run.py --seconds {seconds:g}",
         "sides": {s: describe_src(c) for s, c in checkouts.items()},
         "summary": summary,
+        "counters_moved": moved,
         "runs": runs,
     }, indent=1) + "\n")
     return 0
