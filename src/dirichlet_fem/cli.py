@@ -4,7 +4,9 @@ Four subcommands: solve writes the solved field as CSV plus a summary
 report, verify runs the randomized identity suite and reports
 PASS/FAIL per check, poincare prints the embedding constant of a
 problem's mesh, and convergence reruns a problem on doubled grids
-against a known exact field.
+against a known exact field.  Commands in one process share each grid
+shape's brackets and, once asked for, its Poincare estimate, up to
+mesh.MAX_NODES nodes, and print what a fresh process would.
 
 Exit codes: 0 success, 1 malformed problem data (file syntax, bad
 expressions, bad geometry, grids over the node cap or with cells whose
@@ -18,10 +20,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .analysis import check_stability, estimate_poincare
+from . import mesh as mesh_module  # MAX_NODES, read at each use
+from .analysis import PoincareEstimate, check_stability, estimate_poincare
 from .assembly import InteriorSystem, _Kept, assemble_system, norm
 from .dirichlet import ProblemData, SolveReport, solve, weak_residual
 from .expr import EvalError, as_function
@@ -30,6 +34,37 @@ from .mesh import Mesh, build_rect_mesh, nodal_values
 from .problems import load_problem, make_data, write_field_csv
 from .riesz import energy
 from .verify import run_checks
+
+
+# (nx, ny, hx, hy) -> [InteriorSystem, PoincareEstimate or None], least recently
+# used first: the brackets, sine inverse and estimate read only the grid's shape
+_STORE: dict[tuple, list] = {}
+
+
+def _system(mesh: Mesh) -> InteriorSystem:
+    """The stored brackets of mesh's shape, with mesh's own node lines.  A
+    new shape is assembled, read-only, once the least recently used shapes
+    have left room for its nodes under MAX_NODES."""
+    entry = _STORE.pop(key := (mesh.nx, mesh.ny, *mesh.cell_sides), None)
+    while entry is None and _STORE and mesh.node_count + sum(
+            s.mesh.node_count for s, _ in _STORE.values()) > mesh_module.MAX_NODES:
+        del _STORE[next(iter(_STORE))]
+    if entry is None:
+        entry = [s := assemble_system(mesh), None]
+        for band in (b for m in (s.A, s.M, s.A_int, s.M_int) for b in m.bands):
+            band.flags.writeable = False  # a write raises, reaching no later command
+    _STORE[key] = entry  # now the most recent
+    return replace(entry[0], mesh=mesh)
+
+
+def _estimate(system: InteriorSystem) -> PoincareEstimate:
+    """The stored estimate of system's shape; one that raises is not stored."""
+    mesh = system.mesh
+    entry = _STORE[mesh.nx, mesh.ny, *mesh.cell_sides]  # as _system left it
+    if entry[1] is None:
+        entry[1] = estimate_poincare(system)
+        entry[1].eigenvector.flags.writeable = False
+    return entry[1]
 
 
 def _write_field(out_path: str | None, mesh: Mesh, u: np.ndarray) -> None:
@@ -43,7 +78,7 @@ def _write_field(out_path: str | None, mesh: Mesh, u: np.ndarray) -> None:
 def _print_report(
     system: InteriorSystem, data: ProblemData, report: SolveReport, f_vals: np.ndarray
 ) -> None:
-    est = estimate_poincare(system)
+    est = _estimate(system)
     mesh, u, g = system.mesh, report.u, data.g  # A u, A g and M u serve several lines
     A, M = _Kept(system.A, u, g), _Kept(system.M, u)
     system = InteriorSystem(mesh, A, M, system.A_int, system.M_int)
@@ -67,7 +102,7 @@ def _print_report(
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
-    system = assemble_system(spec.mesh)
+    system = _system(spec.mesh)
     data = make_data(spec, system.mesh)
     report = solve(system, data)
     f_vals = nodal_values(system.mesh, as_function(spec.f_expr))
@@ -80,12 +115,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    results = run_checks(
-        assemble_system(spec.mesh),
-        as_function(spec.f_expr),
-        as_function(spec.g_expr),
-        args.seed,
-    )
+    results = run_checks(_system(spec.mesh), as_function(spec.f_expr),
+                         as_function(spec.g_expr), args.seed)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     return 0 if all(r.passed for r in results) else 2
@@ -93,7 +124,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_poincare(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
-    est = estimate_poincare(assemble_system(spec.mesh))
+    est = _estimate(_system(spec.mesh))
     print(
         f"lambda_min={est.lambda_min:.12g} a={est.a:.12g} "
         f"iterations={est.iterations}"

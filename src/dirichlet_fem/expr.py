@@ -92,7 +92,7 @@ _UNARY_PRECEDENCE = 25
 MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"  # ASCII; \d is any digit
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
     r"|\s+"  # as str.isspace, so non-ASCII spaces are skipped too

@@ -109,7 +109,9 @@ def parse_problem(text: str) -> ProblemSpec:
         parts = values[key].split()
         if len(parts) != count:
             fail(key, expected)
-        try:
+        try:  # float and int also read other scripts' digits and "_" separators
+            if not all(p.isascii() and "_" not in p for p in parts):
+                raise ValueError
             converted = [convert(p) for p in parts]
         except ValueError:
             fail(key, f"{bad} in {values[key]!r}")

@@ -11,7 +11,7 @@ import pytest
 from scipy.sparse import csr_matrix, diags
 
 import dirichlet_fem
-from dirichlet_fem import SparseSymMatrix, assemble_system, build_rect_mesh, eval_p1
+from dirichlet_fem import SparseSymMatrix, assemble_system, build_rect_mesh, cli, eval_p1
 from dirichlet_fem.expr import (
     _PRECEDENCE,
     _RIGHT_ASSOC,
@@ -81,6 +81,16 @@ def interior_indices(mesh) -> np.ndarray:
 def boundary_indices(mesh) -> np.ndarray:
     """Global indices of a mesh's boundary nodes, increasing."""
     return np.flatnonzero(mesh.boundary_mask)
+
+
+@pytest.fixture(autouse=True)
+def empty_command_store():
+    """Every test starts and ends with cli's per-process store empty, so a
+    test that patches solver internals never meets an earlier test's
+    brackets or estimate."""
+    cli._STORE.clear()
+    yield
+    cli._STORE.clear()
 
 
 def make_system(x0, y0, x1, y1, nx, ny):

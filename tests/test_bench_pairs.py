@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -104,7 +106,18 @@ def test_counters_moved_lists_the_traced_counts_and_bytes_that_differ():
     }
 
 
-def test_main_writes_the_moved_counters_and_prints_them(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def workload_w(tmp_path, monkeypatch):
+    """BENCHMARK.json with one more workload, w, for the hand-made runs of main."""
+    benchmark = json.loads(bench_pairs.BENCHMARK.read_text())
+    benchmark["workloads"].append({"name": "w", "why": "hand-made runs"})
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps(benchmark))
+    monkeypatch.setattr(bench_pairs, "BENCHMARK", path)
+
+
+def test_main_writes_the_moved_counters_and_prints_them(tmp_path, monkeypatch, capsys,
+                                                        workload_w):
     benchmark = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())
     base_dir = tmp_path / "base"
     (base_dir / "src").mkdir(parents=True)
@@ -120,3 +133,22 @@ def test_main_writes_the_moved_counters_and_prints_them(tmp_path, monkeypatch, c
     written = json.loads(out.read_text())
     assert written["counters_moved"] == {"w": {"expr.eval_calls": {"base": 3, "change": 4}}}
     assert "counter moved: w expr.eval_calls 3 -> 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["small-batch", "small-batch:1-2:3", "no-such-workload:1-2",
+                                 "small-batch:5-4", "small-batch:1", "small-batch:x-2",
+                                 ":1-2"])
+def test_main_checks_every_run_before_the_first(tmp_path, monkeypatch, capsys, bad):
+    # a bad spec after a good one would otherwise fail only when its turn
+    # came, and every pair run before it would be lost
+    def bench(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(["--base", str(tmp_path), "--out", str(out),
+                          "--run", "small-batch:1-2", "--run", bad])
+    assert info.value.code == 2
+    assert f"--run {bad!r}" in capsys.readouterr().err
+    assert not out.exists()

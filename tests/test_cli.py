@@ -313,6 +313,26 @@ def test_error_exit_codes(tmp_path, content, code, fragment):
 
 
 @pytest.mark.parametrize(
+    "text,message",
+    [
+        (BASE + "f = x*\u0663\ng = 0\n", "line 3: f: unexpected character '\u0663' at offset 2"),
+        ("domain = 0 0 1 1\ngrid = \u0664 4\nf = 1\ng = 0\n", "line 2: grid: bad integer"),
+        ("domain = 0 0 1 1\ngrid = 1_0 4\nf = 1\ng = 0\n", "line 2: grid: bad integer"),
+        ("domain = 0 0 \u0661 1\ngrid = 4 4\nf = 1\ng = 0\n", "line 1: domain: bad number"),
+    ],
+    ids=["expression", "grid-digit", "grid-separator", "domain-digit"],
+)
+def test_numbers_other_than_ascii_digits_are_malformed(tmp_path, capsys, text, message):
+    from dirichlet_fem import cli
+
+    spec = tmp_path / "p.txt"
+    spec.write_text(text, encoding="utf-8")
+    assert cli.main(["solve", "--spec", str(spec)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err.startswith("error: " + message)) == ("", True), err
+
+
+@pytest.mark.parametrize(
     "f", ["(" * 1000 + "x" + ")" * 1000, "-" * 1000 + "x"], ids=["parens", "minus"]
 )
 def test_deep_nesting_is_malformed_without_traceback(tmp_path, f):

@@ -149,6 +149,19 @@ def test_parse_errors_carry_offsets(text, offset):
     assert "offset" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text,offset",
+    [("x*\u0663", 2), ("\uff11", 0), ("1.\u0665", 2), ("2e\u0663", 2), ("\u0661\u0660", 0)],
+    ids=["arabic-indic", "fullwidth", "after-the-point", "exponent", "alone"],
+)
+def test_numbers_are_ascii_digits_only(text, offset):
+    # \d and float take any script's decimal digits; the grammar does not
+    with pytest.raises(ParseError, match="unexpected character") as info:
+        parse(text)
+    assert info.value.offset == offset
+    assert parse("x*3") == Binary("*", Name("x"), Num(3.0))
+
+
 def test_parse_error_offsets_count_characters_not_bytes():
     text = "\u00a0x ?"  # the no-break space is two bytes of UTF-8
     with pytest.raises(ParseError) as info:

@@ -83,6 +83,26 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize(
+    "domain,grid,line,fragment",
+    [
+        ("0 0 1 1", "\u0664 4", 2, "bad integer"),
+        ("0 0 1 1", "\uff14 4", 2, "bad integer"),
+        ("0 0 1 1", "1_0 4", 2, "bad integer"),
+        ("0 0 \u0661 1", "4 4", 1, "bad number"),
+        ("0 0 1_0 1", "4 4", 1, "bad number"),
+        ("0 0 1 1e1_0", "4 4", 1, "bad number"),
+    ],
+)
+def test_domain_and_grid_numbers_are_ascii_without_separators(domain, grid, line, fragment):
+    # float and int read any script's digits and "_" between digits
+    text = f"domain = {domain}\ngrid = {grid}\nf = 1\ng = 0\n"
+    with pytest.raises(ProblemFormatError, match=fragment) as info:
+        parse_problem(text)
+    assert info.value.line == line
+    assert parse_problem("domain = 0 0 1 1\ngrid = 10 4\nf = 1\ng = 0\n").mesh.nx == 10
+
+
 def test_comments_and_blanks_ignored():
     spec = parse_problem(
         "\n# leading comment\ndomain = 0 0 1 1\n\ngrid = 4 4\nf = 1\n# mid\ng = 0\n\n"

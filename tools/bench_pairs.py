@@ -7,7 +7,10 @@ Usage (from the repository root):
 
 Each side is a checkout holding perfbench/ and src/ (make the base with
 ``git archive REV | tar -x -C DIR``); --change defaults to this
-repository.  For every workload and seed, the script runs
+repository.  Every --run is checked before the first run: a spec that
+is not WORKLOAD:FIRST-LAST with FIRST <= LAST and a workload of
+BENCHMARK.json exits 2, naming it.  For every workload and seed, the
+script runs
 ``python3 perfbench/run.py --workload W --seed N --seconds S --trace 0``
 in each checkout, with S the ``run_seconds`` of BENCHMARK.json, one after
 the other, and alternates which side goes first from pair to pair, so a
@@ -36,12 +39,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 SIDES = ("base", "change")
 TRACED_SEED = 5
 
@@ -114,13 +119,19 @@ def main(argv=None) -> int:
                         metavar="WORKLOAD:FIRST-LAST")
     args = parser.parse_args(argv)
     checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    benchmark = json.loads(BENCHMARK.read_text())
     seconds = benchmark["run_seconds"]
+    names = [w["name"] for w in benchmark["workloads"]]
+    wanted = []
+    for spec in args.run:  # every spec is checked before the first run
+        match = re.fullmatch(r"([^:]+):(\d+)-(\d+)", spec)
+        if not match or match[1] not in names or int(match[2]) > int(match[3]):
+            parser.error(f"--run {spec!r}: want WORKLOAD:FIRST-LAST, FIRST <= LAST, "
+                         f"with WORKLOAD one of {', '.join(names)}")
+        wanted.append((match[1], int(match[2]), int(match[3])))
 
     runs = []
-    for spec in args.run:
-        workload, seeds = spec.split(":")
-        first, last = (int(s) for s in seeds.split("-"))
+    for workload, first, last in wanted:
         jobs = [(seed, 0) for seed in range(first, last + 1)] + [(TRACED_SEED, 1)]
         for seed, trace in jobs:
             order = SIDES if len(runs) % 2 == 0 else SIDES[::-1]
