@@ -18,10 +18,6 @@ def problem(tmp_path, name, domain="0 0 1 1", grid="16 16", mode="extension"):
     return str(path)
 
 
-def held_nodes() -> int:
-    return sum(system.mesh.node_count for system, _ in cli._STORE.values())
-
-
 def test_commands_in_one_process_print_what_each_prints_alone(tmp_path, capsysbinary):
     ext = problem(tmp_path, "ext.txt")
     border = problem(tmp_path, "border.txt", mode="border")
@@ -74,7 +70,7 @@ def test_the_store_holds_at_most_max_nodes_dropping_the_least_recent(
                        ("c", "ac"), ("b", "cb"), ("c", "bc")):
         assert cli.main(["poincare", "--spec", specs[name]]) == 0
         assert "".join(names[nx] for nx, *_ in cli._STORE) == want  # least recent first
-        held.append(held_nodes())
+        held.append(sum(system.mesh.node_count for system, _ in cli._STORE.values()))
     assert max(held) <= 200
     assert held == [81, 171, 171, 180, 189, 189]
     capsys.readouterr()
