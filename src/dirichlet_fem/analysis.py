@@ -40,7 +40,7 @@ class PoincareEstimate:
     lambda_min: float  # Rayleigh quotient rho of the eigenvector, >= lambda_1
     iterations: int  # Krylov steps taken, one sine solve each
     residual: float  # pencil defect ||A v - lambda_min M v|| at the result
-    eigenvector: np.ndarray  # M-normalized ground mode, interior indexing
+    eigenvector: np.ndarray  # M-normalized ground mode, interior indexing, read-only
     lambda_lo: float  # certified lower bound on lambda_1
     a_hi: float  # 1 / sqrt(lambda_lo), at least the best constant
 
@@ -133,7 +133,7 @@ def estimate_poincare(system: InteriorSystem) -> PoincareEstimate:
                 lambda_min=rho,
                 iterations=step,
                 residual=r_norm,
-                eigenvector=np.copysign(1.0, v.sum()) * v,
+                eigenvector=np.broadcast_to(np.copysign(1.0, v.sum()) * v, (n,)),  # read-only
                 lambda_lo=lambda_lo,
                 a_hi=1.0 / np.sqrt(lambda_lo),
             )

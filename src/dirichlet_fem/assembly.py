@@ -16,8 +16,9 @@ diagonal, so a local entry is one scalar, summed in triangle order over
 a node's class (corner, edge or interior) on 2 x 2 cells and stretched
 to the grid; the load's vary, so they are (ny, nx) arrays added at
 shifted slices.  Reassembly is bit-identical.  assemble_system bundles
-both brackets, each a SparseSymMatrix, with their interior blocks, the
-only restriction to the interior in the package.
+both brackets, each a SparseSymMatrix of read-only bands, with their
+interior blocks, built from node (1, 1)'s couplings: the only
+restriction to the interior in the package.
 
 The stiffness across the cell diagonals is exactly zero, so A_int is
 the five-point operator (hy/hx) I (x) T_nx + (hx/hy) T_ny (x) I with
@@ -48,16 +49,19 @@ class SparseSymMatrix:
     ``offsets`` holds the increasing offsets k of the stored diagonals,
     0 first, and ``bands[i]`` the upper diagonal at ``offsets[i]``:
     entries (r, r + k), r < dimension - k, which mirror (r + k, r), so
-    the matrix is exactly symmetric.  The main diagonal is always
-    stored, an off-diagonal only if it holds a nonzero (symmetric DIA:
-    Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., section
-    3.4).  ``apply`` is the path of every mat-vec.  ``inverse``, if
+    the matrix is exactly symmetric.  The main diagonal is always stored,
+    an off-diagonal only if it holds a nonzero (symmetric DIA: Saad,
+    Iterative Methods for Sparse Linear Systems, 2nd ed., section 3.4),
+    each as a read-only view, so a write raises and the memo of norm_inf
+    holds.  ``apply`` is the path of every mat-vec.  ``inverse``, if
     given, is the map r -> A^{-1} r, exact or close to it, that cg_solve
     solves and refines with; a matrix without one cannot be solved.
     """
 
     def __init__(self, offsets, bands, inverse: Callable | None = None):
-        kept = [(k, band) for k, band in zip(offsets, bands) if k == 0 or band.any()]
+        kept = [(k, band.view()) for k, band in zip(offsets, bands) if k == 0 or band.any()]
+        for _, band in kept:
+            band.flags.writeable = False
         self.offsets = np.array([k for k, _ in kept])
         self.bands = [band for _, band in kept]
         self.inverse = inverse
@@ -127,23 +131,21 @@ class SparseSymMatrix:
     def restrict(self, mesh: Mesh, inverse=None) -> "SparseSymMatrix":
         """The block of a bracket of mesh on its interior nodes.
 
-        The couplings of node (J, I) to (J, I + 1), (J + 1, I) and
-        (J + 1, I + 1) move from offsets 1, nx + 1 and nx + 2 to 1, nx - 1
-        and nx.  Each band's interior rows, nx - 1 nodes from (J, 1), are
-        copied once, unpadded; couplings to the right border are zeroed,
-        those to the top one fall past the end, and bands that land on one
-        offset (nx = 2) add.
+        Every interior node has the couplings of node (1, 1), band[nx + 2]
+        of each band, as assembly stretches one interior value over them.
+        The couplings to (J, I + 1), (J + 1, I) and (J + 1, I + 1) move
+        from offsets 1, nx + 1 and nx + 2 to 1, nx - 1 and nx; those to
+        the right border are zeroed, those to the top one fall past the
+        end, and bands that land on one offset (nx = 2) add.
         """
-        nx, ny, size = mesh.nx, mesh.ny, mesh.interior_count
+        nx, size = mesh.nx, mesh.interior_count
         moved = {0: 0, 1: 1, nx + 1: nx - 1, nx + 2: nx}
         bands = {}
         for k, band in zip(self.offsets.tolist(), self.bands):
-            block = np.ndarray((ny - 1, nx - 1), float, buffer=band, offset=(nx + 2) * 8,
-                               strides=((nx + 1) * 8, 8)).copy()  # float64 bands, unpadded
-            if k in (1, nx + 2):  # to column I + 1, the border for the last
-                block[:, -1] = 0.0
             new = moved[k]
-            block = block.ravel()[: max(size - new, 0)]
+            block = np.full(max(size - new, 0), band[nx + 2])
+            if k in (1, nx + 2):  # to column I + 1, the border for the last
+                block[nx - 2 :: nx - 1] = 0.0
             bands[new] = bands[new] + block if new in bands else block
         return SparseSymMatrix(list(bands), list(bands.values()), inverse)
 
@@ -173,7 +175,7 @@ class _Kept(SparseSymMatrix):
     """matrix, reusing its product with each given vector object, which must not change."""
 
     def __init__(self, matrix: SparseSymMatrix, *vectors: np.ndarray):
-        super().__init__(matrix.offsets, matrix.bands, matrix.inverse)
+        vars(self).update(vars(matrix))  # its bands, inverse and row-sum norm
         self._matrix = matrix  # which may keep products of its own
         self._products = {id(x): (x, matrix.apply(x)) for x in vectors}
 

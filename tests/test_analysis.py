@@ -71,6 +71,17 @@ def test_eigenvector_attains_the_constant(unit16):
     assert norm(v, M) == pytest.approx(est.a * norm(v, A), rel=1e-6)
 
 
+def test_the_eigenvector_refuses_a_write(unit16):
+    # read-only where it is made, as the brackets' bands are
+    est = estimate_poincare(unit16)
+    before = est.eigenvector.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        est.eigenvector[0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        est.eigenvector *= 2.0
+    assert np.array_equal(est.eigenvector, before)
+
+
 def test_poincare_inequality_on_random_fields(unit16):
     mesh, A, M = unit16.mesh, unit16.A, unit16.M
     est = estimate_poincare(unit16)

@@ -488,11 +488,27 @@ def test_restrict_extend_round_trip(unit4):
         restrict_interior(mesh, np.zeros(mesh.node_count - 1))
 
 
-@pytest.mark.parametrize("name", sorted(SINE_GRIDS))
+def random_grids(seed: int, count: int) -> dict:
+    """Seeded grids of 2 to 39 cells a side on non-dyadic domains, the
+    first with nx = 2 and the second with ny = 2."""
+    rng = np.random.default_rng(seed)
+    grids = {}
+    for i in range(count):
+        nx, ny = (int(n) for n in rng.integers(2, 40, 2))
+        nx, ny = 2 if i == 0 else nx, 2 if i == 1 else ny
+        (x0, y0), (w, h) = rng.uniform(-3.0, 3.0, 2), rng.uniform(0.1, 5.0, 2)
+        grids[f"random{i}-{nx}x{ny}"] = (x0, y0, x0 + w, y0 + h, nx, ny)
+    return grids
+
+
+INTERIOR_GRIDS = {**SINE_GRIDS, **random_grids(25, 8)}
+
+
+@pytest.mark.parametrize("name", sorted(INTERIOR_GRIDS))
 def test_interior_system_holds_the_interior_blocks(name):
     # the principal block A[inner] of the full bracket, taken by scipy;
     # unit2x2 and unit2x7 add the bands whose interior offsets coincide
-    system = make_system(*SINE_GRIDS[name])
+    system = make_system(*INTERIOR_GRIDS[name])
     mesh = system.mesh
     inner = interior_indices(mesh)
     for full, block in ((system.A, system.A_int), (system.M, system.M_int)):
@@ -587,6 +603,41 @@ def test_norm_inf_is_the_largest_product_with_ones_computed_once():
         assert m.norm_inf() == want and m.norm_inf() == want, key
         assert m.apply_error() == (2 * len(m.offsets) - 1) * np.finfo(float).eps * want
         assert len(calls) == 1, key
+
+
+def test_a_kept_product_carries_the_row_sum_norm_over():
+    # _Kept takes over its matrix's state, so a wrap of a matrix whose
+    # norm_inf has run forms no second product with ones
+    system = make_system(*ANISO9x4)
+    for key in ("A", "M", "A_int", "M_int"):
+        m = getattr(system, key)
+        want = m.norm_inf()
+        kept = assembly._Kept(m, x := np.ones(m.dimension))
+        calls = []
+        product = kept._product
+        kept._product = lambda bands, x: calls.append(1) or product(bands, x)
+        assert kept.norm_inf() == want and calls == [], key
+        assert kept == m and kept.inverse is m.inverse, key
+        assert np.array_equal(kept.apply(x), m.apply(x)) and calls == [], key
+
+
+@pytest.mark.parametrize("name", sorted(SINE_GRIDS))
+def test_every_bracket_band_refuses_a_write(name):
+    # a bracket's bands are read-only where it is made: assemble_system's
+    # four, a restrict of each full bracket, and a kept product
+    system = make_system(*SINE_GRIDS[name])
+    mesh = system.mesh
+    matrices = [system.A, system.M, system.A_int, system.M_int,
+                system.A.restrict(mesh), system.M.restrict(mesh),
+                assembly._Kept(system.A_int, np.ones(mesh.interior_count))]
+    for matrix in matrices:
+        for band in matrix.bands:
+            before = band.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                band[0] = 7.0
+            with pytest.raises(ValueError, match="read-only"):
+                band += 1.0
+            assert np.array_equal(band, before)
 
 
 @pytest.mark.parametrize("name", sorted(SINE_GRIDS))

@@ -78,6 +78,17 @@ def test_src_lines_is_the_sum_of_the_package_file_lengths():
     assert bench_pairs.describe_src(root)["src_lines"] == want
 
 
+def test_src_lines_by_file_counts_each_package_file(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_bytes(b"x = 1\ny = 2\n")
+    (package / "sub" / "b.py").write_bytes(b"z = 3\nno final newline")
+    (package / "notes.txt").write_bytes(b"not python\n")
+    described = bench_pairs.describe_src(tmp_path)
+    assert described["src_lines_by_file"] == {"src/pkg/a.py": 2, "src/pkg/sub/b.py": 1}
+    assert described["src_lines"] == 3
+
+
 def test_counters_moved_lists_the_traced_counts_and_bytes_that_differ():
     per_layer = [{"name": "expr.eval_calls", "unit": "count"},
                  {"name": "problems.csv_bytes", "unit": "B"},

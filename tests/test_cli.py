@@ -388,6 +388,22 @@ def test_convergence_rejects_bad_levels(tmp_path):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("levels", ["12", "1000000000000000000"])
+def test_convergence_over_the_node_cap_solves_no_level(tmp_path, monkeypatch, capsys, levels):
+    # every level's grid is built before the first solve, so the first
+    # grid over the cap (2048^2 from 8^2) ends the command before any
+    # table line, however many levels were asked for
+    from dirichlet_fem import cli
+
+    spec = write(tmp_path, "p.txt", "domain = 0 0 1 1\ngrid = 8 8\nf = 0\ng = x\nu_exact = x\n")
+    monkeypatch.setattr(cli, "assemble_system",
+                        lambda mesh: pytest.fail(f"assembled {mesh.nx}x{mesh.ny}"))
+    assert cli.main(["convergence", "--spec", spec, "--levels", levels]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: grid 2048x2048 has 4198401 nodes, over the cap of 1500000\n"
+
+
 def test_cli_import_loads_no_fft_or_sparse_solver():
     # no scipy module at all: importing scipy.sparse was about half the
     # start-up of every process; the sine transforms use numpy.fft

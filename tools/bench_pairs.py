@@ -20,11 +20,11 @@ metrics hold the deterministic counters.  It only invokes
 perfbench/run.py and reads the JSON object on the last line of its
 stdout.
 
-The file holds each side's src/ digest and line count, every run and,
-per workload and end-to-end metric, the median and quartiles of each
-side, the number of pairs in which the change was better, with the
-direction taken from BENCHMARK.json, worse_beyond_bound: whether
-the change's median is worse than the base's by more than the metric's
+The file holds each side's src/ digest and line counts (the total and
+per file), every run and, per workload and end-to-end metric, the
+median and quartiles of each side, the number of pairs in which the
+change was better, with the direction taken from BENCHMARK.json,
+worse_beyond_bound: whether the change's median is worse than the base's by more than the metric's
 bound times |base median|, and gain_shown: whether the change was
 better in at least nine tenths of the pairs (a tie counts for neither
 side) and its median better than the base's by more than the base's
@@ -53,14 +53,15 @@ TRACED_SEED = 5
 
 def describe_src(checkout: Path) -> dict:
     """SHA-256 over the package sources, naming what a side ran, and
-    their total line count, as wc -l counts lines."""
-    digest, lines = hashlib.sha256(), 0
+    their line counts, as wc -l counts lines: the total and per file."""
+    digest, by_file = hashlib.sha256(), {}
     for path in sorted((checkout / "src").rglob("*.py")):
-        text = path.read_bytes()
-        digest.update(path.relative_to(checkout).as_posix().encode() + b"\0")
+        text, name = path.read_bytes(), path.relative_to(checkout).as_posix()
+        digest.update(name.encode() + b"\0")
         digest.update(text)
-        lines += text.count(b"\n")
-    return {"src_sha256": digest.hexdigest(), "src_lines": lines}
+        by_file[name] = text.count(b"\n")
+    return {"src_sha256": digest.hexdigest(), "src_lines": sum(by_file.values()),
+            "src_lines_by_file": by_file}
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
