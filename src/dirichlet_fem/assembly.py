@@ -12,13 +12,11 @@ for the piecewise-linear nodal basis {phi_i}.  Both are assembled from
 closed-form local matrices (P1 gradients are constant per triangle), so
 the only quadrature in the package is the degree-2 edge-midpoint rule
 used for load vectors.  Every cell has the sides (hx, hy) and the same
-diagonal, so a local entry is one scalar, summed in triangle order over
-a node's class (corner, edge or interior) on 2 x 2 cells and stretched
-to the grid; the load's vary, so they are (ny, nx) arrays added at
-shifted slices.  Reassembly is bit-identical.  assemble_system bundles
-both brackets, each a SparseSymMatrix of read-only bands, with their
-interior blocks, built from node (1, 1)'s couplings: the only
-restriction to the interior in the package.
+diagonal, so a local entry is one scalar, summed in triangle order into
+a band's bottom, middle and top row lines; the load's vary, so they are
+(ny, nx) arrays added at shifted slices.  Reassembly is bit-identical.
+assemble_system bundles both brackets with their interior blocks, of
+node (1, 1)'s couplings: the only restriction to the interior.
 
 The stiffness across the cell diagonals is exactly zero, so A_int is
 the five-point operator (hy/hx) I (x) T_nx + (hx/hy) T_ny (x) I with
@@ -44,32 +42,47 @@ _FORM_CLAMP = 1e-12
 
 
 class SparseSymMatrix:
-    """An exactly symmetric sparse matrix, stored by its diagonals.
+    """An exactly symmetric sparse matrix of the nodes of a (rows, width) grid.
 
-    ``offsets`` holds the increasing offsets k of the stored diagonals,
-    0 first, and ``bands[i]`` the upper diagonal at ``offsets[i]``:
-    entries (r, r + k), r < dimension - k, which mirror (r + k, r), so
-    the matrix is exactly symmetric.  The main diagonal is always stored,
-    an off-diagonal only if it holds a nonzero (symmetric DIA: Saad,
-    Iterative Methods for Sparse Linear Systems, 2nd ed., section 3.4),
-    each as a read-only view, so a write raises and the memo of norm_inf
-    holds.  ``apply`` is the path of every mat-vec.  ``inverse``, if
+    Each of ``terms`` (k, c, fixes) is the upper diagonal at offset k,
+    mirrored below: entry (r, r + k) holds c, a scalar or a grid row's line
+    (c[r % width]), except on the slice of each fix (slice, values).  Only
+    the main diagonal is kept when zero (symmetric DIA: Saad, Iterative
+    Methods for Sparse Linear Systems, 2nd ed., section 3.4).  c and the
+    fixes are read-only copies, so no caller's array can change the matrix
+    or stale norm_inf; ``bands`` builds the diagonals.  ``inverse``, if
     given, is the map r -> A^{-1} r, exact or close to it, that cg_solve
-    solves and refines with; a matrix without one cannot be solved.
+    solves with; a matrix without one cannot be solved.
     """
 
-    def __init__(self, offsets, bands, inverse: Callable | None = None):
-        kept = [(k, band.view()) for k, band in zip(offsets, bands) if k == 0 or band.any()]
-        for _, band in kept:
-            band.flags.writeable = False
-        self.offsets = np.array([k for k, _ in kept])
-        self.bands = [band for _, band in kept]
-        self.inverse = inverse
-        self._norm_inf = None
+    def __init__(self, grid, terms, inverse: Callable | None = None):
+        (rows, width), self.grid = grid, tuple(grid)
+        n = self.dimension = rows * width
+        self.terms, self.inverse, self._norm_inf = [], inverse, None
+        for k, c, fixes in terms:
+            c, fixes = np.array(c, dtype=float), [(s, np.array(v, dtype=float)) for s, v in fixes]
+            for array in (c, *(v for _, v in fixes)):
+                array.setflags(write=False)
+            if k == 0 or (k < n and (c.any() or any(v.any() for _, v in fixes))):
+                self.terms.append((k, c, fixes))
+        self.offsets = np.array([k for k, _, _ in self.terms])
+        # (c, fixes, rows of y, entries of the term) in csr @ x's order, for its bits:
+        # lower diagonals farthest first to the main one, then upper ones moved k along
+        lower = [(c, fixes, slice(k, None), slice(n - k)) for k, c, fixes in self.terms[::-1]]
+        self._steps = lower + [
+            (np.concatenate((c[-m:], c[:-m])) if c.ndim and (m := k % width) else c,
+             [(slice(s.start + k, s.stop and s.stop + k, s.step), v) for s, v in fixes],
+             slice(n - k), slice(k, None)) for k, c, fixes in self.terms[1:]]
 
     @property
-    def dimension(self) -> int:
-        return len(self.bands[0])
+    def bands(self) -> list[np.ndarray]:
+        """The upper diagonal at each offset, built on each call."""
+        out = []
+        for k, c, fixes in self.terms:
+            out.append(band := np.broadcast_to(c, self.grid).flatten()[: self.dimension - k])
+            for s, values in fixes:
+                band[s] = values
+        return out
 
     @property
     def nnz(self) -> int:
@@ -77,19 +90,15 @@ class SparseSymMatrix:
         counts = [int(np.count_nonzero(band)) for band in self.bands]
         return counts[0] + 2 * sum(counts[1:])
 
-    def _product(self, bands, x: np.ndarray) -> np.ndarray:
-        # Each row adds its terms in increasing column order from zero:
-        # the lower diagonals from the farthest in, the main diagonal,
-        # then the upper ones outwards.  That is the order of a sorted
-        # CSR product, so the bits are those of csr @ x.
-        y = np.zeros(len(x))
-        term = np.empty(len(x))
-        pairs = list(zip(self.offsets.tolist(), bands))
-        for k, band in pairs[:0:-1]:
-            y[k:] += np.multiply(band, x[: len(band)], out=term[: len(band)])
-        y += np.multiply(bands[0], x, out=term)
-        for k, band in pairs[1:]:
-            y[: len(band)] += np.multiply(band, x[k:], out=term[: len(band)])
+    def _product(self, x: np.ndarray, absolute: bool = False) -> np.ndarray:
+        # A x, or for x >= 0 |A| x: |c x| is |c| x, bit for bit
+        y, t = np.zeros(len(x)), np.empty(self.grid)
+        flat, grid = t.reshape(-1), x.reshape(self.grid)
+        for c, fixes, rows, entries in self._steps:
+            np.multiply(c, grid, out=t)
+            for s, values in fixes:
+                np.multiply(values, x[s], out=flat[s])
+            y[rows] += np.absolute(flat[entries]) if absolute else flat[entries]
         return y
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -99,7 +108,7 @@ class SparseSymMatrix:
             raise ValueError(
                 f"vector length {x.shape} does not match dimension {self.dimension}"
             )
-        return self._product(self.bands, x)
+        return self._product(x)
 
     def quad_form(self, x: np.ndarray) -> float:
         """x . (A x)."""
@@ -108,13 +117,12 @@ class SparseSymMatrix:
     def abs_quad_form(self, x: np.ndarray) -> float:
         """|x| . (|A| |x|): the roundoff scale of quad_form."""
         ax = np.abs(np.asarray(x, dtype=float))
-        return float(np.dot(ax, self._product([np.abs(b) for b in self.bands], ax)))
+        return float(np.dot(ax, self._product(ax, absolute=True)))
 
     def norm_inf(self) -> float:
         """Largest row sum of |A|, which bounds ||A||_2 and ||(|A|)||_2 by symmetry."""
         if self._norm_inf is None:  # once per matrix
-            ones = np.ones(self.dimension)
-            self._norm_inf = float(self._product([np.abs(b) for b in self.bands], ones).max())
+            self._norm_inf = float(self._product(np.ones(self.dimension), True).max())
         return self._norm_inf
 
     def apply_error(self) -> float:
@@ -129,25 +137,13 @@ class SparseSymMatrix:
         return terms * np.finfo(float).eps * self.norm_inf()
 
     def restrict(self, mesh: Mesh, inverse=None) -> "SparseSymMatrix":
-        """The block of a bracket of mesh on its interior nodes.
-
-        Every interior node has the couplings of node (1, 1), band[nx + 2]
-        of each band, as assembly stretches one interior value over them.
-        The couplings to (J, I + 1), (J + 1, I) and (J + 1, I + 1) move
-        from offsets 1, nx + 1 and nx + 2 to 1, nx - 1 and nx; those to
-        the right border are zeroed, those to the top one fall past the
-        end, and bands that land on one offset (nx = 2) add.
-        """
-        nx, size = mesh.nx, mesh.interior_count
-        moved = {0: 0, 1: 1, nx + 1: nx - 1, nx + 2: nx}
-        bands = {}
-        for k, band in zip(self.offsets.tolist(), self.bands):
-            new = moved[k]
-            block = np.full(max(size - new, 0), band[nx + 2])
-            if k in (1, nx + 2):  # to column I + 1, the border for the last
-                block[nx - 2 :: nx - 1] = 0.0
-            bands[new] = bands[new] + block if new in bands else block
-        return SparseSymMatrix(list(bands), list(bands.values()), inverse)
+        """The block of a bracket of mesh on its interior nodes: node (1, 1)'s
+        couplings c[1], at offsets 0, 1, nx - 1 and nx, zero on the right border."""
+        nx = mesh.nx
+        moved, wrap = {0: 0, 1: 1, nx + 1: nx - 1, nx + 2: nx}, slice(nx - 2, None, nx - 1)
+        return SparseSymMatrix((mesh.ny - 1, nx - 1), [
+            (moved[k], c[1], [(wrap, 0.0)] if k in (1, nx + 2) else [])
+            for k, c, _ in self.terms if nx > 2 or k not in (1, nx + 2)], inverse)
 
     def toarray(self) -> np.ndarray:
         n = self.dimension
@@ -175,7 +171,7 @@ class _Kept(SparseSymMatrix):
     """matrix, reusing its product with each given vector object, which must not change."""
 
     def __init__(self, matrix: SparseSymMatrix, *vectors: np.ndarray):
-        vars(self).update(vars(matrix))  # its bands, inverse and row-sum norm
+        vars(self).update(vars(matrix))  # its terms, inverse and row-sum norm
         self._matrix = matrix  # which may keep products of its own
         self._products = {id(x): (x, matrix.apply(x)) for x in vectors}
 
@@ -208,11 +204,14 @@ def _slice_sum(ny: int, nx: int, terms, local: Callable) -> np.ndarray:
 
 def _assemble(mesh: Mesh, local: Callable) -> SparseSymMatrix:
     """The bracket whose triangles have the scalar local entries local(t, a, b)."""
-    n, offsets = mesh.node_count, (0, 1, mesh.nx + 1, mesh.nx + 2)
-    bands = [np.repeat(np.repeat(_slice_sum(2, 2, terms, local), (1, mesh.ny - 1, 1), 0),
-                       (1, mesh.nx - 1, 1), 1).ravel()[: n - k]
-             for k, terms in zip(offsets, _BANDS)]
-    return SparseSymMatrix(offsets, bands)
+    nx, ny, n = mesh.nx, mesh.ny, mesh.node_count
+    terms = []
+    for k, cells in zip((0, 1, nx + 1, nx + 2), _BANDS):
+        first, mid, last = _slice_sum(2, nx, cells, local)
+        terms.append((k, mid, [(slice(j, min(j + nx + 1, n - k)), line[: n - k - j])
+                               for j, line in ((0, first), (ny * (nx + 1), last))
+                               if j < n - k and line.tobytes() != mid.tobytes()]))
+    return SparseSymMatrix((ny + 1, nx + 1), terms)
 
 
 def assemble_stiffness(mesh: Mesh) -> SparseSymMatrix:

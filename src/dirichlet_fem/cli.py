@@ -100,7 +100,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
     system = _system(spec.mesh)
     data = make_data(spec, system.mesh)
-    report = solve(system, data)
+    report = solve(system := replace(system, A=_Kept(system.A, data.g)), data)  # one A g
     f_vals = nodal_values(system.mesh, as_function(spec.f_expr))
     _print_report(system, data, report, f_vals)
     _write_field(args.out, system.mesh, report.u)

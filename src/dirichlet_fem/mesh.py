@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-# Above the 35 MB of the import, a CLI solve peaks near 0.3 KB per node and
-# verify near 0.7 KB (512^2 and 1024^2), so at this cap both stay under 1.2 GB.
+# Above the 35 MB of the import, a CLI solve peaks near 0.18 KB per node and
+# verify near 0.37 KB (512^2 and 1024^2), so at this cap both stay under 0.6 GB.
 MAX_NODES = 1_500_000
 
 

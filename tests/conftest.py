@@ -58,9 +58,11 @@ def dense_sym(matrix, inverse=None) -> SparseSymMatrix:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
-    # + 0.0 stores a -0.0 entry as 0.0, as a sum from zero would
-    diagonals = [np.diagonal(a, k) + 0.0 for k in range(len(a))]
-    return SparseSymMatrix(range(len(a)), diagonals, inverse)
+    # one row of nodes, one fix covering each diagonal; + 0.0 stores a -0.0
+    # entry as 0.0, as a sum from zero would
+    n = len(a)
+    terms = [(k, 0.0, [(slice(0, n - k), np.diagonal(a, k) + 0.0)]) for k in range(n)]
+    return SparseSymMatrix((1, n), terms, inverse)
 
 
 def triangles(mesh) -> np.ndarray:

@@ -10,6 +10,7 @@ from scipy.sparse import csr_matrix
 from dirichlet_fem import (
     EvalError,
     InteriorSystem,
+    SparseSymMatrix,
     as_function,
     assemble_load,
     assemble_mass,
@@ -558,22 +559,39 @@ DYADIC_BANDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(DYADIC_BANDS))
-def test_dyadic_grids_keep_every_band_bit(name):
-    system = make_system(*SINE_GRIDS[name])
-    for key, want in DYADIC_BANDS[name].items():
-        m = getattr(system, key)
-        digest = hashlib.sha256(np.asarray(m.offsets, dtype=np.int64).tobytes())
-        for band in m.bands:
-            digest.update(band.tobytes())
-        assert digest.hexdigest() == want, key
-
-
 # node lines that are not dyadic: np.diff(xs) varies by ulps around hx
 OFF_DYADIC = {
     "skewed37x23": SINE_GRIDS["skewed37x23"],
     "shifted63x41": (0.1, -0.3, 0.7, 0.2, 63, 41),
 }
+
+# The same digests of OFF_DYADIC's brackets, as assembled from the cell
+# sides and stored as node-sized bands before the brackets became stencils.
+OFF_DYADIC_BANDS = {
+    "skewed37x23": {
+        "A": "bdce458ed2b844f4a06182afc732e42a3804b1d8d96f7c6349b59bbb6468b9a2",
+        "M": "4cb8157ef4697d9b5a88a927e218bc7e4932be48e2edac304f8932482420cf19",
+        "A_int": "57dfae019ea2816e07cfa4fb49d73c31d5667a104f11c6a681131563ec648340",
+        "M_int": "3a6fe02da9b45dfd24a759de9255c3fda8db43e4c08b44eb6a655cf44e3fe159",
+    },
+    "shifted63x41": {
+        "A": "f3531164705b2ddb92d3d469598c1aaab4414d90f92f9f1b71ce2e03ea921bd8",
+        "M": "a6febf75992c482d2109acfb6196d741f072e8e1ab0b5eef1b9be4e24d184457",
+        "A_int": "03bcc888ed8b111bfbb4bc4aee88ceade6d509dae0f55b802a5872bfc8c7cd38",
+        "M_int": "77712e2fffa62a3b2f6f7a50d6ea4b1df235257463d05ab55aacb3c1cba16378",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DYADIC_BANDS) + sorted(OFF_DYADIC_BANDS))
+def test_dyadic_grids_keep_every_band_bit(name):
+    system = make_system(*{**SINE_GRIDS, **OFF_DYADIC}[name])
+    for key, want in {**DYADIC_BANDS, **OFF_DYADIC_BANDS}[name].items():
+        m = getattr(system, key)
+        digest = hashlib.sha256(np.asarray(m.offsets, dtype=np.int64).tobytes())
+        for band in m.bands:
+            digest.update(band.tobytes())
+        assert digest.hexdigest() == want, key
 
 
 @pytest.mark.parametrize("name", sorted(OFF_DYADIC))
@@ -621,23 +639,44 @@ def test_a_kept_product_carries_the_row_sum_norm_over():
         assert np.array_equal(kept.apply(x), m.apply(x)) and calls == [], key
 
 
-@pytest.mark.parametrize("name", sorted(SINE_GRIDS))
-def test_every_bracket_band_refuses_a_write(name):
-    # a bracket's bands are read-only where it is made: assemble_system's
-    # four, a restrict of each full bracket, and a kept product
-    system = make_system(*SINE_GRIDS[name])
-    mesh = system.mesh
-    matrices = [system.A, system.M, system.A_int, system.M_int,
-                system.A.restrict(mesh), system.M.restrict(mesh),
-                assembly._Kept(system.A_int, np.ones(mesh.interior_count))]
-    for matrix in matrices:
-        for band in matrix.bands:
-            before = band.copy()
+def stored_arrays(value):
+    """Every numpy array a matrix holds, through its attributes, lists,
+    tuples and dicts; functions, such as an inverse, are not entered."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from stored_arrays(item)
+    elif isinstance(value, SparseSymMatrix):
+        yield from stored_arrays(vars(value))
+
+
+@pytest.mark.parametrize("name", ["unit300x20", "wide1000x2"])
+def test_brackets_hold_no_array_longer_than_a_grid_line(name):
+    # a bracket keeps scalars and lines of one grid row, never a node-sized
+    # band; the sine inverse of A_int is a function and keeps its own spectrum
+    x0, y0, x1, y1, nx, ny = {**SINE_GRIDS, "wide1000x2": (0.0, 0.0, 1.0, 1.0, 1000, 2)}[name]
+    system = make_system(x0, y0, x1, y1, nx, ny)
+    for key in ("A", "M", "A_int", "M_int"):
+        sizes = [array.size for array in stored_arrays(getattr(system, key))]
+        assert sizes and max(sizes) <= max(nx, ny) + 1, key
+
+
+def test_a_matrix_keeps_read_only_copies_of_its_terms():
+    # a caller's array, and a band built from the matrix, can change
+    # without changing the matrix or its remembered row-sum norm
+    c, line = np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0])
+    m = SparseSymMatrix((1, 3), [(0, c, []), (1, 0.0, [(slice(0, 2), line)])])
+    ones = np.ones(3)
+    assert m.apply(ones).tolist() == [1.0, 0.0, 1.0] and m.norm_inf() == 4.0
+    c[:], line[:] = 10.0, 5.0
+    m.bands[0][:] = 7.0
+    assert m.apply(ones).tolist() == [1.0, 0.0, 1.0] and m.norm_inf() == 4.0
+    assert float((abs(as_csr(m)) @ ones).max()) == 4.0
+    for _, value, fixes in m.terms:
+        for array in (value, *(v for _, v in fixes)):
             with pytest.raises(ValueError, match="read-only"):
-                band[0] = 7.0
-            with pytest.raises(ValueError, match="read-only"):
-                band += 1.0
-            assert np.array_equal(band, before)
+                array[...] = 0.0
 
 
 @pytest.mark.parametrize("name", sorted(SINE_GRIDS))
