@@ -654,12 +654,16 @@ def stored_arrays(value):
 @pytest.mark.parametrize("name", ["unit300x20", "wide1000x2"])
 def test_brackets_hold_no_array_longer_than_a_grid_line(name):
     # a bracket keeps scalars and lines of one grid row, never a node-sized
-    # band; the sine inverse of A_int is a function and keeps its own spectrum
+    # band, and its terms refuse a write; the sine inverse of A_int is a
+    # function and keeps its own spectrum
     x0, y0, x1, y1, nx, ny = {**SINE_GRIDS, "wide1000x2": (0.0, 0.0, 1.0, 1.0, 1000, 2)}[name]
     system = make_system(x0, y0, x1, y1, nx, ny)
     for key in ("A", "M", "A_int", "M_int"):
         sizes = [array.size for array in stored_arrays(getattr(system, key))]
         assert sizes and max(sizes) <= max(nx, ny) + 1, key
+        for array in stored_arrays(getattr(system, key).terms):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 7.0
 
 
 def test_a_matrix_keeps_read_only_copies_of_its_terms():
