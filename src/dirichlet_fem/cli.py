@@ -1,12 +1,13 @@
 """Command line front end.
 
 Four subcommands: solve writes the solved field as CSV plus a summary
-report, verify runs the randomized identity suite and reports
-PASS/FAIL per check, poincare prints the embedding constant of a
-problem's mesh, and convergence reruns a problem on doubled grids
-against a known exact field.  Commands in one process share each grid
-shape's brackets and, once asked for, its Poincare estimate, up to
-mesh.MAX_NODES nodes, and print what a fresh process would.
+report, verify runs the randomized identity suite on the data solve
+takes (g's border values only, in mode = border) and reports PASS/FAIL
+per check, poincare prints the embedding constant of a problem's mesh,
+and convergence reruns a problem on doubled grids against a known exact
+field.  Commands in one process, convergence's levels among them, share
+each grid shape's brackets and, once asked for, its Poincare estimate,
+up to mesh.MAX_NODES nodes, and print what a fresh process would.
 convergence builds every level's grid before it solves any.
 
 Exit codes: 0 success, 1 malformed problem data (file syntax, bad
@@ -32,7 +33,7 @@ from .dirichlet import ProblemData, SolveReport, solve, weak_residual
 from .expr import EvalError, as_function
 from .linsolve import ConvergenceError
 from .mesh import Mesh, build_rect_mesh, nodal_values
-from .problems import load_problem, make_data, write_field_csv
+from .problems import boundary_field, load_problem, make_data, write_field_csv
 from .riesz import energy
 from .verify import run_checks
 
@@ -111,8 +112,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spec = load_problem(args.spec)
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    results = run_checks(_system(spec.mesh), as_function(spec.f_expr),
-                         as_function(spec.g_expr), args.seed)
+    results = run_checks(_system(spec.mesh), nodal_values(spec.mesh, as_function(spec.f_expr)),
+                         boundary_field(spec, spec.mesh), args.seed)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     return 0 if all(r.passed for r in results) else 2
@@ -154,7 +155,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     rows: list[tuple[int, int, float, float, float]] = []  # nx, ny, h, max_error, l2_error
     print("grid      h            max_error      order   l2_error       order")
     for level, mesh in enumerate(meshes):
-        system = assemble_system(mesh)
+        system = _system(mesh)
         diff = solve(system, make_data(spec, mesh)).u - nodal_values(mesh, u_exact)
         rows.append((mesh.nx, mesh.ny, max(mesh.cell_sides),
                      float(np.max(np.abs(diff))), norm(diff, system.M)))

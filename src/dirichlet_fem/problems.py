@@ -157,19 +157,21 @@ def load_problem(path: str) -> ProblemSpec:
         return parse_problem(handle.read())
 
 
-def make_data(spec: ProblemSpec, mesh: Mesh) -> ProblemData:
-    """Build solver inputs: f's assembled load and an extension of g.
-
-    In extension mode g is sampled at every node; in border mode only
-    at the boundary nodes and extended by zero, as quotient_solve does.
-    """
-    load = assemble_load(mesh, as_function(spec.f_expr))
+def boundary_field(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
+    """g as solve takes it: in extension mode sampled at every node; in border
+    mode only at the boundary nodes and extended by zero, as quotient_solve does."""
     g = as_function(spec.g_expr)
     if spec.mode == "border":
         mask = mesh.boundary_mask.reshape(mesh.ny + 1, mesh.nx + 1)
         x, y = np.broadcast_arrays(mesh.xs, mesh.ys[:, None])
-        return ProblemData(load=load, g=extend(mesh, g(x[mask], y[mask])))
-    return ProblemData(load=load, g=nodal_values(mesh, g))
+        return extend(mesh, g(x[mask], y[mask]))
+    return nodal_values(mesh, g)
+
+
+def make_data(spec: ProblemSpec, mesh: Mesh) -> ProblemData:
+    """Build solver inputs: f's assembled load and g's boundary_field."""
+    return ProblemData(load=assemble_load(mesh, as_function(spec.f_expr)),
+                       g=boundary_field(spec, mesh))
 
 
 _CSV_HEADER = "node_index,x,y,u,is_boundary"

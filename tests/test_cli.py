@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import cli_env
+from tests.test_verify import EXPECTED_CHECKS
 
 BASE = "domain = 0 0 1 1\ngrid = 4 4\n"
 
@@ -129,6 +130,46 @@ def test_border_mode_matches_extension(tmp_path):
     u_ext = read_csv(run_cli("solve", "--spec", ext).stdout)[:, 3]
     u_border = read_csv(run_cli("solve", "--spec", border).stdout)[:, 3]
     assert np.max(np.abs(u_ext - u_border)) <= 1e-8
+
+
+# g is undefined inside the disc of radius sqrt(0.2) about (0.5, 0.5),
+# which holds interior nodes of the grid, and defined on the whole border
+BORDER_ONLY_G = (
+    "domain = 0 0 1 1\ngrid = 8 8\nf = 1\n"
+    "g = sqrt((x-0.5)^2 + (y-0.5)^2 - 0.2)\nu_exact = 0\n"
+)
+
+
+def test_every_command_takes_g_on_the_border_only_in_border_mode(tmp_path, capsys):
+    from dirichlet_fem import cli
+
+    border = write(tmp_path, "border.txt", BORDER_ONLY_G + "mode = border\n")
+    for command in ("solve", "poincare", "convergence", "verify"):
+        assert cli.main([command, "--spec", border]) == 0, capsys.readouterr().err
+    lines = capsys.readouterr().out.splitlines()[-12:]
+    assert [line.split(":")[0] for line in lines] == [f"PASS {n}" for n in EXPECTED_CHECKS]
+    extension = write(tmp_path, "extension.txt", BORDER_ONLY_G)
+    for command in ("solve", "convergence", "verify"):
+        assert cli.main([command, "--spec", extension]) == 2
+        assert capsys.readouterr().err == (
+            "error: sqrt(-0.04375000000000001) is undefined at (0.375, 0.125)\n")
+
+
+def test_verify_checks_the_boundary_field_that_solve_takes(tmp_path, monkeypatch, capsys):
+    # in border mode g's border values extended by zero, bit for bit
+    from dirichlet_fem import cli, load_problem, make_data
+
+    text = ("domain = -0.7 0.3 1.9 2.25\ngrid = 16 12\n"
+            "f = 1 + x*y\ng = x^2 - y^2 + sin(y)\nmode = border\n")
+    spec = write(tmp_path, "border16x12.txt", text)
+    seen = []
+    monkeypatch.setattr(cli, "run_checks", lambda *args: seen.append(args) or [])
+    assert cli.main(["verify", "--spec", spec, "--seed", "3"]) == 0
+    (_, _, g_field, seed), = seen
+    problem = load_problem(spec)
+    assert g_field.tobytes() == make_data(problem, problem.mesh).g.tobytes()
+    assert seed == 3
+    capsys.readouterr()
 
 
 def test_verify_passes_and_is_deterministic(tmp_path):

@@ -59,6 +59,24 @@ def test_a_repeat_solve_assembles_and_estimates_nothing(tmp_path, monkeypatch, c
     capsys.readouterr()
 
 
+def test_convergence_levels_share_the_store_with_solve(tmp_path, monkeypatch, capsys):
+    calls, original = [], assembly.assemble_stiffness
+
+    def counted(mesh):
+        calls.append((mesh.nx, mesh.ny))
+        return original(mesh)
+
+    monkeypatch.setattr(assembly, "assemble_stiffness", counted)
+    coarse = problem(tmp_path, "coarse.txt", grid="8 8")
+    with open(coarse, "a", encoding="utf-8") as handle:
+        handle.write("u_exact = sin(pi*x)*sin(pi*y) + x\n")
+    assert cli.main(["convergence", "--spec", coarse, "--levels", "2"]) == 0
+    assert calls == [(8, 8), (16, 16)]
+    assert cli.main(["solve", "--spec", problem(tmp_path, "fine.txt", domain="2 0 3 1")]) == 0
+    assert calls == [(8, 8), (16, 16)]
+    capsys.readouterr()
+
+
 def test_the_store_holds_at_most_max_nodes_dropping_the_least_recent(
         tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(mesh, "MAX_NODES", 200)

@@ -22,6 +22,7 @@ from dirichlet_fem import (
     build_rect_mesh,
     cg_solve,
     estimate_poincare,
+    nodal_values,
 )
 from tests.conftest import make_system
 
@@ -90,6 +91,7 @@ def test_verify_calls_eval_p1_through_its_module_binding(monkeypatch):
 
     monkeypatch.setattr(verify, "eval_p1", leaf)
     system = make_system(0.0, 0.0, 1.0, 1.0, 6, 5)
-    results = verify.run_checks(system, lambda x, y: 1.0 + x * y, lambda x, y: x - y, 3)
+    f_vals = nodal_values(system.mesh, lambda x, y: 1.0 + x * y)
+    results = verify.run_checks(system, f_vals, nodal_values(system.mesh, lambda x, y: x - y), 3)
     assert all(r.passed for r in results)
     assert calls == [4] * 6
