@@ -28,7 +28,6 @@ from .assembly import (
     restrict_interior,
 )
 from .dirichlet import (
-    ProblemData,
     SolveReport,
     build_functional,
     extend,
@@ -64,7 +63,6 @@ __all__ = [
     "Mesh",
     "ParseError",
     "PoincareEstimate",
-    "ProblemData",
     "ProblemFormatError",
     "ProblemSpec",
     "SolveReport",

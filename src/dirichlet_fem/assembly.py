@@ -136,12 +136,12 @@ class SparseSymMatrix:
         terms = 2 * len(self.offsets) - 1
         return terms * np.finfo(float).eps * self.norm_inf()
 
-    def restrict(self, mesh: Mesh, inverse=None) -> "SparseSymMatrix":
-        """The block of a bracket of mesh on its interior nodes: node (1, 1)'s
-        couplings c[1], at offsets 0, 1, nx - 1 and nx, zero on the right border."""
-        nx = mesh.nx
+    def restrict(self, inverse=None) -> "SparseSymMatrix":
+        """The block on the interior nodes of the bracket's own grid of nx by ny cells:
+        node (1, 1)'s couplings c[1], at offsets 0, 1, nx - 1 and nx, zero on the right border."""
+        ny, nx = (m - 1 for m in self.grid)
         moved, wrap = {0: 0, 1: 1, nx + 1: nx - 1, nx + 2: nx}, slice(nx - 2, None, nx - 1)
-        return SparseSymMatrix((mesh.ny - 1, nx - 1), [
+        return SparseSymMatrix((ny - 1, nx - 1), [
             (moved[k], c[1], [(wrap, 0.0)] if k in (1, nx + 2) else [])
             for k, c, _ in self.terms if nx > 2 or k not in (1, nx + 2)], inverse)
 
@@ -255,12 +255,12 @@ class InteriorSystem:
     M_int: SparseSymMatrix
 
     def __post_init__(self):
-        sizes = (self.A.dimension, self.M.dimension,
-                 self.A_int.dimension, self.M_int.dimension)
-        want = (self.mesh.node_count,) * 2 + (self.mesh.interior_count,) * 2
-        if sizes != want:
+        grids = (self.A.grid, self.M.grid, self.A_int.grid, self.M_int.grid)
+        nx, ny = self.mesh.nx, self.mesh.ny
+        want = ((ny + 1, nx + 1),) * 2 + ((ny - 1, nx - 1),) * 2
+        if grids != want:
             raise ValueError(
-                f"matrix dimensions {sizes} do not fit the mesh, which needs {want}"
+                f"matrix grids {grids} do not fit the mesh, which needs {want}"
             )
 
 
@@ -325,8 +325,8 @@ def _sine_inverse(mesh: Mesh) -> Callable:
 def assemble_system(mesh: Mesh) -> InteriorSystem:
     """Stiffness, mass and their interior blocks of one mesh."""
     A, M = assemble_stiffness(mesh), assemble_mass(mesh)
-    A_int = A.restrict(mesh, _sine_inverse(mesh))
-    M_int = M.restrict(mesh)
+    A_int = A.restrict(_sine_inverse(mesh))
+    M_int = M.restrict()
     return InteriorSystem(mesh, A, M, A_int, M_int)
 
 

@@ -29,11 +29,11 @@ import numpy as np
 from . import mesh as mesh_module  # MAX_NODES, read at each use
 from .analysis import PoincareEstimate, check_stability, estimate_poincare
 from .assembly import InteriorSystem, _Kept, assemble_system, norm
-from .dirichlet import ProblemData, SolveReport, solve, weak_residual
+from .dirichlet import SolveReport, solve, weak_residual
 from .expr import EvalError, as_function
 from .linsolve import ConvergenceError
 from .mesh import Mesh, build_rect_mesh, nodal_values
-from .problems import boundary_field, load_problem, make_data, write_field_csv
+from .problems import ProblemSpec, boundary_field, load_problem, make_data, write_field_csv
 from .riesz import energy
 from .verify import run_checks
 
@@ -73,18 +73,19 @@ def _write_field(out_path: str | None, mesh: Mesh, u: np.ndarray) -> None:
 
 
 def _print_report(
-    system: InteriorSystem, data: ProblemData, report: SolveReport, f_vals: np.ndarray
+    system: InteriorSystem, load: np.ndarray, g: np.ndarray, report: SolveReport,
+    f_vals: np.ndarray,
 ) -> None:
     est = _estimate(system)
-    mesh, u, g = system.mesh, report.u, data.g  # A u, A g and M u serve several lines
+    mesh, u = system.mesh, report.u  # A u, A g and M u serve several lines
     A, M = _Kept(system.A, u, g), _Kept(system.M, u)
     system = InteriorSystem(mesh, A, M, system.A_int, system.M_int)
     bounds = check_stability(system, u, g, f_vals, est.a_hi)
     lines = (
         f"nodes          = {mesh.node_count} "
         f"({mesh.interior_count} interior)",
-        f"energy         = {energy(A, data.load, u):.17g}",
-        f"weak_residual  = {weak_residual(system, u, data.load):.6e}",
+        f"energy         = {energy(A, load, u):.17g}",
+        f"weak_residual  = {weak_residual(system, u, load):.6e}",
         f"norm_l2        = {norm(u, M):.12g}",
         f"norm_grad      = {norm(u, A):.12g}",
         f"norm_w12       = {bounds.lhs:.12g}",  # ||u||_{1,2}
@@ -97,19 +98,17 @@ def _print_report(
     print("\n".join(lines), file=sys.stderr)
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    spec = load_problem(args.spec)
+def _cmd_solve(spec: ProblemSpec, args: argparse.Namespace) -> int:
     system = _system(spec.mesh)
-    data = make_data(spec, system.mesh)
-    report = solve(system := replace(system, A=_Kept(system.A, data.g)), data)  # one A g
+    load, g = make_data(spec, system.mesh)
+    report = solve(system := replace(system, A=_Kept(system.A, g)), load, g)  # one A g
     f_vals = nodal_values(system.mesh, as_function(spec.f_expr))
-    _print_report(system, data, report, f_vals)
+    _print_report(system, load, g, report, f_vals)
     _write_field(args.out, system.mesh, report.u)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = load_problem(args.spec)
+def _cmd_verify(spec: ProblemSpec, args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     results = run_checks(_system(spec.mesh), nodal_values(spec.mesh, as_function(spec.f_expr)),
@@ -119,8 +118,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
-def _cmd_poincare(args: argparse.Namespace) -> int:
-    spec = load_problem(args.spec)
+def _cmd_poincare(spec: ProblemSpec, args: argparse.Namespace) -> int:
     est = _estimate(_system(spec.mesh))
     print(
         f"lambda_min={est.lambda_min:.12g} a={est.a:.12g} "
@@ -141,8 +139,7 @@ def _order(prev: tuple, row: tuple, col: int) -> str:
     return f"{np.log(prev[col] / row[col]) / np.log(prev[2] / row[2]):.3f}"
 
 
-def _cmd_convergence(args: argparse.Namespace) -> int:
-    spec = load_problem(args.spec)
+def _cmd_convergence(spec: ProblemSpec, args: argparse.Namespace) -> int:
     if spec.u_exact_expr is None:
         raise ValueError("convergence study needs u_exact in the problem file")
     if args.levels < 1:
@@ -156,7 +153,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     print("grid      h            max_error      order   l2_error       order")
     for level, mesh in enumerate(meshes):
         system = _system(mesh)
-        diff = solve(system, make_data(spec, mesh)).u - nodal_values(mesh, u_exact)
+        diff = solve(system, *make_data(spec, mesh)).u - nodal_values(mesh, u_exact)
         rows.append((mesh.nx, mesh.ny, max(mesh.cell_sides),
                      float(np.max(np.abs(diff))), norm(diff, system.M)))
         nx, ny, h, max_error, l2_error = row = rows[-1]
@@ -215,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(load_problem(args.spec), args)
     except (EvalError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,9 @@ J(w + g) = E(w) + J(g) with
 
 J and E are one expression, riesz.energy, on two spaces.  The minimizer
 is the representer of lam in the gradient inner product, so the whole
-pipeline reduces to one SPD solve; solve makes that solve and nothing
-else, and its readers compute the numbers that judge it.  Turning a
+pipeline reduces to one SPD solve; solve(system, load, g) takes the
+two data slots as arrays, makes that solve and nothing else, and its
+readers compute the numbers that judge it.  Turning a
 source into a load is the caller's step: assembly.assemble_load
 integrates a callable, and M.apply(f_vals) is the exact load of the P1
 field with nodal values f_vals.  The extension enters only through its
@@ -35,20 +36,6 @@ import numpy as np
 from .assembly import InteriorSystem, extend_by_zero, norm, restrict_interior
 from .linsolve import cg_solve
 from .mesh import Mesh, _as_field
-
-
-@dataclass(frozen=True)
-class ProblemData:
-    """One problem instance: a load functional and an extension field.
-
-    load is the functional as a nodal vector, its value on each hat
-    function; g is a nodal field whose boundary values are the
-    Dirichlet data and whose interior values are one arbitrary
-    extension of it.
-    """
-
-    load: np.ndarray
-    g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,21 +72,24 @@ def weak_residual(
     return float(np.max(np.abs(r))) / scale
 
 
-def solve(system: InteriorSystem, data: ProblemData) -> SolveReport:
-    """Solve the problem by one interior solve.
+def solve(system: InteriorSystem, load: np.ndarray, g: np.ndarray) -> SolveReport:
+    """Solve the problem with data (load, g) by one interior solve.
 
-    The interior correction p represents lam = (load - A g)_interior to
-    cg_solve's backward error, and u = p + g on the full grid.
+    load is the functional as a nodal vector, its value on each hat
+    function; g is a nodal field whose boundary values are the
+    Dirichlet data and whose interior values are one arbitrary
+    extension of it.  The interior correction p represents
+    lam = (load - A g)_interior to cg_solve's backward error, and
+    u = p + g on the full grid.
     Energies, norms, the weak residual and the continuity bounds are
     computed from the report.
     """
     mesh = system.mesh
-    g_field = _as_field(data.g, mesh.node_count)
-    load = _as_field(data.load, mesh.node_count)
-    lam = build_functional(system, load, g_field)
+    g = _as_field(g, mesh.node_count)
+    lam = build_functional(system, _as_field(load, mesh.node_count), g)
     result = cg_solve(system.A_int, lam)
     return SolveReport(
-        u=extend_by_zero(mesh, result.x) + g_field,
+        u=extend_by_zero(mesh, result.x) + g,
         p=result.x,
         lam=lam,
         iterations=result.iterations,
@@ -134,8 +124,7 @@ def quotient_solve(
     yields the same field up to solver tolerance, so the map is well
     defined on classes of fields that agree on the boundary.
     """
-    data = ProblemData(load=load, g=extend(system.mesh, boundary_values))
-    return solve(system, data)
+    return solve(system, load, extend(system.mesh, boundary_values))
 
 
 def verify_uniqueness(

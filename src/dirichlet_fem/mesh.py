@@ -16,6 +16,7 @@ only is a field's [1:-1, 1:-1] block in its (ny + 1, nx + 1) layout.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,12 +33,13 @@ MAX_NODES = 1_500_000
 class Mesh:
     """Uniform triangulation of domain = (x0, y0, x1, y1) on an nx-by-ny grid.
 
-    The rectangle must pass check_domain, and nx >= 2 and ny >= 2: a
-    coarser grid has no interior node to carry a boundary-value problem.
-    Grids with more than MAX_NODES nodes, or whose cells have a squared
-    side or an area that is not a finite normal float (the local
-    matrices would overflow or underflow), are refused.  The node lines
-    xs and ys are built on first use; no node-sized array is kept.
+    The rectangle must pass check_domain, and nx and ny must be integers
+    of at least 2 (numpy's are kept as int): a coarser grid has no
+    interior node to carry a boundary-value problem.  Grids with more
+    than MAX_NODES nodes, or whose cells have a squared side or an area
+    that is not a finite normal float (the local matrices would
+    overflow or underflow), are refused.  The node lines xs and ys are
+    built on first use; no node-sized array is kept.
     """
 
     domain: tuple[float, float, float, float]
@@ -47,6 +49,10 @@ class Mesh:
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(map(float, self.domain)))
         check_domain(*self.domain)
+        if not all(isinstance(n, numbers.Integral) for n in (self.nx, self.ny)):
+            raise ValueError(f"grid {self.nx}x{self.ny} needs whole numbers of cells")
+        for name in ("nx", "ny"):  # Python ints, whose node counts cannot wrap
+            object.__setattr__(self, name, int(getattr(self, name)))
         nx, ny = self.nx, self.ny
         if nx < 2 or ny < 2:
             raise ValueError(

@@ -33,7 +33,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .assembly import assemble_load
-from .dirichlet import ProblemData, extend
+from .dirichlet import extend
 from .expr import Expr, ParseError, as_function, parse
 from .mesh import Mesh, _as_field, build_rect_mesh, check_domain, nodal_values
 
@@ -168,10 +168,9 @@ def boundary_field(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
     return nodal_values(mesh, g)
 
 
-def make_data(spec: ProblemSpec, mesh: Mesh) -> ProblemData:
-    """Build solver inputs: f's assembled load and g's boundary_field."""
-    return ProblemData(load=assemble_load(mesh, as_function(spec.f_expr)),
-                       g=boundary_field(spec, mesh))
+def make_data(spec: ProblemSpec, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (load, g) that solve takes: f's assembled load and g's boundary_field."""
+    return assemble_load(mesh, as_function(spec.f_expr)), boundary_field(spec, mesh)
 
 
 _CSV_HEADER = "node_index,x,y,u,is_boundary"

@@ -29,7 +29,6 @@ from .assembly import (
     norm,
 )
 from .dirichlet import (
-    ProblemData,
     quotient_solve,
     solve,
     trace,
@@ -66,7 +65,7 @@ def run_checks(
     n = mesh.interior_count
 
     est = estimate_poincare(system)
-    report = solve(system, ProblemData(load=load, g=g_field))
+    report = solve(system, load, g_field)
     A, Ap = _Kept(A, report.u), _Kept(A_int, report.p)
     system = InteriorSystem(mesh, A, M, A_int, M_int)
 
@@ -84,7 +83,7 @@ def run_checks(
     alpha, beta = rng.uniform(0.5, 2.0, 2)
     bump = extend_by_zero(mesh, rng.standard_normal(n))
     # The same problem through another extension of g, so another lam.
-    u_bumped = solve(system, ProblemData(load=load, g=g_field + bump)).u
+    u_bumped = solve(system, load, g_field + bump).u
 
     # A_int meets p1 and each point p1 + d once: strict-minimum's points at
     # scale 1.0 are square-identity's, as p1 + 1.0 d is p1 + d.
@@ -189,12 +188,9 @@ def run_checks(
     )
 
     # Linearity of the solution map in both data slots.
-    combo = ProblemData(
-        load=M.apply(alpha * f_vals + beta * f2_vals),
-        g=alpha * g_field + beta * g2_vals,
-    )
-    u_b = solve(system, ProblemData(load=M.apply(f2_vals), g=g2_vals)).u
-    u_combo = solve(system, combo).u
+    u_b = solve(system, M.apply(f2_vals), g2_vals).u
+    u_combo = solve(system, M.apply(alpha * f_vals + beta * f2_vals),
+                    alpha * g_field + beta * g2_vals).u
     lin_err = float(np.max(np.abs(u_combo - (alpha * report.u + beta * u_b))))
     lin_scale = max(1.0, float(np.max(np.abs(u_combo))))
     results.append(

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from dirichlet_fem import (
-    ProblemData,
     assemble_load,
     check_functional_bound,
     check_stability,
@@ -95,17 +94,15 @@ def test_criterion_01_unique_minimum_of_random_functionals(grid16):
 
 def test_criterion_02_minimizer_solves_weak_equations(grid16):
     mesh = grid16.mesh
-    data = ProblemData(
-        load=assemble_load(mesh, sine_source), g=nodal_values(mesh, lambda x, y: 0.2 * x)
-    )
+    load, g = assemble_load(mesh, sine_source), nodal_values(mesh, lambda x, y: 0.2 * x)
     # the same problem through another extension of g, so another lam
     rng = np.random.default_rng(2)
     bump = extend_by_zero(mesh, rng.standard_normal(mesh.interior_count))
-    first = solve(grid16, data)
-    second = solve(grid16, ProblemData(load=data.load, g=data.g + bump))
+    first = solve(grid16, load, g)
+    second = solve(grid16, load, g + bump)
     distance = verify_uniqueness(grid16, first.u, second.u)
     limit = 1e-9 * (1.0 + norm(first.u, grid16.A))
-    residual = weak_residual(grid16, first.u, data.load)
+    residual = weak_residual(grid16, first.u, load)
     ok = residual <= 1e-9 and distance <= limit
     report(
         2,
@@ -119,10 +116,7 @@ def test_criterion_02_minimizer_solves_weak_equations(grid16):
 def test_criterion_03_hand_solved_center_value():
     system = make_system(0.0, 0.0, 1.0, 1.0, 2, 2)
     mesh = system.mesh
-    data = ProblemData(
-        load=assemble_load(mesh, lambda x, y: 1.0), g=np.zeros(mesh.node_count)
-    )
-    u = solve(system, data).u
+    u = solve(system, assemble_load(mesh, lambda x, y: 1.0), np.zeros(mesh.node_count)).u
     center = int(np.where(np.all(mesh.nodes == [0.5, 0.5], axis=1))[0][0])
     error = abs(u[center] - 0.0625)
     ok = error <= 1e-10
@@ -133,7 +127,7 @@ def test_criterion_04_affine_boundary_data_reproduced(ladder):
     worst = 0.0
     for system in ladder.values():
         g = nodal_values(system.mesh, lambda x, y: x)
-        u = solve(system, ProblemData(load=np.zeros(system.mesh.node_count), g=g)).u
+        u = solve(system, np.zeros(system.mesh.node_count), g).u
         worst = max(worst, float(np.max(np.abs(u - g))))
     ok = worst <= 1e-8
     report(4, "affine exactness", ok, f"max nodal error={worst:.3e} (grids 8..64)")
@@ -145,10 +139,7 @@ def test_criterion_05_second_order_convergence(ladder):
     for n in (8, 16, 32):
         system = ladder[n]
         mesh = system.mesh
-        data = ProblemData(
-            load=assemble_load(mesh, sine_source), g=np.zeros(mesh.node_count)
-        )
-        u = solve(system, data).u
+        u = solve(system, assemble_load(mesh, sine_source), np.zeros(mesh.node_count)).u
         errors.append(norm(u - nodal_values(mesh, exact_sine), system.M))
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     elapsed = time.monotonic() - started
@@ -187,10 +178,9 @@ def test_criterion_07_continuity_bounds_hold(grid16):
     for _ in range(50):
         f_vals = rng.standard_normal(mesh.node_count)
         g = rng.standard_normal(mesh.node_count)
-        data = ProblemData(load=grid16.M.apply(f_vals), g=g)
-        solved = solve(grid16, data)
+        solved = solve(grid16, grid16.M.apply(f_vals), g)
         functional = check_functional_bound(grid16, solved.lam, g, f_vals, est.a)
-        bounds = check_stability(grid16, solved.u, data.g, f_vals, est.a)
+        bounds = check_stability(grid16, solved.u, g, f_vals, est.a)
         assert functional.lhs <= functional.rhs * slack
         assert bounds.riesz_lhs <= bounds.riesz_rhs * slack
         assert bounds.lhs <= bounds.rhs * slack
@@ -218,11 +208,11 @@ def test_criterion_08_solution_ignores_the_extension(grid16):
         load = M.apply(rng.standard_normal(mesh.node_count))
         g = rng.standard_normal(mesh.node_count)
         psi = extend_by_zero(mesh, rng.standard_normal(mesh.interior_count))
-        base = solve(grid16, ProblemData(load, g)).u
-        bumped = solve(grid16, ProblemData(load, g + psi)).u
+        base = solve(grid16, load, g).u
+        bumped = solve(grid16, load, g + psi).u
         gap = norm(bumped - base, A, M) / (1.0 + norm(base, A, M))
         worst = max(worst, gap)
-        null = solve(grid16, ProblemData(np.zeros(mesh.node_count), psi)).u
+        null = solve(grid16, np.zeros(mesh.node_count), psi).u
         worst_null = max(worst_null, norm(null, A, M))
     ok = worst <= 1e-8 and worst_null <= 1e-8
     report(
@@ -242,12 +232,9 @@ def test_criterion_09_solution_map_is_linear(grid16):
         f1, f2 = rng.standard_normal((2, mesh.node_count))
         g1, g2 = rng.standard_normal((2, mesh.node_count))
         alpha, beta = rng.uniform(-2.0, 2.0, size=2)
-        u1 = solve(grid16, ProblemData(M.apply(f1), g1)).u
-        u2 = solve(grid16, ProblemData(M.apply(f2), g2)).u
-        combo = solve(
-            grid16,
-            ProblemData(M.apply(alpha * f1 + beta * f2), alpha * g1 + beta * g2),
-        ).u
+        u1 = solve(grid16, M.apply(f1), g1).u
+        u2 = solve(grid16, M.apply(f2), g2).u
+        combo = solve(grid16, M.apply(alpha * f1 + beta * f2), alpha * g1 + beta * g2).u
         deviation = norm(combo - alpha * u1 - beta * u2, A, M)
         scale = 1.0 + max(norm(u1, A, M), norm(u2, A, M))
         worst = max(worst, deviation / scale)
@@ -262,7 +249,7 @@ def test_criterion_10_factors_through_boundary_values(grid16):
     for _ in range(20):
         load = M.apply(rng.standard_normal(mesh.node_count))
         g = rng.standard_normal(mesh.node_count)  # arbitrary interior values
-        direct = solve(grid16, ProblemData(load, g)).u
+        direct = solve(grid16, load, g).u
         quotient = quotient_solve(grid16, load, trace(mesh, g)).u
         gap = norm(direct - quotient, A, M) / (1.0 + norm(direct, A, M))
         worst = max(worst, gap)

@@ -10,7 +10,6 @@ import scipy.sparse.linalg
 import dirichlet_fem.analysis
 from dirichlet_fem import (
     ConvergenceError,
-    ProblemData,
     build_functional,
     check_functional_bound,
     check_stability,
@@ -146,9 +145,8 @@ def test_stability_bounds_hold_for_nodal_data(unit16):
     for _ in range(25):
         f_vals = rng.standard_normal(mesh.node_count)
         g = rng.standard_normal(mesh.node_count)
-        data = ProblemData(load=unit16.M.apply(f_vals), g=g)
-        report = solve(unit16, data)
-        bounds = check_stability(unit16, report.u, data.g, f_vals, est.a)
+        report = solve(unit16, unit16.M.apply(f_vals), g)
+        bounds = check_stability(unit16, report.u, g, f_vals, est.a)
         assert bounds.riesz_lhs <= bounds.riesz_rhs * (1.0 + 1e-8)
         assert bounds.lhs <= bounds.rhs * (1.0 + 1e-8)
         # the full bound nests the intermediate one
@@ -173,7 +171,7 @@ def test_functional_bound_of_a_solve_is_its_energy_norm(name):
     system = make_system(*SINE_GRIDS[name])
     rng = np.random.default_rng(11)
     f_vals, g = rng.standard_normal((2, system.mesh.node_count))
-    report = solve(system, ProblemData(load=system.M.apply(f_vals), g=g))
+    report = solve(system, system.M.apply(f_vals), g)
     bound = check_functional_bound(system, report.lam, g, f_vals, 1.0)
     assert bound.lhs == norm(report.p, system.A_int)
 

@@ -1,5 +1,6 @@
 """Matrix assembly against symbolic and closed-form integral oracles."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -717,3 +718,17 @@ def test_interior_system_rejects_matrices_of_another_mesh(unit4, unit8):
         InteriorSystem(unit4.mesh, unit8.A, unit8.M, unit8.A_int, unit8.M_int)
     with pytest.raises(ValueError, match="do not fit the mesh"):
         InteriorSystem(unit4.mesh, unit4.A, unit4.M, unit4.A, unit4.M_int)
+
+
+def test_interior_system_rejects_the_brackets_of_the_transposed_grid():
+    # a 4x9 and a 9x4 grid both have 50 nodes and 24 interior nodes, so
+    # only the brackets' grids tell them apart
+    tall, wide = make_system(0.0, 0.0, 1.0, 1.0, 4, 9), make_system(0.0, 0.0, 1.0, 1.0, 9, 4)
+    assert wide.A.dimension == tall.mesh.node_count
+    assert wide.A_int.dimension == tall.mesh.interior_count
+    with pytest.raises(ValueError, match="do not fit the mesh"):
+        InteriorSystem(tall.mesh, wide.A, wide.M, wide.A_int, wide.M_int)
+    for key in ("A", "M", "A_int", "M_int"):
+        with pytest.raises(ValueError, match="do not fit the mesh"):
+            dataclasses.replace(tall, **{key: getattr(wide, key)})
+

@@ -74,16 +74,16 @@ def test_solve_report_contents(tmp_path):
     problem = load_problem(spec)
     system = assemble_system(problem.mesh)
     A, M, mesh = system.A, system.M, system.mesh
-    data = make_data(problem, mesh)
-    report = solve(system, data)
+    load, g = make_data(problem, mesh)
+    report = solve(system, load, g)
     u = report.u
     est = estimate_poincare(system)
     f_vals = nodal_values(mesh, as_function(problem.f_expr))
-    bounds = check_stability(system, u, data.g, f_vals, est.a_hi)
+    bounds = check_stability(system, u, g, f_vals, est.a_hi)
     expected = {
         "nodes": f"{mesh.node_count} ({mesh.interior_count} interior)",
-        "energy": f"{energy(A, data.load, u):.17g}",
-        "weak_residual": f"{weak_residual(system, u, data.load):.6e}",
+        "energy": f"{energy(A, load, u):.17g}",
+        "weak_residual": f"{weak_residual(system, u, load):.6e}",
         "norm_l2": f"{norm(u, M):.12g}",
         "norm_grad": f"{norm(u, A):.12g}",
         "norm_w12": f"{norm(u, A, M):.12g}",
@@ -167,7 +167,7 @@ def test_verify_checks_the_boundary_field_that_solve_takes(tmp_path, monkeypatch
     assert cli.main(["verify", "--spec", spec, "--seed", "3"]) == 0
     (_, _, g_field, seed), = seen
     problem = load_problem(spec)
-    assert g_field.tobytes() == make_data(problem, problem.mesh).g.tobytes()
+    assert g_field.tobytes() == make_data(problem, problem.mesh)[1].tobytes()
     assert seed == 3
     capsys.readouterr()
 
@@ -414,6 +414,26 @@ def test_verify_rejects_negative_seed_flag(tmp_path):
 def test_missing_file_is_io_error(tmp_path):
     proc = run_cli("solve", "--spec", str(tmp_path / "absent.txt"))
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["verify", "--seed", "-1"], ["poincare"], ["convergence", "--levels", "0"]],
+    ids=["solve", "verify", "poincare", "convergence"],
+)
+def test_a_bad_file_is_reported_before_the_flags(tmp_path, capsys, argv):
+    # every command reads its file first: a missing one exits 3 and a
+    # malformed one exits 1 naming its line, before --seed, --levels or
+    # the missing u_exact is looked at
+    from dirichlet_fem import cli
+
+    absent = str(tmp_path / "absent.txt")
+    assert cli.main([argv[0], "--spec", absent, *argv[1:]]) == 3
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
+    malformed = write(tmp_path, "p.txt", BASE + "f = sin(\ng = 0\n")
+    assert cli.main([argv[0], "--spec", malformed, *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err.startswith("error: line 3: f: ")) == ("", True), err
 
 
 def test_convergence_needs_u_exact(tmp_path):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dirichlet_fem import (
-    ProblemData,
     assemble_load,
     build_functional,
     check_stability,
@@ -39,13 +38,11 @@ def test_hand_oracle_center_value():
     # 4 u = 1/4 by hand assembly
     system = make_system(0.0, 0.0, 1.0, 1.0, 2, 2)
     mesh = system.mesh
-    data = ProblemData(
-        load=assemble_load(mesh, lambda x, y: 1.0), g=np.zeros(mesh.node_count)
-    )
-    report = solve(system, data)
+    load = assemble_load(mesh, lambda x, y: 1.0)
+    report = solve(system, load, np.zeros(mesh.node_count))
     center = int(np.where(np.all(mesh.nodes == [0.5, 0.5], axis=1))[0][0])
     assert report.u[center] == pytest.approx(0.0625, abs=1e-10)
-    assert energy(system.A, data.load, report.u) == pytest.approx(
+    assert energy(system.A, load, report.u) == pytest.approx(
         -0.0078125, rel=1e-10
     )
     assert energy(system.A_int, report.lam, report.p) == pytest.approx(
@@ -57,7 +54,7 @@ def test_affine_field_reproduced_exactly(unit8):
     # zero source, affine boundary data: the interpolant solves exactly
     mesh = unit8.mesh
     g = nodal_values(mesh, lambda x, y: x)
-    report = solve(unit8, ProblemData(load=np.zeros(mesh.node_count), g=g))
+    report = solve(unit8, np.zeros(mesh.node_count), g)
     assert np.max(np.abs(report.u - g)) <= 1e-8
 
 
@@ -67,8 +64,7 @@ def test_report_fields_are_consistent(unit16):
     f_vals = rng.standard_normal(mesh.node_count)
     g = rng.standard_normal(mesh.node_count)
     load = unit16.M.apply(f_vals)
-    data = ProblemData(load=load, g=g)
-    report = solve(unit16, data)
+    report = solve(unit16, load, g)
 
     # the report's functional is the one of the given load, bit for bit
     assert np.array_equal(report.lam, build_functional(unit16, load, g))
@@ -85,7 +81,7 @@ def test_report_fields_are_consistent(unit16):
     )
     assert weak_residual(unit16, report.u, load) <= 1e-9
     a_hi = estimate_poincare(unit16).a_hi
-    bounds = check_stability(unit16, report.u, data.g, f_vals, a_hi)
+    bounds = check_stability(unit16, report.u, g, f_vals, a_hi)
     assert bounds.lhs <= bounds.rhs * (1.0 + 1e-8)
     # the boundary rows of u are g's, the interior rows are g + p
     assert np.array_equal(report.u[boundary_indices(mesh)], g[boundary_indices(mesh)])
@@ -99,7 +95,7 @@ def test_energy_minimality_among_admissible_fields(unit8):
     rng = np.random.default_rng(32)
     g = rng.standard_normal(mesh.node_count)
     load = unit8.M.apply(rng.standard_normal(mesh.node_count))
-    report = solve(unit8, ProblemData(load=load, g=g))
+    report = solve(unit8, load, g)
     base = energy(A, load, report.u)
     for _ in range(100):
         d = rng.standard_normal(mesh.interior_count)
@@ -129,7 +125,7 @@ def test_weak_residual_flags_non_solutions(unit8):
     mesh = unit8.mesh
     g = np.zeros(mesh.node_count)
     load = assemble_load(mesh, lambda x, y: 1.0)
-    report = solve(unit8, ProblemData(load=load, g=g))
+    report = solve(unit8, load, g)
     assert weak_residual(unit8, report.u, load) <= 1e-9
     off = report.u.copy()
     off[interior_indices(mesh)[0]] += 0.1
@@ -144,8 +140,8 @@ def test_two_solves_agree(unit16):
     g = rng.standard_normal(mesh.node_count)
     load = unit16.M.apply(rng.standard_normal(mesh.node_count))
     bump = extend_by_zero(mesh, rng.standard_normal(mesh.interior_count))
-    u1 = solve(unit16, ProblemData(load=load, g=g)).u
-    u2 = solve(unit16, ProblemData(load=load, g=g + bump)).u
+    u1 = solve(unit16, load, g).u
+    u2 = solve(unit16, load, g + bump).u
     dist = verify_uniqueness(unit16, u1, u2)
     assert dist <= 1e-9 * (1.0 + norm(u1, unit16.A))
 
@@ -175,9 +171,9 @@ def test_trace_extend_round_trip(unit8):
 FIELD_TAKERS = {
     "restrict_interior": (lambda s, u: restrict_interior(s.mesh, u), "nodes"),
     "extend_by_zero": (lambda s, v: extend_by_zero(s.mesh, v), "interior"),
-    "solve": (lambda s, g: solve(s, ProblemData(np.zeros(s.mesh.node_count), g)), "nodes"),
+    "solve": (lambda s, g: solve(s, np.zeros(s.mesh.node_count), g), "nodes"),
     "solve_load": (
-        lambda s, load: solve(s, ProblemData(load, np.zeros(s.mesh.node_count))), "nodes"
+        lambda s, load: solve(s, load, np.zeros(s.mesh.node_count)), "nodes"
     ),
     "trace": (lambda s, u: trace(s.mesh, u), "nodes"),
     "extend": (lambda s, b: extend(s.mesh, b), "boundary"),
@@ -209,7 +205,7 @@ def test_quotient_solve_matches_direct(unit16):
     rng = np.random.default_rng(36)
     load = M.apply(rng.standard_normal(mesh.node_count))
     g = rng.standard_normal(mesh.node_count)  # random interior extension
-    direct = solve(unit16, ProblemData(load=load, g=g))
+    direct = solve(unit16, load, g)
     quotient = quotient_solve(unit16, load, trace(mesh, g))
     dist = norm(direct.u - quotient.u, A, M)
     assert dist <= 1e-8 * (1.0 + norm(direct.u, A, M))
@@ -223,10 +219,10 @@ def test_solution_map_is_linear(unit16):
     g1, g2 = rng.standard_normal((2, n))
     alpha, beta = rng.uniform(-2.0, 2.0, size=2)
 
-    u1 = solve(unit16, ProblemData(M.apply(f1_vals), g1)).u
-    u2 = solve(unit16, ProblemData(M.apply(f2_vals), g2)).u
+    u1 = solve(unit16, M.apply(f1_vals), g1).u
+    u2 = solve(unit16, M.apply(f2_vals), g2).u
     combo_load = M.apply(alpha * f1_vals + beta * f2_vals)
-    u12 = solve(unit16, ProblemData(combo_load, alpha * g1 + beta * g2)).u
+    u12 = solve(unit16, combo_load, alpha * g1 + beta * g2).u
 
     deviation = norm(u12 - alpha * u1 - beta * u2, A, M)
     scale = 1.0 + max(norm(u1, A, M), norm(u2, A, M))
@@ -241,13 +237,13 @@ def test_class_invariance(unit16):
     g = rng.standard_normal(mesh.node_count)
     psi = rng.standard_normal(mesh.interior_count)
 
-    base = solve(unit16, ProblemData(load, g))
-    bumped = solve(unit16, ProblemData(load, g + extend_by_zero(mesh, psi)))
+    base = solve(unit16, load, g)
+    bumped = solve(unit16, load, g + extend_by_zero(mesh, psi))
     dist = norm(bumped.u - base.u, A, M)
     assert dist <= 1e-8 * (1.0 + norm(base.u, A, M))
 
     # zero data with a boundary-vanishing extension solves to zero
-    null = solve(unit16, ProblemData(np.zeros(mesh.node_count), extend_by_zero(mesh, psi)))
+    null = solve(unit16, np.zeros(mesh.node_count), extend_by_zero(mesh, psi))
     assert norm(null.u, A, M) <= 1e-8
 
 
@@ -270,7 +266,7 @@ def test_point_loads_are_reciprocal():
     rng = np.random.default_rng(40)
     pairs = rng.choice(interior_indices(mesh), size=(8, 2), replace=False)
     for i, j in pairs:
-        u_i = solve(system, ProblemData(load=np.eye(1, mesh.node_count, i)[0], g=g)).u
-        u_j = solve(system, ProblemData(load=np.eye(1, mesh.node_count, j)[0], g=g)).u
+        u_i = solve(system, np.eye(1, mesh.node_count, i)[0], g).u
+        u_j = solve(system, np.eye(1, mesh.node_count, j)[0], g).u
         assert u_i[j] > 0.0
         assert u_i[j] == pytest.approx(u_j[i], rel=1e-12, abs=0.0)

@@ -168,7 +168,7 @@ def test_public_names_are_one_per_concept():
     assert dirichlet_fem.__all__ == [
         "CGResult", "CheckResult", "ConvergenceError", "EvalError",
         "FunctionalBound", "InteriorSystem", "Mesh", "ParseError",
-        "PoincareEstimate", "ProblemData", "ProblemFormatError", "ProblemSpec",
+        "PoincareEstimate", "ProblemFormatError", "ProblemSpec",
         "SolveReport", "SparseSymMatrix", "StabilityBounds", "as_function",
         "assemble_load", "assemble_mass", "assemble_stiffness", "assemble_system",
         "build_functional", "build_rect_mesh", "cg_solve", "check_functional_bound",

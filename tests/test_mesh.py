@@ -8,7 +8,6 @@ import pytest
 
 from dirichlet_fem import (
     Mesh,
-    ProblemData,
     assemble_system,
     build_rect_mesh,
     eval_p1,
@@ -153,6 +152,24 @@ def test_every_construction_path_refuses_as_build_rect_mesh(make, message):
         make()
 
 
+@pytest.mark.parametrize("nx", [4.0, 4.5, np.float64(4)], ids=["float", "fraction", "numpy-float"])
+def test_cell_counts_that_are_not_integers_are_refused(nx):
+    with pytest.raises(ValueError, match=re.escape(f"grid {nx}x4 needs whole numbers of cells")):
+        Mesh((0, 0, 1, 1), nx, 4)
+    with pytest.raises(ValueError, match=re.escape(f"grid 4x{nx} needs whole numbers of cells")):
+        dataclasses.replace(build_rect_mesh(0, 0, 1, 1, 4, 4), ny=nx)
+
+
+def test_numpy_integer_cell_counts_are_accepted_as_python_ints():
+    mesh = Mesh((0, 0, 1, 1), np.int64(4), np.int32(3))
+    assert (type(mesh.nx), type(mesh.ny)) == (int, int)
+    assert (mesh.node_count, mesh.interior_count) == (20, 6)
+    assert np.array_equal(mesh.xs, build_rect_mesh(0, 0, 1, 1, 4, 3).xs)
+    # 65537^2 nodes would wrap to 131073 in int32 and pass the cap
+    with pytest.raises(ValueError, match="4295098369 nodes, over the cap"):
+        Mesh((0, 0, 1, 1), np.int32(65536), np.int32(65536))
+
+
 def test_mesh_is_its_grid():
     # three fields; after a solve only the two node lines are cached
     assert [f.name for f in dataclasses.fields(Mesh)] == ["domain", "nx", "ny"]
@@ -162,7 +179,7 @@ def test_mesh_is_its_grid():
     assert mesh == build_rect_mesh(0.0, -1.0, 2.0, 1.0, 6, 5)
     system = assemble_system(mesh)
     g = nodal_values(mesh, lambda x, y: x * y)
-    solve(system, ProblemData(load=np.ones(mesh.node_count), g=g))
+    solve(system, np.ones(mesh.node_count), g)
     assert sorted(vars(mesh)) == ["domain", "nx", "ny", "xs", "ys"]
     assert (len(mesh.xs), len(mesh.ys)) == (7, 6)
     assert mesh.cell_sides == (2.0 / 6, 2.0 / 5)
