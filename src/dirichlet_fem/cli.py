@@ -1,7 +1,8 @@
 """Command line front end.
 
-Four subcommands: solve writes the solved field as CSV plus a summary
-report, verify runs the randomized identity suite on the data solve
+Four subcommands: solve prints a summary report to stderr, forming only
+the bracket products its lines read, and then writes the solved field
+as CSV, verify runs the randomized identity suite on the data solve
 takes (g's border values only, in mode = border) and reports PASS/FAIL
 per check, poincare prints the embedding constant of a problem's mesh,
 and convergence reruns a problem on doubled grids against a known exact
@@ -13,8 +14,10 @@ convergence builds every level's grid before it solves any.
 Exit codes: 0 success, 1 malformed problem data (file syntax, bad
 expressions, bad geometry, grids over the node cap or with cells whose
 squared sides or area overflow or underflow), 2 runtime failure
-(solver breakdown, expression evaluation, failed verification), 3 file
-I/O errors.
+(solver breakdown, expression evaluation at a quadrature point or a
+node, failed verification) and every usage error argparse refuses (a
+missing --spec, an unknown option, a non-integer --seed), 3 file I/O
+errors.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from . import mesh as mesh_module  # MAX_NODES, read at each use
 from .analysis import PoincareEstimate, check_stability, estimate_poincare
 from .assembly import InteriorSystem, _Kept, assemble_system, norm
-from .dirichlet import SolveReport, solve, weak_residual
+from .dirichlet import solve, weak_residual
 from .expr import EvalError, as_function
 from .linsolve import ConvergenceError
 from .mesh import Mesh, build_rect_mesh, nodal_values
@@ -64,22 +67,15 @@ def _estimate(system: InteriorSystem) -> PoincareEstimate:
     return entry[1]
 
 
-def _write_field(out_path: str | None, mesh: Mesh, u: np.ndarray) -> None:
-    if out_path is None:
-        write_field_csv(sys.stdout, mesh, u)
-    else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            write_field_csv(handle, mesh, u)
-
-
-def _print_report(
-    system: InteriorSystem, load: np.ndarray, g: np.ndarray, report: SolveReport,
-    f_vals: np.ndarray,
-) -> None:
+def _cmd_solve(spec: ProblemSpec, args: argparse.Namespace) -> int:
+    system = _system(spec.mesh)
+    load, g = make_data(spec, system.mesh)
+    report = solve(system := replace(system, A=_Kept(system.A, g)), load, g)  # one A g
+    f_vals = nodal_values(system.mesh, as_function(spec.f_expr))
     est = _estimate(system)
-    mesh, u = system.mesh, report.u  # A u, A g and M u serve several lines
-    A, M = _Kept(system.A, u, g), _Kept(system.M, u)
-    system = InteriorSystem(mesh, A, M, system.A_int, system.M_int)
+    mesh, u = system.mesh, report.u  # A u, M u and the solve's A g serve several lines
+    A, M = _Kept(system.A, u), _Kept(system.M, u)
+    system = replace(system, A=A, M=M)
     bounds = check_stability(system, u, g, f_vals, est.a_hi)
     lines = (
         f"nodes          = {mesh.node_count} "
@@ -96,15 +92,11 @@ def _print_report(
         f"cg_iterations  = {report.iterations}",
     )
     print("\n".join(lines), file=sys.stderr)
-
-
-def _cmd_solve(spec: ProblemSpec, args: argparse.Namespace) -> int:
-    system = _system(spec.mesh)
-    load, g = make_data(spec, system.mesh)
-    report = solve(system := replace(system, A=_Kept(system.A, g)), load, g)  # one A g
-    f_vals = nodal_values(system.mesh, as_function(spec.f_expr))
-    _print_report(system, load, g, report, f_vals)
-    _write_field(args.out, system.mesh, report.u)
+    if args.out is None:
+        write_field_csv(sys.stdout, mesh, u)
+    else:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            write_field_csv(handle, mesh, u)
     return 0
 
 

@@ -50,7 +50,7 @@ _MODES = ("extension", "border")
 
 
 class ProblemFormatError(ValueError):
-    """Malformed problem file; line numbers are 1-based."""
+    """Malformed problem file; line numbers are 1-based, 0 standing for the whole file."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")

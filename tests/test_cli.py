@@ -411,6 +411,20 @@ def test_verify_rejects_negative_seed_flag(tmp_path):
     assert "--seed must be non-negative" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["verify"], ["poincare"], ["convergence"],
+     ["verify", "--spec", "p.txt", "--out", "f"]],
+    ids=["solve", "verify", "poincare", "convergence", "verify-out"],
+)
+def test_usage_errors_exit_2_with_usage_on_stderr(tmp_path, argv):
+    # argparse refuses these before any file is read
+    proc = run_cli(*argv, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ")
+    assert proc.stdout == ""
+
+
 def test_missing_file_is_io_error(tmp_path):
     proc = run_cli("solve", "--spec", str(tmp_path / "absent.txt"))
     assert proc.returncode == 3

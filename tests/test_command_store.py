@@ -124,3 +124,20 @@ def test_a_failed_estimate_is_not_stored(tmp_path, monkeypatch, capsys):
     monkeypatch.undo()
     assert cli.main(["poincare", "--spec", spec]) == 0
     assert capsys.readouterr().out == run_cli("poincare", "--spec", spec).stdout
+
+
+def test_a_warm_solve_forms_each_product_it_reads_once(tmp_path, monkeypatch, capsys):
+    # A g, A u, M u, M f and M g on the grid, and the solve's residual on the
+    # interior; the report never forms u - g or its products
+    spec = problem(tmp_path, "p.txt")
+    assert cli.main(["solve", "--spec", spec]) == 0
+    sizes, original = [], assembly.SparseSymMatrix.apply
+
+    def counted(matrix, x):
+        sizes.append(matrix.dimension)
+        return original(matrix, x)
+
+    monkeypatch.setattr(assembly.SparseSymMatrix, "apply", counted)
+    assert cli.main(["solve", "--spec", spec]) == 0
+    capsys.readouterr()
+    assert sorted(sizes) == [15 * 15] + [17 * 17] * 5
