@@ -15,15 +15,16 @@ Exit codes: 0 success, 1 malformed problem data (file syntax, bad
 expressions, bad geometry, grids over the node cap or with cells whose
 squared sides or area overflow or underflow), 2 runtime failure
 (solver breakdown, expression evaluation at a quadrature point or a
-node, failed verification) and every usage error argparse refuses (a
-missing --spec, an unknown option, a non-integer --seed), 3 file I/O
-errors.
+node, failed verification) and every usage error, 3 file I/O errors.
+
+A command line is a command, then `--name value` or `--name=value`
+pairs, each value taken as given even if it starts with '-'.  A usage
+error prints the usage block and the error on stderr; -h or --help
+prints the block on stdout.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
 from dataclasses import replace
 
@@ -67,7 +68,7 @@ def _estimate(system: InteriorSystem) -> PoincareEstimate:
     return entry[1]
 
 
-def _cmd_solve(spec: ProblemSpec, args: argparse.Namespace) -> int:
+def _cmd_solve(spec: ProblemSpec, options: dict) -> int:
     system = _system(spec.mesh)
     load, g = make_data(spec, system.mesh)
     report = solve(system := replace(system, A=_Kept(system.A, g)), load, g)  # one A g
@@ -92,25 +93,25 @@ def _cmd_solve(spec: ProblemSpec, args: argparse.Namespace) -> int:
         f"cg_iterations  = {report.iterations}",
     )
     print("\n".join(lines), file=sys.stderr)
-    if args.out is None:
+    if options["out"] is None:
         write_field_csv(sys.stdout, mesh, u)
     else:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with open(options["out"], "w", encoding="utf-8") as handle:
             write_field_csv(handle, mesh, u)
     return 0
 
 
-def _cmd_verify(spec: ProblemSpec, args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+def _cmd_verify(spec: ProblemSpec, options: dict) -> int:
+    if options["seed"] < 0:
+        raise ValueError(f"--seed must be non-negative, got {options['seed']}")
     results = run_checks(_system(spec.mesh), nodal_values(spec.mesh, as_function(spec.f_expr)),
-                         boundary_field(spec, spec.mesh), args.seed)
+                         boundary_field(spec, spec.mesh), options["seed"])
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     return 0 if all(r.passed for r in results) else 2
 
 
-def _cmd_poincare(spec: ProblemSpec, args: argparse.Namespace) -> int:
+def _cmd_poincare(spec: ProblemSpec, options: dict) -> int:
     est = _estimate(_system(spec.mesh))
     print(
         f"lambda_min={est.lambda_min:.12g} a={est.a:.12g} "
@@ -131,15 +132,15 @@ def _order(prev: tuple, row: tuple, col: int) -> str:
     return f"{np.log(prev[col] / row[col]) / np.log(prev[2] / row[2]):.3f}"
 
 
-def _cmd_convergence(spec: ProblemSpec, args: argparse.Namespace) -> int:
+def _cmd_convergence(spec: ProblemSpec, options: dict) -> int:
     if spec.u_exact_expr is None:
         raise ValueError("convergence study needs u_exact in the problem file")
-    if args.levels < 1:
-        raise ValueError(f"--levels must be positive, got {args.levels}")
+    if options["levels"] < 1:
+        raise ValueError(f"--levels must be positive, got {options['levels']}")
     u_exact = as_function(spec.u_exact_expr)
 
     meshes = [spec.mesh]  # all built first: a grid over the node cap solves no level
-    while len(meshes) < args.levels:
+    while len(meshes) < options["levels"]:
         meshes.append(build_rect_mesh(*spec.mesh.domain, 2 * meshes[-1].nx, 2 * meshes[-1].ny))
     rows: list[tuple[int, int, float, float, float]] = []  # nx, ny, h, max_error, l2_error
     print("grid      h            max_error      order   l2_error       order")
@@ -153,58 +154,67 @@ def _cmd_convergence(spec: ProblemSpec, args: argparse.Namespace) -> int:
         print(f"{nx}x{ny}".ljust(10) + f"{h:<13.6g}{max_error:<15.6e}{_order(prev, row, 3):<8}"
               f"{l2_error:<15.6e}{_order(prev, row, 4)}")
 
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
+    if options["out"] is not None:
+        with open(options["out"], "w", encoding="utf-8") as handle:
             handle.write("nx,ny,h,max_error,l2_error\n")
             handle.writelines("%d,%d,%.17g,%.17g,%.17g\n" % row for row in rows)
     return 0
 
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dirichlet-fem",
-        description="Energy-minimizing solver for the Dirichlet problem "
-        "on triangulated rectangles.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler, its options' defaults); an int default makes an int option
+_COMMANDS = {
+    "solve": (_cmd_solve, {"out": None}),
+    "verify": (_cmd_verify, {"seed": 42}),
+    "poincare": (_cmd_poincare, {}),
+    "convergence": (_cmd_convergence, {"levels": 3, "out": None}),
+}
+_USAGE = "usage: " + "\n       ".join(
+    f"dirichlet-fem {command:<11} --spec FILE" + "".join(
+        f" [--{name} {'N' if isinstance(default, int) else 'FILE'}]"
+        for name, default in defaults.items())
+    for command, (_, defaults) in _COMMANDS.items())
 
-    p = sub.add_parser("solve", help="solve a problem and write the field as CSV")
-    p.add_argument("--spec", required=True, help="problem file")
-    p.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("verify", help="run the randomized verification suite")
-    p.add_argument("--spec", required=True, help="problem file")
-    p.add_argument(
-        "--seed", type=int, default=42, help="seed of the random draws (default 42)"
-    )
-    p.set_defaults(handler=_cmd_verify)
+class _UsageError(Exception):
+    """A command line outside the grammar: exit 2 with the usage block."""
 
-    p = sub.add_parser("poincare", help="estimate the embedding constant")
-    p.add_argument("--spec", required=True, help="problem file")
-    p.set_defaults(handler=_cmd_poincare)
 
-    p = sub.add_parser(
-        "convergence", help="solve on doubled grids against u_exact"
-    )
-    p.add_argument("--spec", required=True, help="problem file")
-    p.add_argument(
-        "--levels",
-        type=int,
-        default=3,
-        help="number of grids, doubling from the file's (default 3)",
-    )
-    p.add_argument("--out", default=None, help="CSV path for the table")
-    p.set_defaults(handler=_cmd_convergence)
-
-    return parser
+def _parse(argv: list[str]) -> tuple | None:
+    """(handler, options) from argv, or None when it asks for -h or --help."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        raise _UsageError(f"a command comes first, one of {', '.join(_COMMANDS)}")
+    handler, defaults = _COMMANDS[argv[0]]
+    options, rest = {"spec": None, **defaults}, argv[1:]
+    while rest:
+        name, sep, value = rest.pop(0).partition("=")
+        if name in ("-h", "--help"):
+            return None
+        if not name.startswith("--") or name[2:] not in options:
+            raise _UsageError(f"{argv[0]} takes no option {name!r}")
+        if not (sep or rest):
+            raise _UsageError(f"{name} needs a value")
+        value = value if sep else rest.pop(0)
+        try:
+            options[name[2:]] = int(value) if isinstance(defaults.get(name[2:]), int) else value
+        except ValueError:
+            raise _UsageError(f"{name} needs an integer, got {value!r}") from None
+    if options["spec"] is None:
+        raise _UsageError(f"{argv[0]} needs --spec")
+    return handler, options
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(load_problem(args.spec), args)
+        if (parsed := _parse(sys.argv[1:] if argv is None else argv)) is None:
+            print(_USAGE)
+            return 0
+        handler, options = parsed
+        return handler(load_problem(options["spec"]), options)
+    except _UsageError as exc:
+        print(f"{_USAGE}\ndirichlet-fem: error: {exc}", file=sys.stderr)
+        return 2
     except (EvalError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -153,8 +153,8 @@ def load_problem(path: str) -> ProblemSpec:
 
     The file is UTF-8, with or without a leading byte-order mark.
     """
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return parse_problem(handle.read())
+    with open(path, "rb") as handle:
+        return parse_problem(handle.read().removeprefix(b"\xef\xbb\xbf").decode("utf-8"))
 
 
 def boundary_field(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:

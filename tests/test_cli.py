@@ -203,10 +203,11 @@ def test_verify_exits_2_when_any_check_fails(tmp_path, monkeypatch, capsys):
 
 
 def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
-    # main builds its parser once; no call's options reach the next one
+    # every call parses its argv afresh from one table; no call's options
+    # reach the next one, nor the table's defaults
     from dirichlet_fem import cli
 
-    assert cli._build_parser() is cli._build_parser()
+    defaults = {command: dict(entry[1]) for command, entry in cli._COMMANDS.items()}
     spec = write(tmp_path, "p.txt", BASE + "f = 1\ng = x*y\n")
     field = tmp_path / "field.csv"
     assert cli.main(["solve", "--spec", spec, "--out", str(field)]) == 0
@@ -219,6 +220,31 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
     assert cli.main(["verify", "--spec", spec]) == 0
     fresh = run_cli("verify", "--spec", spec, "--seed", "42")
     assert capsys.readouterr().out == fresh.stdout != seed_3
+    assert {command: entry[1] for command, entry in cli._COMMANDS.items()} == defaults
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_poincare_reads_crlf_and_cr_lines_as_lf(tmp_path, newline):
+    text = b"domain = 0 0 2 1\ngrid = 8 4\nf = 0\ng = 0\n"
+    plain, other = tmp_path / "plain.txt", tmp_path / "other.txt"
+    plain.write_bytes(text)
+    other.write_bytes(text.replace(b"\n", newline))
+    want = run_cli("poincare", "--spec", str(plain), binary=True)
+    got = run_cli("poincare", "--spec", str(other), binary=True)
+    assert want.returncode == got.returncode == 0
+    assert (got.stdout, got.stderr) == (want.stdout, want.stderr)
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "marked"])
+def test_a_file_that_is_not_utf8_is_malformed(tmp_path, capsys, mark):
+    # the position counts from after a byte-order mark
+    from dirichlet_fem import cli
+
+    spec = tmp_path / "p.txt"
+    spec.write_bytes(mark + BASE.encode() + b"f = 1\xff\ng = 0\n")
+    assert cli.main(["poincare", "--spec", str(spec)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: 'utf-8' codec can't decode byte 0xff in position 33: invalid start byte\n")
 
 
 def test_poincare_ignores_a_byte_order_mark(tmp_path):
@@ -414,15 +440,47 @@ def test_verify_rejects_negative_seed_flag(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [["solve"], ["verify"], ["poincare"], ["convergence"],
-     ["verify", "--spec", "p.txt", "--out", "f"]],
-    ids=["solve", "verify", "poincare", "convergence", "verify-out"],
+     ["verify", "--spec", "p.txt", "--out", "f"], [], ["bogus", "--spec", "p.txt"],
+     ["--spec", "p.txt", "solve"], ["verify", "--spec", "p.txt", "--seed", "x"],
+     ["convergence", "--spec", "p.txt", "--levels", "2.5"], ["solve", "--spec", "p.txt", "--out"],
+     ["convergence", "--spec", "p.txt", "--lev", "2"]],
+    ids=["solve", "verify", "poincare", "convergence", "verify-out", "no-argv", "unknown-command",
+         "option-first", "seed-x", "levels-2.5", "out-without-value", "abbreviation"],
 )
 def test_usage_errors_exit_2_with_usage_on_stderr(tmp_path, argv):
-    # argparse refuses these before any file is read
+    # the grammar refuses these before any file is read
     proc = run_cli(*argv, cwd=tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage: ")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["solve", "-h"]])
+def test_help_prints_the_usage_block_on_stdout(argv):
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: dirichlet-fem solve ")
+    assert len(proc.stdout.splitlines()) == 4
+
+
+def test_an_option_takes_its_value_after_an_equals_sign(tmp_path):
+    spec = write(tmp_path, "p.txt", BASE + "f = 1\ng = x*y\n")
+    for spaced, joined in ((["poincare", "--spec", spec], ["poincare", f"--spec={spec}"]),
+                           (["verify", "--spec", spec, "--seed", "3"],
+                            ["verify", f"--spec={spec}", "--seed=3"])):
+        spaced, joined = run_cli(*spaced, binary=True), run_cli(*joined, binary=True)
+        assert spaced.returncode == joined.returncode == 0
+        assert (joined.stdout, joined.stderr) == (spaced.stdout, spaced.stderr)
+
+
+def test_a_value_may_start_with_a_dash(tmp_path, capsys):
+    from dirichlet_fem import cli
+
+    spec = write(tmp_path, "p.txt", BASE + "f = 1\ng = 0\n")
+    assert cli.main(["verify", "--spec", spec, "--seed", "-1"]) == 1
+    assert cli.main(["solve", "--spec", "--out"]) == 3
+    assert capsys.readouterr() == ("", "error: --seed must be non-negative, got -1\n"
+                                   "error: [Errno 2] No such file or directory: '--out'\n")
 
 
 def test_missing_file_is_io_error(tmp_path):
@@ -491,6 +549,24 @@ def test_cli_import_loads_no_fft_or_sparse_solver():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_command_loads_no_argument_parser_or_codec(tmp_path):
+    # argparse with gettext and the utf-8-sig codec cost a fresh process's
+    # first command more than poincare's estimate on a 320x32 strip
+    spec = write(tmp_path, "p.txt", BASE + "f = 0\ng = 0\n")
+    code = f"""
+import contextlib, io, sys
+from dirichlet_fem import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(["poincare", "--spec", {spec!r}])
+print(code, [m for m in ("argparse", "gettext", "encodings.utf_8_sig") if m in sys.modules])
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 def test_commands_load_no_numpy_or_scipy_module_after_import(tmp_path):

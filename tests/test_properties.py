@@ -140,7 +140,7 @@ def test_field_csv_round_trip_is_bit_exact(data):
 
 
 # A valid file on a grid of at most 6x6 with one value replaced, or any
-# text; flags that argparse accepts, with values the commands may refuse.
+# text; flags the command line grammar accepts, with values the commands may refuse.
 CLI_VALID = {**VALID, "u_exact": "x*y"}
 cli_edit = st.one_of(
     st.tuples(

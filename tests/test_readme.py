@@ -16,3 +16,19 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_python_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_readme_command_lines_match_the_usage_text(capsys):
+    # the same commands and options in the same order; placeholders aside
+    from dirichlet_fem import cli
+
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"^```\n(.*?)^```$", section, re.M | re.S)[1]
+    assert cli.main(["--help"]) == 0
+    usage = capsys.readouterr().out.removeprefix("usage:")
+
+    def shape(text):
+        return [re.sub(r"(--\w+) [^\s\]]+", r"\1 VALUE", " ".join(line.split()))
+                for line in text.splitlines()]
+
+    assert shape(block) == shape(usage)
