@@ -21,7 +21,6 @@ gap, O(h^2), which is a property of the data, not of the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,8 +33,9 @@ RQ_TOLERANCE = 1e-8  # relative bracket width at which the steps stop
 MAX_STEPS = 200  # Krylov steps before the estimate gives up
 
 
-@dataclass(frozen=True)
-class PoincareEstimate:
+class PoincareEstimate(NamedTuple):
+    """The bracket [lambda_lo, lambda_min] on lambda_1 and the Ritz vector it came from."""
+
     a: float  # 1 / sqrt(lambda_min), at most the best constant
     lambda_min: float  # Rayleigh quotient rho of the eigenvector, >= lambda_1
     iterations: int  # Krylov steps taken, one sine solve each

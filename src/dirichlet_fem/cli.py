@@ -18,9 +18,9 @@ squared sides or area overflow or underflow), 2 runtime failure
 node, failed verification) and every usage error, 3 file I/O errors.
 
 A command line is a command, then `--name value` or `--name=value`
-pairs, each value taken as given even if it starts with '-'.  A usage
-error prints the usage block and the error on stderr; -h or --help
-prints the block on stdout.
+pairs, each value taken as given even if it starts with '-'; --seed and
+--levels take ASCII digits, no '_'.  A usage error prints the usage
+block and the error on stderr; -h or --help prints it on stdout.
 """
 
 from __future__ import annotations
@@ -196,10 +196,14 @@ def _parse(argv: list[str]) -> tuple | None:
         if not (sep or rest):
             raise _UsageError(f"{name} needs a value")
         value = value if sep else rest.pop(0)
-        try:
-            options[name[2:]] = int(value) if isinstance(defaults.get(name[2:]), int) else value
+        try:  # ASCII and no "_", as in a problem file; int alone takes both
+            if isinstance(defaults.get(name[2:]), int):
+                if not value.isascii() or "_" in value:
+                    raise ValueError
+                value = int(value)
         except ValueError:
             raise _UsageError(f"{name} needs an integer, got {value!r}") from None
+        options[name[2:]] = value
     if options["spec"] is None:
         raise _UsageError(f"{argv[0]} needs --spec")
     return handler, options

@@ -29,7 +29,7 @@ demonstrates by always extending with zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,9 +38,9 @@ from .linsolve import cg_solve
 from .mesh import Mesh, _as_field
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    """What one solve made; J(u) = energy(A, load, u), E(p) = energy(A_int, lam, p)."""
+class SolveReport(NamedTuple):
+    """What one solve made, as a named tuple; J(u) = energy(A, load, u) and
+    E(p) = energy(A_int, lam, p)."""
 
     u: np.ndarray  # full nodal field, boundary values included
     p: np.ndarray  # interior minimizer of the reduced energy

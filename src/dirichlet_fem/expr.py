@@ -7,9 +7,9 @@ parentheses.  Unary minus binds tighter than * and / but looser than
 ^, so -x^2 means -(x^2) while -x*y means (-x)*y.
 
 The language is deliberately tiny: every expression a problem file can
-contain is parsed into the AST here and evaluated by walking it, so no
-text from a problem file is ever handed to Python's own eval.  One walk
-evaluates at a point or, with numpy ufuncs, over arrays of points.
+contain is parsed into named tuples here and evaluated by walking them,
+so no text from a problem file is ever handed to Python's own eval.
+One walk evaluates at a point or, with numpy ufuncs, over arrays of points.
 
 Nesting is capped at MAX_DEPTH levels of parentheses, operators and
 function calls, so parsing and evaluation stay far inside Python's
@@ -20,35 +20,30 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-@dataclass(frozen=True)
-class Num:
+
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(NamedTuple):
     ident: str  # "x", "y", "pi" or "e"
 
 
-@dataclass(frozen=True)
-class Unary:  # unary minus
+class Unary(NamedTuple):  # unary minus
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str  # one of sin cos exp log sqrt abs
     arg: "Expr"
 

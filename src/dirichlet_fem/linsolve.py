@@ -16,13 +16,13 @@ aborts with a diagnostic instead of silently looping.
 
 The solver began as conjugate gradients preconditioned by that inverse,
 whose first step is this solve.  It keeps the names cg_solve and
-CGResult because the CLI report's cg_iterations and the benchmark's
-tracer (perfbench/tracer.py) are written against them.
+CGResult (a named tuple) because the CLI report's cg_iterations and the
+benchmark's tracer (perfbench/tracer.py) are written against them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .assembly import SparseSymMatrix
 TOLERANCE = 1e-12  # normwise backward error at which a solve stops
 
 
-@dataclass(frozen=True)
-class CGResult:
+class CGResult(NamedTuple):
     x: np.ndarray
     iterations: int  # applications of the inverse
     residual: float  # true ||A x - b||

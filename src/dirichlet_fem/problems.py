@@ -27,8 +27,7 @@ refused as malformed, naming its line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO, Callable
+from typing import IO, Callable, NamedTuple
 
 import numpy as np
 
@@ -57,9 +56,8 @@ class ProblemFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """One parsed problem file: its mesh, expressions and mode.
+class ProblemSpec(NamedTuple):
+    """One parsed problem file as a named tuple: its mesh, expressions and mode.
 
     parse_problem, its one constructor, applies the format's defaults.
     """

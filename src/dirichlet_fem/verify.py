@@ -13,7 +13,7 @@ Every solve stops at the fixed normwise backward error linsolve.TOLERANCE.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package
@@ -40,8 +40,9 @@ from .mesh import eval_p1
 from .riesz import check_square_identity, energy
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One line of verify's report, as a named tuple: PASS or FAIL, name and numbers."""
+
     name: str
     passed: bool
     detail: str
@@ -53,10 +54,14 @@ def run_checks(
     g_field: np.ndarray,
     seed: int,
 ) -> list[CheckResult]:
-    """Run the full verification suite on one problem; seed fixes every draw."""
+    """Run the full verification suite on one problem; seed fixes every draw.
+    Each check adds one CheckResult by check(name, passed, detail), in print order."""
     mesh, A_int, M_int = system.mesh, system.A_int, system.M_int
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
+
+    def check(name: str, passed: bool, detail: str) -> None:
+        results.append(CheckResult(name, passed, detail))
 
     # A g, M f, A u and A_int p each serve several checks, so each is formed once.
     A, M = _Kept(system.A, g_field), _Kept(system.M, f_vals)
@@ -95,21 +100,8 @@ def run_checks(
         defect = max(defect, check_square_identity(Ax, lam1, x, p=p1))
         excess = min(excess, energy(Ax, lam1, x) - e_p, energy(A1, lam1, p1 + 1e-3 * d) - e_p)
     del A1, Ax, x  # p1 and the last point, and their products
-    results.append(
-        CheckResult(
-            "square-identity",
-            defect <= 1e-10,
-            f"defect={defect:.3e} tol=1e-10",
-        )
-    )
-
-    results.append(
-        CheckResult(
-            "strict-minimum",
-            excess > 0.0,
-            f"smallest energy excess={excess:.3e}",
-        )
-    )
+    check("square-identity", defect <= 1e-10, f"defect={defect:.3e} tol=1e-10")
+    check("strict-minimum", excess > 0.0, f"smallest energy excess={excess:.3e}")
 
     obj_u = energy(A, load, report.u)
     obj_g = energy(A, load, g_field)
@@ -121,13 +113,7 @@ def run_checks(
         + float(np.abs(load) @ np.abs(report.u))
         + float(np.abs(load) @ np.abs(g_field)),
     )
-    results.append(
-        CheckResult(
-            "energy-reduction",
-            drop <= 1e-11 * scale,
-            f"defect={drop:.3e} tol={1e-11 * scale:.3e}",
-        )
-    )
+    check("energy-reduction", drop <= 1e-11 * scale, f"defect={drop:.3e} tol={1e-11 * scale:.3e}")
 
     # The dual norm of lam is the energy norm of its representer p.
     d_norms = [norm(d, A_int) for d in directions]  # poincare-bound's too
@@ -135,58 +121,29 @@ def run_checks(
         abs(float(np.dot(report.lam, d))) - (p_norm * d_norm * (1.0 + 1e-8) + 1e-13)
         for d, d_norm in zip(directions, d_norms)
     )
-    results.append(
-        CheckResult(
-            "dual-bound",
-            worst_overshoot <= 0.0,
-            f"worst overshoot={worst_overshoot:.3e}",
-        )
-    )
+    check("dual-bound", worst_overshoot <= 0.0, f"worst overshoot={worst_overshoot:.3e}")
 
     distance = verify_uniqueness(system, u_bumped, report.u)
     uniq_tol = 1e-9 * (1.0 + norm(report.u, A))
-    results.append(
-        CheckResult(
-            "uniqueness",
-            distance <= uniq_tol,
-            f"grad distance={distance:.3e} tol={uniq_tol:.3e}",
-        )
-    )
+    check("uniqueness", distance <= uniq_tol, f"grad distance={distance:.3e} tol={uniq_tol:.3e}")
 
     worst_ratio = 0.0
     for v, denom in zip([*directions, est.eigenvector], d_norms + [norm(est.eigenvector, A_int)]):
         if denom > 0.0:
             worst_ratio = max(worst_ratio, norm(v, M_int) / denom)
-    results.append(
-        CheckResult(
-            "poincare-bound",
-            worst_ratio <= est.a_hi * (1.0 + 1e-8),
-            f"worst ratio={worst_ratio:.12g} a_hi={est.a_hi:.12g}",
-        )
-    )
+    check("poincare-bound", worst_ratio <= est.a_hi * (1.0 + 1e-8),
+          f"worst ratio={worst_ratio:.12g} a_hi={est.a_hi:.12g}")
 
     fb = check_functional_bound(system, report.lam, g_field, f_vals, est.a_hi)
-    results.append(
-        CheckResult(
-            "functional-bound",
-            fb.lhs <= fb.rhs * (1.0 + 1e-8),
-            f"lhs={fb.lhs:.6g} rhs={fb.rhs:.6g}",
-        )
-    )
+    check("functional-bound", fb.lhs <= fb.rhs * (1.0 + 1e-8),
+          f"lhs={fb.lhs:.6g} rhs={fb.rhs:.6g}")
 
     sb = check_stability(system, report.u, g_field, f_vals, est.a_hi)
     riesz_lhs = norm(report.u - g_field, A, M)  # the boundary-vanishing part u - g
-    ok = riesz_lhs <= sb.riesz_rhs * (1.0 + 1e-8) and sb.lhs <= sb.rhs * (
-        1.0 + 1e-8
-    )
-    results.append(
-        CheckResult(
-            "stability-bound",
-            ok,
-            f"lhs={sb.lhs:.6g} rhs={sb.rhs:.6g} "
-            f"riesz_lhs={riesz_lhs:.6g} riesz_rhs={sb.riesz_rhs:.6g}",
-        )
-    )
+    check("stability-bound",
+          riesz_lhs <= sb.riesz_rhs * (1.0 + 1e-8) and sb.lhs <= sb.rhs * (1.0 + 1e-8),
+          f"lhs={sb.lhs:.6g} rhs={sb.rhs:.6g} "
+          f"riesz_lhs={riesz_lhs:.6g} riesz_rhs={sb.riesz_rhs:.6g}")
 
     # Linearity of the solution map in both data slots.
     u_b = solve(system, M.apply(f2_vals), g2_vals).u
@@ -194,13 +151,8 @@ def run_checks(
                     alpha * g_field + beta * g2_vals).u
     lin_err = float(np.max(np.abs(u_combo - (alpha * report.u + beta * u_b))))
     lin_scale = max(1.0, float(np.max(np.abs(u_combo))))
-    results.append(
-        CheckResult(
-            "linearity",
-            lin_err <= 1e-8 * lin_scale,
-            f"max deviation={lin_err:.3e} tol={1e-8 * lin_scale:.3e}",
-        )
-    )
+    check("linearity", lin_err <= 1e-8 * lin_scale,
+          f"max deviation={lin_err:.3e} tol={1e-8 * lin_scale:.3e}")
 
     # Only boundary values of the extension may influence the solution.
     u_border = quotient_solve(system, load, trace(mesh, g_field)).u
@@ -209,23 +161,12 @@ def run_checks(
         float(np.max(np.abs(u_bumped - report.u))),
     )
     inv_scale = max(1.0, float(np.max(np.abs(report.u))))
-    results.append(
-        CheckResult(
-            "extension-invariance",
-            inv_err <= 1e-8 * inv_scale,
-            f"max deviation={inv_err:.3e} tol={1e-8 * inv_scale:.3e}",
-        )
-    )
+    check("extension-invariance", inv_err <= 1e-8 * inv_scale,
+          f"max deviation={inv_err:.3e} tol={1e-8 * inv_scale:.3e}")
 
     residual = weak_residual(system, report.u, load)
     wr_tol = max(1e-8, 10.0 * TOLERANCE * np.sqrt(n))
-    results.append(
-        CheckResult(
-            "weak-residual",
-            residual <= wr_tol,
-            f"residual={residual:.3e} tol={wr_tol:.3e}",
-        )
-    )
+    check("weak-residual", residual <= wr_tol, f"residual={residual:.3e} tol={wr_tol:.3e}")
 
     # Two loads integrated from one callable, not M f_vals against itself.
     f_h = functools.partial(eval_p1, mesh, f_vals)
@@ -234,12 +175,7 @@ def run_checks(
         and assemble_mass(mesh) == M
         and np.array_equal(assemble_load(mesh, f_h), assemble_load(mesh, f_h))
     )
-    results.append(
-        CheckResult(
-            "reassembly-determinism",
-            identical,
-            "bit-identical" if identical else "reassembly differs",
-        )
-    )
+    check("reassembly-determinism", identical,
+          "bit-identical" if identical else "reassembly differs")
 
     return results

@@ -443,9 +443,13 @@ def test_verify_rejects_negative_seed_flag(tmp_path):
      ["verify", "--spec", "p.txt", "--out", "f"], [], ["bogus", "--spec", "p.txt"],
      ["--spec", "p.txt", "solve"], ["verify", "--spec", "p.txt", "--seed", "x"],
      ["convergence", "--spec", "p.txt", "--levels", "2.5"], ["solve", "--spec", "p.txt", "--out"],
-     ["convergence", "--spec", "p.txt", "--lev", "2"]],
+     ["convergence", "--spec", "p.txt", "--lev", "2"],
+     ["verify", "--spec", "p.txt", "--seed", "\u0663"],  # ARABIC-INDIC DIGIT THREE
+     ["verify", "--spec", "p.txt", "--seed", "1_0"],
+     ["convergence", "--spec", "p.txt", "--levels", "\uff12"]],  # FULLWIDTH DIGIT TWO
     ids=["solve", "verify", "poincare", "convergence", "verify-out", "no-argv", "unknown-command",
-         "option-first", "seed-x", "levels-2.5", "out-without-value", "abbreviation"],
+         "option-first", "seed-x", "levels-2.5", "out-without-value", "abbreviation",
+         "seed-arabic-indic-3", "seed-underscore", "levels-fullwidth-2"],
 )
 def test_usage_errors_exit_2_with_usage_on_stderr(tmp_path, argv):
     # the grammar refuses these before any file is read

@@ -178,3 +178,17 @@ def test_public_names_are_one_per_concept():
         "quotient_solve", "restrict_interior", "riesz_represent", "run_checks",
         "solve", "trace", "verify_uniqueness", "weak_residual", "write_field_csv",
     ]
+
+
+def test_only_mesh_and_interior_system_are_dataclasses():
+    # their __post_init__ checks run on every construction, replace()
+    # included; every other record is a NamedTuple, built without exec
+    decorated = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                        decorated.add(node.name)
+    assert decorated == {"Mesh", "InteriorSystem"}
