@@ -14,7 +14,11 @@ no others:
 
 Fields are written as CSV with one `node_index,x,y,u,is_boundary` row
 per node in global node order, at most _CSV_BLOCK (4096) a write;
-values use %.17g so every one reads back bit-identically.
+values are written exactly as %.17g writes them, so every one reads back
+bit-identically.  The writer makes them with numpy, not one %.17g call
+each: it finds the 17 digits of each value from an exact product and
+lays them out in fixed-width byte records, leaving to %.17g only the
+values it cannot certify (see _g17).
 
 A parsed file holds its Mesh, built as soon as the grid line is read.
 A grid may have at most mesh.MAX_NODES (1,500,000) nodes; a file asking
@@ -173,29 +177,169 @@ def make_data(spec: ProblemSpec, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
 _CSV_HEADER = "node_index,x,y,u,is_boundary"
 _CSV_BLOCK = 4096  # nodes per write, so memory stays flat on any grid
+# values _g17 formats at a time: each of its temporaries stays under
+# 64 KiB, which malloc reuses; 4096 values at a time made 128-256 KiB
+# arrays that came back as fresh, page-faulting memory on every block
+_PIECE = 1024
+_RECORD = 25  # bytes of a _g17 record: ',' and at most 24 characters
+
+
+def _halves(a):
+    """Veltkamp's split of a into two halves of at most 26 bits, a = hi + lo."""
+    c = a * 134217729.0  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10**k) for k in range(21)])  # exact through 10^22
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _quads():
+    """4 bytes as one uint32 word: "0000" to "9999", then a record's head
+    ",", sign, NUL, "0" for + and -, then four NULs; and the trailing
+    zeros of each of the 10000 quads."""
+    digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T + ord("0")
+    heads = np.array([[44, 0, 0, 48], [44, 45, 0, 48], [0, 0, 0, 0]], np.uint8)
+    zeros = np.zeros(10000, np.intp)
+    for step in (10, 100, 1000, 10000):
+        zeros[::step] += 1
+    return np.concatenate([digits, heads]).view(np.uint32).ravel(), zeros
+
+
+_QUADS, _ZEROS = _quads()
+
+
+def _masks(keep: np.ndarray, fill: int = 255) -> np.ndarray:
+    """Rows of byte masks, fill where keep holds, as uint64 words."""
+    return (keep * fill).astype(np.uint8).view(np.uint64)
+
+
+def _layouts():
+    """Byte masks of a _g17 record, indexed by 21 P + last.
+
+    A record's bytes are ',', the sign, a NUL, then e_0 .. e_20, where
+    e = "0000" followed by the 17 digits.  With e_P the units digit and
+    e_last the last nonzero one, '%.17g' is e_min(P, 4) .. e_P, then '.'
+    and e_P+1 .. e_last if last > P.  LEFT keeps the bytes before
+    the point, RIGHT those after it of the record moved up one byte,
+    and DOT holds the point.
+    """
+    P, last = np.divmod(np.arange(20 * 21)[:, None], 21)
+    e = np.arange(32) - 3  # the e index of each byte
+    left = (e < -1) | ((e >= np.minimum(P, 4)) & (e <= P))
+    right = (e >= P + 2) & (e <= last + 1)
+    return _masks(left), _masks(right), _masks((e == P + 1) & (last > P), ord("."))
+
+
+_LEFT, _RIGHT, _DOT = _layouts()
+_LEAD = _masks(np.arange(8) >= 8 - np.arange(9)[:, None])  # keep the last d of 8 bytes
+_DECADES = 10 ** np.arange(1, 8)
+_TAILS = np.frombuffer(b",0\n,1\n", np.uint8).reshape(2, 3)
+
+
+def _mantissa(a: np.ndarray, k: np.ndarray):
+    """round(a 10^k), half to even, as high 10^8 + low in float integers,
+    and where that is certain: high has 9 digits and low at most 8.
+
+    Dekker's product p + lo is a 10^k exactly.  Where high has 9 digits
+    p exceeds 2^53, so p is even and rounding lo half to even rounds
+    p + lo so too.
+    """
+    p = a * _POW10[k]
+    ah, al = _halves(a)
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    lo = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    high = np.floor(p / 1e8)
+    low = (p - high * 1e8) + np.rint(lo)
+    return high, low, (low >= 0) & (low < 1e8) & (high >= 1e8) & (high < 1e9)
+
+
+def _g17(v: np.ndarray) -> np.ndarray:
+    """(len(v), 25) uint8 records, ',' then '%.17g' % v, NUL-padded.
+
+    For 1e-4 <= |v| < 1e16, '%.17g' writes v in fixed point, and its 17
+    digits are N = round(|v| 10^k), with k = 16 - floor(log10 |v|) in
+    [1, 20] so that 10^k is exact.  Dekker's product p + lo = |v| 10^k
+    is exact, and p splits at 10^8 into two float integers below 2^53,
+    where floor(x / 10^m) is exact; a table of 4-digit quads turns them
+    into digits.  Zeros, non-finite values, |v| outside that range, an
+    N that log10's rounding put outside [10^16, 10^17) and one whose
+    split p / 10^8 rounded across an integer are formatted by '%.17g'
+    itself.
+    """
+    out = np.empty((len(v), _RECORD), np.uint8)
+    for i in range(0, len(v), _PIECE):
+        out[i : i + _PIECE] = _g17_piece(v[i : i + _PIECE])
+    return out
+
+
+def _g17_piece(v: np.ndarray) -> np.ndarray:
+    """_g17 of at most _PIECE values."""
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    k = (16 - np.clip(np.floor(np.log10(a)), -4, 15)).astype(np.intp)
+    high, low, certain = _mantissa(a, k)
+    fast &= certain
+    quads = np.empty((8, len(v)))  # the head, "000" + N as 5 quads, two NUL words
+    quads[0] = 10000 + np.signbit(v)
+    np.floor(high / 1e8, out=quads[1])
+    quads[3:6:2] = high - quads[1] * 1e8, low  # the two 8-digit halves, then split
+    np.floor(quads[3:6:2] / 1e4, out=quads[2:5:2])
+    quads[3:6:2] -= quads[2:5:2] * 1e4
+    quads[6:] = 10002
+    quads = quads.T.astype(np.intp)
+    c1, c2, c3, c4 = quads[:, 2:6].T
+    zeros = np.where(c4 == 0, 4 + _ZEROS[c3], _ZEROS[c4])
+    zeros = np.where(low == 0, 8 + np.where(c2 == 0, 4 + _ZEROS[c1], _ZEROS[c2]), zeros)
+    P = 20 - k
+    layout = 21 * P + 20 - zeros
+    e = _QUADS.take(quads).view(np.uint8).ravel()
+    moved = np.empty_like(e)
+    moved[0], moved[1:] = 0, e[:-1]
+    words = _LEFT.take(layout, 0)
+    words &= e.view(np.uint64).reshape(-1, 4)
+    mask = _RIGHT.take(layout, 0)
+    mask &= moved.view(np.uint64).reshape(-1, 4)
+    words |= mask
+    words |= _DOT.take(layout, 0)
+    out = words.view(np.uint8)[:, :_RECORD]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = "".join([("%.17g" % x).ljust(_RECORD - 1, "\0") for x in v[slow].tolist()])
+        out[slow, 1:] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _RECORD - 1)
+    return out
 
 
 def write_field_csv(stream: IO[str], mesh: Mesh, u: np.ndarray) -> None:
     """Write one row per node in node order; %.17g keeps values bit-exact.
 
-    Each node line is formatted once, from its own floats so that -0
-    stays -0, into two row templates, border and interior, that hold x,
-    the commas and the flag; a row's y goes in once, leaving one %d and
-    one %.17g per node.  Writes cover _CSV_BLOCK nodes, cutting wide rows.
+    Each block of _CSV_BLOCK nodes is one NUL-padded byte matrix, a row
+    per node: the index, x, y and u as _g17 writes them, with x and y
+    formatted once per node line, then the flag.  Dropping the NULs
+    leaves the block's text, which is one write.
     """
     u, width = _as_field(u, mesh.node_count), mesh.nx + 1
-    xs, ys = (["%.17g" % v for v in line.tolist()] for line in (mesh.xs, mesh.ys))
-    close = ",\0,%.17g,{}\n%d,".format  # y, u and the flag of a node, then the next index
-    border = "%d," + close(1).join(xs) + close(1)
-    interior = "%d," + xs[0] + close(1) + close(0).join(xs[1:-1]) + close(0) + xs[-1] + close(1)
-    templates = [border, *[interior] * (mesh.ny - 1), border]  # one per grid row
-    cuts = np.cumsum([0] + [len(x) + len(close(0)) for x in xs])  # where each node starts
+    # the node lines and the first block, all of a small grid, in one call
+    first = _g17(np.concatenate([mesh.xs, mesh.ys, u[:_CSV_BLOCK]]))
+    xs, ys, values = np.split(first, [width, width + mesh.ny + 1])
+    xs, ys = (part[:, part.any(axis=0)] for part in (xs, ys))
+    rows = min(_CSV_BLOCK, mesh.node_count)
+    buffer = bytearray(rows * (8 + xs.shape[1] + ys.shape[1] + _RECORD + 3))
+    block = np.frombuffer(buffer, np.uint8).reshape(rows, -1)
     stream.write(_CSV_HEADER + "\n")
     for start in range(0, mesh.node_count, _CSV_BLOCK):
         stop = min(start + _CSV_BLOCK, mesh.node_count)
-        block = "".join(
-            templates[j][cuts[max(start - j * width, 0)] : cuts[min(stop - j * width, width)]]
-            .replace("\0", ys[j]) for j in range(start // width, (stop - 1) // width + 1))
-        values = [0] * (2 * (stop - start))
-        values[::2], values[1::2] = range(start, stop), u[start:stop].tolist()
-        stream.write(block % tuple(values))
+        node = np.arange(start, stop)
+        row, col = np.divmod(node, width)
+        index = _QUADS.take(np.stack(np.divmod(node, 10000), axis=1)).view(np.uint64)
+        index &= _LEAD.take(np.searchsorted(_DECADES, node, side="right") + 1, 0)
+        flag = (row % mesh.ny == 0) | (col % mesh.nx == 0)
+        if start:
+            values = _g17(u[start:stop])
+        np.concatenate([index.view(np.uint8), xs.take(col, 0), ys.take(row, 0),
+                        values, _TAILS.take(flag.view(np.uint8), 0)],
+                       axis=1, out=block[: stop - start])
+        block[stop - start :] = 0
+        stream.write(buffer.translate(None, b"\0").decode())

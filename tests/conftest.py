@@ -209,6 +209,14 @@ def read_field_csv(stream) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def row_by_row_csv(mesh, u) -> str:
+    """The reference field writer: one %.17g row per node, formatted in turn."""
+    return "node_index,x,y,u,is_boundary\n" + "".join(
+        f"{i},{x:.17g},{y:.17g},{u[i]:.17g},{int(flag)}\n"
+        for i, ((x, y), flag) in enumerate(zip(mesh.nodes, mesh.boundary_mask))
+    )
+
+
 def p1_field(mesh, values):
     """The piecewise-linear field of nodal values, as an (x, y) callable."""
     values = np.array(values, dtype=float)

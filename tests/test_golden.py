@@ -3,11 +3,12 @@
 A change that only makes the program faster must not move a byte of
 what it prints or writes, and verify output is byte-identical for one
 file and seed.  Each case runs one command in process and compares the
-digests of its stdout, its stderr and, for solve and convergence, the
-written CSV with recorded ones.  The bytes also depend on numpy's FFT
-and transcendental kernels, so a numpy upgrade may move them; otherwise
-a failing case means an output changed, which a change must explain or
-undo.
+digests of its stdout, its stderr and the CSV it writes with recorded
+ones.  A case with a recorded CSV digest runs with --out; a solve case
+without one writes its CSV to stdout, so its stdout digest covers it.
+The bytes also depend on numpy's FFT and transcendental kernels, so a
+numpy upgrade may move them; otherwise a failing case means an output
+changed, which a change must explain or undo.
 """
 
 import hashlib
@@ -45,7 +46,7 @@ def sha256(data: bytes) -> str:
 EMPTY = sha256(b"")
 
 # (command, problem, extra arguments) -> digests of stdout, stderr and
-# the CSV that solve or convergence writes (None for commands that write none)
+# the CSV written with --out (None for a case run without --out)
 GOLDEN = {
     ("solve", "skewed37x23", ()): (
         EMPTY,
@@ -56,6 +57,16 @@ GOLDEN = {
         EMPTY,
         "ba30f9193e666358d1c6116077227e524e798dd58975f59e7a780de04ffb33cc",
         "c4c89bf78f59293ac1a677fab5dbc954d07933d312a9467157bee4782d6d69f2",
+    ),
+    ("solve", "strip40x4", ()): (
+        EMPTY,
+        "8b3064e0295d682a6325b6c36dc93c51c31979661bfc03675efac8ee52f1922b",
+        "5c14aded76fb2c1eb582568decbdae53257c063d6154568198f22369b2123457",
+    ),
+    ("solve", "unit16", ()): (
+        "98376bbe018286db7700fcadc3eff882af29ecad88c6486ca39257d02655f840",
+        "75360c27e04c0284b5fc37a39f4df836f8cd970ce507391351bf9e8b1189bdab",
+        None,
     ),
     ("poincare", "strip40x4", ()): (
         "7b5cf331b69ecac37dc394f2ad26fdaa2ed1174677d8cb7777e135ca598c2848",
@@ -78,7 +89,6 @@ GOLDEN = {
         "afb5fce67cd756e44e7578758e52d95c2f3a592fd12ce36def1c5d71169716d6",
     ),
 }
-WRITES_CSV = ("solve", "convergence")
 
 
 @pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: f"{c[0]}-{c[1]}")
@@ -88,9 +98,10 @@ def test_outputs_keep_their_bytes(case, tmp_path, capsysbinary):
     spec.write_text(PROBLEMS[problem], encoding="utf-8")
     argv = [command, "--spec", str(spec), *extra]
     csv = tmp_path / "field.csv"
-    if command in WRITES_CSV:
+    writes_csv = GOLDEN[case][2] is not None
+    if writes_csv:
         argv += ["--out", str(csv)]
     assert main(argv) == 0
     out, err = capsysbinary.readouterr()
-    written = sha256(csv.read_bytes()) if command in WRITES_CSV else None
+    written = sha256(csv.read_bytes()) if writes_csv else None
     assert (sha256(out), sha256(err), written) == GOLDEN[case]

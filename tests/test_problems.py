@@ -4,6 +4,7 @@ import io
 import os
 import re
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from dirichlet_fem import (
     trace,
     write_field_csv,
 )
-from tests.conftest import read_field_csv
+from tests.conftest import read_field_csv, row_by_row_csv
 
 FULL = """\
 # a complete file, all keys exercised
@@ -180,14 +181,6 @@ def test_csv_round_trip_is_bit_exact():
     assert np.array_equal(table[:, 4], mesh.boundary_mask.astype(float))
 
 
-def row_by_row_csv(mesh, u) -> str:
-    """The reference writer: one %.17g row per node, formatted in turn."""
-    return "node_index,x,y,u,is_boundary\n" + "".join(
-        f"{i},{x:.17g},{y:.17g},{u[i]:.17g},{int(flag)}\n"
-        for i, ((x, y), flag) in enumerate(zip(mesh.nodes, mesh.boundary_mask))
-    )
-
-
 def test_csv_extremes_keep_their_bytes_and_round_trip():
     mesh = build_rect_mesh(0.0, 0.0, 1.0, 1.0, 2, 2)
     u = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
@@ -199,6 +192,46 @@ def test_csv_extremes_keep_their_bytes_and_round_trip():
     buf.seek(0)
     back = read_field_csv(buf)[:, 3]
     assert back.tobytes() == u.tobytes()
+
+
+def ulp_neighbours(x, steps=2):
+    """x and the floats up to steps ulps either side of it."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+# exact decimal ties: 18 significant digits, the last a 5
+CSV_TIES = [211 / 2**21, 1049 / 2**20, 1055 / 2**20, 123456789012345.625, 1234567890123456.25]
+# values at the limits of the writer's exact path, on either side
+CSV_EDGES = np.array(
+    [v for k in range(-5, 18) for v in ulp_neighbours(10.0**k)]
+    + ulp_neighbours(1e-4) + ulp_neighbours(1e16) + CSV_TIES
+    + ulp_neighbours(2.0**53, 4)
+    # |v| 10^k just below a multiple of 10^8, which p rounds up to
+    + [0.3, 4.35]
+    # 1 to 17 significant digits, so that the 17 written hold 0 to 16 trailing zeros
+    + [float("%.*g" % (d, np.pi * 10.0**j)) for d in range(1, 18) for j in (-4, 0, 9)]
+    + [5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308]
+    + [0.0, np.inf, np.nan, 1.7976931348623157e308]
+)
+
+
+def test_csv_writer_matches_row_by_row_at_the_limits_of_its_exact_path():
+    mesh = build_rect_mesh(-1.0, -1.0, 1.0, 1.0, 20, 20)
+    u = np.resize(np.concatenate([CSV_EDGES, -CSV_EDGES]), mesh.node_count)
+    assert mesh.node_count >= 2 * len(CSV_EDGES)
+    buf = io.StringIO()
+    write_field_csv(buf, mesh, u)
+    assert buf.getvalue() == row_by_row_csv(mesh, u)
+
+
+def test_csv_ties_are_ties():
+    for v in CSV_TIES:
+        digits = format(Decimal(v), "f").replace(".", "").strip("0")
+        assert len(digits) == 18 and digits.endswith("5"), v
 
 
 CSV_MESHES = {

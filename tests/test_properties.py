@@ -25,7 +25,7 @@ from dirichlet_fem import (
     write_field_csv,
 )
 from dirichlet_fem.expr import Binary, Call, Name, Num, ParseError, Unary, _tokenize
-from tests.conftest import read_field_csv, serialize
+from tests.conftest import read_field_csv, row_by_row_csv, serialize
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -137,6 +137,18 @@ def test_field_csv_round_trip_is_bit_exact(data):
     buf.seek(0)
     back = read_field_csv(buf)[:, 3]
     assert back.tobytes() == u.tobytes()
+
+
+@PROPERTY
+@given(st.data())
+def test_field_csv_is_the_row_by_row_reference(data):
+    nx, ny = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+    mesh = build_rect_mesh(-0.3, 0.1, 1.7, 2.9, nx, ny)
+    u = np.array(data.draw(st.lists(st.floats(), min_size=mesh.node_count,
+                                    max_size=mesh.node_count)))
+    buf = io.StringIO()
+    write_field_csv(buf, mesh, u)
+    assert buf.getvalue() == row_by_row_csv(mesh, u)
 
 
 # A valid file on a grid of at most 6x6 with one value replaced, or any
