@@ -5,10 +5,12 @@ The smallest eigenvalue lambda_min of an InteriorSystem's pencil
 ||v||_2 <= a ||v||_grad over fields vanishing on the boundary is
 a = 1 / sqrt(lambda_min).
 estimate_poincare brackets lambda_min by Rayleigh-Ritz on a Krylov
-space, and the two check_* routines evaluate both sides of the bounds
-that constant implies, for the load functional and for the full
-solution map.  They take the source as its nodal values f_vals and
-measure it by ||f_h||_2 from the mass bracket.
+space from the lowest sine mode, which certifies alone on fine grids;
+elsewhere one or two steps are typical.  The two check_* routines
+evaluate both sides of the bounds that constant implies, for the load
+functional and for the full solution map.  They take the source as
+its nodal values f_vals and measure it by ||f_h||_2 from the mass
+bracket.
 
 The bracket [lambda_lo, rho] is certified: rho is a Rayleigh quotient,
 so a = 1 / sqrt(rho) never overshoots the true discrete constant, and
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import InteriorSystem, _ground_mode, norm, stiffness_spectrum
+from .assembly import InteriorSystem, _ground_mode, _sine_spectra, norm
 from .linsolve import ConvergenceError
 from .riesz import riesz_represent
 
@@ -38,11 +40,21 @@ class PoincareEstimate(NamedTuple):
 
     a: float  # 1 / sqrt(lambda_min), at most the best constant
     lambda_min: float  # Rayleigh quotient rho of the eigenvector, >= lambda_1
-    iterations: int  # Krylov steps taken, one sine solve each
+    iterations: int  # Krylov steps, one sine solve each; 0 when the start vector certifies
     residual: float  # pencil defect ||A v - lambda_min M v|| at the result
     eigenvector: np.ndarray  # M-normalized ground mode, interior indexing, read-only
     lambda_lo: float  # certified lower bound on lambda_1
     a_hi: float  # 1 / sqrt(lambda_lo), at least the best constant
+
+
+def _lowest_stiffness_pair(mesh) -> tuple[float, float]:
+    """The two least eigenvalues mu_1 <= mu_2 of A_int, mu_2 = inf if it has one.
+
+    Both spectra of _sine_spectra increase, so mu_1 is the sum of their
+    first entries and mu_2 the lesser sum with one second entry in it.
+    """
+    x, y = _sine_spectra(mesh)
+    return x[0] + y[0], min((*(x[1:2] + y[0]), *(x[0] + y[1:2])), default=np.inf)
 
 
 def estimate_poincare(system: InteriorSystem) -> PoincareEstimate:
@@ -53,12 +65,14 @@ def estimate_poincare(system: InteriorSystem) -> PoincareEstimate:
     M-orthonormal basis Q (classical Gram-Schmidt, twice).  s > 0 and
     the pencil's ground mode is positive, so their M-inner product is
     positive and the start is never orthogonal to it.  s is close to
-    that mode, so one or two steps are typical.  M_int Q is kept beside
-    Q, so a step applies M_int once, to its new vector.  The lowest
-    Ritz vector v has Rayleigh quotient rho >= lambda_1 and residual
+    that mode, so s itself is tried first, as step 0, before any sine
+    solve: on fine grids it certifies, and elsewhere one or two steps
+    are typical.  M_int Q is kept beside Q, so a step applies M_int
+    once, to its new vector.  The lowest Ritz vector v (at step 0, s
+    normalized) has Rayleigh quotient rho >= lambda_1 and residual
     r = A v - rho M v.
     hx hy / 4 <= M_int <= hx hy (Wathen, IMA J. Numer. Anal. 1987), so
-    with the eigenvalues mu_1 <= mu_2 of A_int from stiffness_spectrum,
+    with the eigenvalues mu_1 <= mu_2 of A_int from its sine spectra,
     Courant-Fischer gives l_2 = mu_2 / (hx hy) <= lambda_2, and Temple's
     inequality (Parlett, The Symmetric Eigenvalue Problem, ch. 10)
     gives, if rho < l_2,
@@ -69,43 +83,48 @@ def estimate_poincare(system: InteriorSystem) -> PoincareEstimate:
     lambda_lo is a lower bound in floating point.  The steps stop once
     (rho - lambda_lo) / rho <= RQ_TOLERANCE.  While rho >= l_2 the
     bracket is [mu_1 / (hx hy), rho]; it is returned, wide, once rho
-    settles to RQ_TOLERANCE or the space fills.  ConvergenceError is
-    raised if the bracket is still wider than RQ_TOLERANCE when the
-    space fills under Temple's bound or after MAX_STEPS steps, or if a
-    Ritz vector's M-norm is not a finite positive number (the squares
-    overflowed or underflowed).
+    settles to RQ_TOLERANCE over a step after the first or the space
+    fills.  ConvergenceError is raised if the bracket is still wider
+    than RQ_TOLERANCE when the space fills under Temple's bound or
+    after MAX_STEPS steps, or if a Ritz vector's M-norm is not a finite
+    positive number (the squares overflowed or underflowed); at step 0
+    that only sends the estimate on to step 1.
     """
     A_int, M_int, mesh = system.A_int, system.M_int, system.mesh
     n = A_int.dimension
     hx, hy = mesh.cell_sides
     cell = hx * hy
-    mu = np.partition(np.append(stiffness_spectrum(mesh), np.inf), 1)
-    floor, ell_2 = mu[0] / cell, mu[1] / cell
+    mu_1, mu_2 = _lowest_stiffness_pair(mesh)
+    floor, ell_2 = mu_1 / cell, mu_2 / cell
     eps = np.finfo(float).eps
     apply_error = A_int.apply_error(), M_int.apply_error()
 
     s = _ground_mode(mesh)
     Q = s[None, :] / np.sqrt(M_int.quad_form(s))  # M-orthonormal rows
     MQ = M_int.apply(Q[0])[None, :]  # rows M_int q, kept beside Q
-    H = np.array([[A_int.quad_form(Q[0])]])  # Q A_int Q^T
-    rho_prev = np.inf
-    for step in range(1, MAX_STEPS + 1):
-        w = A_int.inverse(MQ[-1])
-        for _ in range(2):
-            w -= (MQ @ w) @ Q
-        Mw = M_int.apply(w)
-        w_norm = np.sqrt(w @ Mw)
-        full = len(Q) == n or not w_norm > 0.0  # no new direction
-        if not full:
-            q = w / w_norm
-            Q, MQ = np.vstack([Q, q]), np.vstack([MQ, Mw / w_norm])
-            h = Q @ A_int.apply(q)
-            H = np.block([[H, h[:-1, None]], [h[None, :]]])
-        v = np.linalg.eigh(H)[1][:, 0] @ Q
+    v, Av, Mv = Q[0], A_int.apply(Q[0]), MQ[0]  # step 0: the start vector alone
+    H = np.array([[float(np.dot(v, Av))]])  # Q A_int Q^T
+    rho_prev, full = np.inf, False
+    for step in range(MAX_STEPS + 1):
+        if step:
+            w = A_int.inverse(MQ[-1])
+            for _ in range(2):
+                w -= (MQ @ w) @ Q
+            Mw = M_int.apply(w)
+            w_norm = np.sqrt(w @ Mw)
+            full = len(Q) == n or not w_norm > 0.0  # no new direction
+            if not full:
+                q = w / w_norm
+                Q, MQ = np.vstack([Q, q]), np.vstack([MQ, Mw / w_norm])
+                h = Q @ A_int.apply(q)
+                H = np.block([[H, h[:-1, None]], [h[None, :]]])
+            v = np.linalg.eigh(H)[1][:, 0] @ Q
+            Av, Mv = A_int.apply(v), M_int.apply(v)
 
-        Av, Mv = A_int.apply(v), M_int.apply(v)
         m = float(v @ Mv)
         if not 0.0 < m < np.inf:
+            if not step:  # step 1 tries again
+                continue
             raise ConvergenceError(
                 f"Ritz vector's squared M-norm is {m:.3e}, not a finite "
                 f"positive number, after {step} Krylov steps",
@@ -139,7 +158,8 @@ def estimate_poincare(system: InteriorSystem) -> PoincareEstimate:
             )
         if full:
             break
-        rho_prev = rho
+        if step:  # the start vector's rho settles nothing
+            rho_prev = rho
     raise ConvergenceError(
         f"bracket width {width:.3e} above {RQ_TOLERANCE:.3e} after {step} "
         f"Krylov steps" + (", where the space stopped growing" if full else ""),

@@ -279,20 +279,29 @@ def _dst1_rows(x: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(ext).imag[:, 1 : m + 1]
 
 
-def stiffness_spectrum(mesh: Mesh) -> np.ndarray:
-    """Every eigenvalue of the interior stiffness A_int of a rectangle mesh.
+def _sine_spectra(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """(hy/hx) mu_i over the x modes and (hx/hy) mu_j over the y modes.
 
     The DST-I S_n of order n - 1 holds the eigenvectors of T_n, with
-    eigenvalues 4 sin^2(i pi / 2n), so A_int has the eigenvalue
-    (hy/hx) mu_i + (hx/hy) mu_j for each x mode i and y mode j.  The
-    array is indexed (x mode, y mode), the layout between the two
-    transform passes of the sine inverse, which divides by it.
+    eigenvalues mu_i = 4 sin^2(i pi / 2n), i = 1..n - 1, increasing.
     """
     hx, hy = mesh.cell_sides
     ratio = hy / hx
     mu_x, mu_y = (4.0 * np.sin(np.arange(1, n) * (np.pi / (2 * n))) ** 2
                   for n in (mesh.nx, mesh.ny))
-    return ratio * mu_x[:, None] + mu_y[None, :] / ratio
+    return ratio * mu_x, mu_y / ratio
+
+
+def stiffness_spectrum(mesh: Mesh) -> np.ndarray:
+    """Every eigenvalue of the interior stiffness A_int of a rectangle mesh.
+
+    A_int has the eigenvalue (hy/hx) mu_i + (hx/hy) mu_j of
+    _sine_spectra for each x mode i and y mode j.  The array is indexed
+    (x mode, y mode), the layout between the two transform passes of
+    the sine inverse, which divides by it.
+    """
+    x, y = _sine_spectra(mesh)
+    return x[:, None] + y[None, :]
 
 
 def _ground_mode(mesh: Mesh) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Embedding constant and the continuity bounds it feeds."""
 
+import hashlib
 import sys
 
 import numpy as np
@@ -11,6 +12,7 @@ import dirichlet_fem.analysis
 from dirichlet_fem import (
     ConvergenceError,
     build_functional,
+    build_rect_mesh,
     check_functional_bound,
     check_stability,
     estimate_poincare,
@@ -18,6 +20,8 @@ from dirichlet_fem import (
     norm,
     solve,
 )
+from dirichlet_fem.analysis import RQ_TOLERANCE, _lowest_stiffness_pair
+from dirichlet_fem.assembly import stiffness_spectrum
 from tests.conftest import SINE_GRIDS, as_csr, interior_indices, make_system
 
 CERTIFIED_GRIDS = {
@@ -47,7 +51,8 @@ def test_one_dof_hand_eigenvalue():
     est = estimate_poincare(make_system(0.0, 0.0, 1.0, 1.0, 2, 2))
     assert est.lambda_min == pytest.approx(32.0, rel=1e-10)
     assert est.a == pytest.approx(1.0 / np.hypot(4.0, 4.0), rel=1e-10)
-    assert est.iterations >= 1
+    # the start vector spans the one-dimensional space, so it certifies
+    assert est.iterations == 0
 
 
 def test_matches_sparse_eigensolver(unit16):
@@ -242,3 +247,84 @@ def test_unreachable_tolerance_fills_the_space_and_raises(monkeypatch, unit8):
     monkeypatch.setattr(dirichlet_fem.analysis, "MAX_STEPS", 100)
     with pytest.raises(ConvergenceError, match="after 49 Krylov steps"):
         estimate_poincare(unit8)
+
+
+PIN_GRIDS = SINE_GRIDS | CERTIFIED_GRIDS | {
+    f"unit{n}": (0.0, 0.0, 1.0, 1.0, n, n) for n in (8, 12, 20, 24, 32, 64, 128)
+}
+# one row of 15 cells 1000 times wider than tall: Temple's bound never
+# applies, and the bracket is returned wide once rho settles over step 2
+PIN_GRIDS["thin2x16"] = (0.0, 0.0, 1e-3, 1.0, 2, 16)
+
+# Krylov steps and 16-hex-digit SHA-256 prefixes of the bracket's bits
+# (lambda_min, lambda_lo) and of the vector's (residual, eigenvector),
+# recorded before the start vector's own Ritz pair was tried.  Only
+# the one-row grids unit2x2 and unit2x7, whose start vector is the
+# ground mode, now stop at step 0, where they took one step; on
+# unit2x7 that step had mixed a roundoff direction into the vector,
+# whose bits then hashed to 9d587a356619cf6c.
+POINCARE_PINS = {
+    "unit16": (2, "f697fa6b1042ca56", "1cde80cc05930fc9"),
+    "skewed37x23": (2, "5612981fc873cd88", "0ea2778a277235d8"),
+    "strip40x4": (2, "ffd16909ea6f3490", "5cf6a8b64419a3e5"),
+    "unit300x20": (1, "77fdb3717cb6b202", "93311897d4d1ac14"),
+    "unit2x2": (0, "179d7dde51c6c7a1", "95760af9cec4115e"),
+    "unit2x7": (0, "c0559c34789328fc", "a6b09b91652386b5"),
+    "strip320x32": (2, "7ffb350727715b5e", "7534d7971fcb66a2"),
+    "rect128x32": (2, "363233014793b4d6", "704dcf0093fcc204"),
+    "unit8": (2, "386781ced5e55395", "63b1d35c3e2d9b28"),
+    "unit12": (2, "7d68f77ba49ac208", "5d8f10846e525a92"),
+    "unit20": (2, "82d8f2539e1bc405", "9bfadbb98b4baa71"),
+    "unit24": (2, "28da3e4a6a7bd6a3", "6bd06bbea80eaa3c"),
+    "unit32": (2, "322fe80049c70ca6", "10de761e675d18d6"),
+    "unit64": (1, "3c86a48ca85b5769", "eb3fc7ca527e8678"),
+    "unit128": (1, "b41f7a9ad531db8d", "34d6cdacda9a211c"),
+    "thin2x16": (2, "cfcd0d4f313bc9b8", "fff56aba77237526"),
+}
+
+
+@pytest.mark.parametrize("name", POINCARE_PINS)
+def test_estimate_keeps_its_bits(name):
+    est = estimate_poincare(make_system(*PIN_GRIDS[name]))
+    bracket = np.array([est.lambda_min, est.lambda_lo]).tobytes()
+    vector = np.array([est.residual]).tobytes() + est.eigenvector.tobytes()
+    digests = (hashlib.sha256(b).hexdigest()[:16] for b in (bracket, vector))
+    assert (est.iterations, *digests) == POINCARE_PINS[name]
+
+
+def test_lowest_stiffness_pair_is_the_partition_of_the_spectrum():
+    sizes = (2, 3, 4, 5, 7, 8, 16, 33, 64, 200)
+    shapes = {s for n in sizes for s in ((2, n), (n, 2), (3, n), (n, 3), (n, n))}
+    grids = [(0.0, 0.0, w, h, nx, ny) for nx, ny in sorted(shapes)
+             for w, h in ((1.0, 1.0), (1.0, 1e-3), (1e-3, 1.0), (1e3, 1.0))]
+    grids.append(CERTIFIED_GRIDS["strip320x32"])
+    for grid in grids:
+        mesh = build_rect_mesh(*grid)
+        want = np.partition(np.append(stiffness_spectrum(mesh), np.inf), 1)[:2]
+        got = np.array(_lowest_stiffness_pair(mesh))
+        assert got.tobytes() == want.tobytes(), grid
+
+
+@pytest.mark.parametrize("n", [192, 256])
+def test_the_start_vector_certifies_fine_squares(monkeypatch, n):
+    # Temple's bound holds for any trial vector, and on fine squares the
+    # lowest sine mode of A_int already brackets lambda_1 to RQ_TOLERANCE
+    system = make_system(0.0, 0.0, 1.0, 1.0, n, n)
+
+    def refuse(r):
+        raise AssertionError("estimate_poincare made a sine solve")
+
+    monkeypatch.setattr(system.A_int, "inverse", refuse)
+    est = estimate_poincare(system)
+    assert est.iterations == 0
+    assert (est.lambda_min - est.lambda_lo) / est.lambda_min <= RQ_TOLERANCE
+    assert est.lambda_lo <= smallest_eigenvalues(system)[0] <= est.lambda_min
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_start_vector_of_overflowing_m_norm_raises_at_step_1():
+    # s' M_int s overflows, so s normalizes to zero: step 0 passes it on
+    # and step 1 names the M-norm, as before step 0 was tried
+    system = make_system(0.0, 0.0, 1e155, 1e155, 64, 64)
+    with pytest.raises(ConvergenceError, match=r"is 0\.000e\+00, .* after 1 Krylov steps"):
+        estimate_poincare(system)

@@ -3,8 +3,11 @@ hand-made runs, and what it records of each side's sources."""
 
 import importlib.util
 import json
+import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -144,6 +147,31 @@ def test_main_writes_the_moved_counters_and_prints_them(tmp_path, monkeypatch, c
     written = json.loads(out.read_text())
     assert written["counters_moved"] == {"w": {"expr.eval_calls": {"base": 3, "change": 4}}}
     assert "counter moved: w expr.eval_calls 3 -> 4" in capsys.readouterr().err
+
+
+def test_main_prints_the_gains_shown_and_records_the_host(tmp_path, monkeypatch, capsys,
+                                                         workload_w):
+    benchmark = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    base_dir = tmp_path / "base"
+    (base_dir / "src").mkdir(parents=True)
+
+    def bench(checkout, workload, seed, seconds, trace):
+        metrics = {m["name"]: 1.0 for m in benchmark["end_to_end"]}
+        metrics["cmd_p50_s"] = 0.05 + 0.001 * seed if checkout == base_dir else 0.04
+        return {"metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--base", str(base_dir), "--out", str(out), "--run", "w:1-3"]) == 0
+    written = json.loads(out.read_text())
+    assert written["host"] == {"python": platform.python_version(), "numpy": np.__version__,
+                               "cpu_count": os.cpu_count()}
+    shown = [m for m, entry in written["summary"]["w"].items() if entry["gain_shown"]]
+    assert shown == ["cmd_p50_s"]
+    err = capsys.readouterr().err
+    assert ("gain shown: w cmd_p50_s median 0.052 -> 0.04, change better in 3 of 3 pairs"
+            in err.splitlines())
+    assert "worse beyond bound" not in err
 
 
 @pytest.mark.parametrize("bad", ["small-batch", "small-batch:1-2:3", "no-such-workload:1-2",

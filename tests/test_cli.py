@@ -269,7 +269,8 @@ def test_poincare_hand_value(tmp_path):
     fields = dict(part.split("=") for part in proc.stdout.split())
     assert float(fields["lambda_min"]) == pytest.approx(32.0, rel=1e-9)
     assert float(fields["a"]) == pytest.approx(0.176777, rel=1e-4)
-    assert int(fields["iterations"]) >= 1
+    # one interior node: the start vector spans the space and certifies
+    assert int(fields["iterations"]) == 0
     # the certified bracket goes to stderr
     bracket = dict(part.split("=") for part in proc.stderr.split())
     assert set(bracket) == {"lambda_lo", "a_hi", "width"}
@@ -428,6 +429,57 @@ def test_huge_cells_fail_at_runtime_without_traceback(tmp_path, command, size):
     message = THRESHOLD if command in ("solve", "convergence") else RITZ
     assert re.search(r"^error: " + message, proc.stderr, re.M)
     assert "Traceback" not in proc.stderr
+
+
+def test_poincare_certifies_a_fine_square_on_its_start_vector(tmp_path):
+    spec = write(tmp_path, "p.txt", "domain = 0 0 1 1\ngrid = 192 192\nf = 0\ng = 0\n")
+    proc = run_cli("poincare", "--spec", spec)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith(" iterations=0\n"), proc.stdout
+
+
+WIDE = ("error: bracket width 1.050e-02 above 1.000e-08 after 1 Krylov steps, "
+        "where the space stopped growing")
+RITZ_ZERO = ("error: Ritz vector's squared M-norm is 0.000e+00, not a finite positive "
+             "number, after 1 Krylov steps")
+THRESHOLD_INF = "error: residual threshold is not finite: ||b|| = inf, ||A|| ||x|| = inf"
+
+# (cell side, command) -> exit code, last stderr line and FAIL lines on a
+# 4x4 grid of f = 1 and g = 0 whose squares overflow or underflow, as
+# recorded before estimate_poincare tried its start vector's Ritz pair
+FLOAT_RANGE = {
+    ("1e60", "poincare"): (
+        0, "lambda_lo=2.28657759368e-119 a_hi=2.09125517297e+59 width=9.747e-15", []),
+    ("1e60", "solve"): (0, "cg_iterations  = 1", []),
+    ("1e60", "verify"): (2, "", ["FAIL stability-bound: lhs=inf rhs=4.37335e+178 "
+                                 "riesz_lhs=inf riesz_rhs=4.37335e+178"]),
+    ("1e80", "poincare"): (2, RITZ_ZERO, []),
+    ("1e80", "solve"): (2, THRESHOLD_INF, []),
+    ("1e80", "verify"): (2, RITZ_ZERO, []),
+    ("1e110", "poincare"): (2, WIDE, []),
+    ("1e110", "solve"): (2, THRESHOLD_INF, []),
+    ("1e110", "verify"): (2, WIDE, []),
+    ("1e154", "poincare"): (2, WIDE, []),
+    ("1e154", "solve"): (2, THRESHOLD_INF, []),
+    ("1e154", "verify"): (2, WIDE, []),
+    ("1e-150", "poincare"): (2, WIDE, []),
+    ("1e-150", "solve"): (2, WIDE, []),
+    ("1e-150", "verify"): (2, WIDE, []),
+}
+
+
+@pytest.mark.parametrize("case", FLOAT_RANGE, ids="-".join)
+def test_float_range_errors_keep_their_messages(tmp_path, case):
+    side, command = case
+    text = f"domain = 0 0 {side} {side}\ngrid = 4 4\nf = 1\ng = 0\n"
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning", "-m", "dirichlet_fem",
+         command, "--spec", write(tmp_path, "p.txt", text)],
+        capture_output=True, text=True, env=cli_env(),
+    )
+    last = (proc.stderr.splitlines() or [""])[-1]
+    fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+    assert (proc.returncode, last, fails) == FLOAT_RANGE[case]
 
 
 def test_verify_rejects_negative_seed_flag(tmp_path):

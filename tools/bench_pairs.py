@@ -30,15 +30,21 @@ better in at least nine tenths of the pairs (a tie counts for neither
 side) and its median better than the base's by more than the base's
 quartile distance q3 - q1.  Under counters_moved it lists, per workload,
 each per-layer metric of BENCHMARK.json with unit count or B whose
-traced values differ between the sides, with both values.  The script
-lists the metrics flagged worse and the moved counters on stderr.
+traced values differ between the sides, with both values.  Under host
+it records the interpreter version, the numpy version and the CPU
+count, so files from different hosts or sessions can be told apart.
+The script lists the metrics flagged worse, the gains shown and the
+moved counters on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.metadata
 import json
+import os
+import platform
 import re
 import statistics
 import subprocess
@@ -62,6 +68,12 @@ def describe_src(checkout: Path) -> dict:
         by_file[name] = text.count(b"\n")
     return {"src_sha256": digest.hexdigest(), "src_lines": sum(by_file.values()),
             "src_lines_by_file": by_file}
+
+
+def describe_host() -> dict:
+    """The interpreter and numpy versions the runs used, and the CPU count."""
+    return {"python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"), "cpu_count": os.cpu_count()}
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -145,10 +157,12 @@ def main(argv=None) -> int:
     summary = summarise(runs, benchmark["end_to_end"])
     for workload, metrics in summary.items():
         for name, entry in metrics.items():
-            if entry["worse_beyond_bound"]:
-                print(f"worse beyond bound: {workload} {name} median "
-                      f"{entry['base']['median']:.6g} -> {entry['change']['median']:.6g}",
-                      file=sys.stderr)
+            for flag in ("worse_beyond_bound", "gain_shown"):
+                if entry[flag]:
+                    print(f"{flag.replace('_', ' ')}: {workload} {name} median "
+                          f"{entry['base']['median']:.6g} -> {entry['change']['median']:.6g}, "
+                          f"change better in {entry['change_better']} of {entry['pairs']} pairs",
+                          file=sys.stderr)
     moved = counters_moved(runs, benchmark["per_layer"])
     for workload, counters in moved.items():
         for name, values in counters.items():
@@ -156,6 +170,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
     args.out.write_text(json.dumps({
         "command": f"python3 perfbench/run.py --seconds {seconds:g}",
+        "host": describe_host(),
         "sides": {s: describe_src(c) for s, c in checkouts.items()},
         "summary": summary,
         "counters_moved": moved,
