@@ -7,12 +7,10 @@ O(N log N) application of it.  That was measured against a SuperLU
 factor cached per matrix, which at 256^2 was slower and raised the
 solver's peak memory by about 80%.  The solver trusts nothing, the
 inverse included: the answer is judged on the true residual b - A x
-and improved by iterative refinement (Higham, Accuracy and Stability
-of Numerical Algorithms, 2nd ed., ch. 12) until its normwise backward
-error is at most TOLERANCE.  That is a fixed relative perturbation of
-A and b, so one constant serves every grid and every caller, and no
-solve has a setting.  Refinement that stops halving the residual
-aborts with a diagnostic instead of silently looping.
+and returned only if its normwise backward error is at most TOLERANCE.
+That is a fixed relative perturbation of A and b, so one constant
+serves every grid and every caller, and no solve has a setting.  An
+answer that misses it raises with a diagnostic; it is not refined.
 
 The solver began as conjugate gradients preconditioned by that inverse,
 whose first step is this solve.  It keeps the names cg_solve and
@@ -28,7 +26,7 @@ import numpy as np
 
 from .assembly import SparseSymMatrix
 
-TOLERANCE = 1e-12  # normwise backward error at which a solve stops
+TOLERANCE = 1e-12  # largest normwise backward error a solve returns
 
 
 class CGResult(NamedTuple):
@@ -38,10 +36,10 @@ class CGResult(NamedTuple):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when cg_solve's residual stops shrinking or its threshold
-    overflows, when estimate_poincare's Ritz vector has no finite positive
-    M-norm, and when its bracket stays wider than RQ_TOLERANCE through
-    MAX_STEPS Krylov steps or until the space stops growing.
+    """Raised when cg_solve's residual is above its threshold or that
+    overflows, when estimate_poincare's Ritz vector has no finite
+    positive M-norm, and when its bracket stays wider than RQ_TOLERANCE
+    through MAX_STEPS Krylov steps or until the space stops growing.
     """
 
     def __init__(self, message: str, iterations: int, residual: float):
@@ -53,18 +51,15 @@ class ConvergenceError(RuntimeError):
 def cg_solve(A: SparseSymMatrix, b: np.ndarray) -> CGResult:
     """Solve A x = b to a normwise backward error of TOLERANCE.
 
-    x starts at A.inverse(b); while the true residual is above the
+    x = A.inverse(b) is returned when its true residual is within the
     threshold TOLERANCE * (||A|| ||x|| + ||b||), ||A|| being the
-    largest row sum of |A|, A.inverse of that residual is added.  The
-    returned x solves (A + dA) x = b + db with ||dA||_2 <= TOLERANCE ||A||
-    and ||db|| <= TOLERANCE ||b|| (Rigal & Gaches, J. ACM 1967; Arioli,
-    Duff & Ruiz, SIAM J. Matrix Anal. Appl. 1992).  A threshold that is
-    not finite (a norm overflowed) raises, and so do three steps in a
-    row that do not halve the best residual: the roundoff floor is above
-    the threshold, or the inverse does not fit A.  The threshold is
-    never below TOLERANCE * ||b||, so a solve applies the inverse at
-    most 3 * ceil(log2(||r_1|| / (TOLERANCE * ||b||))) + 3 times, r_1
-    being the first residual, or raises.
+    largest row sum of |A|.  Such an x solves (A + dA) x = b + db with
+    ||dA||_2 <= TOLERANCE ||A|| and ||db|| <= TOLERANCE ||b|| (Rigal &
+    Gaches, J. ACM 1967; Arioli, Duff & Ruiz, SIAM J. Matrix Anal.
+    Appl. 1992).  A threshold that is not finite (a norm overflowed)
+    raises, and so does a residual above the threshold, naming both:
+    the roundoff floor is above the threshold, or the inverse does not
+    fit A.  An approximate inverse is refused, not refined.
     """
     if A.inverse is None:
         raise ValueError("matrix has no inverse to solve with")
@@ -81,30 +76,21 @@ def cg_solve(A: SparseSymMatrix, b: np.ndarray) -> CGResult:
 
     a_norm = A.norm_inf()
     x = A.inverse(b)
-    iterations, stalls, best = 1, 0, np.inf  # best: smallest true residual
-    while True:
-        r = b - A.apply(x)
-        r_norm = float(np.linalg.norm(r))
-        ax_norm = a_norm * float(np.linalg.norm(x))
-        threshold = TOLERANCE * (ax_norm + b_norm)
-        if not threshold < np.inf:  # NaN fails too
-            raise ConvergenceError(
-                f"residual threshold is not finite: ||b|| = {b_norm:.3e}, "
-                f"||A|| ||x|| = {ax_norm:.3e}",
-                iterations=iterations,
-                residual=r_norm,
-            )
-        if r_norm <= threshold:
-            return CGResult(x=x, iterations=iterations, residual=r_norm)
-        stalls = 0 if r_norm <= 0.5 * best else stalls + 1  # NaN stalls too
-        best = min(best, r_norm)
-        if stalls == 3:
-            raise ConvergenceError(
-                "stalled at the roundoff floor, or on an inverse that does "
-                f"not fit the matrix: best true residual {best:.3e} vs "
-                f"threshold {threshold:.3e} after {iterations} iterations",
-                iterations=iterations,
-                residual=best,
-            )
-        x = x + A.inverse(r)
-        iterations += 1
+    r_norm = float(np.linalg.norm(b - A.apply(x)))
+    ax_norm = a_norm * float(np.linalg.norm(x))
+    threshold = TOLERANCE * (ax_norm + b_norm)
+    if not threshold < np.inf:  # NaN fails too
+        raise ConvergenceError(
+            f"residual threshold is not finite: ||b|| = {b_norm:.3e}, "
+            f"||A|| ||x|| = {ax_norm:.3e}",
+            iterations=1,
+            residual=r_norm,
+        )
+    if r_norm <= threshold:
+        return CGResult(x=x, iterations=1, residual=r_norm)
+    raise ConvergenceError(  # NaN lands here too
+        f"true residual {r_norm:.3e} is above its threshold {threshold:.3e}: "
+        "the roundoff floor is above it, or the inverse does not fit the matrix",
+        iterations=1,
+        residual=r_norm,
+    )

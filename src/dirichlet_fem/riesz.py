@@ -14,7 +14,7 @@ identity checked by check_square_identity is the completed square
 
 whose right side vanishes when the solve is exact and otherwise sits at
 solver-residual scale, so the discrepancy stays far below any honest
-tolerance even with an iterative p.
+tolerance for a p good only to cg_solve's backward error.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def check_square_identity(
     """Discrepancy of the completed square at one test vector.
 
     Returns |E(x) + 0.5 ||p||_A^2 - 0.5 ||x - p||_A^2|, which vanishes
-    identically when p solves A p = lam; with an iterative p the value
+    identically when p solves A p = lam; with an inexact p the value
     is (x - p) . (A p - lam), so it stays at solver-residual scale.
     """
     d = np.asarray(x, dtype=float) - p

@@ -7,7 +7,7 @@ values f_vals and every load as M f_vals, the load of the P1 field
 with those values, so the bounds are exact statements about the mass
 bracket and must hold with no discretization slack.  Boundary data
 enters only as the nodal field g_field, the extension that solve takes.
-Every solve stops at the fixed normwise backward error linsolve.TOLERANCE.
+Every solve meets the fixed normwise backward error linsolve.TOLERANCE or raises.
 """
 
 from __future__ import annotations

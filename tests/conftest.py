@@ -132,6 +132,14 @@ SINE_GRIDS = {
     "unit2x7": (0.0, 0.0, 1.0, 1.0, 2, 7),
 }
 
+# Grids on which estimate_poincare certifies its bracket: the benchmark's
+# strip, a 4:1 rectangle and the skewed grid.
+CERTIFIED_GRIDS = {
+    "strip320x32": (0.0, 0.0, 10.0, 1.0, 320, 32),
+    "rect128x32": (0.0, 0.0, 4.0, 1.0, 128, 32),
+    "skewed37x23": SINE_GRIDS["skewed37x23"],
+}
+
 
 def geometry(x: np.ndarray, y: np.ndarray):
     """b, c and signed area of a triangle with vertex coordinates x, y.

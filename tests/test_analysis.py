@@ -22,13 +22,7 @@ from dirichlet_fem import (
 )
 from dirichlet_fem.analysis import RQ_TOLERANCE, _lowest_stiffness_pair
 from dirichlet_fem.assembly import stiffness_spectrum
-from tests.conftest import SINE_GRIDS, as_csr, interior_indices, make_system
-
-CERTIFIED_GRIDS = {
-    "strip320x32": (0.0, 0.0, 10.0, 1.0, 320, 32),
-    "rect128x32": (0.0, 0.0, 4.0, 1.0, 128, 32),
-    "skewed37x23": SINE_GRIDS["skewed37x23"],
-}
+from tests.conftest import CERTIFIED_GRIDS, SINE_GRIDS, as_csr, interior_indices, make_system
 
 
 def smallest_eigenvalues(system, k=1, pencil=True):

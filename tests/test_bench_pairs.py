@@ -174,6 +174,30 @@ def test_main_prints_the_gains_shown_and_records_the_host(tmp_path, monkeypatch,
     assert "worse beyond bound" not in err
 
 
+def test_main_prints_the_src_line_counts_and_each_file_that_changed(tmp_path, monkeypatch,
+                                                                    capsys, workload_w):
+    benchmark = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    sources = {"base": {"a.py": b"1\n2\n3\n", "same.py": b"1\n", "gone.py": b"1\n"},
+               "change": {"a.py": b"1\n", "same.py": b"1\n", "new.py": b"1\n2\n"}}
+    for side, files in sources.items():
+        package = tmp_path / side / "src" / "pkg"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_bytes(text)
+
+    def bench(checkout, workload, seed, seconds, trace):
+        return {"metrics": {m["name"]: 1.0 for m in benchmark["end_to_end"]}}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    assert bench_pairs.main(["--base", str(tmp_path / "base"), "--change",
+                             str(tmp_path / "change"), "--out", str(tmp_path / "bench.json"),
+                             "--run", "w:1-1"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    start = err.index("src lines: base 5 -> change 4")
+    assert err[start + 1:] == ["  src/pkg/a.py: 3 -> 1", "  src/pkg/gone.py: 1 -> 0",
+                               "  src/pkg/new.py: 0 -> 2"]
+
+
 @pytest.mark.parametrize("bad", ["small-batch", "small-batch:1-2:3", "no-such-workload:1-2",
                                  "small-batch:5-4", "small-batch:1", "small-batch:x-2",
                                  ":1-2"])

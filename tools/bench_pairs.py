@@ -34,7 +34,9 @@ traced values differ between the sides, with both values.  Under host
 it records the interpreter version, the numpy version and the CPU
 count, so files from different hosts or sessions can be told apart.
 The script lists the metrics flagged worse, the gains shown and the
-moved counters on stderr.
+moved counters on stderr, then ``src lines: base N -> change M`` and
+each file whose line count differs between the sides (0 where a side
+lacks it).
 """
 
 from __future__ import annotations
@@ -168,10 +170,18 @@ def main(argv=None) -> int:
         for name, values in counters.items():
             print(f"counter moved: {workload} {name} {values['base']} -> {values['change']}",
                   file=sys.stderr)
+    sides = {s: describe_src(c) for s, c in checkouts.items()}
+    print(f"src lines: base {sides['base']['src_lines']} -> "
+          f"change {sides['change']['src_lines']}", file=sys.stderr)
+    base_files, change_files = (sides[s]["src_lines_by_file"] for s in SIDES)
+    for name in sorted(base_files.keys() | change_files.keys()):
+        before, after = base_files.get(name, 0), change_files.get(name, 0)
+        if before != after:
+            print(f"  {name}: {before} -> {after}", file=sys.stderr)
     args.out.write_text(json.dumps({
         "command": f"python3 perfbench/run.py --seconds {seconds:g}",
         "host": describe_host(),
-        "sides": {s: describe_src(c) for s, c in checkouts.items()},
+        "sides": sides,
         "summary": summary,
         "counters_moved": moved,
         "runs": runs,
