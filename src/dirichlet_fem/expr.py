@@ -1,10 +1,11 @@
 """A small closed expression language for problem data on the plane.
 
-Grammar: floating literals, the variables x and y, the constants pi
-and e, the functions sin, cos, exp, log, sqrt, abs, the binary
-operators + - * / ^ (^ is right-associative power), unary minus, and
-parentheses.  Unary minus binds tighter than * and / but looser than
-^, so -x^2 means -(x^2) while -x*y means (-x)*y.
+Grammar: finite floating literals (an underflowing one reads as 0),
+the variables x and y, the constants pi and e, the functions sin, cos,
+exp, log, sqrt, abs, the binary operators + - * / ^ (^ is
+right-associative power), unary minus, and parentheses.  Unary minus
+binds tighter than * and / but looser than ^, so -x^2 means -(x^2)
+while -x*y means (-x)*y.
 
 The language is deliberately tiny: every expression a problem file can
 contain is parsed into named tuples here and evaluated by walking them,
@@ -79,7 +80,6 @@ _FUNCTIONS: dict[str, np.ufunc] = {
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
-_RIGHT_ASSOC = {"^"}
 _UNARY_PRECEDENCE = 25
 
 # parse refuses a tree taller than this (a number or name has height 1),
@@ -107,60 +107,56 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    """Precedence climbing; expression and primary return (tree, height)."""
+def parse(source: str) -> Expr:
+    """Parse expression text, raising ParseError with a character offset.
 
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.pos = 0
-        self.open = 0  # expression() calls in progress
+    Precedence climbing; expression and primary return (tree, height).
+    """
+    tokens = _tokenize(source)
+    pos = 0
+    depth = 0  # expression() calls in progress
+    too_deep = f"expression nested deeper than {MAX_DEPTH} levels"
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    @staticmethod
-    def nested(depth: int, offset: int) -> int:
+    def expression(min_prec: int) -> tuple[Expr, int]:
+        nonlocal pos, depth
+        depth += 1
+        offset = tokens[pos][2]
         if depth > MAX_DEPTH:
-            raise ParseError(
-                f"expression nested deeper than {MAX_DEPTH} levels", offset
-            )
-        return depth
-
-    def expression(self, min_prec: int) -> tuple[Expr, int]:
-        self.open += 1
-        self.nested(self.open, self.peek()[2])
-        left, height = self.primary()
+            raise ParseError(too_deep, offset)
+        tree, height = primary()
         while True:
-            kind, text, offset = self.peek()
-            if kind != "op" or text not in _PRECEDENCE:
+            if height > MAX_DEPTH:  # at the call, minus or operator that grew it
+                raise ParseError(too_deep, offset)
+            kind, op, offset = tokens[pos]
+            if kind != "op" or op not in _PRECEDENCE or _PRECEDENCE[op] < min_prec:
                 break
-            prec = _PRECEDENCE[text]
-            if prec < min_prec:
-                break
-            self.advance()
-            right, rh = self.expression(prec if text in _RIGHT_ASSOC else prec + 1)
-            left = Binary(text, left, right)
-            height = self.nested(1 + max(height, rh), offset)
-        self.open -= 1
-        return left, height
+            pos += 1
+            right, rh = expression(_PRECEDENCE[op] + (op != "^"))  # ^ is right-associative
+            tree, height = Binary(op, tree, right), 1 + max(height, rh)
+        depth -= 1
+        return tree, height
 
-    def primary(self) -> tuple[Expr, int]:
-        kind, text, offset = self.advance()
+    def primary() -> tuple[Expr, int]:
+        nonlocal pos
+        kind, text, offset = tokens[pos]
+        pos += 1
         if kind == "num":
-            return Num(float(text)), 1
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} overflows", offset)
+            return Num(value), 1
+        call = kind == "ident" and tokens[pos][:2] == ("op", "(")
+        if call and text not in _FUNCTIONS:
+            raise ParseError(f"unknown function {text!r}", offset)
+        if call or (kind, text) == ("op", "("):
+            pos += call
+            inner, height = expression(0)
+            kind, close, offset = tokens[pos]
+            pos += 1
+            if (kind, close) != ("op", ")"):
+                raise ParseError("expected ')'", offset)
+            return (Call(text, inner), height + 1) if call else (inner, height)
         if kind == "ident":
-            if self.peek()[:2] == ("op", "("):
-                if text not in _FUNCTIONS:
-                    raise ParseError(f"unknown function {text!r}", offset)
-                self.advance()
-                arg, height = self.expression(0)
-                self.expect_close()
-                return Call(text, arg), self.nested(height + 1, offset)
             if text in _FUNCTIONS:
                 raise ParseError(
                     f"function {text!r} needs parenthesized argument", offset
@@ -168,32 +164,18 @@ class _Parser:
             if text == "x" or text == "y" or text in _CONSTANTS:
                 return Name(text), 1
             raise ParseError(f"unknown name {text!r}", offset)
-        if kind == "op":
-            if text == "(":
-                inner = self.expression(0)
-                self.expect_close()
-                return inner
-            if text == "-":
-                operand, height = self.expression(_UNARY_PRECEDENCE)
-                return Unary(operand), self.nested(height + 1, offset)
+        if (kind, text) == ("op", "-"):
+            operand, height = expression(_UNARY_PRECEDENCE)
+            return Unary(operand), height + 1
         if kind == "end":
             raise ParseError("unexpected end of expression", offset)
         raise ParseError(f"unexpected token {text!r}", offset)
 
-    def expect_close(self):
-        kind, text, offset = self.advance()
-        if (kind, text) != ("op", ")"):
-            raise ParseError("expected ')'", offset)
-
-
-def parse(source: str) -> Expr:
-    """Parse expression text, raising ParseError with a character offset."""
-    parser = _Parser(_tokenize(source))
-    expr, _ = parser.expression(0)
-    kind, text, offset = parser.peek()
+    tree, _ = expression(0)
+    kind, text, offset = tokens[pos]
     if kind != "end":
         raise ParseError(f"unexpected token {text!r} after expression", offset)
-    return expr
+    return tree
 
 
 def evaluate(expr: Expr, x, y):

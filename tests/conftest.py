@@ -14,7 +14,6 @@ import dirichlet_fem
 from dirichlet_fem import SparseSymMatrix, assemble_system, build_rect_mesh, cli, eval_p1
 from dirichlet_fem.expr import (
     _PRECEDENCE,
-    _RIGHT_ASSOC,
     _UNARY_PRECEDENCE,
     Binary,
     Call,
@@ -264,7 +263,7 @@ def serialize(expr) -> str:
     if t is Unary:
         return "-" + _child(expr.operand, _UNARY_PRECEDENCE)
     prec = _PRECEDENCE[expr.op]
-    if expr.op in _RIGHT_ASSOC:
+    if expr.op == "^":  # the one right-associative operator
         left = _child(expr.left, prec + 1)
         right = _child(expr.right, prec)
     else:

@@ -413,6 +413,39 @@ def test_deep_nesting_is_malformed_without_traceback(tmp_path, f):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("f,offset", [("1e400", 0), ("x^1e400", 2)], ids=["alone", "exponent"])
+def test_an_overflowing_literal_is_malformed(tmp_path, capsys, command, f, offset):
+    from dirichlet_fem import cli
+
+    spec = write(tmp_path, "p.txt", BASE + f"f = {f}\ng = 0\n")
+    assert cli.main([command, "--spec", spec]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: line 3: f: number '1e400' overflows at offset {offset}\n")
+
+
+def test_the_solved_field_does_not_depend_on_the_blas_thread_count(tmp_path):
+    spec = write(
+        tmp_path,
+        "p.txt",
+        "domain = 0 0 1 1\ngrid = 256 256\nf = 2*pi^2*sin(pi*x)*sin(pi*y)\ng = x*y + 1\n",
+    )
+    fields = []
+    for threads in ("1", "2"):
+        env = cli_env()
+        env.update(dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+        out = tmp_path / f"u{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dirichlet_fem", "solve", "--spec", spec, "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fields.append(out.read_bytes())
+    assert len(fields[0]) > 257 * 257 * 20
+    assert fields[0] == fields[1]
+
+
 RITZ = "Ritz vector's squared M-norm is "
 THRESHOLD = r"residual threshold is not finite: \|\|b\|\| = inf"
 

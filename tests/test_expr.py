@@ -140,6 +140,8 @@ def test_serialize_restores_needed_parens():
         ("(x", 2),
         ("x @ y", 2),
         ("1 2", 2),
+        ("1e400", 0),
+        ("x^1e400", 2),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
@@ -160,6 +162,11 @@ def test_numbers_are_ascii_digits_only(text, offset):
         parse(text)
     assert info.value.offset == offset
     assert parse("x*3") == Binary("*", Name("x"), Num(3.0))
+
+
+def test_literals_at_the_ends_of_the_float_range_parse():
+    assert parse("1e-400") == Num(0.0)  # underflow reads as 0
+    assert parse("1.7976931348623157e308") == Num(1.7976931348623157e308)
 
 
 def test_parse_error_offsets_count_characters_not_bytes():
