@@ -15,7 +15,8 @@ Exit codes: 0 success, 1 malformed problem data (file syntax, bad
 expressions, bad geometry, grids over the node cap or with cells whose
 squared sides or area overflow or underflow), 2 runtime failure
 (solver breakdown, expression evaluation at a quadrature point or a
-node, failed verification) and every usage error, 3 file I/O errors.
+node, failed verification, running out of memory: one `error: out of
+memory in COMMAND on the NXxNY grid` line) and every usage error, 3 file I/O errors.
 
 A command line is a command, then `--name value` or `--name=value`
 pairs, each value taken as given even if it starts with '-'; --seed and
@@ -37,7 +38,8 @@ from .dirichlet import solve, weak_residual
 from .expr import EvalError, as_function
 from .linsolve import ConvergenceError
 from .mesh import Mesh, build_rect_mesh, nodal_values
-from .problems import ProblemSpec, boundary_field, load_problem, make_data, write_field_csv
+from .problems import ProblemSpec, boundary_field, load_problem, make_data, pages_kept
+from .problems import write_field_csv
 from .riesz import energy
 from .verify import run_checks
 
@@ -50,7 +52,8 @@ _STORE: dict[tuple, list] = {}
 def _system(mesh: Mesh) -> InteriorSystem:
     """The stored brackets of mesh's shape, with mesh's own node lines.  A
     new shape is assembled once the least recently used shapes have left
-    room for its nodes under MAX_NODES."""
+    room for its nodes under MAX_NODES.  From a grid over PAGES_KEPT_ABOVE on, pages are kept."""
+    pages_kept(mesh, keep=True)
     entry = _STORE.pop(key := (mesh.nx, mesh.ny, *mesh.cell_sides), None)
     while entry is None and _STORE and mesh.node_count + sum(
             s.mesh.node_count for s, _ in _STORE.values()) > mesh_module.MAX_NODES:
@@ -210,12 +213,17 @@ def _parse(argv: list[str]) -> tuple | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv, spec = sys.argv[1:] if argv is None else argv, None
     try:
-        if (parsed := _parse(sys.argv[1:] if argv is None else argv)) is None:
+        if (parsed := _parse(argv)) is None:
             print(_USAGE)
             return 0
         handler, options = parsed
-        return handler(load_problem(options["spec"]), options)
+        return handler(spec := load_problem(options["spec"]), options)
+    except MemoryError:
+        grid = f" on the {spec.mesh.nx}x{spec.mesh.ny} grid" if spec else ""
+        print(f"error: out of memory in {argv[0]}{grid}", file=sys.stderr)
+        return 2
     except _UsageError as exc:
         print(f"{_USAGE}\ndirichlet-fem: error: {exc}", file=sys.stderr)
         return 2

@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-# Above the 35 MB of the import, a CLI solve peaks near 0.18 KB per node, poincare
-# near 0.12 KB and verify near 0.38 KB (512^2 and 1024^2): under 0.6 GB at this cap.
+# Above the 35 MB import, with freed pages kept, a CLI solve peaks near 0.13 KB a node
+# and verify near 0.35 KB (512^2 and 1024^2, one BLAS thread): under 0.6 GB at this cap.
 MAX_NODES = 1_500_000
 
 

@@ -31,6 +31,7 @@ refused as malformed, naming its line.
 
 from __future__ import annotations
 
+from ctypes import CDLL, c_int
 from typing import IO, Callable, NamedTuple
 
 import numpy as np
@@ -175,11 +176,29 @@ def make_data(spec: ProblemSpec, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return assemble_load(mesh, as_function(spec.f_expr)), boundary_field(spec, mesh)
 
 
+PAGES_KEPT_ABOVE = 16_384  # nodes; a field of more outgrows glibc's 128 KiB mmap threshold
+_KEPT = None  # whether mallopt took both thresholds; None until a command asks
+
+
+def pages_kept(mesh: Mesh, keep: bool = False) -> bool:
+    """Whether freed pages stay mapped for mesh: above PAGES_KEPT_ABOVE nodes, once keep
+    has asked.  The first ask sets glibc's trim threshold to 1 GiB and its mmap threshold
+    to 32 MiB, so fields are not mapped afresh; either alone stops glibc adapting both."""
+    global _KEPT
+    if keep and _KEPT is None and mesh.node_count > PAGES_KEPT_ABOVE:
+        try:  # M_TRIM_THRESHOLD is -1, M_MMAP_THRESHOLD -3
+            mallopt = CDLL(None).mallopt
+            mallopt.argtypes, mallopt.restype = (c_int, c_int), c_int
+            _KEPT = all([mallopt(-1, 1 << 30), mallopt(-3, 32 << 20)])
+        except (AttributeError, OSError, TypeError):  # no mallopt, or no libc to open
+            _KEPT = False
+    return bool(_KEPT) and mesh.node_count > PAGES_KEPT_ABOVE
+
+
 _CSV_HEADER = "node_index,x,y,u,is_boundary"
 _CSV_BLOCK = 4096  # nodes per write, so memory stays flat on any grid
-# values _g17 formats at a time: each of its temporaries stays under
-# 64 KiB, which malloc reuses; 4096 values at a time made 128-256 KiB
-# arrays that came back as fresh, page-faulting memory on every block
+# values _g17 formats a call unless pages_kept: its temporaries stay under 64 KiB, which
+# malloc reuses; 4096 values made 128-256 KiB ones, mapped and faulted afresh every block
 _PIECE = 1024
 _RECORD = 25  # bytes of a _g17 record: ',' and at most 24 characters
 
@@ -255,8 +274,8 @@ def _mantissa(a: np.ndarray, k: np.ndarray):
     return high, low, (low >= 0) & (low < 1e8) & (high >= 1e8) & (high < 1e9)
 
 
-def _g17(v: np.ndarray) -> np.ndarray:
-    """(len(v), 25) uint8 records, ',' then '%.17g' % v, NUL-padded.
+def _g17(v: np.ndarray, piece: int) -> np.ndarray:
+    """(len(v), 25) uint8 records, ',' then '%.17g' % v, NUL-padded, piece values a call.
 
     For 1e-4 <= |v| < 1e16, '%.17g' writes v in fixed point, and its 17
     digits are N = round(|v| 10^k), with k = 16 - floor(log10 |v|) in
@@ -268,14 +287,16 @@ def _g17(v: np.ndarray) -> np.ndarray:
     split p / 10^8 rounded across an integer are formatted by '%.17g'
     itself.
     """
+    if len(v) <= piece:
+        return _g17_piece(v)
     out = np.empty((len(v), _RECORD), np.uint8)
-    for i in range(0, len(v), _PIECE):
-        out[i : i + _PIECE] = _g17_piece(v[i : i + _PIECE])
+    for i in range(0, len(v), piece):
+        out[i : i + piece] = _g17_piece(v[i : i + piece])
     return out
 
 
 def _g17_piece(v: np.ndarray) -> np.ndarray:
-    """_g17 of at most _PIECE values."""
+    """_g17 of one piece of values."""
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e16)
     a = np.where(fast, a, 1.0)
@@ -321,8 +342,9 @@ def write_field_csv(stream: IO[str], mesh: Mesh, u: np.ndarray) -> None:
     leaves the block's text, which is one write.
     """
     u, width = _as_field(u, mesh.node_count), mesh.nx + 1
+    piece = 2 * _CSV_BLOCK if pages_kept(mesh) else _PIECE  # kept: a block, node lines too
     # the node lines and the first block, all of a small grid, in one call
-    first = _g17(np.concatenate([mesh.xs, mesh.ys, u[:_CSV_BLOCK]]))
+    first = _g17(np.concatenate([mesh.xs, mesh.ys, u[:_CSV_BLOCK]]), piece)
     xs, ys, values = np.split(first, [width, width + mesh.ny + 1])
     xs, ys = (part[:, part.any(axis=0)] for part in (xs, ys))
     rows = min(_CSV_BLOCK, mesh.node_count)
@@ -337,7 +359,7 @@ def write_field_csv(stream: IO[str], mesh: Mesh, u: np.ndarray) -> None:
         index &= _LEAD.take(np.searchsorted(_DECADES, node, side="right") + 1, 0)
         flag = (row % mesh.ny == 0) | (col % mesh.nx == 0)
         if start:
-            values = _g17(u[start:stop])
+            values = _g17(u[start:stop], piece)
         np.concatenate([index.view(np.uint8), xs.take(col, 0), ys.take(row, 0),
                         values, _TAILS.take(flag.view(np.uint8), 0)],
                        axis=1, out=block[: stop - start])

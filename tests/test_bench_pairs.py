@@ -165,7 +165,7 @@ def test_main_prints_the_gains_shown_and_records_the_host(tmp_path, monkeypatch,
     assert bench_pairs.main(["--base", str(base_dir), "--out", str(out), "--run", "w:1-3"]) == 0
     written = json.loads(out.read_text())
     assert written["host"] == {"python": platform.python_version(), "numpy": np.__version__,
-                               "cpu_count": os.cpu_count()}
+                               "libc": list(platform.libc_ver()), "cpu_count": os.cpu_count()}
     shown = [m for m, entry in written["summary"]["w"].items() if entry["gain_shown"]]
     assert shown == ["cmd_p50_s"]
     err = capsys.readouterr().err

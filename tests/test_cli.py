@@ -626,6 +626,80 @@ def test_convergence_over_the_node_cap_solves_no_level(tmp_path, monkeypatch, ca
     assert err == "error: grid 2048x2048 has 4198401 nodes, over the cap of 1500000\n"
 
 
+class FakeLibc:
+    """A C library whose mallopt, where it has one, records its calls."""
+
+    def __init__(self, has_mallopt=True):
+        self.calls = []
+        if has_mallopt:
+            self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+
+def fake_libc(monkeypatch, has_mallopt=True):
+    """Stand a FakeLibc in for the C library, in a process that has not yet kept pages."""
+    from dirichlet_fem import problems
+
+    libc = FakeLibc(has_mallopt)
+    monkeypatch.setattr(problems, "CDLL", lambda name: libc)
+    monkeypatch.setattr(problems, "_KEPT", None)
+    return libc
+
+
+def test_only_a_grid_above_the_gate_keeps_pages_once_per_process(tmp_path, monkeypatch, capsys):
+    # 65^2 and the 321x33 strip are under 16,384 nodes, 130^2 is over:
+    # one pair of mallopt calls, M_TRIM_THRESHOLD then M_MMAP_THRESHOLD
+    from dirichlet_fem import cli, problems
+
+    libc = fake_libc(monkeypatch)
+    small = write(tmp_path, "p64.txt", "domain = 0 0 1 1\ngrid = 64 64\nf = 1\ng = x\n")
+    strip = write(tmp_path, "strip.txt", "domain = 0 0 10 1\ngrid = 320 32\nf = 1\ng = 0\n")
+    large = write(tmp_path, "p129.txt", "domain = 0 0 1 1\ngrid = 129 129\nf = 1\ng = x\n")
+    assert cli.main(["solve", "--spec", small, "--out", str(tmp_path / "small.csv")]) == 0
+    assert cli.main(["poincare", "--spec", strip]) == 0
+    assert libc.calls == [] and problems._KEPT is None
+    for k in range(2):
+        assert cli.main(["solve", "--spec", large, "--out", str(tmp_path / f"{k}.csv")]) == 0
+        assert cli.main(["poincare", "--spec", large]) == 0
+    assert libc.calls == [(-1, 1 << 30), (-3, 32 << 20)]
+    assert problems._KEPT is True
+    capsys.readouterr()
+
+
+def test_a_libc_without_mallopt_writes_the_same_bytes(tmp_path, monkeypatch, capsysbinary):
+    from dirichlet_fem import cli, problems
+
+    spec = write(tmp_path, "p129.txt",
+                 "domain = -1 0 2 1.5\ngrid = 129 129\nf = 1 + x\ng = sin(x) * y\n")
+    outputs = []
+    for has_mallopt in (True, False):
+        fake_libc(monkeypatch, has_mallopt)
+        out = tmp_path / f"{has_mallopt}.csv"
+        assert cli.main(["solve", "--spec", spec, "--out", str(out)]) == 0
+        assert problems._KEPT is has_mallopt
+        outputs.append((out.read_bytes(), capsysbinary.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS bounds the address space on Linux")
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path):
+    # the child alone runs under a 300 MB address-space limit, with one
+    # BLAS thread, so that numpy's import fits and the 1024^2 verify does not
+    import resource
+
+    spec = write(tmp_path, "p.txt", "domain = 0 0 1 1\ngrid = 1024 1024\nf = 1\ng = x\n")
+    env = cli_env()
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    limit = 300 * 10**6
+    proc = subprocess.run(
+        [sys.executable, "-m", "dirichlet_fem", "verify", "--spec", spec],
+        capture_output=True, text=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: out of memory in verify on the 1024x1024 grid\n"
+
+
 def test_cli_import_loads_no_fft_or_sparse_solver():
     # no scipy module at all: importing scipy.sparse was about half the
     # start-up of every process; the sine transforms use numpy.fft

@@ -242,17 +242,26 @@ CSV_MESHES = {
     "past-a-block": build_rect_mesh(0.0, 0.0, 1.0, 15.0, 16, 240),
     # 4501 nodes a row, more than a block: writes cut rows
     "wide-row": build_rect_mesh(0.0, 0.0, 1.0, 1.0, 4500, 2),
+    # 16,641 nodes, above the gate: with pages kept, each block is one _g17 piece
+    "above-the-gate": build_rect_mesh(-1.5, 0.25, 2.0, 1.0, 128, 128),
 }
 
 
 @pytest.mark.parametrize("name", list(CSV_MESHES))
-def test_csv_writer_is_the_row_by_row_reference(name):
+def test_csv_writer_is_the_row_by_row_reference(name, monkeypatch):
     mesh = CSV_MESHES[name]
+    monkeypatch.setattr(problems, "_KEPT", True)  # as after a command on a large grid
+    pieces, piece = [], problems._g17_piece
+    monkeypatch.setattr(problems, "_g17_piece", lambda v: pieces.append(len(v)) or piece(v))
     u = np.random.default_rng(mesh.node_count).standard_normal(mesh.node_count)
     u[::7] = -0.0
     buf = io.StringIO()
     write_field_csv(buf, mesh, u)
     assert buf.getvalue() == row_by_row_csv(mesh, u)
+    if problems.pages_kept(mesh):  # the node lines go with the first block
+        assert len(pieces) == -(-mesh.node_count // problems._CSV_BLOCK)
+    else:
+        assert max(pieces) <= problems._PIECE
 
 
 def test_csv_meshes_hold_what_their_names_say():
@@ -260,6 +269,9 @@ def test_csv_meshes_hold_what_their_names_say():
     assert np.signbit(zeros[-1, 1]) and not np.signbit(zeros[0, 0])
     assert CSV_MESHES["past-a-block"].node_count == problems._CSV_BLOCK + 1
     assert CSV_MESHES["wide-row"].nx + 1 > problems._CSV_BLOCK
+    above = [name for name, mesh in CSV_MESHES.items()
+             if mesh.node_count > problems.PAGES_KEPT_ABOVE]
+    assert above == ["above-the-gate"]
 
 
 def test_csv_writer_memory_does_not_grow_with_the_grid():

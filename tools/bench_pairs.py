@@ -31,8 +31,10 @@ side) and its median better than the base's by more than the base's
 quartile distance q3 - q1.  Under counters_moved it lists, per workload,
 each per-layer metric of BENCHMARK.json with unit count or B whose
 traced values differ between the sides, with both values.  Under host
-it records the interpreter version, the numpy version and the CPU
-count, so files from different hosts or sessions can be told apart.
+it records the interpreter version, the numpy version, the C library
+and its version as platform.libc_ver() reads them, and the CPU count,
+so files from different hosts or sessions can be told apart; the
+allocator's behaviour, and so some gains, depend on the C library.
 The script lists the metrics flagged worse, the gains shown and the
 moved counters on stderr, then ``src lines: base N -> change M`` and
 each file whose line count differs between the sides (0 where a side
@@ -73,9 +75,9 @@ def describe_src(checkout: Path) -> dict:
 
 
 def describe_host() -> dict:
-    """The interpreter and numpy versions the runs used, and the CPU count."""
-    return {"python": platform.python_version(),
-            "numpy": importlib.metadata.version("numpy"), "cpu_count": os.cpu_count()}
+    """The interpreter, numpy and C library versions the runs used, and the CPU count."""
+    return {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
+            "libc": list(platform.libc_ver()), "cpu_count": os.cpu_count()}
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
