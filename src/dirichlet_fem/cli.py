@@ -22,11 +22,16 @@ A command line is a command, then `--name value` or `--name=value`
 pairs, each value taken as given even if it starts with '-'; --seed and
 --levels take ASCII digits, no '_'.  A usage error prints the usage
 block and the error on stderr; -h or --help prints it on stdout.
+
+Importing this module makes every command keep the memory it frees (see
+_keep_freed_pages); `import dirichlet_fem` does not import it.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import suppress
+from ctypes import CDLL, c_int
 from dataclasses import replace
 
 import numpy as np
@@ -38,10 +43,22 @@ from .dirichlet import solve, weak_residual
 from .expr import EvalError, as_function
 from .linsolve import ConvergenceError
 from .mesh import Mesh, build_rect_mesh, nodal_values
-from .problems import ProblemSpec, boundary_field, load_problem, make_data, pages_kept
-from .problems import write_field_csv
+from .problems import ProblemSpec, boundary_field, load_problem, make_data, write_field_csv
 from .riesz import energy
 from .verify import run_checks
+
+
+def _keep_freed_pages() -> None:
+    """Set glibc's trim threshold to 1 GiB and its mmap threshold to 32 MiB, so freed fields
+    are not mapped and faulted afresh; either alone stops glibc adapting both."""
+    with suppress(AttributeError, OSError, TypeError):  # no mallopt, or no libc to open
+        mallopt = CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (c_int, c_int), c_int
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
+_keep_freed_pages()  # once per process, at import, so no command pays its lookup
 
 
 # (nx, ny, hx, hy) -> [InteriorSystem, PoincareEstimate or None], least recently
@@ -52,8 +69,7 @@ _STORE: dict[tuple, list] = {}
 def _system(mesh: Mesh) -> InteriorSystem:
     """The stored brackets of mesh's shape, with mesh's own node lines.  A
     new shape is assembled once the least recently used shapes have left
-    room for its nodes under MAX_NODES.  From a grid over PAGES_KEPT_ABOVE on, pages are kept."""
-    pages_kept(mesh, keep=True)
+    room for its nodes under MAX_NODES."""
     entry = _STORE.pop(key := (mesh.nx, mesh.ny, *mesh.cell_sides), None)
     while entry is None and _STORE and mesh.node_count + sum(
             s.mesh.node_count for s, _ in _STORE.values()) > mesh_module.MAX_NODES:

@@ -18,7 +18,7 @@ values are written exactly as %.17g writes them, so every one reads back
 bit-identically.  The writer makes them with numpy, not one %.17g call
 each: it finds the 17 digits of each value from an exact product and
 lays them out in fixed-width byte records, leaving to %.17g only the
-values it cannot certify (see _g17).
+values it cannot certify (see _g17), _PIECE (8192) values a call.
 
 A parsed file holds its Mesh, built as soon as the grid line is read.
 A grid may have at most mesh.MAX_NODES (1,500,000) nodes; a file asking
@@ -31,7 +31,6 @@ refused as malformed, naming its line.
 
 from __future__ import annotations
 
-from ctypes import CDLL, c_int
 from typing import IO, Callable, NamedTuple
 
 import numpy as np
@@ -176,30 +175,9 @@ def make_data(spec: ProblemSpec, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return assemble_load(mesh, as_function(spec.f_expr)), boundary_field(spec, mesh)
 
 
-PAGES_KEPT_ABOVE = 16_384  # nodes; a field of more outgrows glibc's 128 KiB mmap threshold
-_KEPT = None  # whether mallopt took both thresholds; None until a command asks
-
-
-def pages_kept(mesh: Mesh, keep: bool = False) -> bool:
-    """Whether freed pages stay mapped for mesh: above PAGES_KEPT_ABOVE nodes, once keep
-    has asked.  The first ask sets glibc's trim threshold to 1 GiB and its mmap threshold
-    to 32 MiB, so fields are not mapped afresh; either alone stops glibc adapting both."""
-    global _KEPT
-    if keep and _KEPT is None and mesh.node_count > PAGES_KEPT_ABOVE:
-        try:  # M_TRIM_THRESHOLD is -1, M_MMAP_THRESHOLD -3
-            mallopt = CDLL(None).mallopt
-            mallopt.argtypes, mallopt.restype = (c_int, c_int), c_int
-            _KEPT = all([mallopt(-1, 1 << 30), mallopt(-3, 32 << 20)])
-        except (AttributeError, OSError, TypeError):  # no mallopt, or no libc to open
-            _KEPT = False
-    return bool(_KEPT) and mesh.node_count > PAGES_KEPT_ABOVE
-
-
 _CSV_HEADER = "node_index,x,y,u,is_boundary"
 _CSV_BLOCK = 4096  # nodes per write, so memory stays flat on any grid
-# values _g17 formats a call unless pages_kept: its temporaries stay under 64 KiB, which
-# malloc reuses; 4096 values made 128-256 KiB ones, mapped and faulted afresh every block
-_PIECE = 1024
+_PIECE = 2 * _CSV_BLOCK  # values _g17 formats a call: a block, with the first its node lines
 _RECORD = 25  # bytes of a _g17 record: ',' and at most 24 characters
 
 
@@ -274,8 +252,8 @@ def _mantissa(a: np.ndarray, k: np.ndarray):
     return high, low, (low >= 0) & (low < 1e8) & (high >= 1e8) & (high < 1e9)
 
 
-def _g17(v: np.ndarray, piece: int) -> np.ndarray:
-    """(len(v), 25) uint8 records, ',' then '%.17g' % v, NUL-padded, piece values a call.
+def _g17(v: np.ndarray) -> np.ndarray:
+    """(len(v), 25) uint8 records, ',' then '%.17g' % v, NUL-padded, _PIECE values a call.
 
     For 1e-4 <= |v| < 1e16, '%.17g' writes v in fixed point, and its 17
     digits are N = round(|v| 10^k), with k = 16 - floor(log10 |v|) in
@@ -287,11 +265,11 @@ def _g17(v: np.ndarray, piece: int) -> np.ndarray:
     split p / 10^8 rounded across an integer are formatted by '%.17g'
     itself.
     """
-    if len(v) <= piece:
+    if len(v) <= _PIECE:
         return _g17_piece(v)
     out = np.empty((len(v), _RECORD), np.uint8)
-    for i in range(0, len(v), piece):
-        out[i : i + piece] = _g17_piece(v[i : i + piece])
+    for i in range(0, len(v), _PIECE):
+        out[i : i + _PIECE] = _g17_piece(v[i : i + _PIECE])
     return out
 
 
@@ -342,9 +320,8 @@ def write_field_csv(stream: IO[str], mesh: Mesh, u: np.ndarray) -> None:
     leaves the block's text, which is one write.
     """
     u, width = _as_field(u, mesh.node_count), mesh.nx + 1
-    piece = 2 * _CSV_BLOCK if pages_kept(mesh) else _PIECE  # kept: a block, node lines too
     # the node lines and the first block, all of a small grid, in one call
-    first = _g17(np.concatenate([mesh.xs, mesh.ys, u[:_CSV_BLOCK]]), piece)
+    first = _g17(np.concatenate([mesh.xs, mesh.ys, u[:_CSV_BLOCK]]))
     xs, ys, values = np.split(first, [width, width + mesh.ny + 1])
     xs, ys = (part[:, part.any(axis=0)] for part in (xs, ys))
     rows = min(_CSV_BLOCK, mesh.node_count)
@@ -359,7 +336,7 @@ def write_field_csv(stream: IO[str], mesh: Mesh, u: np.ndarray) -> None:
         index &= _LEAD.take(np.searchsorted(_DECADES, node, side="right") + 1, 0)
         flag = (row % mesh.ny == 0) | (col % mesh.nx == 0)
         if start:
-            values = _g17(u[start:stop], piece)
+            values = _g17(u[start:stop])
         np.concatenate([index.view(np.uint8), xs.take(col, 0), ys.take(row, 0),
                         values, _TAILS.take(flag.view(np.uint8), 0)],
                        axis=1, out=block[: stop - start])

@@ -21,12 +21,18 @@ END_TO_END = [
 ]
 
 
+def result(metrics, failed=0, attempted=10):
+    """One side's run as perfbench/run.py reports it."""
+    return {"metrics": metrics, "correct": failed == 0, "failed": failed,
+            "attempted": attempted}
+
+
 def runs(workload, base, change):
     """Three untraced pairs and one traced one, each side its metrics."""
     made = [{"workload": workload, "seed": seed, "trace": 0,
-             "base": {"metrics": base}, "change": {"metrics": change}}
+             "base": result(base), "change": result(change)}
             for seed in (1, 2, 3)]
-    traced = {"metrics": {"wall_s": 100.0, "ok_ratio": 0.0}}
+    traced = result({"wall_s": 100.0, "ok_ratio": 0.0})
     return made + [{"workload": workload, "seed": 5, "trace": 1,
                     "base": traced, "change": traced}]
 
@@ -52,8 +58,8 @@ def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_base_sprea
 
     def pairs(workload, change):
         return [{"workload": workload, "seed": seed, "trace": 0,
-                 "base": {"metrics": {"wall_s": b, "ok_ratio": 1.0}},
-                 "change": {"metrics": {"wall_s": c, "ok_ratio": 1.0}}}
+                 "base": result({"wall_s": b, "ok_ratio": 1.0}),
+                 "change": result({"wall_s": c, "ok_ratio": 1.0})}
                 for seed, (b, c) in enumerate(zip(base, change))]
 
     faster = [b - 0.5 for b in base]
@@ -71,6 +77,52 @@ def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_base_sprea
                      "gap-inside-the-spread": False}
     assert summary["eight-wins-two-ties"]["wall_s"]["change_better"] == 8
     assert not any(m["ok_ratio"]["gain_shown"] for m in summary.values())  # all ties
+
+
+def test_gain_shown_needs_no_higher_share_of_failed_operations():
+    # a faster change that fails more of its operations shows no gain; the
+    # failed and attempted counts of each side are summed over its pairs
+    def pairs(workload, base_failed, change_failed, change_attempted=10):
+        return [{"workload": workload, "seed": seed, "trace": 0,
+                 "base": result({"wall_s": 1.0 + seed / 100, "ok_ratio": 1.0}, base_failed),
+                 "change": result({"wall_s": 0.5, "ok_ratio": 1.0}, change_failed,
+                                  change_attempted)}
+                for seed in range(10)]
+
+    summary = bench_pairs.summarise(
+        pairs("none-failed", 0, 0) + pairs("change-failed", 0, 1)
+        + pairs("both-failed-alike", 2, 4, 20) + pairs("base-failed-more", 3, 1),
+        END_TO_END,
+    )
+    shown = {w: m["wall_s"]["gain_shown"] for w, m in summary.items()}
+    assert shown == {"none-failed": True, "change-failed": False,
+                     "both-failed-alike": True, "base-failed-more": True}
+    entry = summary["change-failed"]["wall_s"]
+    assert entry["change_better"] == 10
+    assert ({k: entry["base"][k] for k in ("failed", "attempted")},
+            {k: entry["change"][k] for k in ("failed", "attempted")}) == (
+        {"failed": 0, "attempted": 100}, {"failed": 10, "attempted": 100})
+
+
+def test_main_prints_a_line_for_each_run_that_was_not_correct(tmp_path, monkeypatch, capsys,
+                                                              workload_w):
+    benchmark = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    base_dir = tmp_path / "base"
+    (base_dir / "src").mkdir(parents=True)
+
+    def bench(checkout, workload, seed, seconds, trace):
+        failed = 2 if checkout != base_dir and seed == 2 else 0
+        return result({m["name"]: 1.0 for m in benchmark["end_to_end"]}, failed, 40)
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--base", str(base_dir), "--out", str(out), "--run", "w:1-3"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("failed run:")] == [
+        "failed run: w seed 2 trace 0 change, 2 of 40 failed"]
+    entry = json.loads(out.read_text())["summary"]["w"]["wall_s"]
+    assert (entry["base"]["failed"], entry["change"]["failed"]) == (0, 2)
+    assert (entry["base"]["attempted"], entry["change"]["attempted"]) == (120, 120)
 
 
 def test_src_lines_is_the_sum_of_the_package_file_lengths():
@@ -103,10 +155,10 @@ def test_counters_moved_lists_the_traced_counts_and_bytes_that_differ():
 
     def traced(workload, change):
         return {"workload": workload, "seed": 5, "trace": 1,
-                "base": {"metrics": base}, "change": {"metrics": {**base, **change}}}
+                "base": result(base), "change": result({**base, **change})}
 
     untraced = {"workload": "moved", "seed": 1, "trace": 0,
-                "base": {"metrics": base}, "change": {"metrics": {"assembly.nnz": 8}}}
+                "base": result(base), "change": result({"assembly.nnz": 8})}
     moved = bench_pairs.counters_moved(
         [untraced, traced("moved", {"expr.eval_calls": 6, "problems.csv_bytes": 99,
                                     "linsolve.cg_s": 0.2, "mesh.repeat_share": 0.4}),
@@ -139,7 +191,7 @@ def test_main_writes_the_moved_counters_and_prints_them(tmp_path, monkeypatch, c
     def bench(checkout, workload, seed, seconds, trace):
         metrics = {m["name"]: 1.0 for m in benchmark["end_to_end"]}
         metrics["expr.eval_calls"] = 3 if checkout == base_dir or not trace else 4
-        return {"metrics": metrics}
+        return result(metrics)
 
     monkeypatch.setattr(bench_pairs, "bench", bench)
     out = tmp_path / "bench.json"
@@ -158,7 +210,7 @@ def test_main_prints_the_gains_shown_and_records_the_host(tmp_path, monkeypatch,
     def bench(checkout, workload, seed, seconds, trace):
         metrics = {m["name"]: 1.0 for m in benchmark["end_to_end"]}
         metrics["cmd_p50_s"] = 0.05 + 0.001 * seed if checkout == base_dir else 0.04
-        return {"metrics": metrics}
+        return result(metrics)
 
     monkeypatch.setattr(bench_pairs, "bench", bench)
     out = tmp_path / "bench.json"
@@ -186,7 +238,7 @@ def test_main_prints_the_src_line_counts_and_each_file_that_changed(tmp_path, mo
             (package / name).write_bytes(text)
 
     def bench(checkout, workload, seed, seconds, trace):
-        return {"metrics": {m["name"]: 1.0 for m in benchmark["end_to_end"]}}
+        return result({m["name"]: 1.0 for m in benchmark["end_to_end"]})
 
     monkeypatch.setattr(bench_pairs, "bench", bench)
     assert bench_pairs.main(["--base", str(tmp_path / "base"), "--change",

@@ -635,49 +635,45 @@ class FakeLibc:
             self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
 
 
-def fake_libc(monkeypatch, has_mallopt=True):
-    """Stand a FakeLibc in for the C library, in a process that has not yet kept pages."""
-    from dirichlet_fem import problems
+def test_importing_the_command_line_sets_both_thresholds_once():
+    # M_TRIM_THRESHOLD then M_MMAP_THRESHOLD, in a fresh interpreter whose
+    # C library records its mallopt calls; the package alone sets nothing
+    code = """
+import ctypes
+calls = []
+class Libc:
+    mallopt = staticmethod(lambda param, value: calls.append((param, value)) or 1)
+ctypes.CDLL = lambda name: Libc
+import dirichlet_fem
+before = list(calls)
+import dirichlet_fem.cli
+print(before, calls)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[] [(-1, 1073741824), (-3, 33554432)]\n"
 
-    libc = FakeLibc(has_mallopt)
-    monkeypatch.setattr(problems, "CDLL", lambda name: libc)
-    monkeypatch.setattr(problems, "_KEPT", None)
-    return libc
 
+def test_the_policy_sets_exactly_the_two_thresholds(monkeypatch):
+    from dirichlet_fem import cli
 
-def test_only_a_grid_above_the_gate_keeps_pages_once_per_process(tmp_path, monkeypatch, capsys):
-    # 65^2 and the 321x33 strip are under 16,384 nodes, 130^2 is over:
-    # one pair of mallopt calls, M_TRIM_THRESHOLD then M_MMAP_THRESHOLD
-    from dirichlet_fem import cli, problems
-
-    libc = fake_libc(monkeypatch)
-    small = write(tmp_path, "p64.txt", "domain = 0 0 1 1\ngrid = 64 64\nf = 1\ng = x\n")
-    strip = write(tmp_path, "strip.txt", "domain = 0 0 10 1\ngrid = 320 32\nf = 1\ng = 0\n")
-    large = write(tmp_path, "p129.txt", "domain = 0 0 1 1\ngrid = 129 129\nf = 1\ng = x\n")
-    assert cli.main(["solve", "--spec", small, "--out", str(tmp_path / "small.csv")]) == 0
-    assert cli.main(["poincare", "--spec", strip]) == 0
-    assert libc.calls == [] and problems._KEPT is None
-    for k in range(2):
-        assert cli.main(["solve", "--spec", large, "--out", str(tmp_path / f"{k}.csv")]) == 0
-        assert cli.main(["poincare", "--spec", large]) == 0
+    libc = FakeLibc()
+    monkeypatch.setattr(cli, "CDLL", lambda name: libc)
+    cli._keep_freed_pages()
     assert libc.calls == [(-1, 1 << 30), (-3, 32 << 20)]
-    assert problems._KEPT is True
-    capsys.readouterr()
 
 
-def test_a_libc_without_mallopt_writes_the_same_bytes(tmp_path, monkeypatch, capsysbinary):
-    from dirichlet_fem import cli, problems
+def test_a_libc_without_mallopt_or_that_will_not_open_is_a_silent_no_op(monkeypatch, capfd):
+    from dirichlet_fem import cli
 
-    spec = write(tmp_path, "p129.txt",
-                 "domain = -1 0 2 1.5\ngrid = 129 129\nf = 1 + x\ng = sin(x) * y\n")
-    outputs = []
-    for has_mallopt in (True, False):
-        fake_libc(monkeypatch, has_mallopt)
-        out = tmp_path / f"{has_mallopt}.csv"
-        assert cli.main(["solve", "--spec", spec, "--out", str(out)]) == 0
-        assert problems._KEPT is has_mallopt
-        outputs.append((out.read_bytes(), capsysbinary.readouterr()))
-    assert outputs[0] == outputs[1]
+    def no_libc(name):
+        raise OSError("no C library")
+
+    for cdll in (lambda name: FakeLibc(has_mallopt=False), no_libc):
+        monkeypatch.setattr(cli, "CDLL", cdll)
+        assert cli._keep_freed_pages() is None
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

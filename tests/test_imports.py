@@ -117,6 +117,19 @@ def test_verify_samples_no_expression():
     assert not names_in("verify") & {"nodal_values", "as_function"}
 
 
+def test_only_the_command_line_sets_the_allocator_policy():
+    # the policy is the process's, so one module owns it: the one a library
+    # caller does not import
+    owners = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)}
+        if (names_in(path.stem) | modules) & {"ctypes", "mallopt"}:
+            owners.add(path.stem)
+    assert owners == {"cli"}
+
+
 def referenced_names(tree: ast.AST) -> set[str]:
     """Every identifier a tree uses as a name or an attribute."""
     names = set()

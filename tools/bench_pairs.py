@@ -22,21 +22,24 @@ stdout.
 
 The file holds each side's src/ digest and line counts (the total and
 per file), every run and, per workload and end-to-end metric, the
-median and quartiles of each side, the number of pairs in which the
+median and quartiles of each side with its failed and attempted
+operations summed over the pairs, the number of pairs in which the
 change was better, with the direction taken from BENCHMARK.json,
 worse_beyond_bound: whether the change's median is worse than the base's by more than the metric's
 bound times |base median|, and gain_shown: whether the change was
 better in at least nine tenths of the pairs (a tie counts for neither
-side) and its median better than the base's by more than the base's
-quartile distance q3 - q1.  Under counters_moved it lists, per workload,
+side), its median better than the base's by more than the base's
+quartile distance q3 - q1, and its share of failed operations no
+higher than the base's.  Under counters_moved it lists, per workload,
 each per-layer metric of BENCHMARK.json with unit count or B whose
 traced values differ between the sides, with both values.  Under host
 it records the interpreter version, the numpy version, the C library
 and its version as platform.libc_ver() reads them, and the CPU count,
 so files from different hosts or sessions can be told apart; the
 allocator's behaviour, and so some gains, depend on the C library.
-The script lists the metrics flagged worse, the gains shown and the
-moved counters on stderr, then ``src lines: base N -> change M`` and
+The script lists each run that was not correct (a ``failed run:``
+line), the metrics flagged worse, the gains shown and the moved
+counters on stderr, then ``src lines: base N -> change M`` and
 each file whose line count differs between the sides (0 where a side
 lacks it).
 """
@@ -97,6 +100,11 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = [r for r in runs if r["workload"] == workload and r["trace"] == 0]
+        failures = {s: {k: sum(p[s][k] for p in pairs) for k in ("failed", "attempted")}
+                    for s in SIDES}
+        # the change's failed share above the base's, compared without dividing
+        more_failed = (failures["change"]["failed"] * failures["base"]["attempted"]
+                       > failures["base"]["failed"] * failures["change"]["attempted"])
         summary[workload] = {}
         for metric in end_to_end:
             name = metric["name"]
@@ -106,11 +114,12 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
             entry = {"pairs": len(pairs), "change_better": wins}
             for side, vals in values.items():
                 q1, median, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
-                entry[side] = {"median": median, "q1": q1, "q3": q3}
+                entry[side] = {"median": median, "q1": q1, "q3": q3, **failures[side]}
             base, change = entry["base"]["median"], entry["change"]["median"]
             entry["worse_beyond_bound"] = sign * (change - base) > metric["bound"] * abs(base)
             spread = entry["base"]["q3"] - entry["base"]["q1"]
-            entry["gain_shown"] = 10 * wins >= 9 * len(pairs) and sign * (base - change) > spread
+            entry["gain_shown"] = (10 * wins >= 9 * len(pairs) and sign * (base - change) > spread
+                                   and not more_failed)
             summary[workload][name] = entry
     return summary
 
@@ -158,6 +167,12 @@ def main(argv=None) -> int:
             runs.append(run)
             print(f"{workload} seed {seed} trace {trace} done", file=sys.stderr)
 
+    for run in runs:
+        for side in SIDES:
+            if not run[side]["correct"]:
+                print(f"failed run: {run['workload']} seed {run['seed']} trace {run['trace']} "
+                      f"{side}, {run[side]['failed']} of {run[side]['attempted']} failed",
+                      file=sys.stderr)
     summary = summarise(runs, benchmark["end_to_end"])
     for workload, metrics in summary.items():
         for name, entry in metrics.items():
